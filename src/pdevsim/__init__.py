@@ -20,7 +20,7 @@ from .kernel import (RunReport, SequentialCoordinator, SimulationClock,
 from .model import (EIC, EOC, IC, AtomicSpec, Coupling, EventValue,
                     ModelError, ModelGraph, PortRef, Violation,
                     check_event_value, flatten, validate)
-from .parallel import ParallelCoordinator, PhaseTask, PoolPlan, PoolSpec
+from .parallel import ParallelCoordinator, PoolPlan, PoolSpec
 from .planfile import (ParallelPlan, PlanError, default_endpoints,
                        emit_distributed_plan_xml, emit_plan_xml,
                        emit_pool_plan_xml, load_pool_plan, parse_plan_xml)
@@ -32,8 +32,8 @@ __all__ = [
     "AtomicModel", "AtomicSpec", "Counters", "Coupling", "DelayDistribution",
     "DevstoneConfig", "DistributedCoordinator", "DistributedPlan", "EIC",
     "EOC", "Endpoint", "EventValue", "ExpectedCounts", "IC", "ModelError",
-    "ModelGraph", "ParallelCoordinator", "ParallelPlan", "PhaseTask",
-    "PlanError", "PoolPlan", "PoolSpec", "PortRef", "ProtocolError",
+    "ModelGraph", "ParallelCoordinator", "ParallelPlan", "PlanError",
+    "PoolPlan", "PoolSpec", "PortRef", "ProtocolError",
     "RunReport", "SequentialCoordinator", "SimulationClock",
     "SimulationError", "Simulator", "SimulatorService", "Timeouts",
     "TraceEntry", "Violation", "WireFrame", "atomic_spec", "behavior_ports",

@@ -22,7 +22,7 @@ from pathlib import Path
 from .devstone import GENERATOR_NAME
 from .distributed import DistributedPlan, Endpoint, Timeouts, run_coordinator
 from .kernel import RunReport, SequentialCoordinator, SimulationError
-from .model import ModelGraph
+from .model import ModelGraph, flatten
 from .parallel import ParallelCoordinator, PoolPlan, PoolSpec
 from .planfile import ParallelPlan, emit_distributed_plan_xml, parse_plan_xml
 
@@ -157,7 +157,7 @@ def balanced_buckets(profiles: list[AtomicProfile], m: int) -> list[list[str]]:
 
 def balanced_pool_plan(profiles: list[AtomicProfile], m: int,
                        name: str = "main") -> PoolPlan:
-    """One pool of ``m`` workers; tasks submitted heaviest first so the
+    """One pool of ``m`` workers that pull atomics heaviest first, so the
     heavy atomics spread over distinct workers."""
     ranked = sorted(profiles, key=lambda p: (-p.total, p.name))
     return PoolPlan((PoolSpec(name, m),), {p.name: name for p in ranked})
@@ -205,8 +205,7 @@ def free_port_block(count: int, host: str = "127.0.0.1") -> list[int]:
 
 def local_plan(graph: ModelGraph, host: str = "127.0.0.1") -> DistributedPlan:
     """Distributed plan over loopback with freshly probed free ports."""
-    from .planfile import _flat  # deterministic flatten with validation
-    flat = _flat(graph)
+    flat = flatten(graph)
     names = [spec.name for _, spec in flat.walk_atomics()]
     ports = free_port_block(2 * len(names) + 1, host)
     endpoints = {name: Endpoint(host, ports[2 * i], ports[2 * i + 1])

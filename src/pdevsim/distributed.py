@@ -116,22 +116,6 @@ def _shutdown_close(sock: socket.socket | None) -> None:
         pass
 
 
-def trace_to_payload(entries: list[TraceEntry]) -> list:
-    return [[e.time, e.kind,
-             [[p, list(v)] for p, v in e.inputs],
-             [[p, list(v)] for p, v in e.outputs]] for e in entries]
-
-
-def trace_from_payload(payload) -> list[TraceEntry]:
-    entries = []
-    for t, kind, inputs, outputs in payload:
-        entries.append(TraceEntry(
-            float(t), kind,
-            tuple((p, tuple(v)) for p, v in inputs),
-            tuple((p, tuple(v)) for p, v in outputs)))
-    return entries
-
-
 class SimulatorService:
     """Hosts one atomic model behind the wire protocol."""
 
@@ -272,7 +256,7 @@ class SimulatorService:
         if command == EXIT:
             payload = [self.counters.num_delt_ints, self.counters.num_delt_exts,
                        self.counters.num_of_events, self.dropped]
-            trace_blob = (trace_to_payload(self.simulator.trace)
+            trace_blob = ([entry.to_payload() for entry in self.simulator.trace]
                           if self._trace_enabled else [])
             return WireFrame(ACK, sender=self.name, values=(*payload, trace_blob))
         raise SimulationError(f"unexpected command {command} on main connection")
@@ -491,7 +475,7 @@ class DistributedCoordinator:
             events += values[2]
             dropped += values[3]
             if self.trace_enabled:
-                traces[name] = trace_from_payload(values[4])
+                traces[name] = [TraceEntry.from_payload(raw) for raw in values[4]]
         wall = time.perf_counter() - started
         return RunReport(
             model=self.plan.graph.name, backend=self.backend_name,

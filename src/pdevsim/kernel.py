@@ -48,6 +48,19 @@ class TraceEntry:
     inputs: tuple[tuple[str, tuple], ...]
     outputs: tuple[tuple[str, tuple], ...]
 
+    def to_payload(self) -> list:
+        """JSON-ready ``[time, kind, inputs, outputs]`` list."""
+        return [self.time, self.kind,
+                [[p, list(v)] for p, v in self.inputs],
+                [[p, list(v)] for p, v in self.outputs]]
+
+    @classmethod
+    def from_payload(cls, payload) -> "TraceEntry":
+        t, kind, inputs, outputs = payload
+        return cls(float(t), kind,
+                   tuple((p, tuple(v)) for p, v in inputs),
+                   tuple((p, tuple(v)) for p, v in outputs))
+
 
 def _bags_snapshot(bags: dict[str, list], order: tuple[str, ...]) -> tuple:
     return tuple((port, tuple(bags[port])) for port in order if bags[port])
@@ -60,11 +73,8 @@ def trace_text(traces: dict[str, list[TraceEntry]]) -> str:
     lines = []
     for name in sorted(traces):
         for entry in traces[name]:
-            payload = json.dumps(
-                [entry.time, entry.kind,
-                 [[p, list(v)] for p, v in entry.inputs],
-                 [[p, list(v)] for p, v in entry.outputs]],
-                separators=(",", ":"), allow_nan=False)
+            payload = json.dumps(entry.to_payload(), separators=(",", ":"),
+                                 allow_nan=False)
             lines.append(f"{name}|{payload}")
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -113,9 +123,6 @@ class Simulator:
         otherwise. Returns the kind executed, or None. On a transition the
         bookkeeping is tL = t, tN = t + ta, and all bags are cleared.
         """
-        if self.tN < t:
-            raise SimulationError(
-                f"clock overran atomic {self.name!r}: tN={self.tN} < t={t}")
         imminent = self.tN == t
         has_input = not self.model.input_empty()
         if not imminent and not has_input:
@@ -191,6 +198,10 @@ class RunReport:
 
 # Key of a boundary-port bag in hierarchical execution.
 _BoundaryKey = tuple[tuple[str, ...], str, str]
+# One propagation hop bound to the bags it copies between: source bag,
+# destination bag, and the rank of the destination simulator (None when the
+# destination is a coupled boundary bag).
+_Route = tuple[list, list, int | None]
 
 
 class SequentialCoordinator:
@@ -200,6 +211,11 @@ class SequentialCoordinator:
     the identical single-level structure. ``flatten=False`` keeps the
     hierarchy and propagates values hop by hop through coupled boundary
     ports, which exists to demonstrate closure under coupling.
+
+    A cycle touches only its active set: the output functions of the
+    imminent simulators, then one transition for each imminent simulator
+    or influencee, in rank (graph walk) order. Both phases go through
+    ``_run_phase``, the one seam the pool backend overrides.
     """
 
     backend_name = "sequential"
@@ -229,6 +245,7 @@ class SequentialCoordinator:
                             trace=trace, profile=profile)
             self.simulators[run_name] = sim
             self._sim_list.append(sim)
+        self._ranks = {sim.name: rank for rank, sim in enumerate(self._sim_list)}
         self.dropped_events = 0
         self._build_routes()
         self._init_done = False
@@ -242,6 +259,8 @@ class SequentialCoordinator:
             sim.initialize()
         self.clock = SimulationClock(t=self.time_advance(), iteration=0)
         self.dropped_events = 0
+        # (t, simulators) that run_lambda left for run_deltfcn.
+        self._active: tuple[float, list[Simulator]] | None = None
         self._init_done = True
 
     def time_advance(self) -> float:
@@ -253,18 +272,24 @@ class SequentialCoordinator:
         return tn
 
     def run_lambda(self) -> None:
-        """Output functions of imminent simulators, then value propagation."""
+        """Output functions of the imminent simulators, then value
+        propagation; leaves imminents and influencees for run_deltfcn."""
         t = self.clock.t
-        for sim in self._sim_list:
-            sim.run_lambda(t)
-        self._propagate()
+        imminent = self._imminent(t)
+        self._run_phase(Simulator.run_lambda,
+                        [self._sim_list[rank] for rank in imminent], t)
+        active = self._propagate()
+        active.update(imminent)
+        self._active = (t, [self._sim_list[rank] for rank in sorted(active)])
 
     def run_deltfcn(self) -> None:
-        """One transition per affected simulator, then bag hygiene."""
+        """One transition per imminent or influencee."""
         t = self.clock.t
-        for sim in self._sim_list:
-            sim.run_delta(t)
-        self._clear_boundaries()
+        if self._active is None or self._active[0] != t:
+            raise SimulationError(f"run_deltfcn at t={t} without run_lambda at that time")
+        sims = self._active[1]
+        self._active = None
+        self._run_phase(Simulator.run_delta, sims, t)
 
     def simulate(self, max_iterations: int | None = None) -> RunReport:
         """Drive cycles until passivity or the iteration cap."""
@@ -286,6 +311,25 @@ class SequentialCoordinator:
 
     # -- internals ----------------------------------------------------------------
 
+    def _imminent(self, t: float) -> list[int]:
+        """Ranks of the simulators scheduled at ``t``. A schedule before
+        ``t`` means the clock skipped an event, which is an error."""
+        if math.isinf(t):
+            return []
+        ranks = []
+        for rank, sim in enumerate(self._sim_list):
+            if sim.tN <= t:
+                if sim.tN < t:
+                    raise SimulationError(
+                        f"clock overran atomic {sim.name!r}: tN={sim.tN} < t={t}")
+                ranks.append(rank)
+        return ranks
+
+    def _run_phase(self, step, sims: list[Simulator], t: float) -> None:
+        """Apply ``step(sim, t)`` to each simulator, in order."""
+        for sim in sims:
+            step(sim, t)
+
     def _report(self, cycles: int, wall: float) -> RunReport:
         ints, exts, events = self.counters.triple()
         traces = None
@@ -305,124 +349,89 @@ class SequentialCoordinator:
         """(name, cpu_ext, cpu_int) per atomic; meaningful when profiling."""
         return [(sim.name, sim.cpu_ext, sim.cpu_int) for sim in self._sim_list]
 
-    # Propagation. In flat mode every coupling copies directly from an
-    # atomic output bag to an atomic input bag (boundary couplings of an
-    # open flat graph have no runtime peer in a closed run and are
-    # skipped). In hierarchical mode values hop through coupled boundary
-    # bags: outputs climb EOCs child-first, cross one IC, then descend EICs
-    # top-down, which reproduces the classic coordinator hierarchy without
-    # materializing it.
+    # Propagation. Every coupling hop is bound at build time to the bags it
+    # copies between, in the order the hops apply. In flat mode each hop
+    # copies directly from an atomic output bag to an atomic input bag, in
+    # coupling order (boundary couplings of an open flat graph have no
+    # runtime peer in a closed run and are skipped). In hierarchical mode
+    # values hop through coupled boundary bags: outputs climb EOCs
+    # child-first, cross one IC, then descend EICs top-down, which
+    # reproduces the classic coordinator hierarchy without materializing it.
+    # Values left in a bag that no hop reads are counted as dropped.
 
     def _build_routes(self) -> None:
-        self._routes: list | None = None
+        self._routes: list[_Route] = []
         self._boundary: dict[_BoundaryKey, list] = {}
-        self._boundary_consumed: set[_BoundaryKey] = set()
-        self._uncoupled: dict[str, tuple[str, ...]] = {}
-        if self.exec_graph.is_flat():
-            routes = []
-            out_degree: dict[tuple[str, str], int] = {}
-            for coupling in self.exec_graph.couplings:
-                if coupling.kind != IC:
-                    continue
-                src = (coupling.src.component, coupling.src.port)
-                dst = (coupling.dst.component, coupling.dst.port)
-                routes.append((src, dst))
-                out_degree[src] = out_degree.get(src, 0) + 1
-            for sim in self._sim_list:
-                spec = sim.model.spec
-                dangling = tuple(p for p in spec.output_ports
-                                 if out_degree.get((spec.name, p), 0) == 0)
-                if dangling:
-                    self._uncoupled[spec.name] = dangling
-            self._routes = routes
-            return
+        graph = self.exec_graph
+        if graph.is_flat():
+            self._routes = [self._hop((), graph, coupling)
+                            for coupling in graph.couplings if coupling.kind == IC]
+        else:
+            for port in graph.input_ports:
+                self._boundary[((), port, "in")] = []
+            for port in graph.output_ports:
+                self._boundary[((), port, "out")] = []
+            self._collect_upward(graph, ())
+            self._collect_downward(graph, ())
+        read = {id(src) for src, _, _ in self._routes}
+        bags = [bag for sim in self._sim_list for bag in sim.model.output_bags.values()]
+        bags.extend(self._boundary.values())
+        self._dangling = [bag for bag in bags if id(bag) not in read]
 
-        # Hierarchical execution: materialize boundary bags and record which
-        # bags and atomic ports feed at least one coupling, so dangling
-        # values can be counted as dropped.
-        atomic_out_degree: dict[tuple[tuple[str, ...], str], int] = {}
+    def _collect_upward(self, level: ModelGraph, path: tuple[str, ...]) -> None:
+        """Materialize boundary bags and bind the EOC and IC hops, children
+        first."""
+        for child in level.components():
+            if isinstance(child, ModelGraph):
+                child_path = path + (child.name,)
+                for port in child.input_ports:
+                    self._boundary[(child_path, port, "in")] = []
+                for port in child.output_ports:
+                    self._boundary[(child_path, port, "out")] = []
+                self._collect_upward(child, child_path)
+        self._routes += [self._hop(path, level, coupling)
+                         for coupling in level.couplings if coupling.kind != EIC]
 
-        def collect(level: ModelGraph, path: tuple[str, ...]) -> None:
-            for child in level.components():
-                if isinstance(child, ModelGraph):
-                    child_path = path + (child.name,)
-                    for port in child.input_ports:
-                        self._boundary[(child_path, port, "in")] = []
-                    for port in child.output_ports:
-                        self._boundary[(child_path, port, "out")] = []
-                    collect(child, child_path)
-            for coupling in level.couplings:
-                ref = coupling.src
-                if ref.component == level.name:
-                    self._boundary_consumed.add((path, ref.port, "in"))
-                elif ref.component in level.coupleds:
-                    self._boundary_consumed.add((path + (ref.component,), ref.port, "out"))
-                else:
-                    key = (path + (ref.component,), ref.port)
-                    atomic_out_degree[key] = atomic_out_degree.get(key, 0) + 1
+    def _collect_downward(self, level: ModelGraph, path: tuple[str, ...]) -> None:
+        """Bind the EIC hops, parents before children."""
+        self._routes += [self._hop(path, level, coupling)
+                         for coupling in level.couplings if coupling.kind == EIC]
+        for child in level.components():
+            if isinstance(child, ModelGraph):
+                self._collect_downward(child, path + (child.name,))
 
-        for port in self.exec_graph.input_ports:
-            self._boundary[((), port, "in")] = []
-        for port in self.exec_graph.output_ports:
-            self._boundary[((), port, "out")] = []
-        collect(self.exec_graph, ())
-        for path, spec in self.exec_graph.walk_atomics():
-            dangling = tuple(p for p in spec.output_ports
-                             if atomic_out_degree.get((path, p), 0) == 0)
-            if dangling:
-                self._uncoupled[self._rename[path]] = dangling
+    def _hop(self, path: tuple[str, ...], level: ModelGraph, coupling) -> _Route:
+        src, _ = self._bag_for(path, level, coupling.src, as_source=True)
+        dst, rank = self._bag_for(path, level, coupling.dst, as_source=False)
+        return src, dst, rank
 
-    def _bag_for(self, path: tuple[str, ...], level: ModelGraph, ref, as_source: bool) -> list:
+    def _bag_for(self, path: tuple[str, ...], level: ModelGraph, ref,
+                 as_source: bool) -> tuple[list, int | None]:
+        """The bag one end of a coupling reads or fills, and the rank of its
+        atomic (None for a boundary bag)."""
         if ref.component == level.name:
             side = "in" if ref.direction == INPUT else "out"
-            return self._boundary[(path, ref.port, side)]
+            return self._boundary[(path, ref.port, side)], None
         if ref.component in level.atomics:
-            sim = self.simulators[self._rename[path + (ref.component,)]]
-            bags = sim.model.output_bags if as_source else sim.model.input_bags
-            return bags[ref.port]
+            rank = self._ranks[self._rename[path + (ref.component,)]]
+            model = self._sim_list[rank].model
+            bags = model.output_bags if as_source else model.input_bags
+            return bags[ref.port], rank
         side = "out" if as_source else "in"
-        return self._boundary[(path + (ref.component,), ref.port, side)]
+        return self._boundary[(path + (ref.component,), ref.port, side)], None
 
-    def _propagate(self) -> None:
-        if self._routes is not None:
-            for src, dst in self._routes:
-                values = self.simulators[src[0]].model.output_bags[src[1]]
-                if values:
-                    self.simulators[dst[0]].model.input_bags[dst[1]].extend(values)
-        else:
-            self._propagate_output(self.exec_graph, ())
-            self._propagate_input(self.exec_graph, ())
-        for name, ports in self._uncoupled.items():
-            bags = self.simulators[name].model.output_bags
-            for port in ports:
-                self.dropped_events += len(bags[port])
-
-    def _propagate_output(self, level: ModelGraph, path: tuple[str, ...]) -> None:
-        for child in level.components():
-            if isinstance(child, ModelGraph):
-                self._propagate_output(child, path + (child.name,))
-        for coupling in level.couplings:
-            if coupling.kind == EIC:
-                continue
-            src = self._bag_for(path, level, coupling.src, as_source=True)
+    def _propagate(self) -> set[int]:
+        """Apply every hop in order, count what no hop reads and empty the
+        boundary bags; returns the ranks of the simulators that received
+        values."""
+        influenced = set()
+        for src, dst, rank in self._routes:
             if src:
-                self._bag_for(path, level, coupling.dst, as_source=False).extend(src)
-
-    def _propagate_input(self, level: ModelGraph, path: tuple[str, ...]) -> None:
-        for coupling in level.couplings:
-            if coupling.kind != EIC:
-                continue
-            src = self._bag_for(path, level, coupling.src, as_source=True)
-            if src:
-                self._bag_for(path, level, coupling.dst, as_source=False).extend(src)
-        for child in level.components():
-            if isinstance(child, ModelGraph):
-                self._propagate_input(child, path + (child.name,))
-
-    def _clear_boundaries(self) -> None:
-        if self._routes is not None:
-            return
-        for key, bag in self._boundary.items():
-            if bag and key not in self._boundary_consumed:
-                self.dropped_events += len(bag)
+                dst.extend(src)
+                if rank is not None:
+                    influenced.add(rank)
+        for bag in self._dangling:
+            self.dropped_events += len(bag)
+        for bag in self._boundary.values():
             bag.clear()
+        return influenced

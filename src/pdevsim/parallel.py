@@ -1,20 +1,18 @@
 """Worker-pool parallel coordinator.
 
-Same semantics as the sequential kernel: the output and transition phases
-are fanned out over named thread pools, pools run strictly one after
-another within a phase, and value propagation stays single-threaded
-between the two phases, which is the barrier that makes results identical
-to sequential execution. The time-advance scan is cheap and stays
-single-threaded.
+Runs the sequential kernel's cycle and overrides only its phase seam: the
+simulators active in a phase are dealt to named thread pools, and pools
+run strictly one after another within a phase. Value propagation and the
+time-advance scan stay single-threaded between the phases, which is the
+barrier that makes results identical to sequential execution.
 """
 
 from __future__ import annotations
 
 import os
-import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
+from itertools import groupby
 
 from .behaviors import Counters
 from .kernel import SequentialCoordinator, SimulationError, Simulator
@@ -41,8 +39,9 @@ def default_workers() -> int:
 class PoolPlan:
     """Assignment of every atomic to exactly one pool.
 
-    ``assignment`` insertion order is also the task submission order inside
-    each pool, which lets a caller interleave heavy atomics across workers.
+    ``assignment`` insertion order is also the order in which each pool's
+    workers pull active atomics, which lets a caller put heavy atomics
+    first.
     """
 
     pools: tuple[PoolSpec, ...]
@@ -72,25 +71,11 @@ class PoolPlan:
         return "x".join(str(p.workers) for p in self.pools)
 
 
-@dataclass(frozen=True)
-class PhaseTask:
-    """One unit of phase work: run one simulator's lambda or delta."""
-
-    pool: str
-    phase: str  # "lambda" | "delta"
-    simulator: Simulator
-
-
-@dataclass(frozen=True)
-class TaskLogEntry:
-    """Instrumentation record used by the barrier and pool-order tests."""
-
-    cycle: int
-    pool: str
-    phase: str
-    atomic: str
-    start: float
-    end: float
+def _drain(step, feed, t: float) -> None:
+    # Pullers of one pool share ``feed``; under the GIL a list iterator
+    # hands out each simulator exactly once.
+    for sim in feed:
+        step(sim, t)
 
 
 class ParallelCoordinator(SequentialCoordinator):
@@ -100,8 +85,7 @@ class ParallelCoordinator(SequentialCoordinator):
 
     def __init__(self, graph: ModelGraph, plan: PoolPlan, *,
                  trace: bool = False, profile: bool = False,
-                 counters: Counters | None = None,
-                 log_tasks: bool = False) -> None:
+                 counters: Counters | None = None) -> None:
         super().__init__(graph, flatten_graph=True, trace=trace,
                          profile=profile, counters=counters)
         self.plan = plan
@@ -114,17 +98,13 @@ class ParallelCoordinator(SequentialCoordinator):
         unknown = sorted(assigned - set(self.simulators))
         if unknown:
             raise SimulationError(f"pool plan assigns unknown atomic {unknown[0]!r}")
-        self.lambda_tasks: dict[str, list[PhaseTask]] = {}
-        self.delta_tasks: dict[str, list[PhaseTask]] = {}
-        for pool in plan.pools:
-            sims = [self.simulators[name] for name in members[pool.name]]
-            self.lambda_tasks[pool.name] = [PhaseTask(pool.name, "lambda", s) for s in sims]
-            self.delta_tasks[pool.name] = [PhaseTask(pool.name, "delta", s) for s in sims]
+        # Seat of every simulator: (pool index, position within the pool).
+        self._seats = {self.simulators[name]: (index, position)
+                       for index, pool in enumerate(plan.pools)
+                       for position, name in enumerate(members[pool.name])}
         self._executors = {pool.name: ThreadPoolExecutor(
             max_workers=pool.workers, thread_name_prefix=f"pool-{pool.name}")
             for pool in plan.pools}
-        self.task_log: list[TaskLogEntry] | None = [] if log_tasks else None
-        self._log_lock = threading.Lock()
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -140,38 +120,23 @@ class ParallelCoordinator(SequentialCoordinator):
 
     # -- phase execution ---------------------------------------------------------
 
-    def _run_task(self, task: PhaseTask) -> None:
-        started = time.perf_counter()
-        t = self.clock.t
-        if task.phase == "lambda":
-            task.simulator.run_lambda(t)
-        else:
-            task.simulator.run_delta(t)
-        if self.task_log is not None:
-            entry = TaskLogEntry(self.clock.iteration, task.pool, task.phase,
-                                 task.simulator.name, started, time.perf_counter())
-            with self._log_lock:
-                self.task_log.append(entry)
-
-    def run_phase(self, phase: str) -> None:
-        """Run one phase: each pool's tasks complete, concurrently within
-        the pool, before the next pool starts."""
-        tasks_by_pool = self.lambda_tasks if phase == "lambda" else self.delta_tasks
-        for pool in self.plan.pools:
-            tasks = tasks_by_pool[pool.name]
-            if not tasks:
-                continue
-            futures = [self._executors[pool.name].submit(self._run_task, task)
-                       for task in tasks]
+    def _run_phase(self, step, sims: list[Simulator], t: float) -> None:
+        """Pools run in plan order, each finished before the next starts.
+        Within a pool, min(workers, active members) pullers take the active
+        simulators from one iterator in plan order, so a heaviest-first
+        plan is dealt longest job first."""
+        seats = self._seats
+        queue = sorted(sims, key=seats.__getitem__)
+        for index, group in groupby(queue, key=lambda sim: seats[sim][0]):
+            pool = self.plan.pools[index]
+            active = list(group)
+            feed = iter(active)
+            executor = self._executors[pool.name]
+            futures = [executor.submit(_drain, step, feed, t)
+                       for _ in range(min(pool.workers, len(active)))]
+            wait(futures)  # no puller still runs when an error is raised
             for future in futures:
                 future.result()
-
-    def run_lambda(self) -> None:
-        self.run_phase("lambda")
-        self._propagate()
-
-    def run_deltfcn(self) -> None:
-        self.run_phase("delta")
 
     def workers_pools_label(self) -> str:
         return self.plan.label()

@@ -303,6 +303,3 @@ def emit_plan_xml(graph: ModelGraph, *, pool_name: str = "main",
     names = [spec.name for _, spec in flat.walk_atomics()]
     return emit_pool_plan_xml(flat, PoolPlan.single_pool(names, workers, pool_name))
 
-
-def write_plan(path: str | Path, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8")

@@ -14,7 +14,9 @@ import json
 import math
 import socket
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+from .model import ModelError, check_event_value
 
 INIT = "INIT"
 GET_TN = "GET_TN"
@@ -68,7 +70,8 @@ def _decode_time(raw) -> float:
         return math.inf
     if raw == "-inf":
         return -math.inf
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+    if (isinstance(raw, bool) or not isinstance(raw, (int, float))
+            or not math.isfinite(raw)):
         raise ProtocolError(f"bad time field: {raw!r}")
     return float(raw)
 
@@ -105,6 +108,13 @@ def decode_frame(payload: bytes) -> WireFrame:
     values = body.get("values", [])
     if not isinstance(values, list):
         raise ProtocolError(f"bad values field: {values!r}")
+    try:
+        check_event_value(values)
+    except ModelError as exc:
+        raise ProtocolError(f"bad values field: {exc}") from exc
+    for name in ("sender", "port"):
+        if not isinstance(body.get(name, ""), str):
+            raise ProtocolError(f"bad {name} field: {body[name]!r}")
     time_raw = body.get("time")
     return WireFrame(
         command=command,

@@ -71,6 +71,19 @@ def test_lambda_without_imminent_models_leaves_bags_empty():
     assert coord.simulators["s0"].model.output_bags["out"] == []
 
 
+def test_phase_order_and_overrun_are_checked():
+    coord = _coordinator(fan_out_model(senders=1, receivers=1, emit_at=4.0))
+    coord.clock.t = 4.0
+    with pytest.raises(SimulationError, match="without run_lambda"):
+        coord.run_deltfcn()
+    coord.run_lambda()
+    coord.clock.t = 5.0
+    with pytest.raises(SimulationError, match="without run_lambda"):
+        coord.run_deltfcn()
+    with pytest.raises(SimulationError, match="clock overran atomic 's0'"):
+        coord.run_lambda()
+
+
 def _devstone_sim(trace=False):
     counters = Counters()
     behavior = create_behavior(atomic_spec("a", "devstone"), counters)

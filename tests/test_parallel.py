@@ -1,13 +1,18 @@
 """Worker-pool coordinator: equivalence with sequential, pool barriers,
 and plan handling."""
 
+import math
 import os
+import sys
+import threading
 import time
+from dataclasses import dataclass
 
 import pytest
 
 from pdevsim import (ParallelCoordinator, PoolPlan, PoolSpec,
-                     SequentialCoordinator, SimulationError, atomic_spec)
+                     SequentialCoordinator, SimulationError, Simulator,
+                     atomic_spec)
 from pdevsim.devstone import DelayDistribution, DevstoneConfig, generate
 from pdevsim.model import ModelGraph
 
@@ -63,16 +68,101 @@ def test_single_pool_single_worker_degenerates_to_sequential():
     assert report.trace_text() == sequential.trace_text()
 
 
-def test_task_lists_cover_every_simulator():
+@dataclass(frozen=True)
+class Dispatch:
+    cycle: int
+    pool: str
+    phase: str
+    atomic: str
+    start: float
+    end: float
+
+
+def _record_dispatches(monkeypatch, coordinator) -> list[Dispatch]:
+    """Log every run_lambda/run_delta call on the per-atomic seam. The cycle
+    comes from the coordinator clock, the pool from the worker thread name
+    (``pool-<name>_k``; empty on the coordinator thread)."""
+    log: list[Dispatch] = []
+    lock = threading.Lock()
+
+    def recorded(phase, original):
+        def step(sim, t):
+            start = time.perf_counter()
+            result = original(sim, t)
+            pool = threading.current_thread().name.removeprefix("pool-").rpartition("_")[0]
+            entry = Dispatch(coordinator.clock.iteration, pool, phase, sim.name,
+                             start, time.perf_counter())
+            with lock:
+                log.append(entry)
+            return result
+        return step
+
+    monkeypatch.setattr(Simulator, "run_lambda", recorded("lambda", Simulator.run_lambda))
+    monkeypatch.setattr(Simulator, "run_delta", recorded("delta", Simulator.run_delta))
+    return log
+
+
+@pytest.mark.parametrize("backend", ["sequential", "one-pool", "two-pool"])
+def test_dispatch_is_imminents_and_influencees(monkeypatch, backend):
+    # Parallel DEVS: a cycle runs the output functions of the imminents and
+    # one transition for each imminent or influencee, and nothing else.
     config = DevstoneConfig("HO", 15, 15)
-    graph = generate(config)
     names = _names(generate(config))
     assert len(names) == 198  # 197 benchmark atomics plus the generator
-    plan = _two_pool_plan(names, 4, 8)
-    with ParallelCoordinator(graph, plan) as coordinator:
-        lambda_total = sum(len(t) for t in coordinator.lambda_tasks.values())
-        delta_total = sum(len(t) for t in coordinator.delta_tasks.values())
-    assert lambda_total == 198 and delta_total == 198
+    if backend == "sequential":
+        coordinator = SequentialCoordinator(generate(config), trace=True)
+    else:
+        plan = (PoolPlan.single_pool(names, workers=4) if backend == "one-pool"
+                else _two_pool_plan(names, 4, 8))
+        coordinator = ParallelCoordinator(generate(config), plan, trace=True)
+    log = _record_dispatches(monkeypatch, coordinator)
+    seen = dict.fromkeys(names, 0)
+    cycles = 0
+    try:
+        while True:
+            tn = coordinator.time_advance()
+            if math.isinf(tn):
+                break
+            coordinator.clock.t = tn
+            coordinator.run_lambda()
+            coordinator.run_deltfcn()
+            moved = {}
+            for name, sim in coordinator.simulators.items():
+                if len(sim.trace) > seen[name]:
+                    seen[name] = len(sim.trace)
+                    moved[name] = sim.trace[-1].kind
+            dispatched = {phase: {e.atomic for e in log
+                                  if e.cycle == cycles and e.phase == phase}
+                          for phase in ("lambda", "delta")}
+            assert dispatched["delta"] == set(moved), f"cycle {cycles}"
+            assert dispatched["lambda"] == {n for n, k in moved.items() if k != "ext"}
+            coordinator.clock.iteration += 1
+            cycles += 1
+    finally:
+        if isinstance(coordinator, ParallelCoordinator):
+            coordinator.close()
+    assert cycles > 0
+    assert {e.atomic for e in log} == set(names)
+
+
+def test_pullers_dispatch_each_active_simulator_once(monkeypatch):
+    # More pullers than cores and a short switch interval: a shared feed
+    # that handed a simulator out twice, or lost one, shows up here.
+    config = DevstoneConfig("HO", 8, 8)
+    sequential = SequentialCoordinator(generate(config), trace=True).simulate()
+    plan = PoolPlan.single_pool(_names(generate(config)), workers=8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ParallelCoordinator(generate(config), plan, trace=True) as coordinator:
+            log = _record_dispatches(monkeypatch, coordinator)
+            report = coordinator.simulate()
+    finally:
+        sys.setswitchinterval(interval)
+    keys = [(e.cycle, e.phase, e.atomic) for e in log]
+    assert len(keys) == len(set(keys))
+    assert report.trace_text() == sequential.trace_text()
+    assert report.counter_triple() == sequential.counter_triple()
 
 
 def test_plan_missing_atomic_is_named():
@@ -113,18 +203,19 @@ def test_empty_pool_is_noop():
     assert report.cycles == 1
 
 
-def _barrier_run(width=3, depth=3, delay=0.02):
+def _barrier_run(monkeypatch, width=3, depth=3, delay=0.02):
     config = DevstoneConfig("HO", width, depth, DelayDistribution.constant(delay))
     graph = generate(config)
     names = _names(generate(config))
     plan = _two_pool_plan(names, 2, 2)
-    with ParallelCoordinator(graph, plan, log_tasks=True) as coordinator:
+    with ParallelCoordinator(graph, plan) as coordinator:
+        log = _record_dispatches(monkeypatch, coordinator)
         coordinator.simulate()
-        return coordinator.task_log
+    return log
 
 
-def test_phase_barrier_lambda_before_delta():
-    log = _barrier_run()
+def test_phase_barrier_lambda_before_delta(monkeypatch):
+    log = _barrier_run(monkeypatch)
     by_cycle = {}
     for entry in log:
         by_cycle.setdefault(entry.cycle, []).append(entry)
@@ -136,8 +227,8 @@ def test_phase_barrier_lambda_before_delta():
             assert max(lambda_ends) <= min(delta_starts)
 
 
-def test_pool_sequencing_within_phase():
-    log = _barrier_run()
+def test_pool_sequencing_within_phase(monkeypatch):
+    log = _barrier_run(monkeypatch)
     by_key = {}
     for entry in log:
         by_key.setdefault((entry.cycle, entry.phase), []).append(entry)
@@ -160,29 +251,29 @@ def _busy_fan(receivers: int, delay: float) -> ModelGraph:
     return graph
 
 
-def _delta_phase_wall(graph, plan):
-    with ParallelCoordinator(graph, plan, log_tasks=True) as coordinator:
+def _delta_phase_wall(monkeypatch, graph, plan):
+    with ParallelCoordinator(graph, plan) as coordinator:
+        log = _record_dispatches(monkeypatch, coordinator)
         coordinator.simulate()
-        log = coordinator.task_log
     entries = [e for e in log if e.phase == "delta" and e.cycle == 0]
     return max(e.end for e in entries) - min(e.start for e in entries)
 
 
-def test_pool_phase_wall_time_reflects_worker_count():
+def test_pool_phase_wall_time_reflects_worker_count(monkeypatch):
     # Four receivers burning 100 ms each behind a two-worker pool: the
     # delta phase needs about two serialized rounds. A serialized pool
     # would need about four.
     graph = _busy_fan(4, 0.1)
     plan = PoolPlan.single_pool([f"r{i}" for i in range(4)] + ["s0"], workers=2)
-    wall = _delta_phase_wall(graph, plan)
+    wall = _delta_phase_wall(monkeypatch, graph, plan)
     assert 0.18 <= wall <= 0.38, f"delta phase wall {wall:.3f}s"
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 4, reason="needs >= 4 CPUs")
-def test_pool_phase_wall_time_four_workers():
+def test_pool_phase_wall_time_four_workers(monkeypatch):
     graph = _busy_fan(8, 0.1)
     plan = PoolPlan.single_pool([f"r{i}" for i in range(8)] + ["s0"], workers=4)
-    wall = _delta_phase_wall(graph, plan)
+    wall = _delta_phase_wall(monkeypatch, graph, plan)
     assert 0.18 <= wall <= 0.45, f"delta phase wall {wall:.3f}s"
 
 

@@ -112,3 +112,14 @@ def test_unencodable_payload_rejected():
 def test_bad_time_field_rejected():
     with pytest.raises(ProtocolError, match="bad time"):
         decode_frame(b'{"command":"CLOCK","time":"soon"}')
+
+
+@pytest.mark.parametrize("body", [
+    b'{"command":"PROPAGATE","values":[1,true,null,{"a":1}]}',
+    b'{"command":"PROPAGATE","sender":5,"port":[1]}',
+    b'{"command":"PROPAGATE","values":[1e999]}',
+    b'{"command":"CLOCK","time":1e999}',
+], ids=["non-event-values", "non-string-sender-port", "inf-value", "inf-time"])
+def test_frames_outside_the_contract_rejected(body):
+    with pytest.raises(ProtocolError, match="bad (values|sender|time) field"):
+        decode_frame(body)
