@@ -23,7 +23,7 @@ from .devstone import GENERATOR_NAME
 from .distributed import DistributedPlan, Endpoint, Timeouts, run_coordinator
 from .kernel import RunReport, SequentialCoordinator, SimulationError
 from .model import ModelGraph, flatten
-from .parallel import ParallelCoordinator, PoolPlan, PoolSpec
+from .parallel import ParallelCoordinator, PoolPlan, PoolSpec, default_workers
 from .planfile import ParallelPlan, emit_distributed_plan_xml, parse_plan_xml
 
 
@@ -213,14 +213,14 @@ def local_plan(graph: ModelGraph, host: str = "127.0.0.1") -> DistributedPlan:
     return DistributedPlan(flat, endpoints, Endpoint(host, ports[-1]))
 
 
-def _wait_listening(endpoint: Endpoint, deadline: float,
-                    process: subprocess.Popen) -> None:
+def _wait_listening(endpoint: Endpoint, deadline: float, process: subprocess.Popen,
+                    members: list[str], stderr_path: Path) -> None:
     # Probe the aux port: it accepts any number of connections.
     while True:
         if process.poll() is not None:
             raise SimulationError(
-                f"simulator process for {endpoint} exited with "
-                f"code {process.returncode} before listening")
+                f"simulator process for {', '.join(members)} exited with "
+                f"code {process.returncode} before listening: {_tail(stderr_path)}")
         try:
             probe = socket.create_connection(endpoint.aux_addr(), timeout=0.2)
             probe.close()
@@ -231,43 +231,63 @@ def _wait_listening(endpoint: Endpoint, deadline: float,
             time.sleep(0.05)
 
 
+def _tail(path: Path, lines: int = 5) -> str:
+    """The last lines of a service process's stderr, on one line."""
+    text = path.read_text(encoding="utf-8", errors="replace").splitlines()
+    return " | ".join(line for line in text[-lines:] if line.strip()) or "no stderr output"
+
+
 def run_distributed_local(plan_or_graph, *, iterations: int | None = None,
                           trace: bool = False, startup_timeout: float = 60.0,
                           timeouts: Timeouts | None = None) -> RunReport:
-    """Spawn one service process per atomic on loopback, run the
-    coordinator against them, and tear everything down."""
+    """Spawn one service process per CPU on loopback, run the coordinator
+    against them, and tear everything down.
+
+    Each process hosts a contiguous block of the plan's atomics, which
+    keeps coupled neighbours in one process, where their pushes stay in
+    memory.
+    """
     if isinstance(plan_or_graph, DistributedPlan):
         plan = plan_or_graph
     else:
         plan = local_plan(plan_or_graph)
     plan.check()
+    names = list(plan.endpoints)
+    count = min(default_workers(), len(names))
+    blocks = [names[len(names) * i // count:len(names) * (i + 1) // count]
+              for i in range(count)]
     processes: list[subprocess.Popen] = []
     with tempfile.TemporaryDirectory(prefix="pdevsim-") as tmp:
         plan_path = Path(tmp) / "plan.xml"
         plan_path.write_text(emit_distributed_plan_xml(plan), encoding="utf-8")
+        stderr_paths = [Path(tmp) / f"serve-{i}.stderr" for i in range(count)]
         try:
-            for name in plan.endpoints:
-                processes.append(subprocess.Popen(
-                    [sys.executable, "-m", "pdevsim", "serve",
-                     "--plan", str(plan_path), "--atomic", name],
-                    stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL))
+            for members, stderr_path in zip(blocks, stderr_paths):
+                command = [sys.executable, "-m", "pdevsim", "serve", "--plan", str(plan_path)]
+                for name in members:
+                    command += ["--atomic", name]
+                with stderr_path.open("wb") as stderr:
+                    processes.append(subprocess.Popen(
+                        command, stdout=subprocess.DEVNULL, stderr=stderr))
             deadline = time.monotonic() + startup_timeout
-            for name, endpoint in plan.endpoints.items():
-                _wait_listening(endpoint, deadline,
-                                processes[list(plan.endpoints).index(name)])
+            for process, members, stderr_path in zip(processes, blocks, stderr_paths):
+                for name in members:
+                    _wait_listening(plan.endpoints[name], deadline, process,
+                                    members, stderr_path)
             report = run_coordinator(plan, iterations, trace=trace,
                                      timeouts=timeouts)
             for process in processes:
                 try:
                     process.wait(timeout=10.0)
                 except subprocess.TimeoutExpired:
-                    process.kill()
+                    pass  # killed below
             report.backend = "distributed-local"
             return report
         finally:
             for process in processes:
                 if process.poll() is None:
                     process.kill()
+                    process.wait()
 
 
 BACKENDS = ("sequential", "parallel", "distributed-local")

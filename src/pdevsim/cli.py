@@ -123,12 +123,11 @@ def cmd_emit_manifest(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    from .distributed import DistributedPlan, serve_simulator
+    from .distributed import DistributedPlan, serve_simulators
     parsed = _parse_plan(args.plan)
     if not isinstance(parsed, DistributedPlan):
         raise ValueError("serve needs an endpoint-addressed plan")
-    service = serve_simulator(parsed, args.atomic)
-    service.join()
+    serve_simulators(parsed, args.atomic).join()
     return 0
 
 
@@ -206,9 +205,11 @@ def build_parser() -> argparse.ArgumentParser:
     man.add_argument("--out", default=None)
     man.set_defaults(func=cmd_emit_manifest)
 
-    srv = sub.add_parser("serve", help="host one atomic as a simulator service")
+    srv = sub.add_parser("serve", help="host atomics as simulator services "
+                         "in this process")
     srv.add_argument("--plan", required=True)
-    srv.add_argument("--atomic", required=True)
+    srv.add_argument("--atomic", required=True, action="append",
+                     help="atomic to host; repeat to co-host several")
     srv.set_defaults(func=cmd_serve)
 
     coord = sub.add_parser("coordinate", help="drive a distributed simulation")

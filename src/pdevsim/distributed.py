@@ -1,11 +1,18 @@
 """Socket-distributed backend.
 
-One simulator service per atomic model listens on two TCP ports: the main
-port takes the coordinator's protocol commands, the auxiliary port takes
-PROPAGATE frames pushed directly by peer simulators. The root coordinator
-drives the abstract-protocol cycle (collect next times, broadcast the
-clock, run outputs, run transitions) and never relays event values; output
-propagation happens between the services themselves.
+Every atomic model is hosted by a simulator service that listens on two TCP
+ports: the main port takes the coordinator's protocol commands, the
+auxiliary port takes PROPAGATE frames pushed directly by peer simulators.
+One process may host a group of services (:func:`serve_simulators`); pushes
+between members of one group stay in memory.
+
+The root coordinator keeps every atomic's next-event time (tN), which the
+services return in the ACK of INIT and DELTFCN, and takes the minimum
+itself. Each cycle then sends two addressed commands, both carrying the
+cycle time: LAMBDA to the imminent atomics, whose services run their output
+functions and push the values to the coupled services, and DELTFCN to the
+imminent atomics and their coupling targets. The coordinator never relays
+event values.
 
 A service pushes one PROPAGATE frame per outgoing coupling whenever it ran
 its output function, including empty ones. Receivers bucket frames by
@@ -21,14 +28,13 @@ import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .behaviors import Counters, create_behavior
 from .kernel import RunReport, SimulationError, Simulator, TraceEntry
 from .model import IC, ModelGraph, validate
-from . import wire
-from .wire import (ACK, CLOCK, DELTFCN, EXIT, GET_TN, INIT, LAMBDA, PROPAGATE,
-                   TN_REPLY, ProtocolError, WireFrame, read_frame, write_frame)
+from .wire import (ACK, DELTFCN, EXIT, INIT, LAMBDA, PROPAGATE, ProtocolError,
+                   WireFrame, read_frame, write_frame)
 
 _ERROR_MARK = "__error__"
 
@@ -144,9 +150,11 @@ class SimulatorService:
             for c in plan.graph.couplings if c.dst.component == atomic_name]
         self._pending: dict[tuple[str, str], list[tuple]] = {}
         self._pending_lock = threading.Lock()
+        # Services hosted in the same process, by atomic name: pushes to
+        # them skip TCP. Filled in by ServiceGroup.
+        self._group: dict[str, SimulatorService] = {}
         self._peers: dict[str, socket.socket] = {}
         self._inbound: list[socket.socket] = []
-        self._clock_t = 0.0
         self._trace_enabled = False
         self.dropped = 0
         self._stop = threading.Event()
@@ -174,9 +182,13 @@ class SimulatorService:
 
     def _listen(self, port: int) -> socket.socket:
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self.endpoint.host, port))
-        listener.listen(16)
+        try:
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            listener.bind((self.endpoint.host, port))
+            listener.listen(16)
+        except OSError:
+            listener.close()
+            raise
         listener.settimeout(0.5)  # lets accept loops notice a stop request
         return listener
 
@@ -237,22 +249,17 @@ class SimulatorService:
             behavior = create_behavior(self.plan.graph.atomics[self.name], self.counters)
             self.simulator = Simulator(behavior, trace=self._trace_enabled)
             self.simulator.initialize()
-            return WireFrame(ACK, sender=self.name)
+            return WireFrame(ACK, sender=self.name, time=self.simulator.tN)
         if self.simulator is None:
             raise SimulationError(f"simulator {self.name!r} got {command} before INIT")
-        if command == GET_TN:
-            return WireFrame(TN_REPLY, sender=self.name, time=self.simulator.tN)
-        if command == CLOCK:
-            if frame.time is None:
-                raise SimulationError("CLOCK frame without time")
-            self._clock_t = frame.time
-            return WireFrame(ACK, sender=self.name)
+        if command in (LAMBDA, DELTFCN) and frame.time is None:
+            raise SimulationError(f"{command} frame without time")
         if command == LAMBDA:
-            self._run_lambda()
+            self._run_lambda(frame.time)
             return WireFrame(ACK, sender=self.name)
         if command == DELTFCN:
-            self._run_delta()
-            return WireFrame(ACK, sender=self.name)
+            self._run_delta(frame.time)
+            return WireFrame(ACK, sender=self.name, time=self.simulator.tN)
         if command == EXIT:
             payload = [self.counters.num_delt_ints, self.counters.num_delt_exts,
                        self.counters.num_of_events, self.dropped]
@@ -261,11 +268,11 @@ class SimulatorService:
             return WireFrame(ACK, sender=self.name, values=(*payload, trace_blob))
         raise SimulationError(f"unexpected command {command} on main connection")
 
-    def _run_lambda(self) -> None:
+    def _run_lambda(self, t: float) -> None:
         sim = self.simulator
-        imminent = sim.tN == self._clock_t and not math.isinf(self._clock_t)
+        imminent = sim.tN == t and not math.isinf(t)
         if imminent:
-            sim.run_lambda(self._clock_t)
+            sim.run_lambda(t)
         # Imminent simulators push one frame per outgoing coupling, empty
         # or not, so receivers can line buckets up with plan order.
         if imminent:
@@ -277,6 +284,10 @@ class SimulatorService:
                 self.dropped += len(sim.model.output_bags[port])
 
     def _push(self, target: str, frame: WireFrame) -> None:
+        member = self._group.get(target)
+        if member is not None:
+            member._accept(frame)
+            return
         sock = self._peers.get(target)
         if sock is None:
             endpoint = self.plan.endpoints[target]
@@ -297,8 +308,11 @@ class SimulatorService:
         if reply is None or reply.command != ACK:
             raise SimulationError(f"peer {target!r} did not acknowledge propagation")
 
-    def _run_delta(self) -> None:
+    def _run_delta(self, t: float) -> None:
         sim = self.simulator
+        if sim.tN < t:
+            raise SimulationError(
+                f"clock overran atomic {self.name!r}: tN={sim.tN} < t={t}")
         with self._pending_lock:
             for key in self.incoming:
                 batches = self._pending.get(key)
@@ -306,8 +320,17 @@ class SimulatorService:
                     values = batches.pop(0)
                     if values:
                         sim.model.input_bags[key[1]].extend(values)
+            # One batch per key and cycle: anything left over belongs to no
+            # coupling of this atomic or to a cycle whose DELTFCN never came.
+            leftover = next(((key, batches) for key, batches in self._pending.items()
+                             if batches), None)
             self._pending.clear()
-        sim.run_delta(self._clock_t)
+        if leftover is not None:
+            (sender, port), batches = leftover
+            raise SimulationError(
+                f"atomic {self.name!r} has {len(batches)} unconsumed PROPAGATE "
+                f"batch(es) from {sender!r} on port {port!r}")
+        sim.run_delta(t)
 
     # -- peer propagation intake ------------------------------------------------------
 
@@ -336,9 +359,7 @@ class SimulatorService:
                 if frame.command != PROPAGATE:
                     raise ProtocolError(
                         f"unexpected {frame.command} on aux port of {self.name!r}")
-                with self._pending_lock:
-                    self._pending.setdefault((frame.sender, frame.port), []).append(
-                        frame.values)
+                self._accept(frame)
                 write_frame(conn, WireFrame(ACK, sender=self.name))
         except (ProtocolError, OSError):
             pass
@@ -348,11 +369,56 @@ class SimulatorService:
             except OSError:
                 pass
 
+    def _accept(self, frame: WireFrame) -> None:
+        """Queue a PROPAGATE frame's values for the next transition."""
+        with self._pending_lock:
+            self._pending.setdefault((frame.sender, frame.port), []).append(
+                frame.values)
+
 
 def serve_simulator(plan: DistributedPlan, atomic_name: str, *,
                     timeouts: Timeouts | None = None) -> SimulatorService:
     """Start (and return) the service hosting ``atomic_name``."""
     return SimulatorService(plan, atomic_name, timeouts=timeouts).start()
+
+
+class ServiceGroup:
+    """Simulator services hosted by one process, one per atomic.
+
+    Each member still listens on its own ports, so the coordinator and
+    services in other processes reach it as before; pushes between members
+    go straight into the target's pending buckets instead of over TCP.
+    """
+
+    def __init__(self, plan: DistributedPlan, names) -> None:
+        self.services: dict[str, SimulatorService] = {}
+        for name in names:
+            service = SimulatorService(plan, name)
+            service._group = self.services
+            self.services[name] = service
+
+    def start(self) -> "ServiceGroup":
+        try:
+            for service in self.services.values():
+                service.start()
+        except SimulationError:
+            self.stop()
+            raise
+        return self
+
+    def join(self, timeout: float | None = None) -> None:
+        for service in self.services.values():
+            service.join(timeout)
+
+    def stop(self) -> None:
+        for service in self.services.values():
+            service.stop()
+
+
+def serve_simulators(plan: DistributedPlan, names) -> ServiceGroup:
+    """Start (and return) one group of services hosting ``names`` in this
+    process."""
+    return ServiceGroup(plan, names).start()
 
 
 class DistributedCoordinator:
@@ -367,6 +433,12 @@ class DistributedCoordinator:
         self.trace_enabled = trace
         self.timeouts = timeouts or Timeouts()
         self.names = list(plan.graph.atomics)
+        self._ranks = {name: rank for rank, name in enumerate(self.names)}
+        # Coupling targets of each atomic: the services that may receive its
+        # output and so need a DELTFCN when it is imminent.
+        self._targets: dict[str, set[str]] = {name: set() for name in self.names}
+        for coupling in plan.graph.couplings:
+            self._targets[coupling.src.component].add(coupling.dst.component)
         self.frames_sent: dict[str, int] = {}
         self.frames_received: dict[str, int] = {}
         self._conns: dict[str, socket.socket] = {}
@@ -397,7 +469,6 @@ class DistributedCoordinator:
         endpoint = self.plan.endpoints[name]
         try:
             write_frame(sock, frame)
-            self._count(self.frames_sent, frame.command)
             reply = read_frame(sock)
         except socket.timeout as exc:
             raise SimulationError(
@@ -407,7 +478,6 @@ class DistributedCoordinator:
                 f"simulator {name!r} at {endpoint} failed: {exc}") from exc
         if reply is None:
             raise SimulationError(f"simulator {name!r} at {endpoint} closed the connection")
-        self._count(self.frames_received, reply.command)
         if reply.values[:1] == (_ERROR_MARK,):
             raise SimulationError(f"simulator {name!r} reported: {reply.values[1]}")
         return reply
@@ -415,17 +485,30 @@ class DistributedCoordinator:
     def _count(self, histogram: dict[str, int], command: str) -> None:
         histogram[command] = histogram.get(command, 0) + 1
 
-    def _broadcast(self, frame: WireFrame, expect: str) -> dict[str, WireFrame]:
+    def _send(self, names, frame: WireFrame) -> dict[str, WireFrame]:
+        """Send ``frame`` to every named service at once; their ACKs by name.
+
+        Frames are counted here, on the calling thread, so that concurrent
+        round trips lose no count."""
         replies: dict[str, WireFrame] = {}
         futures = {name: self._pool.submit(self._roundtrip, name, frame)
-                   for name in self.names}
+                   for name in names}
         for name, future in futures.items():
+            self._count(self.frames_sent, frame.command)
             reply = future.result()
-            if reply.command != expect:
+            self._count(self.frames_received, reply.command)
+            if reply.command != ACK:
                 raise SimulationError(
-                    f"simulator {name!r} replied {reply.command}, expected {expect}")
+                    f"simulator {name!r} replied {reply.command}, expected {ACK}")
             replies[name] = reply
         return replies
+
+    def _update_tn(self, tn: dict[str, float], replies: dict[str, WireFrame]) -> None:
+        for name, reply in replies.items():
+            if reply.time is None:
+                raise SimulationError(
+                    f"simulator {name!r} acknowledged without its next time")
+            tn[name] = reply.time
 
     def close(self) -> None:
         for sock in self._conns.values():
@@ -445,23 +528,23 @@ class DistributedCoordinator:
         self._connect_all()
         try:
             init = WireFrame(INIT, values=(1 if self.trace_enabled else 0,))
-            self._broadcast(init, ACK)
+            tn: dict[str, float] = {}
+            self._update_tn(tn, self._send(self.names, init))
             cycles = 0
             while max_iterations is None or cycles < max_iterations:
-                replies = self._broadcast(WireFrame(GET_TN), TN_REPLY)
-                times = []
-                for name, reply in replies.items():
-                    if reply.time is None:
-                        raise SimulationError(f"TN reply without time from {name!r}")
-                    times.append(reply.time)
-                tn = min(times)
-                if math.isinf(tn):
+                t = min(tn.values(), default=math.inf)
+                if math.isinf(t):
                     break
-                self._broadcast(WireFrame(CLOCK, time=tn), ACK)
-                self._broadcast(WireFrame(LAMBDA), ACK)
-                self._broadcast(WireFrame(DELTFCN), ACK)
+                imminent = [name for name in self.names if tn[name] == t]
+                self._send(imminent, WireFrame(LAMBDA, time=t))
+                active = set(imminent)
+                for name in imminent:
+                    active.update(self._targets[name])
+                self._update_tn(tn, self._send(
+                    sorted(active, key=self._ranks.__getitem__),
+                    WireFrame(DELTFCN, time=t)))
                 cycles += 1
-            exits = self._broadcast(WireFrame(EXIT), ACK)
+            exits = self._send(self.names, WireFrame(EXIT))
         finally:
             self.close()
         ints = exts = events = dropped = 0

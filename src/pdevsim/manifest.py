@@ -1,9 +1,10 @@
 """Orchestration manifest emission: distributed plan to pod specs.
 
-Each container group becomes one single-container pod whose command starts
-a simulator service for every atomic in the group; one extra pod runs the
-root coordinator. The output is plain YAML so any orchestrator tooling (or
-``kubectl apply``) can consume it; nothing here talks to a cluster.
+Each container group becomes one single-container pod whose command is one
+``pdevsim serve`` process hosting every atomic of the group, so pushes
+inside a group stay in memory; one extra pod runs the root coordinator.
+The output is plain YAML so any orchestrator tooling (or ``kubectl
+apply``) can consume it; nothing here talks to a cluster.
 """
 
 from __future__ import annotations
@@ -69,10 +70,8 @@ def emit_orchestration_manifest(plan: DistributedPlan, grouping: dict[str, str],
                     raise ManifestError(
                         f"port {port} collides inside group {group!r}")
                 ports.append(port)
-        serves = " & ".join(
-            f"pdevsim serve --plan {shlex.quote(plan_path)} --atomic {shlex.quote(m)}"
-            for m in members)
-        command = serves + " & wait" if len(members) > 1 else serves
+        command = f"pdevsim serve --plan {shlex.quote(plan_path)}" + "".join(
+            f" --atomic {shlex.quote(m)}" for m in members)
         documents.append(_pod(f"sim-{group}", image, command, ports))
     documents.append(_pod(
         "coordinator", image,

@@ -19,17 +19,13 @@ from dataclasses import dataclass
 from .model import ModelError, check_event_value
 
 INIT = "INIT"
-GET_TN = "GET_TN"
 LAMBDA = "LAMBDA"
 PROPAGATE = "PROPAGATE"
 DELTFCN = "DELTFCN"
-CLOCK = "CLOCK"
 EXIT = "EXIT"
 ACK = "ACK"
-TN_REPLY = "TN_REPLY"
 
-COMMANDS = frozenset({INIT, GET_TN, LAMBDA, PROPAGATE, DELTFCN, CLOCK, EXIT,
-                      ACK, TN_REPLY})
+COMMANDS = frozenset({INIT, LAMBDA, PROPAGATE, DELTFCN, EXIT, ACK})
 
 _MAX_FRAME = 64 * 1024 * 1024
 _LENGTH = struct.Struct(">I")
@@ -45,7 +41,8 @@ class WireFrame:
 
     ``port`` is the destination port of a PROPAGATE; ``values`` carries the
     propagated events (and reply payloads); ``time`` is the virtual time of
-    CLOCK and TN_REPLY frames.
+    LAMBDA and DELTFCN frames, and the service's next-event time in the
+    ACK of INIT and DELTFCN.
     """
 
     command: str

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from pdevsim import SequentialCoordinator
+from pdevsim import SequentialCoordinator, SimulationError
 from pdevsim.bench import (Allocation2Level, AtomicProfile, BenchError,
                            allocate_two_level, append_report_row,
                            balanced_buckets, balanced_pool_plan, local_plan,
@@ -139,6 +139,33 @@ def test_distributed_local_harness_roundtrip():
     assert report.backend == "distributed-local"
     assert report.counter_triple() == sequential.counter_triple()
     assert report.trace_text() == sequential.trace_text()
+
+
+def test_distributed_local_reports_a_service_that_cannot_bind(monkeypatch):
+    import socket
+    import subprocess
+    plan = local_plan(generate(DevstoneConfig("HO", 3, 3)))
+    victim = list(plan.endpoints)[-1]
+    spawned = []
+
+    class RecordingPopen(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            spawned.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", RecordingPopen)
+    blocker = socket.socket()
+    blocker.bind(plan.endpoints[victim].main_addr())
+    blocker.listen(1)
+    try:
+        with pytest.raises(SimulationError) as err:
+            run_distributed_local(plan, startup_timeout=30.0)
+    finally:
+        blocker.close()
+    message = str(err.value)
+    assert "cannot bind" in message and repr(victim) in message
+    assert victim in message.split(" exited ")[0]  # the hosting process's atomics
+    assert spawned and all(process.poll() is not None for process in spawned)
 
 
 def test_report_rows_roundtrip(tmp_path):

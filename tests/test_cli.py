@@ -1,7 +1,10 @@
 """Command-line harness: verbs, exit codes, and the end-to-end pipeline."""
 
+import socket
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 import yaml
@@ -95,6 +98,44 @@ def test_emit_manifest_verb(tmp_path, capsys):
     assert code == 0
     documents = list(yaml.safe_load_all(out))
     assert len(documents) == 4 + 1  # 3 chain atomics + generator + coordinator
+
+
+def test_serve_hosts_every_repeated_atomic(tmp_path):
+    from pdevsim import build_gpt, emit_distributed_plan_xml
+    from pdevsim.bench import local_plan
+    from pdevsim.wire import ACK, EXIT, INIT, WireFrame, read_frame, write_frame
+    plan = local_plan(build_gpt())
+    path = tmp_path / "plan.xml"
+    path.write_text(emit_distributed_plan_xml(plan), encoding="utf-8")
+    codes = []
+    server = threading.Thread(target=lambda: codes.append(main(
+        ["serve", "--plan", str(path), "--atomic", "generator", "--atomic", "processor"])),
+        daemon=True)
+    server.start()
+    try:
+        for name in ("generator", "processor"):
+            deadline = time.monotonic() + 10.0
+            while True:
+                try:
+                    sock = socket.create_connection(plan.endpoints[name].main_addr(),
+                                                    timeout=1.0)
+                    break
+                except OSError:
+                    assert time.monotonic() < deadline, f"{name} never listened"
+                    time.sleep(0.05)
+            with sock:
+                sock.settimeout(10.0)
+                write_frame(sock, WireFrame(INIT, values=(0,)))
+                assert read_frame(sock).command == ACK
+                write_frame(sock, WireFrame(EXIT))
+                reply = read_frame(sock)
+                assert reply.command == ACK and reply.sender == name
+    finally:
+        server.join(timeout=10.0)
+    assert not server.is_alive()
+    assert codes == [0]
+    with pytest.raises(OSError):  # transducer was not hosted
+        socket.create_connection(plan.endpoints["transducer"].main_addr(), timeout=1.0)
 
 
 def test_trace_out_writes_canonical_trace(tmp_path, capsys):

@@ -31,7 +31,8 @@ def test_single_group_exposes_all_ports():
     ports = {p["containerPort"] for p in documents[0]["spec"]["containers"][0]["ports"]}
     assert len(ports) == 2 * len(plan.endpoints)
     command = documents[0]["spec"]["containers"][0]["command"][2]
-    assert command.count("pdevsim serve") == 3 and command.endswith("& wait")
+    assert command == ("pdevsim serve --plan /etc/pdevsim/plan.xml --atomic generator"
+                       " --atomic transducer --atomic processor")
 
 
 def test_port_collision_within_group_rejected():

@@ -37,7 +37,7 @@ def test_encode_decode_roundtrip(frame):
 
 
 def test_infinite_time_is_portable_json():
-    blob = encode_frame(WireFrame("TN_REPLY", time=math.inf))[4:]
+    blob = encode_frame(WireFrame("ACK", time=math.inf))[4:]
     assert b"inf" in blob and b"Infinity" not in blob
     assert math.isinf(decode_frame(blob).time)
 
@@ -52,7 +52,7 @@ def test_length_prefix_is_big_endian():
 def test_frames_cross_a_real_socket():
     left, right = socket.socketpair()
     try:
-        sent = [WireFrame("CLOCK", time=0.5),
+        sent = [WireFrame("DELTFCN", time=0.5),
                 WireFrame("PROPAGATE", sender="a", port="in", values=(1, "x", [2.5])),
                 WireFrame("ACK", sender="b")]
         for frame in sent:
@@ -111,14 +111,14 @@ def test_unencodable_payload_rejected():
 
 def test_bad_time_field_rejected():
     with pytest.raises(ProtocolError, match="bad time"):
-        decode_frame(b'{"command":"CLOCK","time":"soon"}')
+        decode_frame(b'{"command":"DELTFCN","time":"soon"}')
 
 
 @pytest.mark.parametrize("body", [
     b'{"command":"PROPAGATE","values":[1,true,null,{"a":1}]}',
     b'{"command":"PROPAGATE","sender":5,"port":[1]}',
     b'{"command":"PROPAGATE","values":[1e999]}',
-    b'{"command":"CLOCK","time":1e999}',
+    b'{"command":"DELTFCN","time":1e999}',
 ], ids=["non-event-values", "non-string-sender-port", "inf-value", "inf-time"])
 def test_frames_outside_the_contract_rejected(body):
     with pytest.raises(ProtocolError, match="bad (values|sender|time) field"):
