@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import select
 import socket
 import subprocess
 import sys
@@ -20,7 +21,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .devstone import GENERATOR_NAME
-from .distributed import DistributedPlan, Endpoint, Timeouts, run_coordinator
+from .distributed import (READY_LINE, DistributedPlan, Endpoint, Timeouts,
+                          run_coordinator)
 from .kernel import RunReport, SequentialCoordinator, SimulationError
 from .model import ModelGraph, flatten
 from .parallel import ParallelCoordinator, PoolPlan, PoolSpec, default_workers
@@ -213,22 +215,25 @@ def local_plan(graph: ModelGraph, host: str = "127.0.0.1") -> DistributedPlan:
     return DistributedPlan(flat, endpoints, Endpoint(host, ports[-1]))
 
 
-def _wait_listening(endpoint: Endpoint, deadline: float, process: subprocess.Popen,
-                    members: list[str], stderr_path: Path) -> None:
-    # Probe the aux port: it accepts any number of connections.
+def _wait_ready(process: subprocess.Popen, members: list[str], deadline: float,
+                stderr_path: Path) -> None:
+    """Wait until a service process prints its ready line on stdout."""
     while True:
-        if process.poll() is not None:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0 or not select.select([process.stdout], [], [], remaining)[0]:
+            raise SimulationError(
+                f"simulator process for {', '.join(members)} never came up")
+        line = process.stdout.readline()
+        if line.decode(errors="replace").strip() == READY_LINE:
+            return
+        if not line:  # stdout closed: the process is exiting
+            try:
+                process.wait(timeout=max(deadline - time.monotonic(), 1.0))
+            except subprocess.TimeoutExpired:
+                pass  # killed by the caller
             raise SimulationError(
                 f"simulator process for {', '.join(members)} exited with "
                 f"code {process.returncode} before listening: {_tail(stderr_path)}")
-        try:
-            probe = socket.create_connection(endpoint.aux_addr(), timeout=0.2)
-            probe.close()
-            return
-        except OSError:
-            if time.monotonic() > deadline:
-                raise SimulationError(f"simulator at {endpoint} never came up")
-            time.sleep(0.05)
 
 
 def _tail(path: Path, lines: int = 5) -> str:
@@ -240,8 +245,9 @@ def _tail(path: Path, lines: int = 5) -> str:
 def run_distributed_local(plan_or_graph, *, iterations: int | None = None,
                           trace: bool = False, startup_timeout: float = 60.0,
                           timeouts: Timeouts | None = None) -> RunReport:
-    """Spawn one service process per CPU on loopback, run the coordinator
-    against them, and tear everything down.
+    """Spawn one service process per CPU on loopback, wait for each to
+    print its ready line, run the coordinator against them, and tear
+    everything down.
 
     Each process hosts a contiguous block of the plan's atomics, which
     keeps coupled neighbours in one process, where their pushes stay in
@@ -268,12 +274,10 @@ def run_distributed_local(plan_or_graph, *, iterations: int | None = None,
                     command += ["--atomic", name]
                 with stderr_path.open("wb") as stderr:
                     processes.append(subprocess.Popen(
-                        command, stdout=subprocess.DEVNULL, stderr=stderr))
+                        command, stdout=subprocess.PIPE, stderr=stderr))
             deadline = time.monotonic() + startup_timeout
             for process, members, stderr_path in zip(processes, blocks, stderr_paths):
-                for name in members:
-                    _wait_listening(plan.endpoints[name], deadline, process,
-                                    members, stderr_path)
+                _wait_ready(process, members, deadline, stderr_path)
             report = run_coordinator(plan, iterations, trace=trace,
                                      timeouts=timeouts)
             for process in processes:
@@ -288,6 +292,7 @@ def run_distributed_local(plan_or_graph, *, iterations: int | None = None,
                 if process.poll() is None:
                     process.kill()
                     process.wait()
+                process.stdout.close()
 
 
 BACKENDS = ("sequential", "parallel", "distributed-local")

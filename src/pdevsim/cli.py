@@ -123,11 +123,13 @@ def cmd_emit_manifest(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    from .distributed import DistributedPlan, serve_simulators
+    from .distributed import READY_LINE, DistributedPlan, serve_simulators
     parsed = _parse_plan(args.plan)
     if not isinstance(parsed, DistributedPlan):
         raise ValueError("serve needs an endpoint-addressed plan")
-    serve_simulators(parsed, args.atomic).join()
+    group = serve_simulators(parsed, args.atomic)
+    print(READY_LINE, flush=True)  # every listener is bound
+    group.join()
     return 0
 
 

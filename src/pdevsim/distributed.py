@@ -3,16 +3,23 @@
 Every atomic model is hosted by a simulator service that listens on two TCP
 ports: the main port takes the coordinator's protocol commands, the
 auxiliary port takes PROPAGATE frames pushed directly by peer simulators.
-One process may host a group of services (:func:`serve_simulators`); pushes
-between members of one group stay in memory.
+One process hosts a group of services (:func:`serve_simulators`): pushes
+between members of one group stay in memory, and one coordinator
+connection drives the whole group.
 
-The root coordinator keeps every atomic's next-event time (tN), which the
-services return in the ACK of INIT and DELTFCN, and takes the minimum
-itself. Each cycle then sends two addressed commands, both carrying the
-cycle time: LAMBDA to the imminent atomics, whose services run their output
-functions and push the values to the coupled services, and DELTFCN to the
-imminent atomics and their coupling targets. The coordinator never relays
-event values.
+The root coordinator dials, in plan order, the first atomic that no earlier
+connection covers and sends it INIT. The ACK lists every atomic that the
+service's process hosts, each with its next-event time (tN), so the
+coordinator opens one connection per process. From then on each command
+frame names the atomics it addresses; the process runs them in the order
+given and answers with one ACK, which for DELTFCN again carries
+``[atomic, tN]`` for each of them. The coordinator keeps every atomic's tN
+and takes the minimum itself. Each cycle then sends at most two frames per
+process, both carrying the cycle time: LAMBDA addressed to the imminent
+atomics, whose services run their output functions and push the values to
+the coupled services, and DELTFCN addressed to the imminent atomics and
+their coupling targets. The coordinator writes a phase's frame to every
+process before it reads any reply, and never relays event values.
 
 A service pushes one PROPAGATE frame per outgoing coupling whenever it ran
 its output function, including empty ones. Receivers bucket frames by
@@ -27,16 +34,19 @@ import math
 import socket
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .behaviors import Counters, create_behavior
 from .kernel import RunReport, SimulationError, Simulator, TraceEntry
 from .model import IC, ModelGraph, validate
 from .wire import (ACK, DELTFCN, EXIT, INIT, LAMBDA, PROPAGATE, ProtocolError,
-                   WireFrame, read_frame, write_frame)
+                   WireFrame, decode_time, encode_time, read_frame,
+                   write_frame)
 
 _ERROR_MARK = "__error__"
+
+# What ``pdevsim serve`` prints on stdout once every listener is bound.
+READY_LINE = "ready"
 
 
 @dataclass(frozen=True)
@@ -123,36 +133,32 @@ def _shutdown_close(sock: socket.socket | None) -> None:
 
 
 class SimulatorService:
-    """Hosts one atomic model behind the wire protocol."""
+    """Hosts one atomic model behind the wire protocol, as a member of a
+    :class:`ServiceGroup`, which builds it."""
 
-    def __init__(self, plan: DistributedPlan, atomic_name: str, *,
-                 timeouts: Timeouts | None = None) -> None:
-        plan.check()
-        if atomic_name not in plan.graph.atomics:
-            raise SimulationError(f"unknown atomic {atomic_name!r} in plan "
-                                  f"{plan.graph.name!r}")
+    def __init__(self, plan: DistributedPlan, atomic_name: str,
+                 group: dict[str, "SimulatorService"],
+                 outgoing: list[tuple[str, str, str]],
+                 incoming: list[tuple[str, str]], timeouts: Timeouts) -> None:
         self.plan = plan
         self.name = atomic_name
         self.endpoint = plan.endpoints[atomic_name]
-        self.timeouts = timeouts or Timeouts()
+        self.timeouts = timeouts
         self.counters = Counters()
         self.simulator: Simulator | None = None
         # Outgoing couplings in plan order: (source port, target, target port).
-        self.outgoing = [
-            (c.src.port, c.dst.component, c.dst.port)
-            for c in plan.graph.couplings if c.src.component == atomic_name]
+        self.outgoing = outgoing
         self._uncoupled = tuple(
             p for p in plan.graph.atomics[atomic_name].output_ports
             if all(src_port != p for src_port, _, _ in self.outgoing))
-        # Incoming coupling keys in plan order drive bag assembly.
-        self.incoming = [
-            (c.src.component, c.dst.port)
-            for c in plan.graph.couplings if c.dst.component == atomic_name]
+        # Incoming coupling keys (sender, port) in plan order drive bag assembly.
+        self.incoming = incoming
         self._pending: dict[tuple[str, str], list[tuple]] = {}
         self._pending_lock = threading.Lock()
-        # Services hosted in the same process, by atomic name: pushes to
-        # them skip TCP. Filled in by ServiceGroup.
-        self._group: dict[str, SimulatorService] = {}
+        # Every service hosted in this process by atomic name, this one
+        # included: a command on any member's main port drives all of them,
+        # and pushes to them skip TCP.
+        self._group = group
         self._peers: dict[str, socket.socket] = {}
         self._inbound: list[socket.socket] = []
         self._trace_enabled = False
@@ -208,7 +214,7 @@ class SimulatorService:
 
     def _main_loop(self) -> None:
         # Sessions are accepted until EXIT arrives; a connection that closes
-        # without EXIT (for example a readiness probe) is harmless.
+        # without EXIT is harmless.
         listener = self._main_listener
         while not self._stop.is_set():
             try:
@@ -226,7 +232,8 @@ class SimulatorService:
                     reply = self._handle(frame)
                     write_frame(conn, reply)
                     if frame.command == EXIT:
-                        self.stop()
+                        for member in self._group.values():
+                            member.stop()
                         return
             except (ProtocolError, OSError):
                 pass
@@ -243,30 +250,54 @@ class SimulatorService:
             return WireFrame(ACK, sender=self.name, values=(_ERROR_MARK, str(exc)))
 
     def _dispatch(self, frame: WireFrame) -> WireFrame:
+        """Run one coordinator command over the whole group: INIT and EXIT
+        reach every member, LAMBDA and DELTFCN the members that the frame
+        names, in the order it names them."""
         command = frame.command
         if command == INIT:
-            self._trace_enabled = bool(frame.values and frame.values[0])
-            behavior = create_behavior(self.plan.graph.atomics[self.name], self.counters)
-            self.simulator = Simulator(behavior, trace=self._trace_enabled)
-            self.simulator.initialize()
-            return WireFrame(ACK, sender=self.name, time=self.simulator.tN)
+            trace = bool(frame.values and frame.values[0])
+            return WireFrame(ACK, sender=self.name, values=tuple(
+                [name, encode_time(member._init(trace))]
+                for name, member in self._group.items()))
         if self.simulator is None:
             raise SimulationError(f"simulator {self.name!r} got {command} before INIT")
-        if command in (LAMBDA, DELTFCN) and frame.time is None:
-            raise SimulationError(f"{command} frame without time")
-        if command == LAMBDA:
-            self._run_lambda(frame.time)
-            return WireFrame(ACK, sender=self.name)
-        if command == DELTFCN:
-            self._run_delta(frame.time)
-            return WireFrame(ACK, sender=self.name, time=self.simulator.tN)
         if command == EXIT:
-            payload = [self.counters.num_delt_ints, self.counters.num_delt_exts,
-                       self.counters.num_of_events, self.dropped]
-            trace_blob = ([entry.to_payload() for entry in self.simulator.trace]
-                          if self._trace_enabled else [])
-            return WireFrame(ACK, sender=self.name, values=(*payload, trace_blob))
-        raise SimulationError(f"unexpected command {command} on main connection")
+            return WireFrame(ACK, sender=self.name, values=tuple(
+                member._exit_payload() for member in self._group.values()))
+        if command not in (LAMBDA, DELTFCN):
+            raise SimulationError(f"unexpected command {command} on main connection")
+        if frame.time is None:
+            raise SimulationError(f"{command} frame without time")
+        members = [self._member(name, command) for name in frame.values]
+        if command == LAMBDA:
+            for member in members:
+                member._run_lambda(frame.time)
+            return WireFrame(ACK, sender=self.name)
+        return WireFrame(ACK, sender=self.name, values=tuple(
+            [member.name, encode_time(member._run_delta(frame.time))]
+            for member in members))
+
+    def _member(self, name, command: str) -> "SimulatorService":
+        member = self._group.get(name) if isinstance(name, str) else None
+        if member is None:
+            raise SimulationError(
+                f"{command} addresses {name!r}, which the process of "
+                f"{self.name!r} does not host")
+        return member
+
+    def _init(self, trace: bool) -> float:
+        self._trace_enabled = trace
+        behavior = create_behavior(self.plan.graph.atomics[self.name], self.counters)
+        self.simulator = Simulator(behavior, trace=trace)
+        self.simulator.initialize()
+        return self.simulator.tN
+
+    def _exit_payload(self) -> list:
+        """``[atomic, ints, exts, events, dropped, trace]`` for the EXIT ACK."""
+        trace = ([entry.to_payload() for entry in self.simulator.trace]
+                 if self._trace_enabled else [])
+        return [self.name, self.counters.num_delt_ints, self.counters.num_delt_exts,
+                self.counters.num_of_events, self.dropped, trace]
 
     def _run_lambda(self, t: float) -> None:
         sim = self.simulator
@@ -308,7 +339,8 @@ class SimulatorService:
         if reply is None or reply.command != ACK:
             raise SimulationError(f"peer {target!r} did not acknowledge propagation")
 
-    def _run_delta(self, t: float) -> None:
+    def _run_delta(self, t: float) -> float:
+        """Transition at ``t``; the new tN."""
         sim = self.simulator
         if sim.tN < t:
             raise SimulationError(
@@ -331,6 +363,7 @@ class SimulatorService:
                 f"atomic {self.name!r} has {len(batches)} unconsumed PROPAGATE "
                 f"batch(es) from {sender!r} on port {port!r}")
         sim.run_delta(t)
+        return sim.tN
 
     # -- peer propagation intake ------------------------------------------------------
 
@@ -378,24 +411,43 @@ class SimulatorService:
 
 def serve_simulator(plan: DistributedPlan, atomic_name: str, *,
                     timeouts: Timeouts | None = None) -> SimulatorService:
-    """Start (and return) the service hosting ``atomic_name``."""
-    return SimulatorService(plan, atomic_name, timeouts=timeouts).start()
+    """Start (and return) the service hosting ``atomic_name`` alone, as a
+    group of one."""
+    group = ServiceGroup(plan, [atomic_name], timeouts=timeouts)
+    return group.start().services[atomic_name]
 
 
 class ServiceGroup:
     """Simulator services hosted by one process, one per atomic.
 
     Each member still listens on its own ports, so the coordinator and
-    services in other processes reach it as before; pushes between members
-    go straight into the target's pending buckets instead of over TCP.
+    services in other processes reach it as before. A coordinator
+    connection to any member drives every member, and pushes between
+    members go straight into the target's pending buckets instead of over
+    TCP. The plan is checked, and its couplings indexed, once per group.
     """
 
-    def __init__(self, plan: DistributedPlan, names) -> None:
+    def __init__(self, plan: DistributedPlan, names, *,
+                 timeouts: Timeouts | None = None) -> None:
+        plan.check()
+        names = list(names)
+        for name in names:
+            if name not in plan.graph.atomics:
+                raise SimulationError(f"unknown atomic {name!r} in plan "
+                                      f"{plan.graph.name!r}")
+        outgoing: dict[str, list[tuple[str, str, str]]] = {name: [] for name in names}
+        incoming: dict[str, list[tuple[str, str]]] = {name: [] for name in names}
+        for coupling in plan.graph.couplings:
+            src, dst = coupling.src, coupling.dst
+            if src.component in outgoing:
+                outgoing[src.component].append((src.port, dst.component, dst.port))
+            if dst.component in incoming:
+                incoming[dst.component].append((src.component, dst.port))
         self.services: dict[str, SimulatorService] = {}
         for name in names:
-            service = SimulatorService(plan, name)
-            service._group = self.services
-            self.services[name] = service
+            self.services[name] = SimulatorService(
+                plan, name, self.services, outgoing[name], incoming[name],
+                timeouts or Timeouts())
 
     def start(self) -> "ServiceGroup":
         try:
@@ -422,7 +474,8 @@ def serve_simulators(plan: DistributedPlan, names) -> ServiceGroup:
 
 
 class DistributedCoordinator:
-    """Drives the abstract-protocol command cycle over simulator services."""
+    """Drives the abstract-protocol command cycle over simulator services,
+    one connection per service process."""
 
     backend_name = "distributed"
 
@@ -441,16 +494,20 @@ class DistributedCoordinator:
             self._targets[coupling.src.component].add(coupling.dst.component)
         self.frames_sent: dict[str, int] = {}
         self.frames_received: dict[str, int] = {}
+        # One connection per service process, keyed by the atomic it was
+        # dialled through; _via maps every atomic to that key.
         self._conns: dict[str, socket.socket] = {}
-        self._pool: ThreadPoolExecutor | None = None
+        self._via: dict[str, str] = {}
 
     # -- plumbing ---------------------------------------------------------------
 
-    def _connect_all(self) -> None:
-        self._pool = ThreadPoolExecutor(max_workers=max(len(self.names), 1),
-                                        thread_name_prefix="coord")
-
-        def connect(name: str) -> tuple[str, socket.socket]:
+    def _connect_all(self, init: WireFrame) -> dict[str, float]:
+        """Dial the first atomic that no earlier INIT reply listed, until
+        every atomic is covered; the tN of every atomic."""
+        tn: dict[str, float] = {}
+        for name in self.names:
+            if name in self._via:
+                continue
             endpoint = self.plan.endpoints[name]
             try:
                 sock = socket.create_connection(endpoint.main_addr(),
@@ -459,17 +516,29 @@ class DistributedCoordinator:
                 raise SimulationError(
                     f"simulator {name!r} at {endpoint} unreachable: {exc}") from exc
             _configure(sock, self.timeouts.read)
-            return name, sock
-
-        for name, sock in self._pool.map(connect, self.names):
             self._conns[name] = sock
+            hosted = self._tn_pairs(name, self._send({name: init})[name])
+            if name not in hosted or any(atomic not in self._ranks or atomic in self._via
+                                         for atomic in hosted):
+                raise SimulationError(
+                    f"simulator {name!r} at {endpoint} hosts {list(hosted)}: a "
+                    "process must host itself and only plan atomics no other "
+                    "process hosts")
+            self._via.update(dict.fromkeys(hosted, name))
+            tn.update(hosted)
+        return tn
 
-    def _roundtrip(self, name: str, frame: WireFrame) -> WireFrame:
-        sock = self._conns[name]
+    def _write(self, name: str, frame: WireFrame) -> None:
+        try:
+            write_frame(self._conns[name], frame)
+        except (OSError, ProtocolError) as exc:
+            raise SimulationError(
+                f"simulator {name!r} at {self.plan.endpoints[name]} failed: {exc}") from exc
+
+    def _read(self, name: str) -> WireFrame:
         endpoint = self.plan.endpoints[name]
         try:
-            write_frame(sock, frame)
-            reply = read_frame(sock)
+            reply = read_frame(self._conns[name])
         except socket.timeout as exc:
             raise SimulationError(
                 f"simulator {name!r} at {endpoint} timed out: {exc}") from exc
@@ -479,23 +548,22 @@ class DistributedCoordinator:
         if reply is None:
             raise SimulationError(f"simulator {name!r} at {endpoint} closed the connection")
         if reply.values[:1] == (_ERROR_MARK,):
-            raise SimulationError(f"simulator {name!r} reported: {reply.values[1]}")
+            raise SimulationError(f"simulator {name!r} at {endpoint} reported: "
+                                  f"{reply.values[1]}")
         return reply
 
     def _count(self, histogram: dict[str, int], command: str) -> None:
         histogram[command] = histogram.get(command, 0) + 1
 
-    def _send(self, names, frame: WireFrame) -> dict[str, WireFrame]:
-        """Send ``frame`` to every named service at once; their ACKs by name.
-
-        Frames are counted here, on the calling thread, so that concurrent
-        round trips lose no count."""
-        replies: dict[str, WireFrame] = {}
-        futures = {name: self._pool.submit(self._roundtrip, name, frame)
-                   for name in names}
-        for name, future in futures.items():
+    def _send(self, frames: dict[str, WireFrame]) -> dict[str, WireFrame]:
+        """Write every frame to its connection, then read every ACK: the
+        processes work on their commands at once."""
+        for name, frame in frames.items():
+            self._write(name, frame)
             self._count(self.frames_sent, frame.command)
-            reply = future.result()
+        replies: dict[str, WireFrame] = {}
+        for name in frames:
+            reply = self._read(name)
             self._count(self.frames_received, reply.command)
             if reply.command != ACK:
                 raise SimulationError(
@@ -503,12 +571,36 @@ class DistributedCoordinator:
             replies[name] = reply
         return replies
 
-    def _update_tn(self, tn: dict[str, float], replies: dict[str, WireFrame]) -> None:
-        for name, reply in replies.items():
-            if reply.time is None:
-                raise SimulationError(
-                    f"simulator {name!r} acknowledged without its next time")
-            tn[name] = reply.time
+    def _command(self, command: str, t: float, names: list[str]) -> dict[str, float]:
+        """Send ``command`` at ``t`` to the processes hosting ``names``, one
+        frame per process naming its atomics in the order given; for
+        DELTFCN, the new tN of each."""
+        batches: dict[str, list[str]] = {}
+        for name in names:
+            batches.setdefault(self._via[name], []).append(name)
+        replies = self._send({via: WireFrame(command, time=t, values=tuple(batch))
+                              for via, batch in batches.items()})
+        tn: dict[str, float] = {}
+        if command == DELTFCN:
+            for via, reply in replies.items():
+                pairs = self._tn_pairs(via, reply)
+                if list(pairs) != batches[via]:
+                    raise SimulationError(
+                        f"simulator {via!r} at {self.plan.endpoints[via]} "
+                        f"acknowledged {command} for {list(pairs)}, expected "
+                        f"{batches[via]}")
+                tn.update(pairs)
+        return tn
+
+    def _tn_pairs(self, name: str, reply: WireFrame) -> dict[str, float]:
+        """The ``[atomic, tN]`` pairs of an INIT or DELTFCN ACK. Callers
+        check the atomics against the plan."""
+        try:
+            return {atomic: decode_time(tn) for atomic, tn in reply.values}
+        except (TypeError, ValueError, ProtocolError) as exc:
+            raise SimulationError(
+                f"simulator {name!r} at {self.plan.endpoints[name]} sent bad "
+                f"[atomic, tN] pairs: {exc}") from exc
 
     def close(self) -> None:
         for sock in self._conns.values():
@@ -517,48 +609,51 @@ class DistributedCoordinator:
             except OSError:
                 pass
         self._conns.clear()
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
 
     # -- the protocol ------------------------------------------------------------------
 
     def run(self, max_iterations: int | None = None) -> RunReport:
         started = time.perf_counter()
-        self._connect_all()
         try:
-            init = WireFrame(INIT, values=(1 if self.trace_enabled else 0,))
-            tn: dict[str, float] = {}
-            self._update_tn(tn, self._send(self.names, init))
+            tn = self._connect_all(
+                WireFrame(INIT, values=(1 if self.trace_enabled else 0,)))
             cycles = 0
             while max_iterations is None or cycles < max_iterations:
                 t = min(tn.values(), default=math.inf)
                 if math.isinf(t):
                     break
                 imminent = [name for name in self.names if tn[name] == t]
-                self._send(imminent, WireFrame(LAMBDA, time=t))
+                self._command(LAMBDA, t, imminent)
                 active = set(imminent)
                 for name in imminent:
                     active.update(self._targets[name])
-                self._update_tn(tn, self._send(
-                    sorted(active, key=self._ranks.__getitem__),
-                    WireFrame(DELTFCN, time=t)))
+                tn.update(self._command(
+                    DELTFCN, t, sorted(active, key=self._ranks.__getitem__)))
                 cycles += 1
-            exits = self._send(self.names, WireFrame(EXIT))
+            exits = self._send({name: WireFrame(EXIT) for name in self._conns})
         finally:
             self.close()
+        payloads: dict[str, list] = {}
+        for name, reply in exits.items():
+            for entry in reply.values:
+                if not (isinstance(entry, list) and len(entry) == 6
+                        and isinstance(entry[0], str) and entry[0] not in payloads
+                        and self._via.get(entry[0]) == name):
+                    raise SimulationError(f"bad exit payload from {name!r}: {entry!r:.80}")
+                payloads[entry[0]] = entry
+        if len(payloads) != len(self.names):
+            raise SimulationError("no exit payload for atomic " + repr(
+                next(name for name in self.names if name not in payloads)))
         ints = exts = events = dropped = 0
         traces: dict[str, list[TraceEntry]] = {}
-        for name, reply in exits.items():
-            values = reply.values
-            if len(values) < 5:
-                raise SimulationError(f"short exit payload from {name!r}")
-            ints += values[0]
-            exts += values[1]
-            events += values[2]
-            dropped += values[3]
+        for name in self.names:
+            _, n_int, n_ext, n_events, n_dropped, trace = payloads[name]
+            ints += n_int
+            exts += n_ext
+            events += n_events
+            dropped += n_dropped
             if self.trace_enabled:
-                traces[name] = [TraceEntry.from_payload(raw) for raw in values[4]]
+                traces[name] = [TraceEntry.from_payload(raw) for raw in trace]
         wall = time.perf_counter() - started
         return RunReport(
             model=self.plan.graph.name, backend=self.backend_name,

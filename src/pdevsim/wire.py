@@ -56,13 +56,15 @@ class WireFrame:
             raise ProtocolError(f"unknown command {self.command!r}")
 
 
-def _encode_time(value: float) -> float | str:
+def encode_time(value: float) -> float | str:
+    """A virtual time as strict JSON: infinity becomes ``"inf"``."""
     if math.isinf(value):
         return "inf" if value > 0 else "-inf"
     return value
 
 
-def _decode_time(raw) -> float:
+def decode_time(raw) -> float:
+    """Inverse of :func:`encode_time`; anything else is a ProtocolError."""
     if raw == "inf":
         return math.inf
     if raw == "-inf":
@@ -82,7 +84,7 @@ def encode_frame(frame: WireFrame) -> bytes:
     if frame.values:
         body["values"] = list(frame.values)
     if frame.time is not None:
-        body["time"] = _encode_time(frame.time)
+        body["time"] = encode_time(frame.time)
     try:
         payload = json.dumps(body, separators=(",", ":"), allow_nan=False).encode("utf-8")
     except (TypeError, ValueError) as exc:
@@ -118,7 +120,7 @@ def decode_frame(payload: bytes) -> WireFrame:
         sender=body.get("sender", ""),
         port=body.get("port", ""),
         values=tuple(values),
-        time=None if time_raw is None else _decode_time(time_raw),
+        time=None if time_raw is None else decode_time(time_raw),
     )
 
 

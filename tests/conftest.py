@@ -70,9 +70,26 @@ class BusyExt(AtomicModel):
         busy_cpu(self.spec.delay_ext)
 
 
+class RaiseExt(AtomicModel):
+    """Fails its external transition: the first event it gets raises."""
+
+    INPUT_PORTS = ("in",)
+    OUTPUT_PORTS = ()
+
+    def initialize(self):
+        self.passivate()
+
+    def delta_int(self):
+        self.passivate()
+
+    def delta_ext(self, e):
+        raise RuntimeError("injected delta_ext failure")
+
+
 _register("emit_once", EmitOnce)
 _register("collector", Collector)
 _register("busy_ext", BusyExt)
+_register("raise_ext", RaiseExt)
 
 
 def toy_spec(name, model, **kw):

@@ -14,7 +14,8 @@ from pdevsim.bench import (Allocation2Level, AtomicProfile, BenchError,
                            run_sequential, speedup_rows, speedups_to_csv,
                            two_level_groups, two_level_pool_plan)
 from pdevsim.devstone import DelayDistribution, DevstoneConfig, generate
-from pdevsim.planfile import parse_plan_xml, emit_plan_xml
+from pdevsim.planfile import (emit_distributed_plan_xml, emit_plan_xml,
+                              parse_plan_xml)
 
 
 def _synthetic_profiles(total=197, generator=True):
@@ -166,6 +167,27 @@ def test_distributed_local_reports_a_service_that_cannot_bind(monkeypatch):
     assert "cannot bind" in message and repr(victim) in message
     assert victim in message.split(" exited ")[0]  # the hosting process's atomics
     assert spawned and all(process.poll() is not None for process in spawned)
+
+
+def test_distributed_local_leaves_nothing_unclosed(tmp_path):
+    """distributed-local in development mode with ResourceWarning as an
+    error: a socket, pipe or child process left unclosed fails the run or
+    shows on stderr."""
+    import subprocess
+    import sys
+    plan = local_plan(generate(DevstoneConfig("HO", 3, 3)))
+    plan_path = tmp_path / "plan.xml"
+    plan_path.write_text(emit_distributed_plan_xml(plan), encoding="utf-8")
+    trace = tmp_path / "trace.txt"
+    result = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "pdevsim",
+         "run", "--plan", str(plan_path), "--backend", "distributed-local",
+         "--trace-out", str(trace)],
+        capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert "ResourceWarning" not in result.stderr, result.stderr
+    sequential = run_sequential(generate(DevstoneConfig("HO", 3, 3)), trace=True)
+    assert trace.read_text() == sequential.trace_text()
 
 
 def test_report_rows_roundtrip(tmp_path):

@@ -100,7 +100,7 @@ def test_emit_manifest_verb(tmp_path, capsys):
     assert len(documents) == 4 + 1  # 3 chain atomics + generator + coordinator
 
 
-def test_serve_hosts_every_repeated_atomic(tmp_path):
+def test_serve_hosts_every_repeated_atomic(tmp_path, capsys):
     from pdevsim import build_gpt, emit_distributed_plan_xml
     from pdevsim.bench import local_plan
     from pdevsim.wire import ACK, EXIT, INIT, WireFrame, read_frame, write_frame
@@ -123,17 +123,24 @@ def test_serve_hosts_every_repeated_atomic(tmp_path):
                 except OSError:
                     assert time.monotonic() < deadline, f"{name} never listened"
                     time.sleep(0.05)
-            with sock:
-                sock.settimeout(10.0)
-                write_frame(sock, WireFrame(INIT, values=(0,)))
-                assert read_frame(sock).command == ACK
-                write_frame(sock, WireFrame(EXIT))
-                reply = read_frame(sock)
-                assert reply.command == ACK and reply.sender == name
+            sock.close()
+        # One connection to any member drives the whole process.
+        with socket.create_connection(plan.endpoints["processor"].main_addr(),
+                                      timeout=1.0) as sock:
+            sock.settimeout(10.0)
+            write_frame(sock, WireFrame(INIT, values=(0,)))
+            reply = read_frame(sock)
+            assert reply.command == ACK
+            assert [name for name, _ in reply.values] == ["generator", "processor"]
+            write_frame(sock, WireFrame(EXIT))
+            reply = read_frame(sock)
+            assert reply.command == ACK and reply.sender == "processor"
+            assert [payload[0] for payload in reply.values] == ["generator", "processor"]
     finally:
         server.join(timeout=10.0)
     assert not server.is_alive()
     assert codes == [0]
+    assert capsys.readouterr().out == "ready\n"
     with pytest.raises(OSError):  # transducer was not hosted
         socket.create_connection(plan.endpoints["transducer"].main_addr(), timeout=1.0)
 

@@ -5,16 +5,18 @@ import math
 import socket
 import sys
 import threading
+import time
 
 import pytest
 
-from pdevsim import (DistributedPlan, Endpoint, SequentialCoordinator,
-                     SimulationError, Timeouts, build_gpt, flatten,
+from pdevsim import (DistributedPlan, Endpoint, ModelGraph,
+                     SequentialCoordinator, ServiceGroup, SimulationError,
+                     Timeouts, atomic_spec, build_gpt, flatten,
                      run_coordinator, serve_simulator, serve_simulators)
 from pdevsim.bench import local_plan
 from pdevsim.devstone import DevstoneConfig, generate
 from pdevsim.wire import (ACK, DELTFCN, EXIT, INIT, LAMBDA, PROPAGATE,
-                          WireFrame, read_frame, write_frame)
+                          WireFrame, decode_time, read_frame, write_frame)
 
 from conftest import fan_out_model, thread_services
 
@@ -34,7 +36,9 @@ def test_service_reports_tn_infinite_before_any_event(gpt_graph):
             write_frame(sock, WireFrame(INIT, values=(0,)))
             reply = read_frame(sock)
             assert reply.command == ACK
-            assert math.isinf(reply.time)  # the processor starts passive
+            [(name, tn)] = reply.values  # [atomic, tN] per hosted atomic
+            assert name == "processor"
+            assert math.isinf(decode_time(tn))  # the processor starts passive
         finally:
             sock.close()
 
@@ -52,7 +56,7 @@ def test_leftover_propagate_batch_is_an_error(gpt_graph):
                 write_frame(peer, WireFrame(PROPAGATE, sender="generator",
                                             port="in", values=(value,)))
                 assert read_frame(peer).command == ACK
-            write_frame(sock, WireFrame(DELTFCN, time=0.0))
+            write_frame(sock, WireFrame(DELTFCN, time=0.0, values=("processor",)))
             reply = read_frame(sock)
             assert reply.command == ACK and reply.values[0] == "__error__"
             assert "'processor'" in reply.values[1]
@@ -107,7 +111,9 @@ def test_exit_shuts_the_service_down(gpt_graph):
         write_frame(sock, WireFrame(EXIT))
         reply = read_frame(sock)
         assert reply.command == ACK
-        assert reply.values[0] == 0  # counters: the generator counts nothing
+        [payload] = reply.values  # one payload per hosted atomic
+        assert payload[0] == "generator"
+        assert payload[1] == 0  # counters: the generator counts nothing
     finally:
         sock.close()
     service.join(timeout=5.0)
@@ -126,24 +132,32 @@ def test_gpt_distributed_equals_sequential(gpt_graph):
     assert report.trace_text() == sequential.trace_text()
 
 
-def _addressed_command_counts(graph) -> tuple[int, int]:
+def _addressed_command_counts(graph, group_of=None) -> tuple[int, int]:
     """(LAMBDA, DELTFCN) frames the coordinator must send for ``graph``,
-    from a sequential oracle: the int and con transitions, and per cycle the
-    imminent simulators together with their coupling targets."""
+    from a sequential oracle: per cycle, the service processes hosting an
+    imminent simulator, and those hosting an imminent simulator or one of
+    its coupling targets. ``group_of`` maps an atomic to its process; by
+    default every atomic has a process of its own, and LAMBDA must then
+    equal the oracle's int and con transitions."""
     oracle = SequentialCoordinator(graph, trace=True).simulate()
     kinds = [entry.kind for trace in oracle.traces.values() for entry in trace]
     targets = {}
     for coupling in flatten(graph).couplings:
         targets.setdefault(coupling.src.component, set()).add(coupling.dst.component)
+    group_of = group_of or {name: name for name in oracle.traces}
     stepper = SequentialCoordinator(graph)
-    deltfcns = 0
+    lambdas = deltfcns = 0
     while not math.isinf(t := stepper.time_advance()):
         stepper.clock.t = t
         imminent = {name for name, sim in stepper.simulators.items() if sim.tN == t}
-        deltfcns += len(imminent.union(*(targets.get(n, ()) for n in imminent)))
+        active = imminent.union(*(targets.get(n, ()) for n in imminent))
+        lambdas += len({group_of[name] for name in imminent})
+        deltfcns += len({group_of[name] for name in active})
         stepper.run_lambda()
         stepper.run_deltfcn()
-    return kinds.count("int") + kinds.count("con"), deltfcns
+    if len(set(group_of.values())) == len(group_of):
+        assert lambdas == kinds.count("int") + kinds.count("con")
+    return lambdas, deltfcns
 
 
 def test_coordinator_relays_no_propagate_frames(gpt_graph):
@@ -186,7 +200,9 @@ def test_cohosted_groups_push_in_memory(groups, monkeypatch):
     dial = socket.create_connection
 
     def recording_dial(address, *args, **kwargs):
-        if address in aux_owner:  # a push: runs on the pusher's main thread
+        # A push runs on the main thread of the member that the coordinator
+        # dialled, which is in the pusher's group.
+        if address in aux_owner:
             pusher = threading.current_thread().name.removeprefix("svc-")
             dials.append((pusher.removesuffix("-main"), aux_owner[address]))
         return dial(address, *args, **kwargs)
@@ -206,6 +222,11 @@ def test_cohosted_groups_push_in_memory(groups, monkeypatch):
     assert report.counter_triple() == sequential.counter_triple()
     assert all(group_of[src] != group_of[dst] for src, dst in dials), dials
     assert bool(dials) == (groups > 1)  # cross-group pushes still use TCP
+    # One frame per group and phase: INIT and EXIT reach every group once.
+    lambdas, deltfcns = _addressed_command_counts(
+        generate(DevstoneConfig("HO", 4, 3)), group_of)
+    assert report.diagnostics["frames_sent"] == {
+        "INIT": groups, "LAMBDA": lambdas, "DELTFCN": deltfcns, "EXIT": groups}
 
 
 def test_multi_sender_fan_in_matches_sequential_order():
@@ -218,24 +239,106 @@ def test_multi_sender_fan_in_matches_sequential_order():
 
 
 def test_cohosted_fan_in_under_frequent_switches():
-    """Eight senders push into two co-hosted receivers at once, from the
-    coordinator's concurrent LAMBDA threads; no value may be lost or
-    reordered."""
+    """Two co-hosted receivers take pushes from the four senders of their
+    own group, in memory, while the four senders of another group push into
+    them over TCP at the same time; no value may be lost or reordered."""
     sequential = SequentialCoordinator(fan_out_model(8, 2), trace=True).simulate()
     plan = local_plan(fan_out_model(8, 2))
+    blocks = ([f"s{i}" for i in range(4)] + ["r0", "r1"],
+              [f"s{i}" for i in range(4, 8)])
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
-            group = serve_simulators(plan, plan.endpoints)
+            groups = []
             try:
+                for block in blocks:
+                    groups.append(serve_simulators(plan, block))
                 report = run_coordinator(plan, trace=True,
                                          timeouts=Timeouts(connect=5.0, read=20.0))
             finally:
-                group.stop()
+                for group in groups:
+                    group.stop()
             assert report.trace_text() == sequential.trace_text()
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_group_checks_the_plan_once(monkeypatch):
+    plan = local_plan(generate(DevstoneConfig("HO", 4, 3)))
+    calls = []
+    check = DistributedPlan.check
+
+    def counting_check(self):
+        calls.append(self)
+        return check(self)
+
+    monkeypatch.setattr(DistributedPlan, "check", counting_check)
+    group = ServiceGroup(plan, plan.endpoints)
+    assert len(calls) == 1
+    assert list(group.services) == list(plan.endpoints)
+
+
+def test_batched_command_failure_names_the_failing_atomic():
+    """A transition that raises inside a co-hosted group ends the run with
+    an error naming that atomic, not the group's dialled one, well inside
+    the read timeout and without leaving a service thread behind."""
+    graph = ModelGraph("toy")
+    graph.add_component(atomic_spec("s0", "emit_once"))
+    graph.add_component(atomic_spec("r0", "collector"))
+    graph.add_component(atomic_spec("r1", "raise_ext"))
+    for receiver in ("r0", "r1"):
+        graph.connect("s0", "out", receiver, "in")
+    plan = local_plan(graph)
+    before = set(threading.enumerate())
+    groups = []
+    read_timeout = 20.0
+    started = time.monotonic()
+    try:
+        for block in (["s0"], ["r0", "r1"]):  # the second is dialled via r0
+            groups.append(serve_simulators(plan, block))
+        with pytest.raises(SimulationError) as err:
+            run_coordinator(plan, timeouts=Timeouts(connect=5.0, read=read_timeout))
+    finally:
+        for group in groups:
+            group.stop()
+    elapsed = time.monotonic() - started
+    for group in groups:
+        group.join(timeout=5.0)
+    assert "'r1'" in str(err.value) and "injected delta_ext failure" in str(err.value)
+    assert elapsed < read_timeout / 4, elapsed
+    left = [t.name for t in threading.enumerate()
+            if t not in before and t.name.startswith(("coord", "svc-"))]
+    assert left == []
+
+
+@pytest.mark.parametrize("hosted", [
+    [["processor", "inf"]],
+    [["generator", 0.0], ["ghost", "inf"]],
+    [["generator", "soon"]],
+], ids=["misses-itself", "unknown-atomic", "bad-tn"])
+def test_bad_init_membership_is_rejected(gpt_graph, hosted):
+    plan = local_plan(gpt_graph)
+    endpoint = plan.endpoints["generator"]
+    listener = socket.create_server(endpoint.main_addr())
+    listener.settimeout(10.0)
+
+    def fake_service():
+        conn, _ = listener.accept()
+        with conn:
+            read_frame(conn)
+            write_frame(conn, WireFrame(ACK, values=tuple(hosted)))
+            read_frame(conn)  # returns once the coordinator hangs up
+
+    server = threading.Thread(target=fake_service)
+    server.start()
+    try:
+        with pytest.raises(SimulationError, match=f"'generator' at {endpoint}"):
+            run_coordinator(plan, timeouts=Timeouts(connect=2.0, read=5.0))
+    finally:
+        server.join(timeout=10.0)
+        listener.close()
+    assert not server.is_alive()
 
 
 def test_unreachable_service_names_the_endpoint(gpt_graph):
