@@ -11,15 +11,16 @@ The root coordinator dials, in plan order, the first atomic that no earlier
 connection covers and sends it INIT. The ACK lists every atomic that the
 service's process hosts, each with its next-event time (tN), so the
 coordinator opens one connection per process. From then on each command
-frame names the atomics it addresses; the process runs them in the order
-given and answers with one ACK, which for DELTFCN again carries
-``[atomic, tN]`` for each of them. The coordinator keeps every atomic's tN
-and takes the minimum itself. Each cycle then sends at most two frames per
-process, both carrying the cycle time: LAMBDA addressed to the imminent
-atomics, whose services run their output functions and push the values to
-the coupled services, and DELTFCN addressed to the imminent atomics and
-their coupling targets. The coordinator writes a phase's frame to every
-process before it reads any reply, and never relays event values.
+frame names the atomics it addresses; the process takes them up in the
+order given, up to one per CPU at once, and answers with one ACK, which
+for DELTFCN again carries ``[atomic, tN]`` for each of them. The
+coordinator keeps every atomic's tN and takes the minimum itself. Each
+cycle then sends at most two frames per process, both carrying the cycle
+time: LAMBDA addressed to the imminent atomics, whose services run their
+output functions and push the values to the coupled services, and DELTFCN
+addressed to the imminent atomics and their coupling targets. The
+coordinator writes a phase's frame to every process before it reads any
+reply, and never relays event values.
 
 A service pushes one PROPAGATE frame per outgoing coupling whenever it ran
 its output function, including empty ones. Receivers bucket frames by
@@ -31,6 +32,7 @@ sequential backend even under concurrent arrivals.
 from __future__ import annotations
 
 import math
+import queue
 import socket
 import threading
 import time
@@ -39,6 +41,7 @@ from dataclasses import dataclass
 from .behaviors import Counters, create_behavior
 from .kernel import RunReport, SimulationError, Simulator, TraceEntry
 from .model import IC, ModelGraph, validate
+from .parallel import default_workers
 from .wire import (ACK, DELTFCN, EXIT, INIT, LAMBDA, PROPAGATE, ProtocolError,
                    WireFrame, decode_time, encode_time, read_frame,
                    write_frame)
@@ -137,7 +140,7 @@ class SimulatorService:
     :class:`ServiceGroup`, which builds it."""
 
     def __init__(self, plan: DistributedPlan, atomic_name: str,
-                 group: dict[str, "SimulatorService"],
+                 group: "ServiceGroup",
                  outgoing: list[tuple[str, str, str]],
                  incoming: list[tuple[str, str]], timeouts: Timeouts) -> None:
         self.plan = plan
@@ -155,9 +158,9 @@ class SimulatorService:
         self.incoming = incoming
         self._pending: dict[tuple[str, str], list[tuple]] = {}
         self._pending_lock = threading.Lock()
-        # Every service hosted in this process by atomic name, this one
-        # included: a command on any member's main port drives all of them,
-        # and pushes to them skip TCP.
+        # The services hosted in this process, this one included: a command
+        # on any member's main port drives all of them, and pushes to them
+        # skip TCP.
         self._group = group
         self._peers: dict[str, socket.socket] = {}
         self._inbound: list[socket.socket] = []
@@ -232,8 +235,7 @@ class SimulatorService:
                     reply = self._handle(frame)
                     write_frame(conn, reply)
                     if frame.command == EXIT:
-                        for member in self._group.values():
-                            member.stop()
+                        self._group.stop()
                         return
             except (ProtocolError, OSError):
                 pass
@@ -252,33 +254,36 @@ class SimulatorService:
     def _dispatch(self, frame: WireFrame) -> WireFrame:
         """Run one coordinator command over the whole group: INIT and EXIT
         reach every member, LAMBDA and DELTFCN the members that the frame
-        names, in the order it names them."""
+        names, taken up in the order it names them."""
         command = frame.command
+        services = self._group.services
         if command == INIT:
             trace = bool(frame.values and frame.values[0])
             return WireFrame(ACK, sender=self.name, values=tuple(
                 [name, encode_time(member._init(trace))]
-                for name, member in self._group.items()))
+                for name, member in services.items()))
         if self.simulator is None:
             raise SimulationError(f"simulator {self.name!r} got {command} before INIT")
         if command == EXIT:
             return WireFrame(ACK, sender=self.name, values=tuple(
-                member._exit_payload() for member in self._group.values()))
+                member._exit_payload() for member in services.values()))
         if command not in (LAMBDA, DELTFCN):
             raise SimulationError(f"unexpected command {command} on main connection")
         if frame.time is None:
             raise SimulationError(f"{command} frame without time")
         members = [self._member(name, command) for name in frame.values]
+        if len(set(members)) != len(members):
+            raise SimulationError(f"{command} addresses an atomic twice: "
+                                  f"{list(frame.values)}")
         if command == LAMBDA:
-            for member in members:
-                member._run_lambda(frame.time)
+            self._group.run(SimulatorService._run_lambda, members, frame.time)
             return WireFrame(ACK, sender=self.name)
+        tns = self._group.run(SimulatorService._run_delta, members, frame.time)
         return WireFrame(ACK, sender=self.name, values=tuple(
-            [member.name, encode_time(member._run_delta(frame.time))]
-            for member in members))
+            [member.name, encode_time(tn)] for member, tn in zip(members, tns)))
 
     def _member(self, name, command: str) -> "SimulatorService":
-        member = self._group.get(name) if isinstance(name, str) else None
+        member = self._group.services.get(name) if isinstance(name, str) else None
         if member is None:
             raise SimulationError(
                 f"{command} addresses {name!r}, which the process of "
@@ -315,7 +320,7 @@ class SimulatorService:
                 self.dropped += len(sim.model.output_bags[port])
 
     def _push(self, target: str, frame: WireFrame) -> None:
-        member = self._group.get(target)
+        member = self._group.services.get(target)
         if member is not None:
             member._accept(frame)
             return
@@ -417,6 +422,50 @@ def serve_simulator(plan: DistributedPlan, atomic_name: str, *,
     return group.start().services[atomic_name]
 
 
+class _Batch:
+    """One step (LAMBDA or DELTFCN) over several members of a group.
+
+    Pullers take members from one iterator in the order given. The caller
+    waits only for members that some puller took, not for pullers that
+    have not woken up yet, so a batch of cheap steps costs no thread
+    switch.
+    """
+
+    def __init__(self, step, members: list[SimulatorService], t: float) -> None:
+        self._step = step
+        self._t = t
+        self._feed = enumerate(members)
+        self._outcomes: list = [None] * len(members)
+        self._busy = 0
+        self._done = threading.Condition()
+
+    def drain(self) -> None:
+        while True:
+            with self._done:
+                index, member = next(self._feed, (None, None))
+                if member is None:
+                    return
+                self._busy += 1
+            try:
+                outcome = self._step(member, self._t)
+            except BaseException as exc:  # raised again on the caller's thread
+                outcome = exc
+            with self._done:
+                self._outcomes[index] = outcome
+                self._busy -= 1
+                self._done.notify_all()
+
+    def results(self) -> list:
+        """Each member's result in the order given, once all are done; the
+        first failure in that order is raised instead."""
+        with self._done:
+            self._done.wait_for(lambda: not self._busy)
+        for outcome in self._outcomes:
+            if isinstance(outcome, BaseException):
+                raise outcome
+        return self._outcomes
+
+
 class ServiceGroup:
     """Simulator services hosted by one process, one per atomic.
 
@@ -424,7 +473,10 @@ class ServiceGroup:
     services in other processes reach it as before. A coordinator
     connection to any member drives every member, and pushes between
     members go straight into the target's pending buckets instead of over
-    TCP. The plan is checked, and its couplings indexed, once per group.
+    TCP. The members that one command addresses run on up to one thread
+    per CPU at once: the thread that read the command and helper threads
+    that the group keeps. The plan is checked, and its couplings indexed,
+    once per group.
     """
 
     def __init__(self, plan: DistributedPlan, names, *,
@@ -443,11 +495,12 @@ class ServiceGroup:
                 outgoing[src.component].append((src.port, dst.component, dst.port))
             if dst.component in incoming:
                 incoming[dst.component].append((src.component, dst.port))
-        self.services: dict[str, SimulatorService] = {}
-        for name in names:
-            self.services[name] = SimulatorService(
-                plan, name, self.services, outgoing[name], incoming[name],
-                timeouts or Timeouts())
+        self.services: dict[str, SimulatorService] = {
+            name: SimulatorService(plan, name, self, outgoing[name],
+                                   incoming[name], timeouts or Timeouts())
+            for name in names}
+        self._batches: queue.SimpleQueue = queue.SimpleQueue()
+        self._helpers: list[threading.Thread] = []
 
     def start(self) -> "ServiceGroup":
         try:
@@ -456,15 +509,38 @@ class ServiceGroup:
         except SimulationError:
             self.stop()
             raise
+        first = next(iter(self.services))
+        for k in range(min(default_workers(), len(self.services)) - 1):
+            helper = threading.Thread(target=self._help, daemon=True,
+                                      name=f"svc-{first}-work{k}")
+            helper.start()
+            self._helpers.append(helper)
         return self
+
+    def _help(self) -> None:
+        while (batch := self._batches.get()) is not None:
+            batch.drain()
+
+    def run(self, step, members: list[SimulatorService], t: float) -> list:
+        """``step(member, t)`` for every member, up to one per CPU at once;
+        the results in the order given."""
+        batch = _Batch(step, members, t)
+        for _ in range(min(len(self._helpers), len(members) - 1)):
+            self._batches.put(batch)
+        batch.drain()
+        return batch.results()
 
     def join(self, timeout: float | None = None) -> None:
         for service in self.services.values():
             service.join(timeout)
+        for helper in self._helpers:
+            helper.join(timeout)
 
     def stop(self) -> None:
         for service in self.services.values():
             service.stop()
+        for _ in self._helpers:
+            self._batches.put(None)
 
 
 def serve_simulators(plan: DistributedPlan, names) -> ServiceGroup:
@@ -593,10 +669,13 @@ class DistributedCoordinator:
         return tn
 
     def _tn_pairs(self, name: str, reply: WireFrame) -> dict[str, float]:
-        """The ``[atomic, tN]`` pairs of an INIT or DELTFCN ACK. Callers
-        check the atomics against the plan."""
+        """The ``[atomic, tN]`` pairs of an INIT or DELTFCN ACK, each atomic
+        once. Callers check the atomics against the plan."""
         try:
-            return {atomic: decode_time(tn) for atomic, tn in reply.values}
+            pairs = {atomic: decode_time(tn) for atomic, tn in reply.values}
+            if len(pairs) != len(reply.values):
+                raise ValueError("an atomic is listed twice")
+            return pairs
         except (TypeError, ValueError, ProtocolError) as exc:
             raise SimulationError(
                 f"simulator {name!r} at {self.plan.endpoints[name]} sent bad "

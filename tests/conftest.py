@@ -86,10 +86,34 @@ class RaiseExt(AtomicModel):
         raise RuntimeError("injected delta_ext failure")
 
 
+class Rendezvous(AtomicModel):
+    """Emits its name at time 0; its output function first waits on the
+    class's ``barrier``, so rendezvous atomics finish their outputs only
+    when enough of them run at the same time."""
+
+    INPUT_PORTS = ()
+    OUTPUT_PORTS = ("out",)
+    barrier = None  # a threading.Barrier, set by the test
+
+    def initialize(self):
+        self.hold_in("armed", 0.0)
+
+    def output(self):
+        type(self).barrier.wait()
+        self.emit("out", self.name)
+
+    def delta_int(self):
+        self.passivate()
+
+    def delta_ext(self, e):
+        pass
+
+
 _register("emit_once", EmitOnce)
 _register("collector", Collector)
 _register("busy_ext", BusyExt)
 _register("raise_ext", RaiseExt)
+Rendezvous = _register("rendezvous", Rendezvous)
 
 
 def toy_spec(name, model, **kw):

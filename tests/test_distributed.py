@@ -13,12 +13,13 @@ from pdevsim import (DistributedPlan, Endpoint, ModelGraph,
                      SequentialCoordinator, ServiceGroup, SimulationError,
                      Timeouts, atomic_spec, build_gpt, flatten,
                      run_coordinator, serve_simulator, serve_simulators)
+from pdevsim import distributed
 from pdevsim.bench import local_plan
 from pdevsim.devstone import DevstoneConfig, generate
 from pdevsim.wire import (ACK, DELTFCN, EXIT, INIT, LAMBDA, PROPAGATE,
                           WireFrame, decode_time, read_frame, write_frame)
 
-from conftest import fan_out_model, thread_services
+from conftest import Rendezvous, fan_out_model, thread_services
 
 
 def _dial(endpoint):
@@ -78,6 +79,26 @@ def test_commands_without_time_are_rejected(gpt_graph):
                 reply = read_frame(sock)
                 assert reply.values[0] == "__error__"
                 assert f"{command} frame without time" in reply.values[1]
+        finally:
+            sock.close()
+
+
+@pytest.mark.parametrize("names, message", [
+    (("processor", "processor"), "addresses an atomic twice"),
+    (("generator",), "does not host"),
+], ids=["twice", "not-hosted"])
+def test_badly_addressed_commands_are_rejected(gpt_graph, names, message):
+    plan = local_plan(gpt_graph)
+    with thread_services(plan, names=["processor"]):
+        sock = _dial(plan.endpoints["processor"])
+        try:
+            write_frame(sock, WireFrame(INIT, values=(0,)))
+            assert read_frame(sock).command == ACK
+            for command in (LAMBDA, DELTFCN):
+                write_frame(sock, WireFrame(command, time=0.0, values=names))
+                reply = read_frame(sock)
+                assert reply.values[0] == "__error__"
+                assert message in reply.values[1]
         finally:
             sock.close()
 
@@ -201,10 +222,11 @@ def test_cohosted_groups_push_in_memory(groups, monkeypatch):
 
     def recording_dial(address, *args, **kwargs):
         # A push runs on the main thread of the member that the coordinator
-        # dialled, which is in the pusher's group.
+        # dialled or on one of its group's helper threads, both named
+        # svc-<member of the pusher's group>-<role>.
         if address in aux_owner:
             pusher = threading.current_thread().name.removeprefix("svc-")
-            dials.append((pusher.removesuffix("-main"), aux_owner[address]))
+            dials.append((pusher.rpartition("-")[0], aux_owner[address]))
         return dial(address, *args, **kwargs)
 
     monkeypatch.setattr(socket, "create_connection", recording_dial)
@@ -312,11 +334,42 @@ def test_batched_command_failure_names_the_failing_atomic():
     assert left == []
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_batch_members_run_at_once(workers, monkeypatch):
+    """The members that one LAMBDA addresses run at the same time: two
+    co-hosted atomics whose output functions wait for each other finish
+    with two workers and fail with one."""
+    graph = ModelGraph("toy")
+    for name in ("a0", "a1"):
+        graph.add_component(atomic_spec(name, "rendezvous"))
+        graph.add_component(atomic_spec(f"r{name}", "collector"))
+        graph.connect(name, "out", f"r{name}", "in")
+    plan = local_plan(graph)
+    before = set(threading.enumerate())
+    Rendezvous.barrier = threading.Barrier(2, timeout=5.0 if workers > 1 else 0.5)
+    monkeypatch.setattr(distributed, "default_workers", lambda: workers)
+    group = serve_simulators(plan, plan.endpoints)
+    try:
+        if workers > 1:
+            report = run_coordinator(plan)
+            assert report.cycles == 1
+            assert report.diagnostics["frames_sent"] == {
+                "INIT": 1, "LAMBDA": 1, "DELTFCN": 1, "EXIT": 1}
+        else:
+            with pytest.raises(SimulationError, match="output failed in atomic 'a0'"):
+                run_coordinator(plan)
+    finally:
+        group.stop()
+        group.join(timeout=5.0)
+    assert [t.name for t in threading.enumerate() if t not in before] == []
+
+
 @pytest.mark.parametrize("hosted", [
     [["processor", "inf"]],
     [["generator", 0.0], ["ghost", "inf"]],
     [["generator", "soon"]],
-], ids=["misses-itself", "unknown-atomic", "bad-tn"])
+    [["generator", 0.0], ["generator", "inf"]],
+], ids=["misses-itself", "unknown-atomic", "bad-tn", "duplicate-atomic"])
 def test_bad_init_membership_is_rejected(gpt_graph, hosted):
     plan = local_plan(gpt_graph)
     endpoint = plan.endpoints["generator"]
