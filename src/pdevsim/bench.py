@@ -11,15 +11,19 @@ from __future__ import annotations
 import csv
 import io
 import math
+import multiprocessing
+import os
 import select
 import socket
-import subprocess
 import sys
 import tempfile
 import time
 from dataclasses import dataclass
+from multiprocessing.process import BaseProcess
 from pathlib import Path
+from typing import BinaryIO
 
+from . import cli
 from .devstone import GENERATOR_NAME
 from .distributed import (READY_LINE, DistributedPlan, Endpoint, Timeouts,
                           run_coordinator)
@@ -215,25 +219,63 @@ def local_plan(graph: ModelGraph, host: str = "127.0.0.1") -> DistributedPlan:
     return DistributedPlan(flat, endpoints, Endpoint(host, ports[-1]))
 
 
-def _wait_ready(process: subprocess.Popen, members: list[str], deadline: float,
-                stderr_path: Path) -> None:
+def _serve(argv: list[str], stdout_fd: int, stderr_path: Path) -> None:
+    """Body of a forked service process: ``pdevsim serve`` with stdout on
+    the launcher's pipe and stderr in ``stderr_path``.
+
+    Fresh ``sys.stdout``/``sys.stderr`` objects are put on fds 1 and 2, so
+    nothing the launcher left unflushed in its own stream objects can reach
+    the pipe, and no lock a launcher thread held on them at the fork is
+    taken; multiprocessing flushes the new ones before the process ends.
+    """
+    os.dup2(stdout_fd, 1)
+    os.close(stdout_fd)
+    with open(stderr_path, "wb") as stderr:
+        os.dup2(stderr.fileno(), 2)
+    sys.stdout = open(1, "w", encoding="utf-8")
+    sys.stderr = open(2, "w", buffering=1, encoding="utf-8", errors="backslashreplace")
+    sys.exit(cli.main(argv))
+
+
+def _start_service(plan_path: Path, members: list[str],
+                   stderr_path: Path) -> tuple[BaseProcess, BinaryIO]:
+    """Fork one process that serves ``members``; returns it with the read
+    end of its stdout pipe."""
+    argv = ["serve", "--plan", str(plan_path)]
+    for name in members:
+        argv += ["--atomic", name]
+    read_fd, write_fd = os.pipe()
+    stdout = open(read_fd, "rb")
+    process = multiprocessing.get_context("fork").Process(
+        target=_serve, args=(argv, write_fd, stderr_path))
+    try:
+        process.start()
+    except BaseException:
+        stdout.close()
+        raise
+    finally:
+        # The child has its own copy. Any other copy of the write end, here
+        # or in a later child, would hide this child's exit from the pipe.
+        os.close(write_fd)
+    return process, stdout
+
+
+def _wait_ready(process: BaseProcess, stdout: BinaryIO, members: list[str],
+                deadline: float, stderr_path: Path) -> None:
     """Wait until a service process prints its ready line on stdout."""
     while True:
         remaining = deadline - time.monotonic()
-        if remaining <= 0 or not select.select([process.stdout], [], [], remaining)[0]:
+        if remaining <= 0 or not select.select([stdout], [], [], remaining)[0]:
             raise SimulationError(
                 f"simulator process for {', '.join(members)} never came up")
-        line = process.stdout.readline()
+        line = stdout.readline()
         if line.decode(errors="replace").strip() == READY_LINE:
             return
         if not line:  # stdout closed: the process is exiting
-            try:
-                process.wait(timeout=max(deadline - time.monotonic(), 1.0))
-            except subprocess.TimeoutExpired:
-                pass  # killed by the caller
+            process.join(timeout=max(deadline - time.monotonic(), 1.0))
             raise SimulationError(
                 f"simulator process for {', '.join(members)} exited with "
-                f"code {process.returncode} before listening: {_tail(stderr_path)}")
+                f"code {process.exitcode} before listening: {_tail(stderr_path)}")
 
 
 def _tail(path: Path, lines: int = 5) -> str:
@@ -245,13 +287,17 @@ def _tail(path: Path, lines: int = 5) -> str:
 def run_distributed_local(plan_or_graph, *, iterations: int | None = None,
                           trace: bool = False, startup_timeout: float = 60.0,
                           timeouts: Timeouts | None = None) -> RunReport:
-    """Spawn one service process per CPU on loopback, wait for each to
+    """Fork one service process per CPU on loopback, wait for each to
     print its ready line, run the coordinator against them, and tear
     everything down.
 
     Each process hosts a contiguous block of the plan's atomics, which
     keeps coupled neighbours in one process, where their pushes stay in
-    memory.
+    memory. A process is forked from this one, which has pdevsim imported
+    already, and runs ``pdevsim serve`` on the plan written as XML: the
+    same code path as a pod, without an interpreter start-up. Every process
+    is forked before the coordinator opens a socket or starts a thread.
+    POSIX only.
     """
     if isinstance(plan_or_graph, DistributedPlan):
         plan = plan_or_graph
@@ -262,37 +308,31 @@ def run_distributed_local(plan_or_graph, *, iterations: int | None = None,
     count = min(default_workers(), len(names))
     blocks = [names[len(names) * i // count:len(names) * (i + 1) // count]
               for i in range(count)]
-    processes: list[subprocess.Popen] = []
+    services: list[tuple[BaseProcess, BinaryIO]] = []
     with tempfile.TemporaryDirectory(prefix="pdevsim-") as tmp:
         plan_path = Path(tmp) / "plan.xml"
         plan_path.write_text(emit_distributed_plan_xml(plan), encoding="utf-8")
         stderr_paths = [Path(tmp) / f"serve-{i}.stderr" for i in range(count)]
         try:
             for members, stderr_path in zip(blocks, stderr_paths):
-                command = [sys.executable, "-m", "pdevsim", "serve", "--plan", str(plan_path)]
-                for name in members:
-                    command += ["--atomic", name]
-                with stderr_path.open("wb") as stderr:
-                    processes.append(subprocess.Popen(
-                        command, stdout=subprocess.PIPE, stderr=stderr))
+                services.append(_start_service(plan_path, members, stderr_path))
             deadline = time.monotonic() + startup_timeout
-            for process, members, stderr_path in zip(processes, blocks, stderr_paths):
-                _wait_ready(process, members, deadline, stderr_path)
+            for (process, stdout), members, stderr_path in zip(services, blocks,
+                                                               stderr_paths):
+                _wait_ready(process, stdout, members, deadline, stderr_path)
             report = run_coordinator(plan, iterations, trace=trace,
                                      timeouts=timeouts)
-            for process in processes:
-                try:
-                    process.wait(timeout=10.0)
-                except subprocess.TimeoutExpired:
-                    pass  # killed below
+            for process, _ in services:
+                process.join(timeout=10.0)  # killed below if still running
             report.backend = "distributed-local"
             return report
         finally:
-            for process in processes:
-                if process.poll() is None:
+            for process, stdout in services:
+                if process.exitcode is None:
                     process.kill()
-                    process.wait()
-                process.stdout.close()
+                process.join()
+                process.close()
+                stdout.close()
 
 
 BACKENDS = ("sequential", "parallel", "distributed-local")

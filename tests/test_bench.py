@@ -1,6 +1,7 @@
 """Harness: profiling, allocation math, runners, speedup reports."""
 
 import math
+import os
 
 import pytest
 
@@ -142,31 +143,83 @@ def test_distributed_local_harness_roundtrip():
     assert report.trace_text() == sequential.trace_text()
 
 
-def test_distributed_local_reports_a_service_that_cannot_bind(monkeypatch):
+def _fail_to_bind(plan, victim):
+    """run_distributed_local on ``plan`` while another socket holds the
+    victim's main port; returns the error and the seconds it took."""
     import socket
-    import subprocess
-    plan = local_plan(generate(DevstoneConfig("HO", 3, 3)))
-    victim = list(plan.endpoints)[-1]
-    spawned = []
-
-    class RecordingPopen(subprocess.Popen):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            spawned.append(self)
-
-    monkeypatch.setattr(subprocess, "Popen", RecordingPopen)
+    import time
     blocker = socket.socket()
     blocker.bind(plan.endpoints[victim].main_addr())
     blocker.listen(1)
+    started = time.monotonic()
     try:
         with pytest.raises(SimulationError) as err:
             run_distributed_local(plan, startup_timeout=30.0)
     finally:
         blocker.close()
-    message = str(err.value)
+    return str(err.value), time.monotonic() - started
+
+
+@pytest.mark.parametrize("position", [0, -1], ids=["first", "last"])
+def test_distributed_local_reports_a_service_that_cannot_bind(monkeypatch, position):
+    """A failed bind is reported well inside the start-up deadline: the
+    first case hangs until the deadline if a later child holds the first
+    child's pipe write end."""
+    from multiprocessing.context import ForkProcess
+    plan = local_plan(generate(DevstoneConfig("HO", 3, 3)))
+    victim = list(plan.endpoints)[position]
+    spawned = []  # the pid of every forked service process
+    start = ForkProcess.start
+
+    def recording_start(self):
+        start(self)
+        spawned.append(self.pid)
+
+    monkeypatch.setattr(ForkProcess, "start", recording_start)
+    message, seconds = _fail_to_bind(plan, victim)
     assert "cannot bind" in message and repr(victim) in message
     assert victim in message.split(" exited ")[0]  # the hosting process's atomics
-    assert spawned and all(process.poll() is not None for process in spawned)
+    assert seconds < 5.0, message
+    assert spawned
+    for pid in spawned:  # exited and reaped
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def _assert_no_child_process():
+    import multiprocessing
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):  # no live or zombie child at all
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_distributed_local_leaves_no_child_process():
+    graph = generate(DevstoneConfig("HO", 3, 3))
+    assert run_distributed_local(graph).counter_triple() == (7, 7, 7)
+    _assert_no_child_process()
+    plan = local_plan(graph)
+    _fail_to_bind(plan, list(plan.endpoints)[-1])
+    _assert_no_child_process()
+
+
+def test_distributed_local_does_not_repeat_unflushed_stdout():
+    """Text the launcher left in its stdout buffer is written once, by the
+    launcher, and never reaches a service's ready pipe."""
+    import subprocess
+    import sys
+    code = ("import sys\n"
+            "from pdevsim.bench import run_distributed_local\n"
+            "from pdevsim.devstone import DevstoneConfig, generate\n"
+            "sys.stdout.write('marker')\n"
+            "report = run_distributed_local(generate(DevstoneConfig('HO', 3, 3)))\n"
+            "sys.exit(report.counter_triple() != (7, 7, 7))\n")
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)  # keep 'marker' in the stdout buffer
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, timeout=120, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.count("marker") == 1, result.stdout
+    assert "ready" not in result.stdout, result.stdout
 
 
 def test_distributed_local_leaves_nothing_unclosed(tmp_path):
