@@ -5,10 +5,15 @@ from __future__ import annotations
 import contextlib
 
 import pytest
+from hypothesis import settings
 
 from pdevsim import (AtomicModel, ModelGraph, atomic_spec, register_behavior,
                      serve_simulator)
 from pdevsim.behaviors import _REGISTRY
+
+# Every run draws the same examples, and no example fails on its wall time.
+settings.register_profile("pdevsim", derandomize=True, deadline=None)
+settings.load_profile("pdevsim")
 
 
 def _register(name, cls):
