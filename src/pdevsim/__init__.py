@@ -13,8 +13,8 @@ from .devstone import (DelayDistribution, DevstoneConfig, ExpectedCounts,
                        busy_cpu, delay_map, expected_counts, generate,
                        sample_delays)
 from .distributed import (DistributedCoordinator, DistributedPlan, Endpoint,
-                          ServiceGroup, SimulatorService, Timeouts,
-                          run_coordinator, serve_simulator, serve_simulators)
+                          ServiceGroup, Timeouts, run_coordinator,
+                          serve_simulators)
 from .kernel import (RunReport, SequentialCoordinator, SimulationClock,
                      SimulationError, Simulator, TraceEntry, trace_text)
 from .model import (EIC, EOC, IC, AtomicSpec, Coupling, EventValue,
@@ -35,13 +35,13 @@ __all__ = [
     "ModelGraph", "ParallelCoordinator", "ParallelPlan", "PlanError",
     "PoolPlan", "PoolSpec", "PortRef", "ProtocolError",
     "RunReport", "SequentialCoordinator", "ServiceGroup", "SimulationClock",
-    "SimulationError", "Simulator", "SimulatorService", "Timeouts",
+    "SimulationError", "Simulator", "Timeouts",
     "TraceEntry", "Violation", "WireFrame", "atomic_spec", "behavior_ports",
     "build_efp", "build_gpt", "busy_cpu", "check_event_value",
     "create_behavior", "decode_frame", "default_endpoints", "delay_map",
     "emit_distributed_plan_xml", "emit_plan_xml", "emit_pool_plan_xml",
     "encode_frame", "expected_counts", "flatten", "generate",
     "load_pool_plan", "parse_plan_xml", "register_behavior",
-    "run_coordinator", "sample_delays", "serve_simulator", "serve_simulators",
+    "run_coordinator", "sample_delays", "serve_simulators",
     "trace_text", "validate",
 ]

@@ -21,10 +21,10 @@ INFINITY = math.inf
 class Counters:
     """Benchmark counter triple, exact under every backend.
 
-    Sequential and parallel coordinators share one instance between all
-    behaviors (increments are lock-protected so none are lost); distributed
-    simulators keep a process-local instance that the coordinator sums on
-    exit.
+    Every coordinator shares one instance between all its behaviors
+    (increments are lock-protected so none are lost); a distributed
+    service process runs one coordinator over the atomics it hosts, and
+    the root coordinator sums the processes' counters on exit.
     """
 
     __slots__ = ("num_delt_ints", "num_delt_exts", "num_of_events", "_lock")
@@ -46,12 +46,6 @@ class Counters:
     def events(self, count: int) -> None:
         with self._lock:
             self.num_of_events += count
-
-    def add(self, ints: int, exts: int, events: int) -> None:
-        with self._lock:
-            self.num_delt_ints += ints
-            self.num_delt_exts += exts
-            self.num_of_events += events
 
     def triple(self) -> tuple[int, int, int]:
         return self.num_delt_ints, self.num_delt_exts, self.num_of_events

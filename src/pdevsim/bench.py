@@ -169,17 +169,6 @@ def balanced_pool_plan(profiles: list[AtomicProfile], m: int,
     return PoolPlan((PoolSpec(name, m),), {p.name: name for p in ranked})
 
 
-def two_level_groups(alloc: Allocation2Level) -> dict[str, str]:
-    """Container grouping for a distributed two-level deployment: ranked
-    round-robin inside each level."""
-    grouping: dict[str, str] = {}
-    for index, atomic in enumerate(alloc.l1):
-        grouping[atomic] = f"L1-{index % alloc.l1_resources}"
-    for index, atomic in enumerate(alloc.l2):
-        grouping[atomic] = f"L2-{index % alloc.l2_resources}"
-    return grouping
-
-
 # -- backend runners ---------------------------------------------------------------
 
 

@@ -1,47 +1,50 @@
 """Socket-distributed backend.
 
-Every atomic model is hosted by a simulator service that listens on two TCP
+A service process hosts a block of the plan's atomic models
+(:func:`serve_simulators`) and runs the kernel's cycle engine over it: a
+:class:`SequentialCoordinator`, or a :class:`ParallelCoordinator` with one
+pool of up to one worker per CPU. Every hosted atomic listens on two TCP
 ports: the main port takes the coordinator's protocol commands, the
-auxiliary port takes PROPAGATE frames pushed directly by peer simulators.
-One process hosts a group of services (:func:`serve_simulators`): pushes
-between members of one group stay in memory, and one coordinator
-connection drives the whole group.
+auxiliary port takes links from peer processes.
 
 The root coordinator dials, in plan order, the first atomic that no earlier
 connection covers and sends it INIT. The ACK lists every atomic that the
-service's process hosts, each with its next-event time (tN), so the
-coordinator opens one connection per process. From then on each command
-frame names the atomics it addresses; the process takes them up in the
-order given, up to one per CPU at once, and answers with one ACK, which
-for DELTFCN again carries ``[atomic, tN]`` for each of them. The
-coordinator keeps every atomic's tN and takes the minimum itself. Each
-cycle then sends at most two frames per process, both carrying the cycle
-time: LAMBDA addressed to the imminent atomics, whose services run their
-output functions and push the values to the coupled services, and DELTFCN
-addressed to the imminent atomics and their coupling targets. The
-coordinator writes a phase's frame to every process before it reads any
-reply, and never relays event values.
+process hosts, each with its next-event time (tN), so the coordinator opens
+one connection per process. It keeps every atomic's tN and takes the
+minimum itself. Each cycle then sends at most two frames per process, both
+carrying the cycle time and naming the atomics they address:
 
-A service pushes one PROPAGATE frame per outgoing coupling whenever it ran
-its output function, including empty ones. Receivers bucket frames by
-(sender, destination port) and assemble their input bags in plan coupling
-order at transition time, which makes bag contents byte-identical to the
-sequential backend even under concurrent arrivals.
+- LAMBDA, to the imminent atomics. The process runs their output functions,
+  copies every coupling that leaves its block into one batch per peer
+  process, and sends each peer one PROPAGATE frame, acknowledged once.
+- DELTFCN, to the imminent atomics and their coupling targets. The process
+  fills its input bags along every coupling that enters the block, in plan
+  coupling order: in-block couplings read the hosted output bags,
+  cross-process ones the batches that peers sent. This keeps bags
+  byte-identical to the sequential backend. It then runs the transitions
+  and answers with ``[atomic, tN]`` for each addressed atomic.
+
+The coordinator writes a phase's frame to every process before it reads
+any reply, and never relays event values.
+
+A process opens the link to a peer process the first time it pushes to one
+of the peer's atomics, by dialling that atomic's aux port. The peer greets
+the link with the atomics it hosts, so later pushes to any of them share
+the link: one link per ordered pair of processes.
 """
 
 from __future__ import annotations
 
 import math
-import queue
 import socket
 import threading
 import time
 from dataclasses import dataclass
 
-from .behaviors import Counters, create_behavior
-from .kernel import RunReport, SimulationError, Simulator, TraceEntry
+from .kernel import (RunReport, SequentialCoordinator, SimulationError,
+                     Simulator, TraceEntry)
 from .model import IC, ModelGraph, validate
-from .parallel import default_workers
+from .parallel import ParallelCoordinator, PoolPlan, default_workers
 from .wire import (ACK, DELTFCN, EXIT, INIT, LAMBDA, PROPAGATE, ProtocolError,
                    WireFrame, decode_time, encode_time, read_frame,
                    write_frame)
@@ -121,10 +124,8 @@ def _configure(sock: socket.socket, read_timeout: float | None) -> None:
     sock.settimeout(read_timeout)
 
 
-def _shutdown_close(sock: socket.socket | None) -> None:
+def _shutdown_close(sock: socket.socket) -> None:
     """Close a socket so that a thread blocked on it wakes up."""
-    if sock is None:
-        return
     try:
         sock.shutdown(socket.SHUT_RDWR)
     except OSError:
@@ -135,90 +136,117 @@ def _shutdown_close(sock: socket.socket | None) -> None:
         pass
 
 
-class SimulatorService:
-    """Hosts one atomic model behind the wire protocol, as a member of a
-    :class:`ServiceGroup`, which builds it."""
+class ServiceGroup:
+    """The atomics that one process hosts, and the kernel engine over them.
 
-    def __init__(self, plan: DistributedPlan, atomic_name: str,
-                 group: "ServiceGroup",
-                 outgoing: list[tuple[str, str, str]],
-                 incoming: list[tuple[str, str]], timeouts: Timeouts) -> None:
+    The engine is built with the group, so INIT only initializes it. Each
+    hosted atomic listens on its own plan ports. A coordinator connection
+    to any of them drives the whole group, and a link accepted on any aux
+    port carries one peer process's pushes to every hosted atomic. The plan
+    is checked, and its couplings indexed, once per group.
+    """
+
+    def __init__(self, plan: DistributedPlan, names, *,
+                 timeouts: Timeouts | None = None) -> None:
+        plan.check()
         self.plan = plan
-        self.name = atomic_name
-        self.endpoint = plan.endpoints[atomic_name]
-        self.timeouts = timeouts
-        self.counters = Counters()
-        self.simulator: Simulator | None = None
-        # Outgoing couplings in plan order: (source port, target, target port).
-        self.outgoing = outgoing
-        self._uncoupled = tuple(
-            p for p in plan.graph.atomics[atomic_name].output_ports
-            if all(src_port != p for src_port, _, _ in self.outgoing))
-        # Incoming coupling keys (sender, port) in plan order drive bag assembly.
-        self.incoming = incoming
-        self._pending: dict[tuple[str, str], list[tuple]] = {}
-        self._pending_lock = threading.Lock()
-        # The services hosted in this process, this one included: a command
-        # on any member's main port drives all of them, and pushes to them
-        # skip TCP.
-        self._group = group
-        self._peers: dict[str, socket.socket] = {}
-        self._inbound: list[socket.socket] = []
-        self._trace_enabled = False
-        self.dropped = 0
-        self._stop = threading.Event()
-        self._main_listener: socket.socket | None = None
-        self._aux_listener: socket.socket | None = None
+        self.names = list(names)
+        block = ModelGraph(plan.graph.name)
+        for name in self.names:
+            if name not in plan.graph.atomics:
+                raise SimulationError(f"unknown atomic {name!r} in plan "
+                                      f"{plan.graph.name!r}")
+            block.add_component(plan.graph.atomics[name])
+        self.timeouts = timeouts or Timeouts()
+        workers = min(default_workers(), len(self.names))
+        self.engine = (ParallelCoordinator(block, PoolPlan.single_pool(self.names, workers))
+                       if workers > 1 else SequentialCoordinator(block))
+        sims = self.engine.simulators
+        # Couplings into the block, in plan order, read a hosted output bag
+        # or the inbound bucket that peers fill; couplings out of it are
+        # shipped at LAMBDA as [sender, port, target, target port, values].
+        routes = []
+        self._inbound: dict[tuple[str, str, str, str], list] = {}
+        self._outbound: dict[str, list[tuple[list, str, list[str]]]] = {
+            name: [] for name in self.names}
+        for coupling in plan.graph.couplings:
+            src, dst = coupling.src, coupling.dst
+            key = (src.component, src.port, dst.component, dst.port)
+            if src.component in sims:
+                bag = sims[src.component].model.output_bags[src.port]
+                if dst.component not in sims:
+                    self._outbound[src.component].append((bag, dst.component, list(key)))
+                    continue
+            elif dst.component in sims:
+                bag = self._inbound[key] = []
+            else:
+                continue
+            routes.append((bag, sims[dst.component].model.input_bags[dst.port],
+                           self.engine._ranks[dst.component]))
+        self.engine._bind_routes(routes, self._inbound.values(), shipped=[
+            bag for leaving in self._outbound.values() for bag, _, _ in leaving])
+        # The first item filed per inbound coupling since the last DELTFCN.
+        self._received: dict[tuple[str, str, str, str], list] = {}
+        self._initialized = False
+        self.peer_frames = 0
+        # Outgoing links by the peer atomics they reach.
+        self._links: dict[str, socket.socket] = {}
+        self._sockets: list[socket.socket] = []  # listeners and connections
         self._threads: list[threading.Thread] = []
+        self._stop = threading.Event()
 
     # -- lifecycle -----------------------------------------------------------
 
-    def start(self) -> "SimulatorService":
-        try:
-            self._main_listener = self._listen(self.endpoint.main_port)
-            self._aux_listener = self._listen(self.endpoint.aux_port)
-        except OSError as exc:
-            self.stop()
-            raise SimulationError(
-                f"cannot bind {self.name!r} on {self.endpoint.host} "
-                f"ports {self.endpoint.main_port}/{self.endpoint.aux_port}: {exc}") from exc
-        for target, thread_name in ((self._main_loop, "main"), (self._aux_accept_loop, "aux")):
-            thread = threading.Thread(target=target, daemon=True,
-                                      name=f"svc-{self.name}-{thread_name}")
-            thread.start()
-            self._threads.append(thread)
+    def start(self) -> "ServiceGroup":
+        greeting = tuple(self.names)
+        for name in self.names:
+            endpoint = self.plan.endpoints[name]
+            try:
+                main = self._listen(endpoint.host, endpoint.main_port)
+                aux = self._listen(endpoint.host, endpoint.aux_port)
+            except OSError as exc:
+                self.stop()
+                raise SimulationError(
+                    f"cannot bind {name!r} on {endpoint.host} "
+                    f"ports {endpoint.main_port}/{endpoint.aux_port}: {exc}") from exc
+            self._spawn(f"svc-{name}-main", self._accept, main, name, self._dispatch, ())
+            self._spawn(f"svc-{name}-aux", self._accept, aux, name, self._take_batch,
+                        greeting)
         return self
 
-    def _listen(self, port: int) -> socket.socket:
+    def _listen(self, host: str, port: int) -> socket.socket:
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        try:
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            listener.bind((self.endpoint.host, port))
-            listener.listen(16)
-        except OSError:
-            listener.close()
-            raise
+        self._sockets.append(listener)
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        listener.bind((host, port))
+        listener.listen(16)
         listener.settimeout(0.5)  # lets accept loops notice a stop request
         return listener
 
+    def _spawn(self, thread_name: str, target, *args) -> None:
+        thread = threading.Thread(target=target, args=args, daemon=True,
+                                  name=thread_name)
+        thread.start()
+        self._threads.append(thread)
+
     def join(self, timeout: float | None = None) -> None:
-        for thread in list(self._threads):
-            thread.join(timeout)
+        index = 0
+        while index < len(self._threads):  # accept loops may still add some
+            self._threads[index].join(timeout)
+            index += 1
 
     def stop(self) -> None:
         self._stop.set()
-        for sock in (self._main_listener, self._aux_listener,
-                     *self._peers.values(), *self._inbound):
+        for sock in list(self._sockets):
             _shutdown_close(sock)
-        self._peers.clear()
-        self._inbound.clear()
+        if isinstance(self.engine, ParallelCoordinator):
+            self.engine.close()
 
-    # -- main command loop --------------------------------------------------------
+    # -- connections --------------------------------------------------------------
 
-    def _main_loop(self) -> None:
-        # Sessions are accepted until EXIT arrives; a connection that closes
-        # without EXIT is harmless.
-        listener = self._main_listener
+    def _accept(self, listener: socket.socket, name: str, handle,
+                greeting: tuple) -> None:
+        """Serve each connection ``listener`` accepts on a thread of its own."""
         while not self._stop.is_set():
             try:
                 conn, _ = listener.accept()
@@ -227,320 +255,152 @@ class SimulatorService:
             except OSError:
                 return  # stopped
             _configure(conn, None)
+            self._sockets.append(conn)
+            self._spawn(f"{threading.current_thread().name}-conn", self._serve,
+                        conn, name, handle, greeting)
+
+    def _serve(self, conn: socket.socket, name: str, handle,
+               greeting: tuple) -> None:
+        """Send ``greeting``, if any, then answer each frame with one ACK
+        carrying what ``handle(frame, name)`` returns, or the error it
+        raised, until the other end hangs up or an EXIT succeeds."""
+        with conn:
             try:
-                while not self._stop.is_set():
-                    frame = read_frame(conn)
-                    if frame is None:
-                        break
-                    reply = self._handle(frame)
-                    write_frame(conn, reply)
+                if greeting:
+                    write_frame(conn, WireFrame(ACK, sender=name, values=greeting))
+                while (frame := read_frame(conn)) is not None:
+                    try:
+                        values = handle(frame, name)
+                    except SimulationError as exc:
+                        write_frame(conn, WireFrame(ACK, sender=name,
+                                                    values=(_ERROR_MARK, str(exc))))
+                        continue
+                    write_frame(conn, WireFrame(ACK, sender=name, values=values))
                     if frame.command == EXIT:
-                        self._group.stop()
+                        self.stop()
                         return
             except (ProtocolError, OSError):
                 pass
-            finally:
-                try:
-                    conn.close()
-                except OSError:
-                    pass
 
-    def _handle(self, frame: WireFrame) -> WireFrame:
-        try:
-            return self._dispatch(frame)
-        except SimulationError as exc:
-            return WireFrame(ACK, sender=self.name, values=(_ERROR_MARK, str(exc)))
+    # -- coordinator commands -----------------------------------------------------
 
-    def _dispatch(self, frame: WireFrame) -> WireFrame:
-        """Run one coordinator command over the whole group: INIT and EXIT
-        reach every member, LAMBDA and DELTFCN the members that the frame
-        names, taken up in the order it names them."""
+    def _dispatch(self, frame: WireFrame, name: str) -> tuple:
+        """Run one coordinator command over the block: INIT and EXIT cover
+        every hosted atomic, LAMBDA and DELTFCN the atomics the frame names."""
         command = frame.command
-        services = self._group.services
+        engine = self.engine
+        sims = engine.simulators
         if command == INIT:
-            trace = bool(frame.values and frame.values[0])
-            return WireFrame(ACK, sender=self.name, values=tuple(
-                [name, encode_time(member._init(trace))]
-                for name, member in services.items()))
-        if self.simulator is None:
-            raise SimulationError(f"simulator {self.name!r} got {command} before INIT")
+            engine.trace_enabled = bool(frame.values and frame.values[0])
+            for sim in sims.values():
+                sim.trace = [] if engine.trace_enabled else None
+            engine.initialize()
+            self._initialized = True
+            return tuple([atomic, encode_time(sim.tN)] for atomic, sim in sims.items())
+        if not self._initialized:
+            raise SimulationError(f"simulator {name!r} got {command} before INIT")
         if command == EXIT:
-            return WireFrame(ACK, sender=self.name, values=tuple(
-                member._exit_payload() for member in services.values()))
+            traces = [[atomic, [entry.to_payload() for entry in sim.trace or ()]]
+                      for atomic, sim in sims.items()]
+            return (*engine.counters.triple(), engine.dropped_events,
+                    self.peer_frames, traces)
         if command not in (LAMBDA, DELTFCN):
             raise SimulationError(f"unexpected command {command} on main connection")
         if frame.time is None:
             raise SimulationError(f"{command} frame without time")
-        members = [self._member(name, command) for name in frame.values]
-        if len(set(members)) != len(members):
+        addressed = []
+        for atomic in frame.values:
+            sim = sims.get(atomic) if isinstance(atomic, str) else None
+            if sim is None:
+                raise SimulationError(
+                    f"{command} addresses {atomic!r}, which the process of "
+                    f"{name!r} does not host")
+            addressed.append(sim)
+        if len(set(addressed)) != len(addressed):
             raise SimulationError(f"{command} addresses an atomic twice: "
                                   f"{list(frame.values)}")
+        t = frame.time
         if command == LAMBDA:
-            self._group.run(SimulatorService._run_lambda, members, frame.time)
-            return WireFrame(ACK, sender=self.name)
-        tns = self._group.run(SimulatorService._run_delta, members, frame.time)
-        return WireFrame(ACK, sender=self.name, values=tuple(
-            [member.name, encode_time(tn)] for member, tn in zip(members, tns)))
+            engine._run_phase(Simulator.run_lambda, addressed, t)
+            self._ship([sim for sim in addressed if sim.tN == t])
+            return ()
+        engine._propagate()
+        self._received.clear()
+        engine._run_phase(Simulator.run_delta, addressed, t)
+        return tuple([sim.name, encode_time(sim.tN)] for sim in addressed)
 
-    def _member(self, name, command: str) -> "SimulatorService":
-        member = self._group.services.get(name) if isinstance(name, str) else None
-        if member is None:
-            raise SimulationError(
-                f"{command} addresses {name!r}, which the process of "
-                f"{self.name!r} does not host")
-        return member
+    # -- peer links ---------------------------------------------------------------
 
-    def _init(self, trace: bool) -> float:
-        self._trace_enabled = trace
-        behavior = create_behavior(self.plan.graph.atomics[self.name], self.counters)
-        self.simulator = Simulator(behavior, trace=trace)
-        self.simulator.initialize()
-        return self.simulator.tN
-
-    def _exit_payload(self) -> list:
-        """``[atomic, ints, exts, events, dropped, trace]`` for the EXIT ACK."""
-        trace = ([entry.to_payload() for entry in self.simulator.trace]
-                 if self._trace_enabled else [])
-        return [self.name, self.counters.num_delt_ints, self.counters.num_delt_exts,
-                self.counters.num_of_events, self.dropped, trace]
-
-    def _run_lambda(self, t: float) -> None:
-        sim = self.simulator
-        imminent = sim.tN == t and not math.isinf(t)
-        if imminent:
-            sim.run_lambda(t)
-        # Imminent simulators push one frame per outgoing coupling, empty
-        # or not, so receivers can line buckets up with plan order.
-        if imminent:
-            for src_port, target, target_port in self.outgoing:
-                values = tuple(sim.model.output_bags[src_port])
-                self._push(target, WireFrame(
-                    PROPAGATE, sender=self.name, port=target_port, values=values))
-            for port in self._uncoupled:
-                self.dropped += len(sim.model.output_bags[port])
-
-    def _push(self, target: str, frame: WireFrame) -> None:
-        member = self._group.services.get(target)
-        if member is not None:
-            member._accept(frame)
-            return
-        sock = self._peers.get(target)
-        if sock is None:
-            endpoint = self.plan.endpoints[target]
-            try:
-                sock = socket.create_connection(endpoint.aux_addr(),
-                                                timeout=self.timeouts.connect)
-            except OSError as exc:
-                raise SimulationError(
-                    f"peer {target!r} at {endpoint.host}:{endpoint.aux_port} "
-                    f"unreachable: {exc}") from exc
-            _configure(sock, self.timeouts.read)
-            self._peers[target] = sock
+    def _ship(self, imminent: list[Simulator]) -> None:
+        """Send each peer process one PROPAGATE frame holding every coupling
+        from ``imminent`` into that process, then wait for every ACK."""
+        batches: dict[socket.socket, tuple[str, list]] = {}
+        for sim in imminent:
+            for bag, target, head in self._outbound[sim.name]:
+                batch = batches.setdefault(self._link(target), (target, []))
+                batch[1].append([*head, list(bag)])
+        target = None
         try:
-            write_frame(sock, frame)
-            reply = read_frame(sock)
+            for link, (target, items) in batches.items():
+                write_frame(link, WireFrame(PROPAGATE, values=tuple(items)))
+            for link, (target, _) in batches.items():
+                reply = read_frame(link)
+                if reply is None or reply.command != ACK:
+                    raise ProtocolError("no acknowledgement")
+                if reply.values[:1] == (_ERROR_MARK,):
+                    raise SimulationError(reply.values[1])
         except (OSError, ProtocolError) as exc:
-            raise SimulationError(f"propagation to {target!r} failed: {exc}") from exc
-        if reply is None or reply.command != ACK:
-            raise SimulationError(f"peer {target!r} did not acknowledge propagation")
-
-    def _run_delta(self, t: float) -> float:
-        """Transition at ``t``; the new tN."""
-        sim = self.simulator
-        if sim.tN < t:
             raise SimulationError(
-                f"clock overran atomic {self.name!r}: tN={sim.tN} < t={t}")
-        with self._pending_lock:
-            for key in self.incoming:
-                batches = self._pending.get(key)
-                if batches:
-                    values = batches.pop(0)
-                    if values:
-                        sim.model.input_bags[key[1]].extend(values)
-            # One batch per key and cycle: anything left over belongs to no
-            # coupling of this atomic or to a cycle whose DELTFCN never came.
-            leftover = next(((key, batches) for key, batches in self._pending.items()
-                             if batches), None)
-            self._pending.clear()
-        if leftover is not None:
-            (sender, port), batches = leftover
-            raise SimulationError(
-                f"atomic {self.name!r} has {len(batches)} unconsumed PROPAGATE "
-                f"batch(es) from {sender!r} on port {port!r}")
-        sim.run_delta(t)
-        return sim.tN
+                f"propagation to the process of {target!r} failed: {exc}") from exc
+        self.peer_frames += len(batches)
 
-    # -- peer propagation intake ------------------------------------------------------
-
-    def _aux_accept_loop(self) -> None:
-        listener = self._aux_listener
-        while not self._stop.is_set():
-            try:
-                conn, _ = listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            _configure(conn, None)
-            self._inbound.append(conn)
-            thread = threading.Thread(target=self._aux_serve, args=(conn,),
-                                      daemon=True, name=f"svc-{self.name}-peer")
-            thread.start()
-            self._threads.append(thread)
-
-    def _aux_serve(self, conn: socket.socket) -> None:
+    def _link(self, target: str) -> socket.socket:
+        """The link to the process hosting ``target``, dialled through
+        ``target``'s aux port on the first push to that process."""
+        link = self._links.get(target)
+        if link is not None:
+            return link
+        endpoint = self.plan.endpoints[target]
+        where = f"peer {target!r} at {endpoint.host}:{endpoint.aux_port}"
         try:
-            while not self._stop.is_set():
-                frame = read_frame(conn)
-                if frame is None:
-                    break
-                if frame.command != PROPAGATE:
-                    raise ProtocolError(
-                        f"unexpected {frame.command} on aux port of {self.name!r}")
-                self._accept(frame)
-                write_frame(conn, WireFrame(ACK, sender=self.name))
-        except (ProtocolError, OSError):
-            pass
-        finally:
-            try:
-                conn.close()
-            except OSError:
-                pass
+            link = socket.create_connection(endpoint.aux_addr(),
+                                            timeout=self.timeouts.connect)
+            self._sockets.append(link)
+            _configure(link, self.timeouts.read)
+            greeting = read_frame(link)
+        except (OSError, ProtocolError) as exc:
+            raise SimulationError(f"{where} unreachable: {exc}") from exc
+        hosted = greeting.values if greeting is not None else ()
+        if target not in hosted or not all(isinstance(atomic, str) for atomic in hosted):
+            raise SimulationError(f"{where} greeted with {hosted!r:.80}")
+        self._links.update(dict.fromkeys(hosted, link))
+        return link
 
-    def _accept(self, frame: WireFrame) -> None:
-        """Queue a PROPAGATE frame's values for the next transition."""
-        with self._pending_lock:
-            self._pending.setdefault((frame.sender, frame.port), []).append(
-                frame.values)
-
-
-def serve_simulator(plan: DistributedPlan, atomic_name: str, *,
-                    timeouts: Timeouts | None = None) -> SimulatorService:
-    """Start (and return) the service hosting ``atomic_name`` alone, as a
-    group of one."""
-    group = ServiceGroup(plan, [atomic_name], timeouts=timeouts)
-    return group.start().services[atomic_name]
-
-
-class _Batch:
-    """One step (LAMBDA or DELTFCN) over several members of a group.
-
-    Pullers take members from one iterator in the order given. The caller
-    waits only for members that some puller took, not for pullers that
-    have not woken up yet, so a batch of cheap steps costs no thread
-    switch.
-    """
-
-    def __init__(self, step, members: list[SimulatorService], t: float) -> None:
-        self._step = step
-        self._t = t
-        self._feed = enumerate(members)
-        self._outcomes: list = [None] * len(members)
-        self._busy = 0
-        self._done = threading.Condition()
-
-    def drain(self) -> None:
-        while True:
-            with self._done:
-                index, member = next(self._feed, (None, None))
-                if member is None:
-                    return
-                self._busy += 1
-            try:
-                outcome = self._step(member, self._t)
-            except BaseException as exc:  # raised again on the caller's thread
-                outcome = exc
-            with self._done:
-                self._outcomes[index] = outcome
-                self._busy -= 1
-                self._done.notify_all()
-
-    def results(self) -> list:
-        """Each member's result in the order given, once all are done; the
-        first failure in that order is raised instead."""
-        with self._done:
-            self._done.wait_for(lambda: not self._busy)
-        for outcome in self._outcomes:
-            if isinstance(outcome, BaseException):
-                raise outcome
-        return self._outcomes
-
-
-class ServiceGroup:
-    """Simulator services hosted by one process, one per atomic.
-
-    Each member still listens on its own ports, so the coordinator and
-    services in other processes reach it as before. A coordinator
-    connection to any member drives every member, and pushes between
-    members go straight into the target's pending buckets instead of over
-    TCP. The members that one command addresses run on up to one thread
-    per CPU at once: the thread that read the command and helper threads
-    that the group keeps. The plan is checked, and its couplings indexed,
-    once per group.
-    """
-
-    def __init__(self, plan: DistributedPlan, names, *,
-                 timeouts: Timeouts | None = None) -> None:
-        plan.check()
-        names = list(names)
-        for name in names:
-            if name not in plan.graph.atomics:
-                raise SimulationError(f"unknown atomic {name!r} in plan "
-                                      f"{plan.graph.name!r}")
-        outgoing: dict[str, list[tuple[str, str, str]]] = {name: [] for name in names}
-        incoming: dict[str, list[tuple[str, str]]] = {name: [] for name in names}
-        for coupling in plan.graph.couplings:
-            src, dst = coupling.src, coupling.dst
-            if src.component in outgoing:
-                outgoing[src.component].append((src.port, dst.component, dst.port))
-            if dst.component in incoming:
-                incoming[dst.component].append((src.component, dst.port))
-        self.services: dict[str, SimulatorService] = {
-            name: SimulatorService(plan, name, self, outgoing[name],
-                                   incoming[name], timeouts or Timeouts())
-            for name in names}
-        self._batches: queue.SimpleQueue = queue.SimpleQueue()
-        self._helpers: list[threading.Thread] = []
-
-    def start(self) -> "ServiceGroup":
-        try:
-            for service in self.services.values():
-                service.start()
-        except SimulationError:
-            self.stop()
-            raise
-        first = next(iter(self.services))
-        for k in range(min(default_workers(), len(self.services)) - 1):
-            helper = threading.Thread(target=self._help, daemon=True,
-                                      name=f"svc-{first}-work{k}")
-            helper.start()
-            self._helpers.append(helper)
-        return self
-
-    def _help(self) -> None:
-        while (batch := self._batches.get()) is not None:
-            batch.drain()
-
-    def run(self, step, members: list[SimulatorService], t: float) -> list:
-        """``step(member, t)`` for every member, up to one per CPU at once;
-        the results in the order given."""
-        batch = _Batch(step, members, t)
-        for _ in range(min(len(self._helpers), len(members) - 1)):
-            self._batches.put(batch)
-        batch.drain()
-        return batch.results()
-
-    def join(self, timeout: float | None = None) -> None:
-        for service in self.services.values():
-            service.join(timeout)
-        for helper in self._helpers:
-            helper.join(timeout)
-
-    def stop(self) -> None:
-        for service in self.services.values():
-            service.stop()
-        for _ in self._helpers:
-            self._batches.put(None)
+    def _take_batch(self, frame: WireFrame, name: str) -> tuple:
+        """Put a peer's PROPAGATE batch in the inbound buckets, which the
+        next DELTFCN empties; each coupling that enters the block may send
+        one batch per cycle."""
+        if frame.command != PROPAGATE:
+            raise SimulationError(f"unexpected {frame.command} on aux port of {name!r}")
+        for item in frame.values:
+            if not (isinstance(item, list) and len(item) == 5 and isinstance(item[4], list)
+                    and all(isinstance(field, str) for field in item[:4])):
+                raise SimulationError(f"malformed PROPAGATE item at {name!r}: {item!r:.80}")
+            sender, port, target, target_port, values = item
+            key = (sender, port, target, target_port)
+            bucket = self._inbound.get(key)
+            if bucket is None:
+                raise SimulationError(
+                    f"PROPAGATE from {sender!r} port {port!r} to {target!r} port "
+                    f"{target_port!r}: no such coupling enters the process of {name!r}")
+            # setdefault is one step under the GIL, so two links cannot both
+            # file a first batch for one coupling.
+            if self._received.setdefault(key, item) is not item:
+                raise SimulationError(
+                    f"PROPAGATE from {sender!r} port {port!r} to {target!r} port "
+                    f"{target_port!r}: a second batch in one cycle")
+            bucket.extend(values)
+        return ()
 
 
 def serve_simulators(plan: DistributedPlan, names) -> ServiceGroup:
@@ -712,37 +572,34 @@ class DistributedCoordinator:
             exits = self._send({name: WireFrame(EXIT) for name in self._conns})
         finally:
             self.close()
-        payloads: dict[str, list] = {}
-        for name, reply in exits.items():
-            for entry in reply.values:
-                if not (isinstance(entry, list) and len(entry) == 6
-                        and isinstance(entry[0], str) and entry[0] not in payloads
-                        and self._via.get(entry[0]) == name):
-                    raise SimulationError(f"bad exit payload from {name!r}: {entry!r:.80}")
-                payloads[entry[0]] = entry
-        if len(payloads) != len(self.names):
-            raise SimulationError("no exit payload for atomic " + repr(
-                next(name for name in self.names if name not in payloads)))
-        ints = exts = events = dropped = 0
-        traces: dict[str, list[TraceEntry]] = {}
-        for name in self.names:
-            _, n_int, n_ext, n_events, n_dropped, trace = payloads[name]
-            ints += n_int
-            exts += n_ext
-            events += n_events
-            dropped += n_dropped
-            if self.trace_enabled:
-                traces[name] = [TraceEntry.from_payload(raw) for raw in trace]
+        # Each process's EXIT ACK: its ints, exts, events, dropped events and
+        # PROPAGATE frames, then [atomic, trace] for every atomic it hosts.
+        totals = [0] * 5
+        traces: dict[str, list] = {}
+        for via, reply in exits.items():
+            *numbers, pairs = reply.values or (None,)
+            hosted = [name for name in self.names if self._via[name] == via]
+            if not (len(numbers) == 5 and all(type(n) is int for n in numbers)
+                    and isinstance(pairs, list) and all(
+                        isinstance(pair, list) and len(pair) == 2
+                        and isinstance(pair[0], str) for pair in pairs)
+                    and sorted(atomic for atomic, _ in pairs) == sorted(hosted)):
+                raise SimulationError(f"bad exit payload from {via!r}: {reply.values!r:.80}")
+            totals = [total + n for total, n in zip(totals, numbers)]
+            traces.update(pairs)
+        ints, exts, events, dropped, peer_frames = totals
         wall = time.perf_counter() - started
         return RunReport(
             model=self.plan.graph.name, backend=self.backend_name,
             workers_pools=str(len(self.names)), cycles=cycles,
             wall_seconds=wall, num_delt_ints=ints, num_delt_exts=exts,
             num_of_events=events,
-            traces=traces if self.trace_enabled else None,
+            traces={name: [TraceEntry.from_payload(raw) for raw in traces[name]]
+                    for name in self.names} if self.trace_enabled else None,
             diagnostics={"dropped_events": dropped,
                          "frames_sent": dict(self.frames_sent),
-                         "frames_received": dict(self.frames_received)})
+                         "frames_received": dict(self.frames_received),
+                         "peer_frames": peer_frames})
 
 
 def run_coordinator(plan: DistributedPlan, max_iterations: int | None = None, *,

@@ -221,8 +221,7 @@ class SequentialCoordinator:
     backend_name = "sequential"
 
     def __init__(self, graph: ModelGraph, *, flatten_graph: bool = True,
-                 trace: bool = False, profile: bool = False,
-                 counters: Counters | None = None) -> None:
+                 trace: bool = False, profile: bool = False) -> None:
         errors = [v for v in validate(graph) if v.severity == "error"]
         if errors:
             raise SimulationError(f"invalid graph {graph.name!r}: {errors[0].message}")
@@ -230,7 +229,7 @@ class SequentialCoordinator:
         self.graph = graph
         self.exec_graph = flatten(graph) if flatten_graph else graph
         self.exec_graph.freeze()
-        self.counters = counters if counters is not None else Counters()
+        self.counters = Counters()
         self.clock = SimulationClock()
         self.trace_enabled = trace
         self.simulators: dict[str, Simulator] = {}
@@ -373,10 +372,18 @@ class SequentialCoordinator:
                 self._boundary[((), port, "out")] = []
             self._collect_upward(graph, ())
             self._collect_downward(graph, ())
-        read = {id(src) for src, _, _ in self._routes}
+        self._bind_routes(self._routes, self._boundary.values())
+
+    def _bind_routes(self, routes: list[_Route], boundary, shipped=()) -> None:
+        """Propagate along ``routes``, in order, and empty the ``boundary``
+        bags after each propagation. An output bag that no route reads and
+        that is not in ``shipped`` (read by a caller) holds dropped values."""
+        self._routes = routes
+        self._transit = list(boundary)
+        read = {id(bag) for bag in shipped}
+        read.update(id(src) for src, _, _ in routes)
         bags = [bag for sim in self._sim_list for bag in sim.model.output_bags.values()]
-        bags.extend(self._boundary.values())
-        self._dangling = [bag for bag in bags if id(bag) not in read]
+        self._dangling = [bag for bag in bags + self._transit if id(bag) not in read]
 
     def _collect_upward(self, level: ModelGraph, path: tuple[str, ...]) -> None:
         """Materialize boundary bags and bind the EOC and IC hops, children
@@ -432,6 +439,6 @@ class SequentialCoordinator:
                     influenced.add(rank)
         for bag in self._dangling:
             self.dropped_events += len(bag)
-        for bag in self._boundary.values():
+        for bag in self._transit:
             bag.clear()
         return influenced

@@ -14,7 +14,6 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from itertools import groupby
 
-from .behaviors import Counters
 from .kernel import SequentialCoordinator, SimulationError, Simulator
 from .model import ModelGraph
 
@@ -84,10 +83,8 @@ class ParallelCoordinator(SequentialCoordinator):
     backend_name = "parallel"
 
     def __init__(self, graph: ModelGraph, plan: PoolPlan, *,
-                 trace: bool = False, profile: bool = False,
-                 counters: Counters | None = None) -> None:
-        super().__init__(graph, flatten_graph=True, trace=trace,
-                         profile=profile, counters=counters)
+                 trace: bool = False, profile: bool = False) -> None:
+        super().__init__(graph, flatten_graph=True, trace=trace, profile=profile)
         self.plan = plan
         members = plan.pool_members()
         assigned = set(plan.assignment)

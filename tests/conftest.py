@@ -8,7 +8,7 @@ import pytest
 from hypothesis import settings
 
 from pdevsim import (AtomicModel, ModelGraph, atomic_spec, register_behavior,
-                     serve_simulator)
+                     serve_simulators)
 from pdevsim.behaviors import _REGISTRY
 
 # Every run draws the same examples, and no example fails on its wall time.
@@ -142,15 +142,16 @@ def fan_out_model(senders=1, receivers=2, emit_at=0.0) -> ModelGraph:
 
 @contextlib.contextmanager
 def thread_services(plan, names=None):
-    """Run simulator services for a plan inside this process."""
-    services = []
+    """Run simulator services for a plan inside this process, one group
+    per atomic."""
+    groups = []
     try:
         for name in (names or plan.endpoints):
-            services.append(serve_simulator(plan, name))
-        yield services
+            groups.append(serve_simulators(plan, [name]))
+        yield groups
     finally:
-        for service in services:
-            service.stop()
+        for group in groups:
+            group.stop()
 
 
 @pytest.fixture

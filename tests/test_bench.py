@@ -13,7 +13,7 @@ from pdevsim.bench import (Allocation2Level, AtomicProfile, BenchError,
                            profiles_to_csv, read_report_rows,
                            run_distributed_local, run_parallel, run_plan,
                            run_sequential, speedup_rows, speedups_to_csv,
-                           two_level_groups, two_level_pool_plan)
+                           two_level_pool_plan)
 from pdevsim.devstone import DelayDistribution, DevstoneConfig, generate
 from pdevsim.planfile import (emit_distributed_plan_xml, emit_plan_xml,
                               parse_plan_xml)
@@ -85,9 +85,6 @@ def test_two_level_pool_plan_shape():
     plan = two_level_pool_plan(alloc)
     assert [(p.name, p.workers) for p in plan.pools] == [("L1", 3), ("L2", 5)]
     assert set(plan.assignment.values()) == {"L1", "L2"}
-    groups = two_level_groups(alloc)
-    assert {g for a, g in groups.items() if a in alloc.l1} <= {f"L1-{i}" for i in range(3)}
-    assert len({g for g in groups.values()}) <= 8
 
 
 def test_profile_csv_roundtrip():

@@ -135,7 +135,7 @@ def test_serve_hosts_every_repeated_atomic(tmp_path, capsys):
             write_frame(sock, WireFrame(EXIT))
             reply = read_frame(sock)
             assert reply.command == ACK and reply.sender == "processor"
-            assert [payload[0] for payload in reply.values] == ["generator", "processor"]
+            assert [name for name, _ in reply.values[-1]] == ["generator", "processor"]
     finally:
         server.join(timeout=10.0)
     assert not server.is_alive()

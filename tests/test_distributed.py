@@ -6,13 +6,14 @@ import socket
 import sys
 import threading
 import time
+from collections import Counter
 
 import pytest
 
 from pdevsim import (DistributedPlan, Endpoint, ModelGraph,
                      SequentialCoordinator, ServiceGroup, SimulationError,
                      Timeouts, atomic_spec, build_gpt, flatten,
-                     run_coordinator, serve_simulator, serve_simulators)
+                     run_coordinator, serve_simulators)
 from pdevsim import distributed
 from pdevsim.bench import local_plan
 from pdevsim.devstone import DevstoneConfig, generate
@@ -44,27 +45,57 @@ def test_service_reports_tn_infinite_before_any_event(gpt_graph):
             sock.close()
 
 
+def _peer_link(endpoint):
+    """Dial an aux port as a peer process would; the link and its greeting."""
+    link = socket.create_connection(endpoint.aux_addr(), timeout=5.0)
+    link.settimeout(10.0)
+    return link, read_frame(link)
+
+
 def test_leftover_propagate_batch_is_an_error(gpt_graph):
     plan = local_plan(gpt_graph)
     with thread_services(plan, names=["processor"]):
         sock = _dial(plan.endpoints["processor"])
-        peer = socket.create_connection(plan.endpoints["processor"].aux_addr(),
-                                        timeout=5.0)
+        peer, greeting = _peer_link(plan.endpoints["processor"])
         try:
+            assert greeting.command == ACK and greeting.values == ("processor",)
             write_frame(sock, WireFrame(INIT, values=(0,)))
             assert read_frame(sock).command == ACK
-            for value in ("job-1", "job-2"):  # two batches on one key, one cycle
-                write_frame(peer, WireFrame(PROPAGATE, sender="generator",
-                                            port="in", values=(value,)))
-                assert read_frame(peer).command == ACK
-            write_frame(sock, WireFrame(DELTFCN, time=0.0, values=("processor",)))
-            reply = read_frame(sock)
+            replies = []
+            for value in ("job-1", "job-2"):  # two batches on one coupling, one cycle
+                write_frame(peer, WireFrame(PROPAGATE, values=(
+                    ["generator", "out", "processor", "in", [value]],)))
+                replies.append(read_frame(peer))
+            assert replies[0].command == ACK and replies[0].values == ()
+            reply = replies[1]
             assert reply.command == ACK and reply.values[0] == "__error__"
             assert "'processor'" in reply.values[1]
             assert "'generator'" in reply.values[1] and "'in'" in reply.values[1]
         finally:
             peer.close()
             sock.close()
+
+
+@pytest.mark.parametrize("item", [
+    ["transducer", "out", "processor", "in", ["job"]],
+    ["generator", "out", "transducer", "arrived", ["job"]],
+], ids=["no-such-coupling", "not-entering"])
+def test_propagate_for_unknown_coupling_is_rejected(gpt_graph, item):
+    """A batch item for a coupling that does not enter the receiving
+    process is refused when it arrives, naming the coupling's ends."""
+    plan = local_plan(gpt_graph)
+    with thread_services(plan, names=["processor"]):
+        peer, _ = _peer_link(plan.endpoints["processor"])
+        try:
+            write_frame(peer, WireFrame(PROPAGATE, values=(item,)))
+            reply = read_frame(peer)
+        finally:
+            peer.close()
+    assert reply.command == ACK and reply.values[0] == "__error__"
+    sender, _, target, port, _ = item
+    for name in (sender, target, port):
+        assert repr(name) in reply.values[1]
+    assert "\n" not in reply.values[1]
 
 
 def test_commands_without_time_are_rejected(gpt_graph):
@@ -106,7 +137,7 @@ def test_badly_addressed_commands_are_rejected(gpt_graph, names, message):
 def test_serve_unknown_atomic_fails_at_startup(gpt_graph):
     plan = local_plan(gpt_graph)
     with pytest.raises(SimulationError, match="ghost"):
-        serve_simulator(plan, "ghost")
+        serve_simulators(plan, ["ghost"])
 
 
 def test_port_in_use_is_reported(gpt_graph):
@@ -117,14 +148,14 @@ def test_port_in_use_is_reported(gpt_graph):
     blocker.listen(1)
     try:
         with pytest.raises(SimulationError, match="cannot bind"):
-            serve_simulator(plan, "generator")
+            serve_simulators(plan, ["generator"])
     finally:
         blocker.close()
 
 
 def test_exit_shuts_the_service_down(gpt_graph):
     plan = local_plan(gpt_graph)
-    service = serve_simulator(plan, "generator")
+    group = serve_simulators(plan, ["generator"])
     sock = _dial(plan.endpoints["generator"])
     try:
         write_frame(sock, WireFrame(INIT, values=(0,)))
@@ -132,13 +163,14 @@ def test_exit_shuts_the_service_down(gpt_graph):
         write_frame(sock, WireFrame(EXIT))
         reply = read_frame(sock)
         assert reply.command == ACK
-        [payload] = reply.values  # one payload per hosted atomic
-        assert payload[0] == "generator"
-        assert payload[1] == 0  # counters: the generator counts nothing
+        # ints, exts, events, dropped, PROPAGATE frames; one trace per atomic
+        *totals, traces = reply.values
+        assert totals == [0, 0, 0, 0, 0]  # the generator counts nothing
+        assert traces == [["generator", []]]
     finally:
         sock.close()
-    service.join(timeout=5.0)
-    assert service._stop.is_set()
+    group.join(timeout=5.0)
+    assert group._stop.is_set()
     with pytest.raises(OSError):
         _dial(plan.endpoints["generator"])
 
@@ -153,13 +185,16 @@ def test_gpt_distributed_equals_sequential(gpt_graph):
     assert report.trace_text() == sequential.trace_text()
 
 
-def _addressed_command_counts(graph, group_of=None) -> tuple[int, int]:
+def _addressed_command_counts(graph, group_of=None) -> tuple[int, int, Counter]:
     """(LAMBDA, DELTFCN) frames the coordinator must send for ``graph``,
     from a sequential oracle: per cycle, the service processes hosting an
     imminent simulator, and those hosting an imminent simulator or one of
     its coupling targets. ``group_of`` maps an atomic to its process; by
     default every atomic has a process of its own, and LAMBDA must then
-    equal the oracle's int and con transitions."""
+    equal the oracle's int and con transitions. The third item counts the
+    PROPAGATE frames that services send each other: per (sender process,
+    receiver process) pair, the cycles with an imminent sender coupled
+    across that pair."""
     oracle = SequentialCoordinator(graph, trace=True).simulate()
     kinds = [entry.kind for trace in oracle.traces.values() for entry in trace]
     targets = {}
@@ -168,17 +203,20 @@ def _addressed_command_counts(graph, group_of=None) -> tuple[int, int]:
     group_of = group_of or {name: name for name in oracle.traces}
     stepper = SequentialCoordinator(graph)
     lambdas = deltfcns = 0
+    pushes = Counter()
     while not math.isinf(t := stepper.time_advance()):
         stepper.clock.t = t
         imminent = {name for name, sim in stepper.simulators.items() if sim.tN == t}
         active = imminent.union(*(targets.get(n, ()) for n in imminent))
         lambdas += len({group_of[name] for name in imminent})
         deltfcns += len({group_of[name] for name in active})
+        pushes.update({(group_of[src], group_of[dst]) for src in imminent
+                       for dst in targets.get(src, ()) if group_of[src] != group_of[dst]})
         stepper.run_lambda()
         stepper.run_deltfcn()
     if len(set(group_of.values())) == len(group_of):
         assert lambdas == kinds.count("int") + kinds.count("con")
-    return lambdas, deltfcns
+    return lambdas, deltfcns, pushes
 
 
 def test_coordinator_relays_no_propagate_frames(gpt_graph):
@@ -188,7 +226,7 @@ def test_coordinator_relays_no_propagate_frames(gpt_graph):
     sent = report.diagnostics["frames_sent"]
     assert sent.get("PROPAGATE", 0) == 0
     assert report.diagnostics["frames_received"].get("PROPAGATE", 0) == 0
-    lambdas, deltfcns = _addressed_command_counts(build_gpt())
+    lambdas, deltfcns, _ = _addressed_command_counts(build_gpt())
     assert sent == {"INIT": 3, "LAMBDA": lambdas, "DELTFCN": deltfcns, "EXIT": 3}
 
 
@@ -201,17 +239,20 @@ def test_ho_distributed_counters_and_traces():
     assert report.counter_triple() == sequential.counter_triple()
     assert report.trace_text() == sequential.trace_text()
     assert report.diagnostics["dropped_events"] == sequential.diagnostics["dropped_events"]
-    lambdas, deltfcns = _addressed_command_counts(generate(DevstoneConfig("HO", 4, 3)))
+    lambdas, deltfcns, pushes = _addressed_command_counts(
+        generate(DevstoneConfig("HO", 4, 3)))
     atomics = len(plan.endpoints)
     assert report.diagnostics["frames_sent"] == {
         "INIT": atomics, "LAMBDA": lambdas, "DELTFCN": deltfcns, "EXIT": atomics}
+    assert report.diagnostics["peer_frames"] == sum(pushes.values())
 
 
-@pytest.mark.parametrize("groups", [1, 2])
-def test_cohosted_groups_push_in_memory(groups, monkeypatch):
-    """Services co-hosted in one group reproduce the sequential trace, and
-    only pushes between different groups dial an aux port."""
-    plan = local_plan(generate(DevstoneConfig("HO", 4, 3)))
+def _run_blocks(config, groups, monkeypatch):
+    """Run ``config`` on ``groups`` co-hosted groups of contiguous atomics,
+    check it against the sequential trace, and return the report, each
+    atomic's group and the (pushing group, dialled group) of every aux-port
+    dial."""
+    plan = local_plan(generate(config))
     names = list(plan.endpoints)
     blocks = [names[len(names) * i // groups:len(names) * (i + 1) // groups]
               for i in range(groups)]
@@ -221,12 +262,11 @@ def test_cohosted_groups_push_in_memory(groups, monkeypatch):
     dial = socket.create_connection
 
     def recording_dial(address, *args, **kwargs):
-        # A push runs on the main thread of the member that the coordinator
-        # dialled or on one of its group's helper threads, both named
-        # svc-<member of the pusher's group>-<role>.
+        # A push runs on the thread serving the coordinator's connection,
+        # named svc-<atomic whose main port accepted it>-main-conn.
         if address in aux_owner:
-            pusher = threading.current_thread().name.removeprefix("svc-")
-            dials.append((pusher.rpartition("-")[0], aux_owner[address]))
+            pusher = threading.current_thread().name.removeprefix("svc-").split("-")[0]
+            dials.append((group_of[pusher], group_of[aux_owner[address]]))
         return dial(address, *args, **kwargs)
 
     monkeypatch.setattr(socket, "create_connection", recording_dial)
@@ -238,17 +278,37 @@ def test_cohosted_groups_push_in_memory(groups, monkeypatch):
     finally:
         for group in started:
             group.stop()
-    sequential = SequentialCoordinator(
-        generate(DevstoneConfig("HO", 4, 3)), trace=True).simulate()
+    sequential = SequentialCoordinator(generate(config), trace=True).simulate()
     assert report.trace_text() == sequential.trace_text()
     assert report.counter_triple() == sequential.counter_triple()
-    assert all(group_of[src] != group_of[dst] for src, dst in dials), dials
+    return report, group_of, dials
+
+
+@pytest.mark.parametrize("groups", [1, 2])
+def test_cohosted_groups_push_in_memory(groups, monkeypatch):
+    """Services co-hosted in one group reproduce the sequential trace. Only
+    pushes between different groups dial an aux port, exactly once per
+    ordered pair of groups that exchanges values, and such a pair gets one
+    PROPAGATE frame per cycle."""
+    config = DevstoneConfig("HO", 4, 3)
+    report, group_of, dials = _run_blocks(config, groups, monkeypatch)
+    lambdas, deltfcns, pushes = _addressed_command_counts(generate(config), group_of)
+    assert sorted(dials) == sorted(pushes), dials
     assert bool(dials) == (groups > 1)  # cross-group pushes still use TCP
+    assert report.diagnostics["peer_frames"] == sum(pushes.values())
     # One frame per group and phase: INIT and EXIT reach every group once.
-    lambdas, deltfcns = _addressed_command_counts(
-        generate(DevstoneConfig("HO", 4, 3)), group_of)
     assert report.diagnostics["frames_sent"] == {
         "INIT": groups, "LAMBDA": lambdas, "DELTFCN": deltfcns, "EXIT": groups}
+
+
+def test_two_blocks_of_ho55_send_four_peer_frames(monkeypatch):
+    """HO(5,5) in two contiguous blocks, as distributed-local runs it on two
+    CPUs: 12 cross-block pushes per run, batched into 4 PROPAGATE frames."""
+    config = DevstoneConfig("HO", 5, 5)
+    report, group_of, dials = _run_blocks(config, 2, monkeypatch)
+    _, _, pushes = _addressed_command_counts(generate(config), group_of)
+    assert sum(pushes.values()) == report.diagnostics["peer_frames"] == 4
+    assert sorted(dials) == sorted(pushes) == [(0, 1)]  # HO feeds forward only
 
 
 def test_multi_sender_fan_in_matches_sequential_order():
@@ -298,7 +358,7 @@ def test_group_checks_the_plan_once(monkeypatch):
     monkeypatch.setattr(DistributedPlan, "check", counting_check)
     group = ServiceGroup(plan, plan.endpoints)
     assert len(calls) == 1
-    assert list(group.services) == list(plan.endpoints)
+    assert group.names == list(plan.endpoints)
 
 
 def test_batched_command_failure_names_the_failing_atomic():
