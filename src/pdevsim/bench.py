@@ -208,15 +208,21 @@ def local_plan(graph: ModelGraph, host: str = "127.0.0.1") -> DistributedPlan:
     return DistributedPlan(flat, endpoints, Endpoint(host, ports[-1]))
 
 
-def _serve(argv: list[str], stdout_fd: int, stderr_path: Path) -> None:
-    """Body of a forked service process: ``pdevsim serve`` with stdout on
-    the launcher's pipe and stderr in ``stderr_path``.
+def _serve(argv: list[str], stdout_fd: int, stderr_path: Path,
+           share: list[int]) -> None:
+    """Body of a forked service process: ``pdevsim serve`` on the CPUs in
+    ``share`` (all the launcher's if empty), with stdout on the launcher's
+    pipe and stderr in ``stderr_path``.
 
-    Fresh ``sys.stdout``/``sys.stderr`` objects are put on fds 1 and 2, so
-    nothing the launcher left unflushed in its own stream objects can reach
-    the pipe, and no lock a launcher thread held on them at the fork is
-    taken; multiprocessing flushes the new ones before the process ends.
+    The process sizes its engine by the CPUs it may run on, so a share of
+    one CPU runs its block sequentially. Fresh ``sys.stdout``/``sys.stderr``
+    objects are put on fds 1 and 2, so nothing the launcher left unflushed
+    in its own stream objects can reach the pipe, and no lock a launcher
+    thread held on them at the fork is taken; multiprocessing flushes the
+    new ones before the process ends.
     """
+    if share:
+        os.sched_setaffinity(0, share)
     os.dup2(stdout_fd, 1)
     os.close(stdout_fd)
     with open(stderr_path, "wb") as stderr:
@@ -226,17 +232,17 @@ def _serve(argv: list[str], stdout_fd: int, stderr_path: Path) -> None:
     sys.exit(cli.main(argv))
 
 
-def _start_service(plan_path: Path, members: list[str],
-                   stderr_path: Path) -> tuple[BaseProcess, BinaryIO]:
-    """Fork one process that serves ``members``; returns it with the read
-    end of its stdout pipe."""
+def _start_service(plan_path: Path, members: list[str], stderr_path: Path,
+                   share: list[int]) -> tuple[BaseProcess, BinaryIO]:
+    """Fork one process that serves ``members`` on the CPUs in ``share``;
+    returns it with the read end of its stdout pipe."""
     argv = ["serve", "--plan", str(plan_path)]
     for name in members:
         argv += ["--atomic", name]
     read_fd, write_fd = os.pipe()
     stdout = open(read_fd, "rb")
     process = multiprocessing.get_context("fork").Process(
-        target=_serve, args=(argv, write_fd, stderr_path))
+        target=_serve, args=(argv, write_fd, stderr_path, share))
     try:
         process.start()
     except BaseException:
@@ -282,11 +288,16 @@ def run_distributed_local(plan_or_graph, *, iterations: int | None = None,
 
     Each process hosts a contiguous block of the plan's atomics, which
     keeps coupled neighbours in one process, where their pushes stay in
-    memory. A process is forked from this one, which has pdevsim imported
-    already, and runs ``pdevsim serve`` on the plan written as XML: the
-    same code path as a pod, without an interpreter start-up. Every process
-    is forked before the coordinator opens a socket or starts a thread.
-    POSIX only.
+    memory. Process ``i`` of ``count`` may run only on its slice of the
+    launcher's allowed CPUs, ``allowed[len * i // count:len * (i + 1) //
+    count]``, and sizes its engine to that share: with one CPU each, every
+    process runs its block sequentially instead of oversubscribing the
+    host with one pool per process.
+
+    A process is forked from this one, which has pdevsim imported already,
+    and runs ``pdevsim serve`` on the plan written as XML: the same code
+    path as a pod, without an interpreter start-up. Every process is forked
+    before the coordinator opens a socket or starts a thread. POSIX only.
     """
     if isinstance(plan_or_graph, DistributedPlan):
         plan = plan_or_graph
@@ -297,14 +308,17 @@ def run_distributed_local(plan_or_graph, *, iterations: int | None = None,
     count = min(default_workers(), len(names))
     blocks = [names[len(names) * i // count:len(names) * (i + 1) // count]
               for i in range(count)]
+    allowed = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    shares = [allowed[len(allowed) * i // count:len(allowed) * (i + 1) // count]
+              for i in range(count)]
     services: list[tuple[BaseProcess, BinaryIO]] = []
     with tempfile.TemporaryDirectory(prefix="pdevsim-") as tmp:
         plan_path = Path(tmp) / "plan.xml"
         plan_path.write_text(emit_distributed_plan_xml(plan), encoding="utf-8")
         stderr_paths = [Path(tmp) / f"serve-{i}.stderr" for i in range(count)]
         try:
-            for members, stderr_path in zip(blocks, stderr_paths):
-                services.append(_start_service(plan_path, members, stderr_path))
+            for members, stderr_path, share in zip(blocks, stderr_paths, shares):
+                services.append(_start_service(plan_path, members, stderr_path, share))
             deadline = time.monotonic() + startup_timeout
             for (process, stdout), members, stderr_path in zip(services, blocks,
                                                                stderr_paths):

@@ -3,9 +3,9 @@
 A service process hosts a block of the plan's atomic models
 (:func:`serve_simulators`) and runs the kernel's cycle engine over it: a
 :class:`SequentialCoordinator`, or a :class:`ParallelCoordinator` with one
-pool of up to one worker per CPU. Every hosted atomic listens on two TCP
-ports: the main port takes the coordinator's protocol commands, the
-auxiliary port takes links from peer processes.
+pool of up to one worker per CPU that the process may run on. Every hosted
+atomic listens on two TCP ports: the main port takes the coordinator's
+protocol commands, the auxiliary port takes links from peer processes.
 
 The root coordinator dials, in plan order, the first atomic that no earlier
 connection covers and sends it INIT. The ACK lists every atomic that the
@@ -16,13 +16,18 @@ carrying the cycle time and naming the atomics they address:
 
 - LAMBDA, to the imminent atomics. The process runs their output functions,
   copies every coupling that leaves its block into one batch per peer
-  process, and sends each peer one PROPAGATE frame, acknowledged once.
-- DELTFCN, to the imminent atomics and their coupling targets. The process
-  fills its input bags along every coupling that enters the block, in plan
-  coupling order: in-block couplings read the hosted output bags,
-  cross-process ones the batches that peers sent. This keeps bags
-  byte-identical to the sequential backend. It then runs the transitions
-  and answers with ``[atomic, tN]`` for each addressed atomic.
+  process, and sends each peer one PROPAGATE frame, which is not
+  acknowledged.
+- DELTFCN, to the imminent atomics and their coupling targets, as
+  ``[atomics, senders]``: the senders are the imminent atomics of other
+  processes coupled into the block. The process waits until every coupling
+  from them into the block has filed its batch, then fills its input bags
+  along every coupling that enters the block, in plan coupling order:
+  in-block couplings read the hosted output bags, cross-process ones the
+  batches that peers sent. This keeps bags byte-identical to the
+  sequential backend. It then runs the transitions and answers with
+  ``[atomic, tN]`` for each addressed atomic, or with the first error that
+  a peer's batch raised when it arrived.
 
 The coordinator writes a phase's frame to every process before it reads
 any reply, and never relays event values.
@@ -30,7 +35,8 @@ any reply, and never relays event values.
 A process opens the link to a peer process the first time it pushes to one
 of the peer's atomics, by dialling that atomic's aux port. The peer greets
 the link with the atomics it hosts, so later pushes to any of them share
-the link: one link per ordered pair of processes.
+the link: one link per ordered pair of processes. The greeting is the only
+frame the link carries back.
 """
 
 from __future__ import annotations
@@ -167,6 +173,8 @@ class ServiceGroup:
         # shipped at LAMBDA as [sender, port, target, target port, values].
         routes = []
         self._inbound: dict[tuple[str, str, str, str], list] = {}
+        # The inbound couplings of each sender in another process.
+        self._feeds: dict[str, list[tuple[str, str, str, str]]] = {}
         self._outbound: dict[str, list[tuple[list, str, list[str]]]] = {
             name: [] for name in self.names}
         for coupling in plan.graph.couplings:
@@ -179,14 +187,19 @@ class ServiceGroup:
                     continue
             elif dst.component in sims:
                 bag = self._inbound[key] = []
+                self._feeds.setdefault(src.component, []).append(key)
             else:
                 continue
             routes.append((bag, sims[dst.component].model.input_bags[dst.port],
                            self.engine._ranks[dst.component]))
         self.engine._bind_routes(routes, self._inbound.values(), shipped=[
             bag for leaving in self._outbound.values() for bag, _, _ in leaving])
-        # The first item filed per inbound coupling since the last DELTFCN.
-        self._received: dict[tuple[str, str, str, str], list] = {}
+        # Inbound couplings that filed a batch since the last DELTFCN, and
+        # the intake errors the next DELTFCN reports. Peer links file under
+        # the condition's lock, and DELTFCN waits on it.
+        self._received: set[tuple[str, str, str, str]] = set()
+        self._intake_errors: list[str] = []
+        self._filed = threading.Condition()
         self._initialized = False
         self.peer_frames = 0
         # Outgoing links by the peer atomics they reach.
@@ -198,7 +211,6 @@ class ServiceGroup:
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> "ServiceGroup":
-        greeting = tuple(self.names)
         for name in self.names:
             endpoint = self.plan.endpoints[name]
             try:
@@ -209,9 +221,8 @@ class ServiceGroup:
                 raise SimulationError(
                     f"cannot bind {name!r} on {endpoint.host} "
                     f"ports {endpoint.main_port}/{endpoint.aux_port}: {exc}") from exc
-            self._spawn(f"svc-{name}-main", self._accept, main, name, self._dispatch, ())
-            self._spawn(f"svc-{name}-aux", self._accept, aux, name, self._take_batch,
-                        greeting)
+            self._spawn(f"svc-{name}-main", self._accept, main, name, self._serve_commands)
+            self._spawn(f"svc-{name}-aux", self._accept, aux, name, self._serve_peer)
         return self
 
     def _listen(self, host: str, port: int) -> socket.socket:
@@ -244,9 +255,9 @@ class ServiceGroup:
 
     # -- connections --------------------------------------------------------------
 
-    def _accept(self, listener: socket.socket, name: str, handle,
-                greeting: tuple) -> None:
-        """Serve each connection ``listener`` accepts on a thread of its own."""
+    def _accept(self, listener: socket.socket, name: str, serve) -> None:
+        """Run ``serve(conn, name)`` for each connection ``listener``
+        accepts, on a thread of its own."""
         while not self._stop.is_set():
             try:
                 conn, _ = listener.accept()
@@ -256,21 +267,17 @@ class ServiceGroup:
                 return  # stopped
             _configure(conn, None)
             self._sockets.append(conn)
-            self._spawn(f"{threading.current_thread().name}-conn", self._serve,
-                        conn, name, handle, greeting)
+            self._spawn(f"{threading.current_thread().name}-conn", serve, conn, name)
 
-    def _serve(self, conn: socket.socket, name: str, handle,
-               greeting: tuple) -> None:
-        """Send ``greeting``, if any, then answer each frame with one ACK
-        carrying what ``handle(frame, name)`` returns, or the error it
-        raised, until the other end hangs up or an EXIT succeeds."""
+    def _serve_commands(self, conn: socket.socket, name: str) -> None:
+        """Answer each coordinator command with one ACK carrying its result,
+        or the error it raised, until the coordinator hangs up or an EXIT
+        succeeds."""
         with conn:
             try:
-                if greeting:
-                    write_frame(conn, WireFrame(ACK, sender=name, values=greeting))
                 while (frame := read_frame(conn)) is not None:
                     try:
-                        values = handle(frame, name)
+                        values = self._dispatch(frame, name)
                     except SimulationError as exc:
                         write_frame(conn, WireFrame(ACK, sender=name,
                                                     values=(_ERROR_MARK, str(exc))))
@@ -308,8 +315,15 @@ class ServiceGroup:
             raise SimulationError(f"unexpected command {command} on main connection")
         if frame.time is None:
             raise SimulationError(f"{command} frame without time")
+        atomics, senders = frame.values, []
+        if command == DELTFCN:
+            if not (len(frame.values) == 2
+                    and all(isinstance(part, list) for part in frame.values)):
+                raise SimulationError(f"{command} values must be [atomics, senders], "
+                                      f"got {list(frame.values)!r:.80}")
+            atomics, senders = frame.values
         addressed = []
-        for atomic in frame.values:
+        for atomic in atomics:
             sim = sims.get(atomic) if isinstance(atomic, str) else None
             if sim is None:
                 raise SimulationError(
@@ -318,14 +332,13 @@ class ServiceGroup:
             addressed.append(sim)
         if len(set(addressed)) != len(addressed):
             raise SimulationError(f"{command} addresses an atomic twice: "
-                                  f"{list(frame.values)}")
+                                  f"{list(atomics)}")
         t = frame.time
         if command == LAMBDA:
             engine._run_phase(Simulator.run_lambda, addressed, t)
             self._ship([sim for sim in addressed if sim.tN == t])
             return ()
-        engine._propagate()
-        self._received.clear()
+        self._take_inputs(senders, name)
         engine._run_phase(Simulator.run_delta, addressed, t)
         return tuple([sim.name, encode_time(sim.tN)] for sim in addressed)
 
@@ -333,25 +346,19 @@ class ServiceGroup:
 
     def _ship(self, imminent: list[Simulator]) -> None:
         """Send each peer process one PROPAGATE frame holding every coupling
-        from ``imminent`` into that process, then wait for every ACK."""
+        from ``imminent`` into that process. Nothing is read back: the peer
+        waits for the frame at DELTFCN and reports intake errors there."""
         batches: dict[socket.socket, tuple[str, list]] = {}
         for sim in imminent:
             for bag, target, head in self._outbound[sim.name]:
                 batch = batches.setdefault(self._link(target), (target, []))
                 batch[1].append([*head, list(bag)])
-        target = None
-        try:
-            for link, (target, items) in batches.items():
+        for link, (target, items) in batches.items():
+            try:
                 write_frame(link, WireFrame(PROPAGATE, values=tuple(items)))
-            for link, (target, _) in batches.items():
-                reply = read_frame(link)
-                if reply is None or reply.command != ACK:
-                    raise ProtocolError("no acknowledgement")
-                if reply.values[:1] == (_ERROR_MARK,):
-                    raise SimulationError(reply.values[1])
-        except (OSError, ProtocolError) as exc:
-            raise SimulationError(
-                f"propagation to the process of {target!r} failed: {exc}") from exc
+            except (OSError, ProtocolError) as exc:
+                raise SimulationError(
+                    f"propagation to the process of {target!r} failed: {exc}") from exc
         self.peer_frames += len(batches)
 
     def _link(self, target: str) -> socket.socket:
@@ -376,31 +383,87 @@ class ServiceGroup:
         self._links.update(dict.fromkeys(hosted, link))
         return link
 
-    def _take_batch(self, frame: WireFrame, name: str) -> tuple:
+    def _serve_peer(self, conn: socket.socket, name: str) -> None:
+        """Greet a peer process's link with the hosted atomics, then file
+        every batch it sends, unanswered, until the peer hangs up."""
+        with conn:
+            try:
+                write_frame(conn, WireFrame(ACK, sender=name, values=tuple(self.names)))
+                while (frame := read_frame(conn)) is not None:
+                    self._take_batch(frame, name)
+            except ProtocolError as exc:
+                with self._filed:
+                    self._intake_errors.append(f"bad frame on the aux port of {name!r}: {exc}")
+                    self._filed.notify_all()
+            except OSError:
+                pass
+
+    def _take_batch(self, frame: WireFrame, name: str) -> None:
         """Put a peer's PROPAGATE batch in the inbound buckets, which the
-        next DELTFCN empties; each coupling that enters the block may send
-        one batch per cycle."""
-        if frame.command != PROPAGATE:
-            raise SimulationError(f"unexpected {frame.command} on aux port of {name!r}")
-        for item in frame.values:
-            if not (isinstance(item, list) and len(item) == 5 and isinstance(item[4], list)
-                    and all(isinstance(field, str) for field in item[:4])):
-                raise SimulationError(f"malformed PROPAGATE item at {name!r}: {item!r:.80}")
-            sender, port, target, target_port, values = item
-            key = (sender, port, target, target_port)
-            bucket = self._inbound.get(key)
-            if bucket is None:
-                raise SimulationError(
-                    f"PROPAGATE from {sender!r} port {port!r} to {target!r} port "
-                    f"{target_port!r}: no such coupling enters the process of {name!r}")
-            # setdefault is one step under the GIL, so two links cannot both
-            # file a first batch for one coupling.
-            if self._received.setdefault(key, item) is not item:
-                raise SimulationError(
-                    f"PROPAGATE from {sender!r} port {port!r} to {target!r} port "
-                    f"{target_port!r}: a second batch in one cycle")
-            bucket.extend(values)
-        return ()
+        next DELTFCN empties, and wake a DELTFCN that waits for it. Each
+        coupling that enters the block may send one batch per cycle; an
+        error is kept for the next DELTFCN to report."""
+        with self._filed:
+            try:
+                if frame.command != PROPAGATE:
+                    raise SimulationError(
+                        f"unexpected {frame.command} on aux port of {name!r}")
+                for item in frame.values:
+                    if not (isinstance(item, list) and len(item) == 5
+                            and isinstance(item[4], list)
+                            and all(isinstance(field, str) for field in item[:4])):
+                        raise SimulationError(
+                            f"malformed PROPAGATE item at {name!r}: {item!r:.80}")
+                    sender, port, target, target_port, values = item
+                    key = (sender, port, target, target_port)
+                    bucket = self._inbound.get(key)
+                    if bucket is None:
+                        raise SimulationError(
+                            f"PROPAGATE from {sender!r} port {port!r} to {target!r} port "
+                            f"{target_port!r}: no such coupling enters the process of "
+                            f"{name!r}")
+                    if key in self._received:
+                        raise SimulationError(
+                            f"PROPAGATE from {sender!r} port {port!r} to {target!r} port "
+                            f"{target_port!r}: a second batch in one cycle")
+                    self._received.add(key)
+                    bucket.extend(values)
+            except SimulationError as exc:
+                self._intake_errors.append(str(exc))
+            self._filed.notify_all()
+
+    def _take_inputs(self, senders: list, name: str) -> None:
+        """Wait until every coupling from ``senders`` into the block has filed
+        its batch, then fill the input bags along every route. Raises the
+        first intake error, or names a coupling whose batch did not arrive
+        within the read timeout."""
+        expected = []
+        for sender in senders:
+            keys = self._feeds.get(sender) if isinstance(sender, str) else None
+            if keys is None:
+                raise SimulationError(f"{DELTFCN} names sender {sender!r}, which has no "
+                                      f"coupling into the process of {name!r}")
+            expected.extend(keys)
+        with self._filed:
+            arrived = self._filed.wait_for(
+                lambda: self._intake_errors or self._received.issuperset(expected),
+                timeout=self.timeouts.read)
+            if self._intake_errors:
+                error = self._intake_errors[0]
+                self._intake_errors.clear()
+                raise SimulationError(error)
+            if not arrived:
+                key = next(key for key in expected if key not in self._received)
+                problem = f"no batch within {self.timeouts.read:g} s"
+            else:  # a peer that sent what no DELTFCN expects is out of step
+                key = min(self._received.difference(expected), default=None)
+                problem = "a batch that this DELTFCN does not name"
+            if key is not None:
+                sender, port, target, target_port = key
+                raise SimulationError(f"PROPAGATE from {sender!r} port {port!r} to "
+                                      f"{target!r} port {target_port!r}: {problem}")
+            self.engine._propagate()
+            self._received.clear()
 
 
 def serve_simulators(plan: DistributedPlan, names) -> ServiceGroup:
@@ -426,6 +489,9 @@ class DistributedCoordinator:
         # Coupling targets of each atomic: the services that may receive its
         # output and so need a DELTFCN when it is imminent.
         self._targets: dict[str, set[str]] = {name: set() for name in self.names}
+        # The other processes each atomic's output enters, keyed like _conns;
+        # known once every process has answered INIT.
+        self._feeds: dict[str, set[str]] = {}
         for coupling in plan.graph.couplings:
             self._targets[coupling.src.component].add(coupling.dst.component)
         self.frames_sent: dict[str, int] = {}
@@ -462,6 +528,8 @@ class DistributedCoordinator:
                     "process hosts")
             self._via.update(dict.fromkeys(hosted, name))
             tn.update(hosted)
+        self._feeds = {name: {self._via[dst] for dst in targets} - {self._via[name]}
+                       for name, targets in self._targets.items()}
         return tn
 
     def _write(self, name: str, frame: WireFrame) -> None:
@@ -507,15 +575,20 @@ class DistributedCoordinator:
             replies[name] = reply
         return replies
 
-    def _command(self, command: str, t: float, names: list[str]) -> dict[str, float]:
+    def _command(self, command: str, t: float, names: list[str],
+                 imminent: list[str] = ()) -> dict[str, float]:
         """Send ``command`` at ``t`` to the processes hosting ``names``, one
         frame per process naming its atomics in the order given; for
-        DELTFCN, the new tN of each."""
+        DELTFCN, the new tN of each. A DELTFCN frame holds ``[atomics,
+        senders]``: the senders are the ``imminent`` atomics of other
+        processes whose output enters the process, so it knows whose
+        PROPAGATE batches to wait for."""
         batches: dict[str, list[str]] = {}
         for name in names:
             batches.setdefault(self._via[name], []).append(name)
-        replies = self._send({via: WireFrame(command, time=t, values=tuple(batch))
-                              for via, batch in batches.items()})
+        replies = self._send({via: WireFrame(command, time=t, values=(
+            (batch, [sender for sender in imminent if via in self._feeds[sender]])
+            if command == DELTFCN else tuple(batch))) for via, batch in batches.items()})
         tn: dict[str, float] = {}
         if command == DELTFCN:
             for via, reply in replies.items():
@@ -567,7 +640,7 @@ class DistributedCoordinator:
                 for name in imminent:
                     active.update(self._targets[name])
                 tn.update(self._command(
-                    DELTFCN, t, sorted(active, key=self._ranks.__getitem__)))
+                    DELTFCN, t, sorted(active, key=self._ranks.__getitem__), imminent))
                 cycles += 1
             exits = self._send({name: WireFrame(EXIT) for name in self._conns})
         finally:

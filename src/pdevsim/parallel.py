@@ -31,6 +31,10 @@ class PoolSpec:
 
 
 def default_workers() -> int:
+    """The number of CPUs this process may run on: its affinity mask where
+    the platform has one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
     return os.cpu_count() or 1
 
 

@@ -39,10 +39,13 @@ class ProtocolError(Exception):
 class WireFrame:
     """One protocol message.
 
-    ``port`` is the destination port of a PROPAGATE; ``values`` carries the
-    propagated events (and reply payloads); ``time`` is the virtual time of
-    LAMBDA and DELTFCN frames, and the service's next-event time in the
-    ACK of INIT and DELTFCN.
+    ``values`` carries the payload: the atomics a LAMBDA addresses,
+    ``[atomics, senders]`` for a DELTFCN, ``[sender, port, target, target
+    port, values]`` items for a PROPAGATE, and the replies, such as the
+    ``[atomic, tN]`` pairs of an INIT or DELTFCN ACK. ``time`` is the
+    virtual time of LAMBDA and DELTFCN frames. ``sender`` names the atomic
+    whose connection an ACK comes from; ``port`` is part of the frame
+    format, but no command uses it.
     """
 
     command: str

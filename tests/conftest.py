@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import os
 
 import pytest
 from hypothesis import settings
@@ -114,10 +115,30 @@ class Rendezvous(AtomicModel):
         pass
 
 
+class Affinity(AtomicModel):
+    """Emits, at time 0, the sorted CPUs its process may run on."""
+
+    INPUT_PORTS = ()
+    OUTPUT_PORTS = ("out",)
+
+    def initialize(self):
+        self.hold_in("armed", 0.0)
+
+    def output(self):
+        self.emit("out", sorted(os.sched_getaffinity(0)))
+
+    def delta_int(self):
+        self.passivate()
+
+    def delta_ext(self, e):
+        pass
+
+
 _register("emit_once", EmitOnce)
 _register("collector", Collector)
 _register("busy_ext", BusyExt)
 _register("raise_ext", RaiseExt)
+_register("affinity", Affinity)
 Rendezvous = _register("rendezvous", Rendezvous)
 
 

@@ -140,6 +140,30 @@ def test_distributed_local_harness_roundtrip():
     assert report.trace_text() == sequential.trace_text()
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs CPU affinity")
+def test_distributed_local_gives_each_process_its_own_cpus():
+    """Process i runs on slice i of the launcher's CPUs; the trace shows
+    the CPUs that each atomic's process may run on."""
+    from pdevsim import ModelGraph, atomic_spec
+    graph = ModelGraph("toy")
+    names = [f"a{i}" for i in range(5)]
+    for name in names:
+        graph.add_component(atomic_spec(name, "affinity"))
+    report = run_distributed_local(graph, trace=True)
+    allowed = sorted(os.sched_getaffinity(0))
+    count = min(len(allowed), len(names))
+    shares = []
+    for i in range(count):
+        block = names[len(names) * i // count:len(names) * (i + 1) // count]
+        seen = {tuple(values[0]) for name in block
+                for _, values in report.traces[name][0].outputs}
+        assert len(seen) == 1, seen  # one process, one share
+        shares.append(list(seen.pop()))
+    assert shares == [allowed[len(allowed) * i // count:len(allowed) * (i + 1) // count]
+                      for i in range(count)]
+    assert sorted(cpu for share in shares for cpu in share) == allowed  # disjoint
+
+
 def _fail_to_bind(plan, victim):
     """run_distributed_local on ``plan`` while another socket holds the
     victim's main port; returns the error and the seconds it took."""

@@ -2,6 +2,8 @@
 sequential reference, using in-process services on loopback."""
 
 import math
+import os
+import select
 import socket
 import sys
 import threading
@@ -10,7 +12,7 @@ from collections import Counter
 
 import pytest
 
-from pdevsim import (DistributedPlan, Endpoint, ModelGraph,
+from pdevsim import (DistributedPlan, Endpoint, ModelGraph, ParallelCoordinator,
                      SequentialCoordinator, ServiceGroup, SimulationError,
                      Timeouts, atomic_spec, build_gpt, flatten,
                      run_coordinator, serve_simulators)
@@ -52,22 +54,29 @@ def _peer_link(endpoint):
     return link, read_frame(link)
 
 
+def _deltfcn(sock, atomics, senders):
+    """Send a DELTFCN at time 0 and return its reply."""
+    write_frame(sock, WireFrame(DELTFCN, time=0.0, values=(list(atomics), list(senders))))
+    return read_frame(sock)
+
+
 def test_leftover_propagate_batch_is_an_error(gpt_graph):
     plan = local_plan(gpt_graph)
-    with thread_services(plan, names=["processor"]):
+    with thread_services(plan, names=["processor"]) as (group,):
         sock = _dial(plan.endpoints["processor"])
         peer, greeting = _peer_link(plan.endpoints["processor"])
         try:
             assert greeting.command == ACK and greeting.values == ("processor",)
             write_frame(sock, WireFrame(INIT, values=(0,)))
             assert read_frame(sock).command == ACK
-            replies = []
             for value in ("job-1", "job-2"):  # two batches on one coupling, one cycle
                 write_frame(peer, WireFrame(PROPAGATE, values=(
                     ["generator", "out", "processor", "in", [value]],)))
-                replies.append(read_frame(peer))
-            assert replies[0].command == ACK and replies[0].values == ()
-            reply = replies[1]
+            # Pushes get no reply; let the link file both before DELTFCN reads them.
+            with group._filed:
+                assert group._filed.wait_for(lambda: group._intake_errors, timeout=10.0)
+            reply = _deltfcn(sock, ["processor"], ["generator"])
+            assert not select.select([peer], [], [], 0)[0]  # the peer link stays silent
             assert reply.command == ACK and reply.values[0] == "__error__"
             assert "'processor'" in reply.values[1]
             assert "'generator'" in reply.values[1] and "'in'" in reply.values[1]
@@ -82,20 +91,53 @@ def test_leftover_propagate_batch_is_an_error(gpt_graph):
 ], ids=["no-such-coupling", "not-entering"])
 def test_propagate_for_unknown_coupling_is_rejected(gpt_graph, item):
     """A batch item for a coupling that does not enter the receiving
-    process is refused when it arrives, naming the coupling's ends."""
+    process is refused, naming the coupling's ends, by the next DELTFCN."""
     plan = local_plan(gpt_graph)
     with thread_services(plan, names=["processor"]):
+        sock = _dial(plan.endpoints["processor"])
         peer, _ = _peer_link(plan.endpoints["processor"])
         try:
+            write_frame(sock, WireFrame(INIT, values=(0,)))
+            assert read_frame(sock).command == ACK
             write_frame(peer, WireFrame(PROPAGATE, values=(item,)))
-            reply = read_frame(peer)
+            # The generator's own batch never comes: only the error ends the wait.
+            reply = _deltfcn(sock, ["processor"], ["generator"])
         finally:
             peer.close()
+            sock.close()
     assert reply.command == ACK and reply.values[0] == "__error__"
     sender, _, target, port, _ = item
     for name in (sender, target, port):
         assert repr(name) in reply.values[1]
     assert "\n" not in reply.values[1]
+
+
+@pytest.mark.parametrize("payload, message", [
+    (WireFrame(PROPAGATE, values=(["generator", "out", "processor"],)),
+     "malformed PROPAGATE item"),
+    (WireFrame(EXIT), "unexpected EXIT"),
+    (b"\x00\x00\x00\x02{]", "bad frame"),
+], ids=["short-item", "not-propagate", "not-json"])
+def test_bad_peer_input_is_reported_at_deltfcn(gpt_graph, payload, message):
+    """Whatever a peer link brings that cannot be filed comes back, in one
+    line naming the receiving atomic, in the reply to the next DELTFCN."""
+    plan = local_plan(gpt_graph)
+    with thread_services(plan, names=["processor"]):
+        sock = _dial(plan.endpoints["processor"])
+        peer, _ = _peer_link(plan.endpoints["processor"])
+        try:
+            write_frame(sock, WireFrame(INIT, values=(0,)))
+            assert read_frame(sock).command == ACK
+            if isinstance(payload, bytes):
+                peer.sendall(payload)
+            else:
+                write_frame(peer, payload)
+            reply = _deltfcn(sock, ["processor"], ["generator"])
+        finally:
+            peer.close()
+            sock.close()
+    assert reply.values[0] == "__error__" and message in reply.values[1]
+    assert "'processor'" in reply.values[1] and "\n" not in reply.values[1]
 
 
 def test_commands_without_time_are_rejected(gpt_graph):
@@ -125,13 +167,32 @@ def test_badly_addressed_commands_are_rejected(gpt_graph, names, message):
         try:
             write_frame(sock, WireFrame(INIT, values=(0,)))
             assert read_frame(sock).command == ACK
-            for command in (LAMBDA, DELTFCN):
-                write_frame(sock, WireFrame(command, time=0.0, values=names))
+            for command, values in ((LAMBDA, names), (DELTFCN, (list(names), []))):
+                write_frame(sock, WireFrame(command, time=0.0, values=values))
                 reply = read_frame(sock)
                 assert reply.values[0] == "__error__"
                 assert message in reply.values[1]
         finally:
             sock.close()
+
+
+@pytest.mark.parametrize("values, message", [
+    (("processor",), "must be [atomics, senders]"),
+    ((["processor"], ["transducer"]), "no coupling into the process"),
+    ((["processor"], ["processor"]), "no coupling into the process"),
+], ids=["flat", "uncoupled-sender", "hosted-sender"])
+def test_deltfcn_must_name_senders_coupled_into_the_process(gpt_graph, values, message):
+    plan = local_plan(gpt_graph)
+    with thread_services(plan, names=["processor"]):
+        sock = _dial(plan.endpoints["processor"])
+        try:
+            write_frame(sock, WireFrame(INIT, values=(0,)))
+            assert read_frame(sock).command == ACK
+            write_frame(sock, WireFrame(DELTFCN, time=0.0, values=values))
+            reply = read_frame(sock)
+        finally:
+            sock.close()
+    assert reply.values[0] == "__error__" and message in reply.values[1]
 
 
 def test_serve_unknown_atomic_fails_at_startup(gpt_graph):
@@ -185,7 +246,7 @@ def test_gpt_distributed_equals_sequential(gpt_graph):
     assert report.trace_text() == sequential.trace_text()
 
 
-def _addressed_command_counts(graph, group_of=None) -> tuple[int, int, Counter]:
+def _addressed_command_counts(graph, group_of=None) -> tuple[int, int, Counter, Counter]:
     """(LAMBDA, DELTFCN) frames the coordinator must send for ``graph``,
     from a sequential oracle: per cycle, the service processes hosting an
     imminent simulator, and those hosting an imminent simulator or one of
@@ -194,7 +255,9 @@ def _addressed_command_counts(graph, group_of=None) -> tuple[int, int, Counter]:
     equal the oracle's int and con transitions. The third item counts the
     PROPAGATE frames that services send each other: per (sender process,
     receiver process) pair, the cycles with an imminent sender coupled
-    across that pair."""
+    across that pair. The fourth counts the DELTFCN frames by (time,
+    receiving process, senders named): the imminent simulators of other
+    processes coupled into the receiving one, in plan order."""
     oracle = SequentialCoordinator(graph, trace=True).simulate()
     kinds = [entry.kind for trace in oracle.traces.values() for entry in trace]
     targets = {}
@@ -203,7 +266,7 @@ def _addressed_command_counts(graph, group_of=None) -> tuple[int, int, Counter]:
     group_of = group_of or {name: name for name in oracle.traces}
     stepper = SequentialCoordinator(graph)
     lambdas = deltfcns = 0
-    pushes = Counter()
+    pushes, named = Counter(), Counter()
     while not math.isinf(t := stepper.time_advance()):
         stepper.clock.t = t
         imminent = {name for name, sim in stepper.simulators.items() if sim.tN == t}
@@ -212,11 +275,16 @@ def _addressed_command_counts(graph, group_of=None) -> tuple[int, int, Counter]:
         deltfcns += len({group_of[name] for name in active})
         pushes.update({(group_of[src], group_of[dst]) for src in imminent
                        for dst in targets.get(src, ()) if group_of[src] != group_of[dst]})
+        for group in {group_of[name] for name in active}:
+            named[(t, group, tuple(
+                src for src in stepper.simulators if src in imminent
+                and group_of[src] != group
+                and any(group_of[dst] == group for dst in targets.get(src, ()))))] += 1
         stepper.run_lambda()
         stepper.run_deltfcn()
     if len(set(group_of.values())) == len(group_of):
         assert lambdas == kinds.count("int") + kinds.count("con")
-    return lambdas, deltfcns, pushes
+    return lambdas, deltfcns, pushes, named
 
 
 def test_coordinator_relays_no_propagate_frames(gpt_graph):
@@ -226,7 +294,7 @@ def test_coordinator_relays_no_propagate_frames(gpt_graph):
     sent = report.diagnostics["frames_sent"]
     assert sent.get("PROPAGATE", 0) == 0
     assert report.diagnostics["frames_received"].get("PROPAGATE", 0) == 0
-    lambdas, deltfcns, _ = _addressed_command_counts(build_gpt())
+    lambdas, deltfcns, _, _ = _addressed_command_counts(build_gpt())
     assert sent == {"INIT": 3, "LAMBDA": lambdas, "DELTFCN": deltfcns, "EXIT": 3}
 
 
@@ -239,7 +307,7 @@ def test_ho_distributed_counters_and_traces():
     assert report.counter_triple() == sequential.counter_triple()
     assert report.trace_text() == sequential.trace_text()
     assert report.diagnostics["dropped_events"] == sequential.diagnostics["dropped_events"]
-    lambdas, deltfcns, pushes = _addressed_command_counts(
+    lambdas, deltfcns, pushes, _ = _addressed_command_counts(
         generate(DevstoneConfig("HO", 4, 3)))
     atomics = len(plan.endpoints)
     assert report.diagnostics["frames_sent"] == {
@@ -250,8 +318,8 @@ def test_ho_distributed_counters_and_traces():
 def _run_blocks(config, groups, monkeypatch):
     """Run ``config`` on ``groups`` co-hosted groups of contiguous atomics,
     check it against the sequential trace, and return the report, each
-    atomic's group and the (pushing group, dialled group) of every aux-port
-    dial."""
+    atomic's group, the (pushing group, dialled group) of every aux-port
+    dial and the DELTFCN frames by (time, receiving group, senders named)."""
     plan = local_plan(generate(config))
     names = list(plan.endpoints)
     blocks = [names[len(names) * i // groups:len(names) * (i + 1) // groups]
@@ -270,6 +338,17 @@ def _run_blocks(config, groups, monkeypatch):
         return dial(address, *args, **kwargs)
 
     monkeypatch.setattr(socket, "create_connection", recording_dial)
+    named = Counter()
+    write = distributed.write_frame
+
+    def recording_write(sock, frame):
+        # Only the coordinator writes DELTFCN frames.
+        if frame.command == DELTFCN:
+            atomics, senders = frame.values
+            named[(frame.time, group_of[atomics[0]], tuple(senders))] += 1
+        write(sock, frame)
+
+    monkeypatch.setattr(distributed, "write_frame", recording_write)
     started = []
     try:
         for block in blocks:
@@ -281,7 +360,7 @@ def _run_blocks(config, groups, monkeypatch):
     sequential = SequentialCoordinator(generate(config), trace=True).simulate()
     assert report.trace_text() == sequential.trace_text()
     assert report.counter_triple() == sequential.counter_triple()
-    return report, group_of, dials
+    return report, group_of, dials, named
 
 
 @pytest.mark.parametrize("groups", [1, 2])
@@ -289,10 +368,13 @@ def test_cohosted_groups_push_in_memory(groups, monkeypatch):
     """Services co-hosted in one group reproduce the sequential trace. Only
     pushes between different groups dial an aux port, exactly once per
     ordered pair of groups that exchanges values, and such a pair gets one
-    PROPAGATE frame per cycle."""
+    PROPAGATE frame per cycle. Each DELTFCN names exactly the imminent
+    senders of other groups coupled into its group."""
     config = DevstoneConfig("HO", 4, 3)
-    report, group_of, dials = _run_blocks(config, groups, monkeypatch)
-    lambdas, deltfcns, pushes = _addressed_command_counts(generate(config), group_of)
+    report, group_of, dials, named = _run_blocks(config, groups, monkeypatch)
+    lambdas, deltfcns, pushes, senders = _addressed_command_counts(generate(config),
+                                                                   group_of)
+    assert named == senders
     assert sorted(dials) == sorted(pushes), dials
     assert bool(dials) == (groups > 1)  # cross-group pushes still use TCP
     assert report.diagnostics["peer_frames"] == sum(pushes.values())
@@ -303,10 +385,17 @@ def test_cohosted_groups_push_in_memory(groups, monkeypatch):
 
 def test_two_blocks_of_ho55_send_four_peer_frames(monkeypatch):
     """HO(5,5) in two contiguous blocks, as distributed-local runs it on two
-    CPUs: 12 cross-block pushes per run, batched into 4 PROPAGATE frames."""
+    CPUs: 12 cross-block pushes per run, batched into 4 PROPAGATE frames,
+    which the 4 DELTFCN frames to block 1 that name senders wait for."""
     config = DevstoneConfig("HO", 5, 5)
-    report, group_of, dials = _run_blocks(config, 2, monkeypatch)
-    _, _, pushes = _addressed_command_counts(generate(config), group_of)
+    report, group_of, dials, named = _run_blocks(config, 2, monkeypatch)
+    lambdas, deltfcns, pushes, senders = _addressed_command_counts(generate(config),
+                                                                   group_of)
+    assert named == senders
+    assert sum(n for (_, _, names), n in named.items() if names) == 4
+    assert report.diagnostics["frames_sent"] == {
+        "INIT": 2, "LAMBDA": lambdas, "DELTFCN": deltfcns, "EXIT": 2}
+    assert (lambdas, deltfcns) == (9, 10)
     assert sum(pushes.values()) == report.diagnostics["peer_frames"] == 4
     assert sorted(dials) == sorted(pushes) == [(0, 1)]  # HO feeds forward only
 
@@ -322,16 +411,18 @@ def test_multi_sender_fan_in_matches_sequential_order():
 
 def test_cohosted_fan_in_under_frequent_switches():
     """Two co-hosted receivers take pushes from the four senders of their
-    own group, in memory, while the four senders of another group push into
-    them over TCP at the same time; no value may be lost or reordered."""
+    own group, in memory, while the four senders of another group, or of
+    two other groups on two links, push into them over TCP at the same
+    time; no value may be lost or reordered."""
     sequential = SequentialCoordinator(fan_out_model(8, 2), trace=True).simulate()
     plan = local_plan(fan_out_model(8, 2))
-    blocks = ([f"s{i}" for i in range(4)] + ["r0", "r1"],
-              [f"s{i}" for i in range(4, 8)])
+    local = [f"s{i}" for i in range(4)] + ["r0", "r1"]
+    layouts = ((local, [f"s{i}" for i in range(4, 8)]),
+               (local, ["s4", "s5"], ["s6", "s7"]))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(3):
+        for blocks in layouts * 3:
             groups = []
             try:
                 for block in blocks:
@@ -359,6 +450,23 @@ def test_group_checks_the_plan_once(monkeypatch):
     group = ServiceGroup(plan, plan.endpoints)
     assert len(calls) == 1
     assert group.names == list(plan.endpoints)
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
+def test_group_engine_follows_its_cpu_share(monkeypatch, cpus):
+    """A group sizes its engine by the CPUs its process may run on: one CPU
+    runs the block sequentially, two run it on a pool of two workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    plan = local_plan(generate(DevstoneConfig("HO", 3, 3)))
+    group = ServiceGroup(plan, plan.endpoints)
+    try:
+        if len(cpus) == 1:
+            assert type(group.engine) is SequentialCoordinator
+        else:
+            assert isinstance(group.engine, ParallelCoordinator)
+            assert group.engine.plan.label() == "2"
+    finally:
+        group.stop()
 
 
 def test_batched_command_failure_names_the_failing_atomic():
@@ -389,6 +497,39 @@ def test_batched_command_failure_names_the_failing_atomic():
         group.join(timeout=5.0)
     assert "'r1'" in str(err.value) and "injected delta_ext failure" in str(err.value)
     assert elapsed < read_timeout / 4, elapsed
+    left = [t.name for t in threading.enumerate()
+            if t not in before and t.name.startswith(("coord", "svc-"))]
+    assert left == []
+
+
+def test_missing_peer_batch_fails_within_the_read_timeout():
+    """A DELTFCN names a sender whose PROPAGATE never comes: the receiving
+    process gives up after its read timeout, naming the coupling and the
+    receiving atomic, and no service thread is left behind."""
+    graph = ModelGraph("toy")
+    graph.add_component(atomic_spec("s0", "emit_once"))
+    graph.add_component(atomic_spec("r0", "collector"))
+    graph.connect("s0", "out", "r0", "in")
+    plan = local_plan(graph)
+    before = set(threading.enumerate())
+    groups = []
+    started = time.monotonic()
+    try:
+        for block in (["s0"], ["r0"]):
+            groups.append(ServiceGroup(plan, block, timeouts=Timeouts(read=1.0)).start())
+        groups[0]._ship = lambda imminent: None  # the batch is lost on the way
+        with pytest.raises(SimulationError) as err:
+            run_coordinator(plan, timeouts=Timeouts(connect=5.0, read=10.0))
+    finally:
+        for group in groups:
+            group.stop()
+    elapsed = time.monotonic() - started
+    for group in groups:
+        group.join(timeout=5.0)
+    message = str(err.value)
+    assert "from 's0' port 'out' to 'r0' port 'in'" in message, message
+    assert "no batch within 1 s" in message
+    assert elapsed < 3.0, elapsed
     left = [t.name for t in threading.enumerate()
             if t not in before and t.name.startswith(("coord", "svc-"))]
     assert left == []

@@ -1,14 +1,15 @@
-"""Backend equivalence on random flat DAGs: sequential, pool 1x2 and
-in-process thread services split at random into 1-3 groups must agree on
-the trace, the counter triple and the dropped-event count."""
+"""Backend equivalence on random flat DAGs: sequential, pool 1x2,
+in-process thread services split at random into 1-3 groups, and
+distributed-local service processes must agree on the trace, the counter
+triple and the dropped-event count."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdevsim import (ModelGraph, ParallelCoordinator, PoolPlan,
+from pdevsim import (DistributedPlan, ModelGraph, ParallelCoordinator, PoolPlan,
                      SequentialCoordinator, atomic_spec, run_coordinator,
                      serve_simulators)
-from pdevsim.bench import local_plan
+from pdevsim.bench import local_plan, run_distributed_local
 
 # Emission times of the EmitOnce sources: ties and distinct times.
 _EMIT_TIMES = (0.0, 0.0, 0.5, 1.0)
@@ -61,6 +62,18 @@ def _distributed(graph, group_of):
             group.stop()
 
 
+def _distributed_local(graph, group_of):
+    """distributed-local over a plan whose endpoints are sorted by group, so
+    that the contiguous blocks of its service processes cut edges of the DAG
+    in both directions."""
+    plan = local_plan(graph)
+    group = dict(zip(plan.endpoints, group_of))
+    order = sorted(plan.endpoints, key=group.__getitem__)
+    return run_distributed_local(DistributedPlan(
+        plan.graph, {name: plan.endpoints[name] for name in order}, plan.coordinator),
+        trace=True)
+
+
 def _observed(report):
     return (report.trace_text(), report.counter_triple(),
             report.diagnostics["dropped_events"])
@@ -76,3 +89,13 @@ def test_backends_agree_on_random_dags(case):
                              trace=True) as pool:
         assert _observed(pool.simulate()) == oracle
     assert _observed(_distributed(graph, group_of)) == oracle
+
+
+@given(dags())
+@settings(max_examples=8)
+def test_distributed_local_agrees_on_random_dags(case):
+    """Real service processes: each DELTFCN waits for the batches of the
+    senders it names before it fills the input bags."""
+    graph, group_of = case
+    oracle = _observed(SequentialCoordinator(graph, trace=True).simulate())
+    assert _observed(_distributed_local(graph, group_of)) == oracle

@@ -14,6 +14,7 @@ from pdevsim import (ParallelCoordinator, PoolPlan, PoolSpec,
                      SequentialCoordinator, SimulationError, Simulator,
                      atomic_spec)
 from pdevsim.devstone import DelayDistribution, DevstoneConfig, generate
+from pdevsim.parallel import default_workers
 from pdevsim.model import ModelGraph
 
 from conftest import fan_out_model
@@ -192,6 +193,14 @@ def test_pool_spec_requires_workers():
         PoolSpec("p", 0)
     with pytest.raises(SimulationError):
         PoolPlan((PoolSpec("a", 1), PoolSpec("a", 2)), {})
+
+
+def test_default_workers_follow_the_cpu_affinity(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3, 5, 7}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 16)
+    assert default_workers() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert default_workers() == 16  # where the platform has no affinity call
 
 
 def test_empty_pool_is_noop():
