@@ -30,7 +30,7 @@ from .distributed import (READY_LINE, DistributedPlan, Endpoint, Timeouts,
 from .kernel import RunReport, SequentialCoordinator, SimulationError
 from .model import ModelGraph, flatten
 from .parallel import ParallelCoordinator, PoolPlan, PoolSpec, default_workers
-from .planfile import ParallelPlan, emit_distributed_plan_xml, parse_plan_xml
+from .planfile import ParallelPlan
 
 
 class BenchError(Exception):
@@ -198,24 +198,38 @@ def free_port_block(count: int, host: str = "127.0.0.1") -> list[int]:
             sock.close()
 
 
-def local_plan(graph: ModelGraph, host: str = "127.0.0.1") -> DistributedPlan:
-    """Distributed plan over loopback with freshly probed free ports."""
+def _blocks(items: list, count: int) -> list[list]:
+    """``items`` in ``count`` contiguous blocks whose sizes differ by at
+    most one."""
+    return [items[len(items) * i // count:len(items) * (i + 1) // count]
+            for i in range(count)]
+
+
+def local_plan(graph: ModelGraph, host: str = "127.0.0.1",
+               blocks: int | None = None) -> DistributedPlan:
+    """Distributed plan over loopback: the atomics in ``blocks`` contiguous
+    blocks of plan order, by default one per CPU this process may run on
+    and never more than there are atomics. Each block is co-hosted at one
+    freshly probed free port, which keeps coupled neighbours in one group,
+    where their pushes stay in memory."""
     flat = flatten(graph)
     names = [spec.name for _, spec in flat.walk_atomics()]
-    ports = free_port_block(2 * len(names) + 1, host)
-    endpoints = {name: Endpoint(host, ports[2 * i], ports[2 * i + 1])
-                 for i, name in enumerate(names)}
+    count = min(blocks or default_workers(), len(names))
+    ports = free_port_block(count + 1, host)
+    endpoints = {name: Endpoint(host, port)
+                 for block, port in zip(_blocks(names, count), ports) for name in block}
     return DistributedPlan(flat, endpoints, Endpoint(host, ports[-1]))
 
 
-def _serve(argv: list[str], stdout_fd: int, stderr_path: Path,
-           share: list[int]) -> None:
-    """Body of a forked service process: ``pdevsim serve`` on the CPUs in
-    ``share`` (all the launcher's if empty), with stdout on the launcher's
-    pipe and stderr in ``stderr_path``.
+def _serve(plan: DistributedPlan, members: list[str], timeouts: Timeouts | None,
+           stdout_fd: int, stderr_path: Path, share: list[int]) -> None:
+    """Body of a forked service process: serve ``members`` of the plan the
+    launcher holds in memory, like ``pdevsim serve`` does after parsing
+    its plan, on the CPUs in ``share`` (all the launcher's if empty), with
+    stdout on the launcher's pipe and stderr in ``stderr_path``.
 
-    The process sizes its engine by the CPUs it may run on, so a share of
-    one CPU runs its block sequentially. Fresh ``sys.stdout``/``sys.stderr``
+    The process sizes its engines by the CPUs it may run on, so a share of
+    one CPU runs its blocks sequentially. Fresh ``sys.stdout``/``sys.stderr``
     objects are put on fds 1 and 2, so nothing the launcher left unflushed
     in its own stream objects can reach the pipe, and no lock a launcher
     thread held on them at the fork is taken; multiprocessing flushes the
@@ -229,20 +243,17 @@ def _serve(argv: list[str], stdout_fd: int, stderr_path: Path,
         os.dup2(stderr.fileno(), 2)
     sys.stdout = open(1, "w", encoding="utf-8")
     sys.stderr = open(2, "w", buffering=1, encoding="utf-8", errors="backslashreplace")
-    sys.exit(cli.main(argv))
+    sys.exit(cli.guarded(cli.serve, plan, members, timeouts))
 
 
-def _start_service(plan_path: Path, members: list[str], stderr_path: Path,
-                   share: list[int]) -> tuple[BaseProcess, BinaryIO]:
+def _start_service(plan: DistributedPlan, members: list[str], timeouts: Timeouts | None,
+                   stderr_path: Path, share: list[int]) -> tuple[BaseProcess, BinaryIO]:
     """Fork one process that serves ``members`` on the CPUs in ``share``;
     returns it with the read end of its stdout pipe."""
-    argv = ["serve", "--plan", str(plan_path)]
-    for name in members:
-        argv += ["--atomic", name]
     read_fd, write_fd = os.pipe()
     stdout = open(read_fd, "rb")
     process = multiprocessing.get_context("fork").Process(
-        target=_serve, args=(argv, write_fd, stderr_path, share))
+        target=_serve, args=(plan, members, timeouts, write_fd, stderr_path, share))
     try:
         process.start()
     except BaseException:
@@ -286,39 +297,38 @@ def run_distributed_local(plan_or_graph, *, iterations: int | None = None,
     print its ready line, run the coordinator against them, and tear
     everything down.
 
-    Each process hosts a contiguous block of the plan's atomics, which
-    keeps coupled neighbours in one process, where their pushes stay in
-    memory. Process ``i`` of ``count`` may run only on its slice of the
-    launcher's allowed CPUs, ``allowed[len * i // count:len * (i + 1) //
-    count]``, and sizes its engine to that share: with one CPU each, every
-    process runs its block sequentially instead of oversubscribing the
-    host with one pool per process.
+    A graph gets :func:`local_plan`: one endpoint, and so one service
+    group, per CPU. A plan keeps its endpoints, and its groups are dealt
+    in plan order into contiguous blocks, one per process, never more
+    processes than CPUs or groups. Process ``i`` of ``count`` may run only
+    on its slice of the launcher's allowed CPUs, ``allowed[len * i //
+    count:len * (i + 1) // count]``, and sizes its engines to that share:
+    with one CPU each, every process runs its groups sequentially instead
+    of oversubscribing the host with one pool per process.
 
-    A process is forked from this one, which has pdevsim imported already,
-    and runs ``pdevsim serve`` on the plan written as XML: the same code
-    path as a pod, without an interpreter start-up. Every process is forked
-    before the coordinator opens a socket or starts a thread. POSIX only.
+    A process is forked from this one and hands the plan it inherited in
+    memory to :func:`cli.serve`, as ``pdevsim serve`` does after parsing
+    its plan, with this call's ``timeouts``: no interpreter start-up, no
+    argument parsing and no plan XML. Every process is forked before the
+    coordinator opens a socket or starts a thread. The temporary directory
+    holds only the processes' stderr. POSIX only.
     """
     if isinstance(plan_or_graph, DistributedPlan):
         plan = plan_or_graph
     else:
         plan = local_plan(plan_or_graph)
     plan.check()
-    names = list(plan.endpoints)
-    count = min(default_workers(), len(names))
-    blocks = [names[len(names) * i // count:len(names) * (i + 1) // count]
-              for i in range(count)]
+    groups = list(plan.groups().values())
+    count = min(default_workers(), len(groups))
+    blocks = [[name for group in block for name in group] for block in _blocks(groups, count)]
     allowed = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
-    shares = [allowed[len(allowed) * i // count:len(allowed) * (i + 1) // count]
-              for i in range(count)]
+    shares = _blocks(allowed, count)
     services: list[tuple[BaseProcess, BinaryIO]] = []
     with tempfile.TemporaryDirectory(prefix="pdevsim-") as tmp:
-        plan_path = Path(tmp) / "plan.xml"
-        plan_path.write_text(emit_distributed_plan_xml(plan), encoding="utf-8")
         stderr_paths = [Path(tmp) / f"serve-{i}.stderr" for i in range(count)]
         try:
             for members, stderr_path, share in zip(blocks, stderr_paths, shares):
-                services.append(_start_service(plan_path, members, stderr_path, share))
+                services.append(_start_service(plan, members, timeouts, stderr_path, share))
             deadline = time.monotonic() + startup_timeout
             for (process, stdout), members, stderr_path in zip(services, blocks,
                                                                stderr_paths):

@@ -122,15 +122,26 @@ def cmd_emit_manifest(args) -> int:
     return 0
 
 
+def serve(plan, names, timeouts=None) -> int:
+    """Host ``names`` of ``plan`` in this process, one service group per
+    distinct endpoint among them, print the ready line once every listener
+    is bound, and return once every group has taken its EXIT. This is
+    ``pdevsim serve`` after it parsed its plan, and the body of each forked
+    distributed-local process."""
+    from .distributed import READY_LINE, serve_simulators
+    groups = serve_simulators(plan, names, timeouts=timeouts)
+    print(READY_LINE, flush=True)
+    for group in groups:
+        group.join()
+    return 0
+
+
 def cmd_serve(args) -> int:
-    from .distributed import READY_LINE, DistributedPlan, serve_simulators
+    from .distributed import DistributedPlan
     parsed = _parse_plan(args.plan)
     if not isinstance(parsed, DistributedPlan):
         raise ValueError("serve needs an endpoint-addressed plan")
-    group = serve_simulators(parsed, args.atomic)
-    print(READY_LINE, flush=True)  # every listener is bound
-    group.join()
-    return 0
+    return serve(parsed, args.atomic)
 
 
 def cmd_coordinate(args) -> int:
@@ -211,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "in this process")
     srv.add_argument("--plan", required=True)
     srv.add_argument("--atomic", required=True, action="append",
-                     help="atomic to host; repeat to co-host several")
+                     help="atomic to host; repeat to host several, and name "
+                          "every atomic of each endpoint")
     srv.set_defaults(func=cmd_serve)
 
     coord = sub.add_parser("coordinate", help="drive a distributed simulation")
@@ -224,10 +236,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    return guarded(args.func, args)
+
+
+def guarded(func, *args) -> int:
+    """``func(*args)``, with any failure reported as one ``error:`` line on
+    stderr and exit code 1 (130 when interrupted)."""
     try:
-        return args.func(args)
+        return func(*args)
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
         return 130

@@ -1,42 +1,42 @@
 """Socket-distributed backend.
 
-A service process hosts a block of the plan's atomic models
-(:func:`serve_simulators`) and runs the kernel's cycle engine over it: a
-:class:`SequentialCoordinator`, or a :class:`ParallelCoordinator` with one
-pool of up to one worker per CPU that the process may run on. Every hosted
-atomic listens on two TCP ports: the main port takes the coordinator's
-protocol commands, the auxiliary port takes links from peer processes.
+The plan states the process layout: atomics whose plan endpoints are equal
+(``host:port``) are co-hosted by one :class:`ServiceGroup`, which runs the
+kernel's cycle engine over them: a :class:`SequentialCoordinator`, or a
+:class:`ParallelCoordinator` with one pool of up to one worker per CPU that
+the process may run on. A group binds one listener at its endpoint, served
+by one accept thread. The first frame on an accepted connection says what
+the connection is: PROPAGATE opens a link from a peer group, anything else
+is the coordinator's link.
 
-The root coordinator dials, in plan order, the first atomic that no earlier
-connection covers and sends it INIT. The ACK lists every atomic that the
-process hosts, each with its next-event time (tN), so the coordinator opens
-one connection per process. It keeps every atomic's tN and takes the
-minimum itself. Each cycle then sends at most two frames per process, both
-carrying the cycle time and naming the atomics they address:
+The root coordinator connects to every endpoint in plan order and writes
+every INIT before it reads any reply. Each ACK lists exactly the atomics
+that the plan puts at that endpoint, each with its next-event time (tN).
+The coordinator keeps every atomic's tN and takes the minimum itself. Each
+cycle then sends at most two frames per group, both carrying the cycle
+time and naming the atomics they address:
 
-- LAMBDA, to the imminent atomics. The process runs their output functions,
+- LAMBDA, to the imminent atomics. The group runs their output functions,
   copies every coupling that leaves its block into one batch per peer
-  process, and sends each peer one PROPAGATE frame, which is not
+  group, and sends each peer one PROPAGATE frame, which is not
   acknowledged.
 - DELTFCN, to the imminent atomics and their coupling targets, as
   ``[atomics, senders]``: the senders are the imminent atomics of other
-  processes coupled into the block. The process waits until every coupling
+  groups coupled into the block. The group waits until every coupling
   from them into the block has filed its batch, then fills its input bags
   along every coupling that enters the block, in plan coupling order:
-  in-block couplings read the hosted output bags, cross-process ones the
+  in-block couplings read the hosted output bags, cross-group ones the
   batches that peers sent. This keeps bags byte-identical to the
   sequential backend. It then runs the transitions and answers with
   ``[atomic, tN]`` for each addressed atomic, or with the first error that
   a peer's batch raised when it arrived.
 
-The coordinator writes a phase's frame to every process before it reads
-any reply, and never relays event values.
+The coordinator writes a phase's frame to every group before it reads any
+reply, and never relays event values.
 
-A process opens the link to a peer process the first time it pushes to one
-of the peer's atomics, by dialling that atomic's aux port. The peer greets
-the link with the atomics it hosts, so later pushes to any of them share
-the link: one link per ordered pair of processes. The greeting is the only
-frame the link carries back.
+A group dials a peer's endpoint on its first push to it, so there is one
+link per ordered pair of groups. The link carries PROPAGATE frames only,
+and nothing is ever read back from it.
 """
 
 from __future__ import annotations
@@ -63,23 +63,18 @@ READY_LINE = "ready"
 
 @dataclass(frozen=True)
 class Endpoint:
-    """Where a simulation entity listens: coordinator commands on
-    ``main_port``, peer propagation on ``aux_port``."""
+    """Where a service group, or the coordinator, listens. Atomics with
+    equal endpoints are co-hosted by one group."""
 
     host: str
     main_port: int
-    aux_port: int = 0
 
     def __post_init__(self) -> None:
-        for port in (self.main_port, self.aux_port):
-            if port and not 1 <= port <= 65535:
-                raise SimulationError(f"port {port} out of range on {self.host}")
+        if self.main_port and not 1 <= self.main_port <= 65535:
+            raise SimulationError(f"port {self.main_port} out of range on {self.host}")
 
     def main_addr(self) -> tuple[str, int]:
         return self.host, self.main_port
-
-    def aux_addr(self) -> tuple[str, int]:
-        return self.host, self.aux_port
 
     def __str__(self) -> str:
         return f"{self.host}:{self.main_port}"
@@ -93,7 +88,8 @@ class Timeouts:
 
 @dataclass
 class DistributedPlan:
-    """A flattened closed model plus one endpoint per atomic."""
+    """A flattened closed model plus one endpoint per atomic; atomics that
+    share an endpoint are co-hosted."""
 
     graph: ModelGraph
     endpoints: dict[str, Endpoint]
@@ -117,12 +113,17 @@ class DistributedPlan:
         unknown = sorted(set(self.endpoints) - atoms)
         if unknown:
             raise SimulationError(f"endpoint for unknown atomic {unknown[0]!r}")
-        seen: set[tuple[str, int]] = set()
-        for endpoint in list(self.endpoints.values()) + [self.coordinator]:
-            addr = endpoint.main_addr()
-            if addr in seen:
-                raise SimulationError(f"duplicate endpoint {endpoint}")
-            seen.add(addr)
+        for name, endpoint in self.endpoints.items():
+            if endpoint == self.coordinator:
+                raise SimulationError(f"duplicate endpoint {endpoint}: atomic {name!r} "
+                                      "is on the coordinator's endpoint")
+
+    def groups(self) -> dict[Endpoint, list[str]]:
+        """The atomics at each endpoint, both in plan order."""
+        groups: dict[Endpoint, list[str]] = {}
+        for name, endpoint in self.endpoints.items():
+            groups.setdefault(endpoint, []).append(name)
+        return groups
 
 
 def _configure(sock: socket.socket, read_timeout: float | None) -> None:
@@ -143,25 +144,42 @@ def _shutdown_close(sock: socket.socket) -> None:
 
 
 class ServiceGroup:
-    """The atomics that one process hosts, and the kernel engine over them.
+    """The atomics at one plan endpoint, and the kernel engine over them.
 
-    The engine is built with the group, so INIT only initializes it. Each
-    hosted atomic listens on its own plan ports. A coordinator connection
-    to any of them drives the whole group, and a link accepted on any aux
-    port carries one peer process's pushes to every hosted atomic. The plan
-    is checked, and its couplings indexed, once per group.
+    The engine is built with the group, so INIT only initializes it. The
+    group listens on its endpoint with one socket and one accept thread,
+    and serves each accepted connection on a thread of its own: the
+    coordinator's link drives the whole group, and a peer group's link
+    carries that peer's pushes to every hosted atomic. The plan is checked,
+    and its couplings indexed, once per group.
     """
 
     def __init__(self, plan: DistributedPlan, names, *,
                  timeouts: Timeouts | None = None) -> None:
         plan.check()
         self.plan = plan
-        self.names = list(names)
-        block = ModelGraph(plan.graph.name)
-        for name in self.names:
+        names = list(names)
+        for name in names:
             if name not in plan.graph.atomics:
                 raise SimulationError(f"unknown atomic {name!r} in plan "
                                       f"{plan.graph.name!r}")
+        if not names:
+            raise SimulationError("a service group needs at least one atomic")
+        self.endpoint = plan.endpoints[names[0]]
+        # Every atomic at the endpoint, in plan order.
+        self.names = [name for name, at in plan.endpoints.items() if at == self.endpoint]
+        for name in names:
+            if name not in self.names:
+                raise SimulationError(
+                    f"one group serves one endpoint: {names[0]!r} is at {self.endpoint}, "
+                    f"{name!r} at {plan.endpoints[name]}")
+        for name in self.names:
+            if name not in names:
+                raise SimulationError(f"atomic {name!r} at {self.endpoint} is not hosted: "
+                                      "a group must host every atomic at its endpoint")
+        self.label = f"the process of {self.names[0]!r} at {self.endpoint}"
+        block = ModelGraph(plan.graph.name)
+        for name in self.names:
             block.add_component(plan.graph.atomics[name])
         self.timeouts = timeouts or Timeouts()
         workers = min(default_workers(), len(self.names))
@@ -170,12 +188,13 @@ class ServiceGroup:
         sims = self.engine.simulators
         # Couplings into the block, in plan order, read a hosted output bag
         # or the inbound bucket that peers fill; couplings out of it are
-        # shipped at LAMBDA as [sender, port, target, target port, values].
+        # shipped at LAMBDA to the target's endpoint as [sender, port,
+        # target, target port, values].
         routes = []
         self._inbound: dict[tuple[str, str, str, str], list] = {}
-        # The inbound couplings of each sender in another process.
+        # The inbound couplings of each sender in another group.
         self._feeds: dict[str, list[tuple[str, str, str, str]]] = {}
-        self._outbound: dict[str, list[tuple[list, str, list[str]]]] = {
+        self._outbound: dict[str, list[tuple[list, Endpoint, list[str]]]] = {
             name: [] for name in self.names}
         for coupling in plan.graph.couplings:
             src, dst = coupling.src, coupling.dst
@@ -183,7 +202,8 @@ class ServiceGroup:
             if src.component in sims:
                 bag = sims[src.component].model.output_bags[src.port]
                 if dst.component not in sims:
-                    self._outbound[src.component].append((bag, dst.component, list(key)))
+                    self._outbound[src.component].append(
+                        (bag, plan.endpoints[dst.component], list(key)))
                     continue
             elif dst.component in sims:
                 bag = self._inbound[key] = []
@@ -202,37 +222,24 @@ class ServiceGroup:
         self._filed = threading.Condition()
         self._initialized = False
         self.peer_frames = 0
-        # Outgoing links by the peer atomics they reach.
-        self._links: dict[str, socket.socket] = {}
-        self._sockets: list[socket.socket] = []  # listeners and connections
+        self._links: dict[Endpoint, socket.socket] = {}  # to peer groups
+        self._sockets: list[socket.socket] = []  # the listener and connections
         self._threads: list[threading.Thread] = []
         self._stop = threading.Event()
 
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> "ServiceGroup":
-        for name in self.names:
-            endpoint = self.plan.endpoints[name]
-            try:
-                main = self._listen(endpoint.host, endpoint.main_port)
-                aux = self._listen(endpoint.host, endpoint.aux_port)
-            except OSError as exc:
-                self.stop()
-                raise SimulationError(
-                    f"cannot bind {name!r} on {endpoint.host} "
-                    f"ports {endpoint.main_port}/{endpoint.aux_port}: {exc}") from exc
-            self._spawn(f"svc-{name}-main", self._accept, main, name, self._serve_commands)
-            self._spawn(f"svc-{name}-aux", self._accept, aux, name, self._serve_peer)
-        return self
-
-    def _listen(self, host: str, port: int) -> socket.socket:
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            listener = socket.create_server(self.endpoint.main_addr())
+        except OSError as exc:
+            self.stop()
+            raise SimulationError(
+                f"cannot bind {', '.join(map(repr, self.names))} at "
+                f"{self.endpoint}: {exc}") from exc
         self._sockets.append(listener)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((host, port))
-        listener.listen(16)
-        listener.settimeout(0.5)  # lets accept loops notice a stop request
-        return listener
+        self._spawn(f"svc-{self.names[0]}", self._accept, listener)
+        return self
 
     def _spawn(self, thread_name: str, target, *args) -> None:
         thread = threading.Thread(target=target, args=args, daemon=True,
@@ -242,56 +249,87 @@ class ServiceGroup:
 
     def join(self, timeout: float | None = None) -> None:
         index = 0
-        while index < len(self._threads):  # accept loops may still add some
+        while index < len(self._threads):  # the accept loop may still add some
             self._threads[index].join(timeout)
             index += 1
 
     def stop(self) -> None:
+        """Close every socket and end a DELTFCN's wait for batches, which
+        wakes the accept loop and every connection thread; the threads then
+        end on their own."""
         self._stop.set()
         for sock in list(self._sockets):
             _shutdown_close(sock)
+        with self._filed:  # ends a DELTFCN's wait for batches
+            self._filed.notify_all()
         if isinstance(self.engine, ParallelCoordinator):
             self.engine.close()
 
     # -- connections --------------------------------------------------------------
 
-    def _accept(self, listener: socket.socket, name: str, serve) -> None:
-        """Run ``serve(conn, name)`` for each connection ``listener``
-        accepts, on a thread of its own."""
-        while not self._stop.is_set():
+    def _accept(self, listener: socket.socket) -> None:
+        """Serve each connection ``listener`` accepts on a thread of its
+        own, until :meth:`stop` shuts the listener down."""
+        while True:
             try:
                 conn, _ = listener.accept()
-            except socket.timeout:
-                continue
             except OSError:
-                return  # stopped
+                return
             _configure(conn, None)
             self._sockets.append(conn)
-            self._spawn(f"{threading.current_thread().name}-conn", serve, conn, name)
+            if self._stop.is_set():  # stop() may have closed the others before this one
+                _shutdown_close(conn)
+                return
+            self._spawn(f"svc-{self.names[0]}-conn", self._serve, conn)
 
-    def _serve_commands(self, conn: socket.socket, name: str) -> None:
-        """Answer each coordinator command with one ACK carrying its result,
-        or the error it raised, until the coordinator hangs up or an EXIT
-        succeeds."""
+    def _serve(self, conn: socket.socket) -> None:
+        """Serve one connection: a peer group's link if its first frame is
+        a PROPAGATE, else the coordinator's link. A first frame that cannot
+        be read is answered with a one-line error."""
         with conn:
             try:
-                while (frame := read_frame(conn)) is not None:
-                    try:
-                        values = self._dispatch(frame, name)
-                    except SimulationError as exc:
-                        write_frame(conn, WireFrame(ACK, sender=name,
-                                                    values=(_ERROR_MARK, str(exc))))
-                        continue
-                    write_frame(conn, WireFrame(ACK, sender=name, values=values))
+                frame = read_frame(conn)
+            except ProtocolError as exc:
+                try:
+                    self._reply(conn, (_ERROR_MARK, f"bad first frame on a connection "
+                                                    f"to {self.label}: {exc}"))
+                except OSError:
+                    pass
+                return
+            except OSError:
+                return
+            if frame is None:
+                return
+            if frame.command == PROPAGATE:
+                self._serve_peer(conn, frame)
+            else:
+                self._serve_commands(conn, frame)
+
+    def _serve_commands(self, conn: socket.socket, frame: WireFrame) -> None:
+        """Answer ``frame`` and each later coordinator command with one ACK
+        carrying its result, or the error it raised, until the coordinator
+        hangs up or an EXIT succeeds."""
+        try:
+            while frame is not None:
+                try:
+                    values = self._dispatch(frame)
+                except SimulationError as exc:
+                    self._reply(conn, (_ERROR_MARK, str(exc)))
+                else:
+                    self._reply(conn, values)
                     if frame.command == EXIT:
                         self.stop()
                         return
-            except (ProtocolError, OSError):
-                pass
+                frame = read_frame(conn)
+        except (ProtocolError, OSError):
+            pass
+
+    def _reply(self, conn: socket.socket, values: tuple) -> None:
+        write_frame(conn, WireFrame(ACK, sender=self.names[0], values=values))
 
     # -- coordinator commands -----------------------------------------------------
 
-    def _dispatch(self, frame: WireFrame, name: str) -> tuple:
+    def _dispatch(self, frame: WireFrame) -> tuple:
         """Run one coordinator command over the block: INIT and EXIT cover
         every hosted atomic, LAMBDA and DELTFCN the atomics the frame names."""
         command = frame.command
@@ -305,14 +343,15 @@ class ServiceGroup:
             self._initialized = True
             return tuple([atomic, encode_time(sim.tN)] for atomic, sim in sims.items())
         if not self._initialized:
-            raise SimulationError(f"simulator {name!r} got {command} before INIT")
+            raise SimulationError(f"{self.label} got {command} before INIT")
         if command == EXIT:
             traces = [[atomic, [entry.to_payload() for entry in sim.trace or ()]]
                       for atomic, sim in sims.items()]
             return (*engine.counters.triple(), engine.dropped_events,
                     self.peer_frames, traces)
         if command not in (LAMBDA, DELTFCN):
-            raise SimulationError(f"unexpected command {command} on main connection")
+            raise SimulationError(f"unexpected command {command} on the coordinator's "
+                                  f"link to {self.label}")
         if frame.time is None:
             raise SimulationError(f"{command} frame without time")
         atomics, senders = frame.values, []
@@ -327,8 +366,7 @@ class ServiceGroup:
             sim = sims.get(atomic) if isinstance(atomic, str) else None
             if sim is None:
                 raise SimulationError(
-                    f"{command} addresses {atomic!r}, which the process of "
-                    f"{name!r} does not host")
+                    f"{command} addresses {atomic!r}, which {self.label} does not host")
             addressed.append(sim)
         if len(set(addressed)) != len(addressed):
             raise SimulationError(f"{command} addresses an atomic twice: "
@@ -338,67 +376,55 @@ class ServiceGroup:
             engine._run_phase(Simulator.run_lambda, addressed, t)
             self._ship([sim for sim in addressed if sim.tN == t])
             return ()
-        self._take_inputs(senders, name)
+        self._take_inputs(senders)
         engine._run_phase(Simulator.run_delta, addressed, t)
         return tuple([sim.name, encode_time(sim.tN)] for sim in addressed)
 
     # -- peer links ---------------------------------------------------------------
 
     def _ship(self, imminent: list[Simulator]) -> None:
-        """Send each peer process one PROPAGATE frame holding every coupling
-        from ``imminent`` into that process. Nothing is read back: the peer
+        """Send each peer group one PROPAGATE frame holding every coupling
+        from ``imminent`` into that group. Nothing is read back: the peer
         waits for the frame at DELTFCN and reports intake errors there."""
-        batches: dict[socket.socket, tuple[str, list]] = {}
+        batches: dict[Endpoint, list] = {}
         for sim in imminent:
-            for bag, target, head in self._outbound[sim.name]:
-                batch = batches.setdefault(self._link(target), (target, []))
-                batch[1].append([*head, list(bag)])
-        for link, (target, items) in batches.items():
+            for bag, endpoint, head in self._outbound[sim.name]:
+                batches.setdefault(endpoint, []).append([*head, list(bag)])
+        for endpoint, items in batches.items():
             try:
-                write_frame(link, WireFrame(PROPAGATE, values=tuple(items)))
+                write_frame(self._link(endpoint), WireFrame(PROPAGATE, values=tuple(items)))
             except (OSError, ProtocolError) as exc:
-                raise SimulationError(
-                    f"propagation to the process of {target!r} failed: {exc}") from exc
+                raise SimulationError(f"propagation to the process of {items[0][2]!r} at "
+                                      f"{endpoint} failed: {exc}") from exc
         self.peer_frames += len(batches)
 
-    def _link(self, target: str) -> socket.socket:
-        """The link to the process hosting ``target``, dialled through
-        ``target``'s aux port on the first push to that process."""
-        link = self._links.get(target)
-        if link is not None:
-            return link
-        endpoint = self.plan.endpoints[target]
-        where = f"peer {target!r} at {endpoint.host}:{endpoint.aux_port}"
-        try:
-            link = socket.create_connection(endpoint.aux_addr(),
+    def _link(self, endpoint: Endpoint) -> socket.socket:
+        """The link to the peer group at ``endpoint``, dialled on the first
+        push to it."""
+        link = self._links.get(endpoint)
+        if link is None:
+            link = socket.create_connection(endpoint.main_addr(),
                                             timeout=self.timeouts.connect)
             self._sockets.append(link)
             _configure(link, self.timeouts.read)
-            greeting = read_frame(link)
-        except (OSError, ProtocolError) as exc:
-            raise SimulationError(f"{where} unreachable: {exc}") from exc
-        hosted = greeting.values if greeting is not None else ()
-        if target not in hosted or not all(isinstance(atomic, str) for atomic in hosted):
-            raise SimulationError(f"{where} greeted with {hosted!r:.80}")
-        self._links.update(dict.fromkeys(hosted, link))
+            self._links[endpoint] = link
         return link
 
-    def _serve_peer(self, conn: socket.socket, name: str) -> None:
-        """Greet a peer process's link with the hosted atomics, then file
-        every batch it sends, unanswered, until the peer hangs up."""
-        with conn:
-            try:
-                write_frame(conn, WireFrame(ACK, sender=name, values=tuple(self.names)))
-                while (frame := read_frame(conn)) is not None:
-                    self._take_batch(frame, name)
-            except ProtocolError as exc:
-                with self._filed:
-                    self._intake_errors.append(f"bad frame on the aux port of {name!r}: {exc}")
-                    self._filed.notify_all()
-            except OSError:
-                pass
+    def _serve_peer(self, conn: socket.socket, frame: WireFrame) -> None:
+        """File ``frame`` and every later batch a peer group's link brings,
+        unanswered, until the peer hangs up."""
+        try:
+            while frame is not None:
+                self._take_batch(frame)
+                frame = read_frame(conn)
+        except ProtocolError as exc:
+            with self._filed:
+                self._intake_errors.append(f"bad frame on a peer link to {self.label}: {exc}")
+                self._filed.notify_all()
+        except OSError:
+            pass
 
-    def _take_batch(self, frame: WireFrame, name: str) -> None:
+    def _take_batch(self, frame: WireFrame) -> None:
         """Put a peer's PROPAGATE batch in the inbound buckets, which the
         next DELTFCN empties, and wake a DELTFCN that waits for it. Each
         coupling that enters the block may send one batch per cycle; an
@@ -407,21 +433,20 @@ class ServiceGroup:
             try:
                 if frame.command != PROPAGATE:
                     raise SimulationError(
-                        f"unexpected {frame.command} on aux port of {name!r}")
+                        f"unexpected {frame.command} on a peer link to {self.label}")
                 for item in frame.values:
                     if not (isinstance(item, list) and len(item) == 5
                             and isinstance(item[4], list)
                             and all(isinstance(field, str) for field in item[:4])):
                         raise SimulationError(
-                            f"malformed PROPAGATE item at {name!r}: {item!r:.80}")
+                            f"malformed PROPAGATE item for {self.label}: {item!r:.80}")
                     sender, port, target, target_port, values = item
                     key = (sender, port, target, target_port)
                     bucket = self._inbound.get(key)
                     if bucket is None:
                         raise SimulationError(
                             f"PROPAGATE from {sender!r} port {port!r} to {target!r} port "
-                            f"{target_port!r}: no such coupling enters the process of "
-                            f"{name!r}")
+                            f"{target_port!r}: no such coupling enters {self.label}")
                     if key in self._received:
                         raise SimulationError(
                             f"PROPAGATE from {sender!r} port {port!r} to {target!r} port "
@@ -432,7 +457,7 @@ class ServiceGroup:
                 self._intake_errors.append(str(exc))
             self._filed.notify_all()
 
-    def _take_inputs(self, senders: list, name: str) -> None:
+    def _take_inputs(self, senders: list) -> None:
         """Wait until every coupling from ``senders`` into the block has filed
         its batch, then fill the input bags along every route. Raises the
         first intake error, or names a coupling whose batch did not arrive
@@ -442,12 +467,15 @@ class ServiceGroup:
             keys = self._feeds.get(sender) if isinstance(sender, str) else None
             if keys is None:
                 raise SimulationError(f"{DELTFCN} names sender {sender!r}, which has no "
-                                      f"coupling into the process of {name!r}")
+                                      f"coupling into {self.label}")
             expected.extend(keys)
         with self._filed:
             arrived = self._filed.wait_for(
-                lambda: self._intake_errors or self._received.issuperset(expected),
+                lambda: (self._stop.is_set() or self._intake_errors
+                         or self._received.issuperset(expected)),
                 timeout=self.timeouts.read)
+            if self._stop.is_set():
+                raise SimulationError(f"{self.label} stopped")
             if self._intake_errors:
                 error = self._intake_errors[0]
                 self._intake_errors.clear()
@@ -466,15 +494,32 @@ class ServiceGroup:
             self._received.clear()
 
 
-def serve_simulators(plan: DistributedPlan, names) -> ServiceGroup:
-    """Start (and return) one group of services hosting ``names`` in this
-    process."""
-    return ServiceGroup(plan, names).start()
+def serve_simulators(plan: DistributedPlan, names, *,
+                     timeouts: Timeouts | None = None) -> list[ServiceGroup]:
+    """Start, and return, one service group per distinct endpoint among
+    ``names`` in this process: all of them or, on any error, none. Every
+    atomic at such an endpoint must be among ``names``."""
+    members: dict[Endpoint, list[str]] = {}
+    for name in names:
+        if name not in plan.endpoints:
+            raise SimulationError(f"unknown atomic {name!r} in plan {plan.graph.name!r}")
+        members.setdefault(plan.endpoints[name], []).append(name)
+    groups: list[ServiceGroup] = []
+    try:
+        for hosted in members.values():
+            groups.append(ServiceGroup(plan, hosted, timeouts=timeouts))
+        for group in groups:
+            group.start()
+    except BaseException:
+        for group in groups:
+            group.stop()
+        raise
+    return groups
 
 
 class DistributedCoordinator:
-    """Drives the abstract-protocol command cycle over simulator services,
-    one connection per service process."""
+    """Drives the abstract-protocol command cycle over service groups, one
+    connection per plan endpoint."""
 
     backend_name = "distributed"
 
@@ -489,119 +534,118 @@ class DistributedCoordinator:
         # Coupling targets of each atomic: the services that may receive its
         # output and so need a DELTFCN when it is imminent.
         self._targets: dict[str, set[str]] = {name: set() for name in self.names}
-        # The other processes each atomic's output enters, keyed like _conns;
-        # known once every process has answered INIT.
-        self._feeds: dict[str, set[str]] = {}
         for coupling in plan.graph.couplings:
             self._targets[coupling.src.component].add(coupling.dst.component)
+        self._groups = plan.groups()
+        # The other endpoints that each atomic's output enters.
+        self._feeds: dict[str, set[Endpoint]] = {
+            name: {plan.endpoints[dst] for dst in targets} - {plan.endpoints[name]}
+            for name, targets in self._targets.items()}
         self.frames_sent: dict[str, int] = {}
         self.frames_received: dict[str, int] = {}
-        # One connection per service process, keyed by the atomic it was
-        # dialled through; _via maps every atomic to that key.
-        self._conns: dict[str, socket.socket] = {}
-        self._via: dict[str, str] = {}
+        self._conns: dict[Endpoint, socket.socket] = {}
 
     # -- plumbing ---------------------------------------------------------------
 
+    def _where(self, endpoint: Endpoint) -> str:
+        hosted = self._groups[endpoint]
+        more = f" (+{len(hosted) - 1} co-hosted)" if len(hosted) > 1 else ""
+        return f"simulator {hosted[0]!r}{more} at {endpoint}"
+
     def _connect_all(self, init: WireFrame) -> dict[str, float]:
-        """Dial the first atomic that no earlier INIT reply listed, until
-        every atomic is covered; the tN of every atomic."""
-        tn: dict[str, float] = {}
-        for name in self.names:
-            if name in self._via:
-                continue
-            endpoint = self.plan.endpoints[name]
+        """Connect to every endpoint in plan order and write its INIT, then
+        read the replies; the tN of every atomic."""
+        for endpoint in self._groups:
             try:
                 sock = socket.create_connection(endpoint.main_addr(),
                                                 timeout=self.timeouts.connect)
             except OSError as exc:
-                raise SimulationError(
-                    f"simulator {name!r} at {endpoint} unreachable: {exc}") from exc
+                raise SimulationError(f"{self._where(endpoint)} unreachable: {exc}") from exc
             _configure(sock, self.timeouts.read)
-            self._conns[name] = sock
-            hosted = self._tn_pairs(name, self._send({name: init})[name])
-            if name not in hosted or any(atomic not in self._ranks or atomic in self._via
-                                         for atomic in hosted):
+            self._conns[endpoint] = sock
+            self._write(endpoint, init)
+        tn: dict[str, float] = {}
+        for endpoint, reply in self._replies(dict.fromkeys(self._groups, init)).items():
+            hosted = self._tn_pairs(endpoint, reply)
+            if sorted(hosted) != sorted(self._groups[endpoint]):
                 raise SimulationError(
-                    f"simulator {name!r} at {endpoint} hosts {list(hosted)}: a "
-                    "process must host itself and only plan atomics no other "
-                    "process hosts")
-            self._via.update(dict.fromkeys(hosted, name))
+                    f"{self._where(endpoint)} hosts {list(hosted)}, but the plan puts "
+                    f"{self._groups[endpoint]} there")
             tn.update(hosted)
-        self._feeds = {name: {self._via[dst] for dst in targets} - {self._via[name]}
-                       for name, targets in self._targets.items()}
         return tn
 
-    def _write(self, name: str, frame: WireFrame) -> None:
+    def _write(self, endpoint: Endpoint, frame: WireFrame) -> None:
         try:
-            write_frame(self._conns[name], frame)
+            write_frame(self._conns[endpoint], frame)
         except (OSError, ProtocolError) as exc:
-            raise SimulationError(
-                f"simulator {name!r} at {self.plan.endpoints[name]} failed: {exc}") from exc
+            raise SimulationError(f"{self._where(endpoint)} failed: {exc}") from exc
+        self._count(self.frames_sent, frame.command)
 
-    def _read(self, name: str) -> WireFrame:
-        endpoint = self.plan.endpoints[name]
+    def _read(self, endpoint: Endpoint, sent: WireFrame) -> WireFrame:
+        """The reply to ``sent``. A read timeout names the command, its
+        cycle time and, for a DELTFCN, the senders whose batches the
+        process waits for."""
+        where = self._where(endpoint)
         try:
-            reply = read_frame(self._conns[name])
+            reply = read_frame(self._conns[endpoint])
         except socket.timeout as exc:
-            raise SimulationError(
-                f"simulator {name!r} at {endpoint} timed out: {exc}") from exc
+            waiting = f" at t={sent.time!r}" if sent.time is not None else ""
+            if sent.command == DELTFCN and sent.values[1]:
+                waiting += (" waiting for the batches of "
+                            f"{', '.join(map(repr, sent.values[1]))}")
+            raise SimulationError(f"{where} timed out after {self.timeouts.read:g} s "
+                                  f"on {sent.command}{waiting}") from exc
         except (OSError, ProtocolError) as exc:
-            raise SimulationError(
-                f"simulator {name!r} at {endpoint} failed: {exc}") from exc
+            raise SimulationError(f"{where} failed: {exc}") from exc
         if reply is None:
-            raise SimulationError(f"simulator {name!r} at {endpoint} closed the connection")
+            raise SimulationError(f"{where} closed the connection")
         if reply.values[:1] == (_ERROR_MARK,):
-            raise SimulationError(f"simulator {name!r} at {endpoint} reported: "
-                                  f"{reply.values[1]}")
+            raise SimulationError(f"{where} reported: {reply.values[1]}")
+        self._count(self.frames_received, reply.command)
+        if reply.command != ACK:
+            raise SimulationError(f"{where} replied {reply.command}, expected {ACK}")
         return reply
 
     def _count(self, histogram: dict[str, int], command: str) -> None:
         histogram[command] = histogram.get(command, 0) + 1
 
-    def _send(self, frames: dict[str, WireFrame]) -> dict[str, WireFrame]:
+    def _replies(self, frames: dict[Endpoint, WireFrame]) -> dict[Endpoint, WireFrame]:
+        return {endpoint: self._read(endpoint, frame) for endpoint, frame in frames.items()}
+
+    def _send(self, frames: dict[Endpoint, WireFrame]) -> dict[Endpoint, WireFrame]:
         """Write every frame to its connection, then read every ACK: the
-        processes work on their commands at once."""
-        for name, frame in frames.items():
-            self._write(name, frame)
-            self._count(self.frames_sent, frame.command)
-        replies: dict[str, WireFrame] = {}
-        for name in frames:
-            reply = self._read(name)
-            self._count(self.frames_received, reply.command)
-            if reply.command != ACK:
-                raise SimulationError(
-                    f"simulator {name!r} replied {reply.command}, expected {ACK}")
-            replies[name] = reply
-        return replies
+        groups work on their commands at once."""
+        for endpoint, frame in frames.items():
+            self._write(endpoint, frame)
+        return self._replies(frames)
 
     def _command(self, command: str, t: float, names: list[str],
                  imminent: list[str] = ()) -> dict[str, float]:
-        """Send ``command`` at ``t`` to the processes hosting ``names``, one
-        frame per process naming its atomics in the order given; for
-        DELTFCN, the new tN of each. A DELTFCN frame holds ``[atomics,
-        senders]``: the senders are the ``imminent`` atomics of other
-        processes whose output enters the process, so it knows whose
-        PROPAGATE batches to wait for."""
-        batches: dict[str, list[str]] = {}
+        """Send ``command`` at ``t`` to the groups hosting ``names``, one
+        frame per group naming its atomics in the order given; for DELTFCN,
+        the new tN of each. A DELTFCN frame holds ``[atomics, senders]``:
+        the senders are the ``imminent`` atomics of other groups whose
+        output enters the group, so it knows whose PROPAGATE batches to
+        wait for."""
+        batches: dict[Endpoint, list[str]] = {}
         for name in names:
-            batches.setdefault(self._via[name], []).append(name)
-        replies = self._send({via: WireFrame(command, time=t, values=(
-            (batch, [sender for sender in imminent if via in self._feeds[sender]])
-            if command == DELTFCN else tuple(batch))) for via, batch in batches.items()})
+            batches.setdefault(self.plan.endpoints[name], []).append(name)
+        replies = self._send({endpoint: WireFrame(command, time=t, values=(
+            (batch, [sender for sender in imminent if endpoint in self._feeds[sender]])
+            if command == DELTFCN else tuple(batch)))
+            for endpoint, batch in batches.items()})
         tn: dict[str, float] = {}
         if command == DELTFCN:
-            for via, reply in replies.items():
-                pairs = self._tn_pairs(via, reply)
-                if list(pairs) != batches[via]:
+            for endpoint, reply in replies.items():
+                pairs = self._tn_pairs(endpoint, reply)
+                if list(pairs) != batches[endpoint]:
                     raise SimulationError(
-                        f"simulator {via!r} at {self.plan.endpoints[via]} "
-                        f"acknowledged {command} for {list(pairs)}, expected "
-                        f"{batches[via]}")
+                        f"{self._where(endpoint)} acknowledged {command} for "
+                        f"{list(pairs)}, expected {batches[endpoint]}")
                 tn.update(pairs)
         return tn
 
-    def _tn_pairs(self, name: str, reply: WireFrame) -> dict[str, float]:
+    def _tn_pairs(self, endpoint: Endpoint, reply: WireFrame) -> dict[str, float]:
         """The ``[atomic, tN]`` pairs of an INIT or DELTFCN ACK, each atomic
         once. Callers check the atomics against the plan."""
         try:
@@ -611,8 +655,7 @@ class DistributedCoordinator:
             return pairs
         except (TypeError, ValueError, ProtocolError) as exc:
             raise SimulationError(
-                f"simulator {name!r} at {self.plan.endpoints[name]} sent bad "
-                f"[atomic, tN] pairs: {exc}") from exc
+                f"{self._where(endpoint)} sent bad [atomic, tN] pairs: {exc}") from exc
 
     def close(self) -> None:
         for sock in self._conns.values():
@@ -642,22 +685,23 @@ class DistributedCoordinator:
                 tn.update(self._command(
                     DELTFCN, t, sorted(active, key=self._ranks.__getitem__), imminent))
                 cycles += 1
-            exits = self._send({name: WireFrame(EXIT) for name in self._conns})
+            exits = self._send({endpoint: WireFrame(EXIT) for endpoint in self._conns})
         finally:
             self.close()
-        # Each process's EXIT ACK: its ints, exts, events, dropped events and
+        # Each group's EXIT ACK: its ints, exts, events, dropped events and
         # PROPAGATE frames, then [atomic, trace] for every atomic it hosts.
         totals = [0] * 5
         traces: dict[str, list] = {}
-        for via, reply in exits.items():
+        for endpoint, reply in exits.items():
             *numbers, pairs = reply.values or (None,)
-            hosted = [name for name in self.names if self._via[name] == via]
             if not (len(numbers) == 5 and all(type(n) is int for n in numbers)
                     and isinstance(pairs, list) and all(
                         isinstance(pair, list) and len(pair) == 2
                         and isinstance(pair[0], str) for pair in pairs)
-                    and sorted(atomic for atomic, _ in pairs) == sorted(hosted)):
-                raise SimulationError(f"bad exit payload from {via!r}: {reply.values!r:.80}")
+                    and sorted(atomic for atomic, _ in pairs)
+                    == sorted(self._groups[endpoint])):
+                raise SimulationError(f"bad exit payload from {self._where(endpoint)}: "
+                                      f"{reply.values!r:.80}")
             totals = [total + n for total, n in zip(totals, numbers)]
             traces.update(pairs)
         ints, exts, events, dropped, peer_frames = totals

@@ -1,8 +1,11 @@
 """Orchestration manifest emission: distributed plan to pod specs.
 
 Each container group becomes one single-container pod whose command is one
-``pdevsim serve`` process hosting every atomic of the group, so pushes
-inside a group stay in memory; one extra pod runs the root coordinator.
+``pdevsim serve`` process hosting every atomic of the group, and which
+exposes one port per distinct plan endpoint among them. Atomics that share
+an endpoint are co-hosted by one service group, so pushes among them stay
+in memory, and a container group must not split them. One extra pod runs
+the root coordinator.
 The output is plain YAML so any orchestrator tooling (or ``kubectl
 apply``) can consume it; nothing here talks to a cluster.
 """
@@ -13,7 +16,7 @@ import shlex
 
 import yaml
 
-from .distributed import DistributedPlan
+from .distributed import DistributedPlan, Endpoint
 
 
 class ManifestError(Exception):
@@ -45,8 +48,9 @@ def emit_orchestration_manifest(plan: DistributedPlan, grouping: dict[str, str],
                                 plan_path: str = DEFAULT_PLAN_PATH) -> str:
     """Render pod specs for every container group plus the coordinator.
 
-    ``grouping`` maps every atomic of the plan to a group name; two atomics
-    in one group must not collide on a port.
+    ``grouping`` maps every atomic of the plan to a group name. A group
+    holds every atomic of each endpoint it serves, and two endpoints in one
+    group must not collide on a port.
     """
     plan.check()
     missing = sorted(set(plan.endpoints) - set(grouping))
@@ -57,19 +61,23 @@ def emit_orchestration_manifest(plan: DistributedPlan, grouping: dict[str, str],
         raise ManifestError(f"grouping names unknown atomic {unknown[0]!r}")
 
     groups: dict[str, list[str]] = {}
-    for name in plan.endpoints:  # plan order keeps output deterministic
-        groups.setdefault(grouping[name], []).append(name)
+    group_at: dict[Endpoint, str] = {}
+    for name, endpoint in plan.endpoints.items():  # plan order keeps output deterministic
+        group = grouping[name]
+        groups.setdefault(group, []).append(name)
+        if group_at.setdefault(endpoint, group) != group:
+            raise ManifestError(
+                f"group {group!r} splits endpoint {endpoint} with group "
+                f"{group_at[endpoint]!r}: it holds {name!r}")
 
     documents = []
     for group, members in groups.items():
         ports: list[int] = []
-        for member in members:
-            endpoint = plan.endpoints[member]
-            for port in (endpoint.main_port, endpoint.aux_port):
-                if port in ports:
-                    raise ManifestError(
-                        f"port {port} collides inside group {group!r}")
-                ports.append(port)
+        for endpoint in dict.fromkeys(plan.endpoints[member] for member in members):
+            if endpoint.main_port in ports:
+                raise ManifestError(
+                    f"port {endpoint.main_port} collides inside group {group!r}")
+            ports.append(endpoint.main_port)
         command = f"pdevsim serve --plan {shlex.quote(plan_path)}" + "".join(
             f" --atomic {shlex.quote(m)}" for m in members)
         documents.append(_pod(f"sim-{group}", image, command, ports))

@@ -2,9 +2,10 @@
 
 The document describes a flattened model (atomics plus connections) and an
 addressing mode: per-atomic ``pool`` attributes select worker-pool parallel
-execution, per-atomic ``host``/``mainPort``/``auxPort`` attributes select
-socket-distributed execution. A file must use exactly one mode. Emission is
-deterministic, so emit-parse-emit is byte stable.
+execution, per-atomic ``host``/``mainPort`` attributes select
+socket-distributed execution, where atomics with equal endpoints are
+co-hosted by one service group. A file must use exactly one mode. Emission
+is deterministic, so emit-parse-emit is byte stable.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ class ParallelPlan:
     pool_plan: PoolPlan
 
 
-_DIST_ATTRS = ("host", "mainPort", "auxPort")
+_DIST_ATTRS = ("host", "mainPort")
 
 
 def parse_plan_xml(source: str | Path) -> DistributedPlan | ParallelPlan:
@@ -199,8 +200,7 @@ def _endpoints(atomics: list[ET.Element]) -> dict[str, Endpoint]:
             raise PlanError(f"atomic {element.get('name')!r} lacks endpoint "
                             f"attribute {missing[0]!r}")
         endpoints[element.get("name")] = Endpoint(
-            element.get("host"), _int_attr(element, "mainPort"),
-            _int_attr(element, "auxPort"))
+            element.get("host"), _int_attr(element, "mainPort"))
     return endpoints
 
 
@@ -269,8 +269,7 @@ def emit_distributed_plan_xml(plan: DistributedPlan) -> str:
 
     def attrs(name: str) -> dict[str, str]:
         endpoint = plan.endpoints[name]
-        return {"host": endpoint.host, "mainPort": str(endpoint.main_port),
-                "auxPort": str(endpoint.aux_port)}
+        return {"host": endpoint.host, "mainPort": str(endpoint.main_port)}
 
     return _write_document(
         plan.graph,
@@ -282,13 +281,10 @@ def emit_distributed_plan_xml(plan: DistributedPlan) -> str:
 def default_endpoints(graph: ModelGraph, host: str = "127.0.0.1",
                       base_port: int = 5000) -> DistributedPlan:
     """Distributed plan with generated endpoints: the coordinator takes the
-    base port, each atomic the next main/aux pair."""
+    base port, each atomic the next port, so each is a group of its own."""
     flat = _flat(graph)
-    endpoints = {}
-    port = base_port + 1
-    for _, spec in flat.walk_atomics():
-        endpoints[spec.name] = Endpoint(host, port, port + 1)
-        port += 2
+    endpoints = {spec.name: Endpoint(host, base_port + 1 + index)
+                 for index, (_, spec) in enumerate(flat.walk_atomics())}
     return DistributedPlan(flat, endpoints, Endpoint(host, base_port))
 
 

@@ -43,9 +43,9 @@ class WireFrame:
     ``[atomics, senders]`` for a DELTFCN, ``[sender, port, target, target
     port, values]`` items for a PROPAGATE, and the replies, such as the
     ``[atomic, tN]`` pairs of an INIT or DELTFCN ACK. ``time`` is the
-    virtual time of LAMBDA and DELTFCN frames. ``sender`` names the atomic
-    whose connection an ACK comes from; ``port`` is part of the frame
-    format, but no command uses it.
+    virtual time of LAMBDA and DELTFCN frames. ``sender`` names the first
+    atomic of the service group an ACK comes from; ``port`` is part of the
+    frame format, but no command uses it.
     """
 
     command: str

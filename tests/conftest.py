@@ -8,9 +8,10 @@ import os
 import pytest
 from hypothesis import settings
 
-from pdevsim import (AtomicModel, ModelGraph, atomic_spec, register_behavior,
-                     serve_simulators)
+from pdevsim import (AtomicModel, DistributedPlan, Endpoint, ModelGraph,
+                     atomic_spec, flatten, register_behavior, serve_simulators)
 from pdevsim.behaviors import _REGISTRY
+from pdevsim.bench import free_port_block, local_plan
 
 # Every run draws the same examples, and no example fails on its wall time.
 settings.register_profile("pdevsim", derandomize=True, deadline=None)
@@ -161,14 +162,28 @@ def fan_out_model(senders=1, receivers=2, emit_at=0.0) -> ModelGraph:
     return graph
 
 
+def spread_plan(graph):
+    """Loopback plan that gives every atomic an endpoint of its own."""
+    return local_plan(graph, blocks=len(flatten(graph).atomics))
+
+
+def grouped_plan(graph, blocks):
+    """Loopback plan that co-hosts the atomics of each of ``blocks`` at one
+    endpoint, in the plan order of ``graph``."""
+    flat = flatten(graph)
+    ports = free_port_block(len(blocks) + 1)
+    at = {name: Endpoint("127.0.0.1", port) for block, port in zip(blocks, ports)
+          for name in block}
+    return DistributedPlan(flat, {name: at[name] for name in flat.atomics},
+                           Endpoint("127.0.0.1", ports[-1]))
+
+
 @contextlib.contextmanager
 def thread_services(plan, names=None):
     """Run simulator services for a plan inside this process, one group
-    per atomic."""
-    groups = []
+    per endpoint of ``names`` (every atomic by default)."""
+    groups = serve_simulators(plan, names or plan.endpoints)
     try:
-        for name in (names or plan.endpoints):
-            groups.append(serve_simulators(plan, [name]))
         yield groups
     finally:
         for group in groups:

@@ -223,6 +223,43 @@ def test_distributed_local_leaves_no_child_process():
     _assert_no_child_process()
 
 
+def test_distributed_local_children_serve_the_plan_in_memory(monkeypatch):
+    """The forked processes neither parse arguments nor read plan XML."""
+    from pdevsim import cli, planfile
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a service process parsed its arguments or its plan")
+
+    monkeypatch.setattr(cli, "main", forbidden)
+    monkeypatch.setattr(planfile, "parse_plan_xml", forbidden)
+    report = run_distributed_local(generate(DevstoneConfig("HO", 3, 3)), trace=True)
+    sequential = run_sequential(generate(DevstoneConfig("HO", 3, 3)), trace=True)
+    assert report.trace_text() == sequential.trace_text()
+
+
+def test_distributed_local_services_use_the_launchers_timeouts(monkeypatch):
+    """A lost peer batch ends the run within the launcher's read timeout,
+    with an error naming the sender, whether the coordinator or the
+    receiving process gives up first."""
+    import time
+
+    from pdevsim import ServiceGroup, Timeouts
+    monkeypatch.setattr(ServiceGroup, "_ship", lambda self, imminent: None)
+    plan = local_plan(generate(DevstoneConfig("HO", 3, 3)), blocks=2)
+    first, second = plan.groups().values()
+    senders = {c.src.component for c in plan.graph.couplings
+               if c.src.component in first and c.dst.component in second}
+    assert senders
+    started = time.monotonic()
+    with pytest.raises(SimulationError) as err:
+        run_distributed_local(plan, timeouts=Timeouts(connect=5.0, read=2.0))
+    elapsed = time.monotonic() - started
+    message = str(err.value)
+    assert any(repr(sender) in message for sender in senders), message
+    assert elapsed < 5.0, (elapsed, message)
+    _assert_no_child_process()
+
+
 def test_distributed_local_does_not_repeat_unflushed_stdout():
     """Text the launcher left in its stdout buffer is written once, by the
     launcher, and never reaches a service's ready pipe."""
@@ -246,7 +283,8 @@ def test_distributed_local_does_not_repeat_unflushed_stdout():
 def test_distributed_local_leaves_nothing_unclosed(tmp_path):
     """distributed-local in development mode with ResourceWarning as an
     error: a socket, pipe or child process left unclosed fails the run or
-    shows on stderr."""
+    shows on stderr, on a run that succeeds and on one that fails."""
+    import socket
     import subprocess
     import sys
     plan = local_plan(generate(DevstoneConfig("HO", 3, 3)))
@@ -262,6 +300,18 @@ def test_distributed_local_leaves_nothing_unclosed(tmp_path):
     assert "ResourceWarning" not in result.stderr, result.stderr
     sequential = run_sequential(generate(DevstoneConfig("HO", 3, 3)), trace=True)
     assert trace.read_text() == sequential.trace_text()
+    # The error path too: a service process that cannot bind its endpoint.
+    blocker = socket.create_server(list(plan.endpoints.values())[-1].main_addr())
+    try:
+        result = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "pdevsim",
+             "run", "--plan", str(plan_path), "--backend", "distributed-local"],
+            capture_output=True, text=True, timeout=120)
+    finally:
+        blocker.close()
+    assert result.returncode == 1, result.stderr
+    assert "cannot bind" in result.stderr and result.stderr.count("\n") == 1, result.stderr
+    assert "ResourceWarning" not in result.stderr, result.stderr
 
 
 def test_report_rows_roundtrip(tmp_path):

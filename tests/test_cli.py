@@ -100,13 +100,32 @@ def test_emit_manifest_verb(tmp_path, capsys):
     assert len(documents) == 4 + 1  # 3 chain atomics + generator + coordinator
 
 
-def test_serve_hosts_every_repeated_atomic(tmp_path, capsys):
+def _wait_listening(endpoint):
+    deadline = time.monotonic() + 10.0
+    while True:
+        try:
+            socket.create_connection(endpoint.main_addr(), timeout=1.0).close()
+            return
+        except OSError:
+            assert time.monotonic() < deadline, f"{endpoint} never listened"
+            time.sleep(0.05)
+
+
+def _gpt_plan_file(tmp_path):
+    """The gpt model with generator and processor co-hosted at one
+    endpoint and transducer at another."""
     from pdevsim import build_gpt, emit_distributed_plan_xml
-    from pdevsim.bench import local_plan
-    from pdevsim.wire import ACK, EXIT, INIT, WireFrame, read_frame, write_frame
-    plan = local_plan(build_gpt())
+
+    from conftest import grouped_plan
+    plan = grouped_plan(build_gpt(), [["generator", "processor"], ["transducer"]])
     path = tmp_path / "plan.xml"
     path.write_text(emit_distributed_plan_xml(plan), encoding="utf-8")
+    return plan, path
+
+
+def test_serve_hosts_every_repeated_atomic(tmp_path, capsys):
+    from pdevsim.wire import ACK, EXIT, INIT, WireFrame, read_frame, write_frame
+    plan, path = _gpt_plan_file(tmp_path)
     codes = []
     server = threading.Thread(target=lambda: codes.append(main(
         ["serve", "--plan", str(path), "--atomic", "generator", "--atomic", "processor"])),
@@ -114,17 +133,8 @@ def test_serve_hosts_every_repeated_atomic(tmp_path, capsys):
     server.start()
     try:
         for name in ("generator", "processor"):
-            deadline = time.monotonic() + 10.0
-            while True:
-                try:
-                    sock = socket.create_connection(plan.endpoints[name].main_addr(),
-                                                    timeout=1.0)
-                    break
-                except OSError:
-                    assert time.monotonic() < deadline, f"{name} never listened"
-                    time.sleep(0.05)
-            sock.close()
-        # One connection to any member drives the whole process.
+            _wait_listening(plan.endpoints[name])
+        # One connection to the shared endpoint drives the whole group.
         with socket.create_connection(plan.endpoints["processor"].main_addr(),
                                       timeout=1.0) as sock:
             sock.settimeout(10.0)
@@ -134,7 +144,7 @@ def test_serve_hosts_every_repeated_atomic(tmp_path, capsys):
             assert [name for name, _ in reply.values] == ["generator", "processor"]
             write_frame(sock, WireFrame(EXIT))
             reply = read_frame(sock)
-            assert reply.command == ACK and reply.sender == "processor"
+            assert reply.command == ACK and reply.sender == "generator"
             assert [name for name, _ in reply.values[-1]] == ["generator", "processor"]
     finally:
         server.join(timeout=10.0)
@@ -143,6 +153,36 @@ def test_serve_hosts_every_repeated_atomic(tmp_path, capsys):
     assert capsys.readouterr().out == "ready\n"
     with pytest.raises(OSError):  # transducer was not hosted
         socket.create_connection(plan.endpoints["transducer"].main_addr(), timeout=1.0)
+
+
+def test_serve_starts_one_group_per_endpoint(tmp_path, capsys):
+    from pdevsim import build_gpt, run_coordinator
+    from pdevsim.bench import run_sequential
+    plan, path = _gpt_plan_file(tmp_path)
+    codes = []
+    server = threading.Thread(target=lambda: codes.append(main(
+        ["serve", "--plan", str(path), "--atomic", "transducer", "--atomic", "generator",
+         "--atomic", "processor"])), daemon=True)
+    server.start()
+    try:
+        for endpoint in plan.groups():
+            _wait_listening(endpoint)
+        report = run_coordinator(plan, trace=True)
+    finally:
+        server.join(timeout=10.0)
+    assert not server.is_alive() and codes == [0]
+    assert capsys.readouterr().out == "ready\n"
+    assert report.diagnostics["frames_sent"]["INIT"] == 2
+    assert report.trace_text() == run_sequential(build_gpt(), trace=True).trace_text()
+
+
+def test_serve_refuses_to_split_an_endpoint(tmp_path, capsys):
+    plan, path = _gpt_plan_file(tmp_path)
+    code, out, err = run_cli(["serve", "--plan", str(path), "--atomic", "generator"],
+                             capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'processor'" in err and "not hosted" in err
 
 
 def test_trace_out_writes_canonical_trace(tmp_path, capsys):

@@ -22,7 +22,8 @@ from pdevsim.devstone import DevstoneConfig, generate
 from pdevsim.wire import (ACK, DELTFCN, EXIT, INIT, LAMBDA, PROPAGATE,
                           WireFrame, decode_time, read_frame, write_frame)
 
-from conftest import Rendezvous, fan_out_model, thread_services
+from conftest import (Rendezvous, fan_out_model, grouped_plan, spread_plan,
+                      thread_services)
 
 
 def _dial(endpoint):
@@ -33,7 +34,7 @@ def _dial(endpoint):
 
 
 def test_service_reports_tn_infinite_before_any_event(gpt_graph):
-    plan = local_plan(gpt_graph)
+    plan = spread_plan(gpt_graph)
     with thread_services(plan, names=["processor"]):
         sock = _dial(plan.endpoints["processor"])
         try:
@@ -48,10 +49,11 @@ def test_service_reports_tn_infinite_before_any_event(gpt_graph):
 
 
 def _peer_link(endpoint):
-    """Dial an aux port as a peer process would; the link and its greeting."""
-    link = socket.create_connection(endpoint.aux_addr(), timeout=5.0)
+    """Dial an endpoint as a peer group would; the link becomes a peer link
+    with the first PROPAGATE frame written to it."""
+    link = socket.create_connection(endpoint.main_addr(), timeout=5.0)
     link.settimeout(10.0)
-    return link, read_frame(link)
+    return link
 
 
 def _deltfcn(sock, atomics, senders):
@@ -61,12 +63,11 @@ def _deltfcn(sock, atomics, senders):
 
 
 def test_leftover_propagate_batch_is_an_error(gpt_graph):
-    plan = local_plan(gpt_graph)
+    plan = spread_plan(gpt_graph)
     with thread_services(plan, names=["processor"]) as (group,):
         sock = _dial(plan.endpoints["processor"])
-        peer, greeting = _peer_link(plan.endpoints["processor"])
+        peer = _peer_link(plan.endpoints["processor"])
         try:
-            assert greeting.command == ACK and greeting.values == ("processor",)
             write_frame(sock, WireFrame(INIT, values=(0,)))
             assert read_frame(sock).command == ACK
             for value in ("job-1", "job-2"):  # two batches on one coupling, one cycle
@@ -92,10 +93,10 @@ def test_leftover_propagate_batch_is_an_error(gpt_graph):
 def test_propagate_for_unknown_coupling_is_rejected(gpt_graph, item):
     """A batch item for a coupling that does not enter the receiving
     process is refused, naming the coupling's ends, by the next DELTFCN."""
-    plan = local_plan(gpt_graph)
+    plan = spread_plan(gpt_graph)
     with thread_services(plan, names=["processor"]):
         sock = _dial(plan.endpoints["processor"])
-        peer, _ = _peer_link(plan.endpoints["processor"])
+        peer = _peer_link(plan.endpoints["processor"])
         try:
             write_frame(sock, WireFrame(INIT, values=(0,)))
             assert read_frame(sock).command == ACK
@@ -121,13 +122,14 @@ def test_propagate_for_unknown_coupling_is_rejected(gpt_graph, item):
 def test_bad_peer_input_is_reported_at_deltfcn(gpt_graph, payload, message):
     """Whatever a peer link brings that cannot be filed comes back, in one
     line naming the receiving atomic, in the reply to the next DELTFCN."""
-    plan = local_plan(gpt_graph)
+    plan = spread_plan(gpt_graph)
     with thread_services(plan, names=["processor"]):
         sock = _dial(plan.endpoints["processor"])
-        peer, _ = _peer_link(plan.endpoints["processor"])
+        peer = _peer_link(plan.endpoints["processor"])
         try:
             write_frame(sock, WireFrame(INIT, values=(0,)))
             assert read_frame(sock).command == ACK
+            write_frame(peer, WireFrame(PROPAGATE))  # an empty batch opens the link
             if isinstance(payload, bytes):
                 peer.sendall(payload)
             else:
@@ -141,7 +143,7 @@ def test_bad_peer_input_is_reported_at_deltfcn(gpt_graph, payload, message):
 
 
 def test_commands_without_time_are_rejected(gpt_graph):
-    plan = local_plan(gpt_graph)
+    plan = spread_plan(gpt_graph)
     with thread_services(plan, names=["processor"]):
         sock = _dial(plan.endpoints["processor"])
         try:
@@ -161,7 +163,7 @@ def test_commands_without_time_are_rejected(gpt_graph):
     (("generator",), "does not host"),
 ], ids=["twice", "not-hosted"])
 def test_badly_addressed_commands_are_rejected(gpt_graph, names, message):
-    plan = local_plan(gpt_graph)
+    plan = spread_plan(gpt_graph)
     with thread_services(plan, names=["processor"]):
         sock = _dial(plan.endpoints["processor"])
         try:
@@ -182,7 +184,7 @@ def test_badly_addressed_commands_are_rejected(gpt_graph, names, message):
     ((["processor"], ["processor"]), "no coupling into the process"),
 ], ids=["flat", "uncoupled-sender", "hosted-sender"])
 def test_deltfcn_must_name_senders_coupled_into_the_process(gpt_graph, values, message):
-    plan = local_plan(gpt_graph)
+    plan = spread_plan(gpt_graph)
     with thread_services(plan, names=["processor"]):
         sock = _dial(plan.endpoints["processor"])
         try:
@@ -196,13 +198,13 @@ def test_deltfcn_must_name_senders_coupled_into_the_process(gpt_graph, values, m
 
 
 def test_serve_unknown_atomic_fails_at_startup(gpt_graph):
-    plan = local_plan(gpt_graph)
+    plan = spread_plan(gpt_graph)
     with pytest.raises(SimulationError, match="ghost"):
         serve_simulators(plan, ["ghost"])
 
 
 def test_port_in_use_is_reported(gpt_graph):
-    plan = local_plan(gpt_graph)
+    plan = spread_plan(gpt_graph)
     blocker = socket.socket()
     blocker.bind((plan.endpoints["generator"].host,
                   plan.endpoints["generator"].main_port))
@@ -214,9 +216,59 @@ def test_port_in_use_is_reported(gpt_graph):
         blocker.close()
 
 
+def test_serve_refuses_to_split_an_endpoint(gpt_graph):
+    plan = grouped_plan(gpt_graph, [["generator", "processor"], ["transducer"]])
+    with pytest.raises(SimulationError) as err:
+        serve_simulators(plan, ["transducer", "generator"])
+    message = str(err.value)
+    assert "'processor'" in message and "not hosted" in message and "\n" not in message
+    groups = serve_simulators(plan, ["processor", "transducer", "generator"])
+    try:  # one group per endpoint, hosting the plan's atomics there in plan order
+        assert [group.names for group in groups] == [["generator", "processor"],
+                                                     ["transducer"]]
+    finally:
+        for group in groups:
+            group.stop()
+
+
+def test_nine_atomic_group_has_one_listener_and_one_accept_thread():
+    plan = local_plan(generate(DevstoneConfig("HO", 5, 5)), blocks=2)
+    block = list(plan.groups().values())[0]
+    assert len(block) == 9
+    before = set(threading.enumerate())
+    (group,) = serve_simulators(plan, block)
+    try:
+        started = [t for t in threading.enumerate() if t not in before]
+        assert [t.name for t in started] == [f"svc-{block[0]}"]
+        (listener,) = group._sockets
+        assert listener.getsockname() == plan.endpoints[block[0]].main_addr()
+    finally:
+        group.stop()
+    group.join(timeout=5.0)
+    assert not started[0].is_alive()
+    assert listener.fileno() == -1
+
+
+def test_bad_first_frame_is_rejected_with_one_line(gpt_graph):
+    plan = spread_plan(gpt_graph)
+    with thread_services(plan, names=["processor"]):
+        sock = _dial(plan.endpoints["processor"])
+        try:
+            sock.sendall(b"\x00\x00\x00\x02{]")
+            reply = read_frame(sock)
+            closed = read_frame(sock)
+        finally:
+            sock.close()
+    assert reply.command == ACK and reply.values[0] == "__error__"
+    assert "bad first frame" in reply.values[1] and "'processor'" in reply.values[1]
+    assert str(plan.endpoints["processor"]) in reply.values[1]
+    assert "\n" not in reply.values[1]
+    assert closed is None  # the service hangs up
+
+
 def test_exit_shuts_the_service_down(gpt_graph):
-    plan = local_plan(gpt_graph)
-    group = serve_simulators(plan, ["generator"])
+    plan = spread_plan(gpt_graph)
+    (group,) = serve_simulators(plan, ["generator"])
     sock = _dial(plan.endpoints["generator"])
     try:
         write_frame(sock, WireFrame(INIT, values=(0,)))
@@ -237,7 +289,7 @@ def test_exit_shuts_the_service_down(gpt_graph):
 
 
 def test_gpt_distributed_equals_sequential(gpt_graph):
-    plan = local_plan(gpt_graph)
+    plan = spread_plan(gpt_graph)
     with thread_services(plan):
         report = run_coordinator(plan, trace=True)
     sequential = SequentialCoordinator(build_gpt(), trace=True).simulate()
@@ -288,7 +340,7 @@ def _addressed_command_counts(graph, group_of=None) -> tuple[int, int, Counter, 
 
 
 def test_coordinator_relays_no_propagate_frames(gpt_graph):
-    plan = local_plan(gpt_graph)
+    plan = spread_plan(gpt_graph)
     with thread_services(plan):
         report = run_coordinator(plan, trace=False)
     sent = report.diagnostics["frames_sent"]
@@ -299,7 +351,7 @@ def test_coordinator_relays_no_propagate_frames(gpt_graph):
 
 
 def test_ho_distributed_counters_and_traces():
-    plan = local_plan(generate(DevstoneConfig("HO", 4, 3)))
+    plan = spread_plan(generate(DevstoneConfig("HO", 4, 3)))
     with thread_services(plan):
         report = run_coordinator(plan, trace=True)
     sequential = SequentialCoordinator(
@@ -317,24 +369,27 @@ def test_ho_distributed_counters_and_traces():
 
 def _run_blocks(config, groups, monkeypatch):
     """Run ``config`` on ``groups`` co-hosted groups of contiguous atomics,
-    check it against the sequential trace, and return the report, each
-    atomic's group, the (pushing group, dialled group) of every aux-port
-    dial and the DELTFCN frames by (time, receiving group, senders named)."""
-    plan = local_plan(generate(config))
+    each at one plan endpoint, check it against the sequential trace, and
+    return the report, each atomic's group, the (pushing group, dialled
+    group) of every peer dial and the DELTFCN frames by (time, receiving
+    group, senders named)."""
+    plan = local_plan(generate(config), blocks=groups)
     names = list(plan.endpoints)
-    blocks = [names[len(names) * i // groups:len(names) * (i + 1) // groups]
-              for i in range(groups)]
+    blocks = list(plan.groups().values())
+    assert len(blocks) == groups
     group_of = {name: i for i, block in enumerate(blocks) for name in block}
-    aux_owner = {plan.endpoints[name].aux_addr(): name for name in names}
+    owner = {plan.endpoints[name].main_addr(): name for name in names}
     dials = []
     dial = socket.create_connection
 
     def recording_dial(address, *args, **kwargs):
         # A push runs on the thread serving the coordinator's connection,
-        # named svc-<atomic whose main port accepted it>-main-conn.
-        if address in aux_owner:
-            pusher = threading.current_thread().name.removeprefix("svc-").split("-")[0]
-            dials.append((group_of[pusher], group_of[aux_owner[address]]))
+        # named svc-<first atomic of the group>-conn; the coordinator dials
+        # from this thread.
+        pusher = threading.current_thread().name
+        if pusher.startswith("svc-"):
+            pusher = pusher.removeprefix("svc-").split("-")[0]
+            dials.append((group_of[pusher], group_of[owner[address]]))
         return dial(address, *args, **kwargs)
 
     monkeypatch.setattr(socket, "create_connection", recording_dial)
@@ -352,7 +407,7 @@ def _run_blocks(config, groups, monkeypatch):
     started = []
     try:
         for block in blocks:
-            started.append(serve_simulators(plan, block))
+            started.extend(serve_simulators(plan, block))
         report = run_coordinator(plan, trace=True)
     finally:
         for group in started:
@@ -366,7 +421,7 @@ def _run_blocks(config, groups, monkeypatch):
 @pytest.mark.parametrize("groups", [1, 2])
 def test_cohosted_groups_push_in_memory(groups, monkeypatch):
     """Services co-hosted in one group reproduce the sequential trace. Only
-    pushes between different groups dial an aux port, exactly once per
+    pushes between different groups dial a peer's endpoint, exactly once per
     ordered pair of groups that exchanges values, and such a pair gets one
     PROPAGATE frame per cycle. Each DELTFCN names exactly the imminent
     senders of other groups coupled into its group."""
@@ -403,7 +458,7 @@ def test_two_blocks_of_ho55_send_four_peer_frames(monkeypatch):
 def test_multi_sender_fan_in_matches_sequential_order():
     graph = fan_out_model(senders=3, receivers=2)
     sequential = SequentialCoordinator(fan_out_model(3, 2), trace=True).simulate()
-    plan = local_plan(graph)
+    plan = spread_plan(graph)
     with thread_services(plan):
         report = run_coordinator(plan, trace=True)
     assert report.trace_text() == sequential.trace_text()
@@ -415,7 +470,6 @@ def test_cohosted_fan_in_under_frequent_switches():
     two other groups on two links, push into them over TCP at the same
     time; no value may be lost or reordered."""
     sequential = SequentialCoordinator(fan_out_model(8, 2), trace=True).simulate()
-    plan = local_plan(fan_out_model(8, 2))
     local = [f"s{i}" for i in range(4)] + ["r0", "r1"]
     layouts = ((local, [f"s{i}" for i in range(4, 8)]),
                (local, ["s4", "s5"], ["s6", "s7"]))
@@ -423,10 +477,11 @@ def test_cohosted_fan_in_under_frequent_switches():
     sys.setswitchinterval(1e-6)
     try:
         for blocks in layouts * 3:
+            plan = grouped_plan(fan_out_model(8, 2), blocks)
             groups = []
             try:
                 for block in blocks:
-                    groups.append(serve_simulators(plan, block))
+                    groups.extend(serve_simulators(plan, block))
                 report = run_coordinator(plan, trace=True,
                                          timeouts=Timeouts(connect=5.0, read=20.0))
             finally:
@@ -438,7 +493,7 @@ def test_cohosted_fan_in_under_frequent_switches():
 
 
 def test_group_checks_the_plan_once(monkeypatch):
-    plan = local_plan(generate(DevstoneConfig("HO", 4, 3)))
+    plan = local_plan(generate(DevstoneConfig("HO", 4, 3)), blocks=1)
     calls = []
     check = DistributedPlan.check
 
@@ -457,7 +512,7 @@ def test_group_engine_follows_its_cpu_share(monkeypatch, cpus):
     """A group sizes its engine by the CPUs its process may run on: one CPU
     runs the block sequentially, two run it on a pool of two workers."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-    plan = local_plan(generate(DevstoneConfig("HO", 3, 3)))
+    plan = local_plan(generate(DevstoneConfig("HO", 3, 3)), blocks=1)
     group = ServiceGroup(plan, plan.endpoints)
     try:
         if len(cpus) == 1:
@@ -479,14 +534,15 @@ def test_batched_command_failure_names_the_failing_atomic():
     graph.add_component(atomic_spec("r1", "raise_ext"))
     for receiver in ("r0", "r1"):
         graph.connect("s0", "out", receiver, "in")
-    plan = local_plan(graph)
+    blocks = (["s0"], ["r0", "r1"])  # the second group's first atomic is r0
+    plan = grouped_plan(graph, blocks)
     before = set(threading.enumerate())
     groups = []
     read_timeout = 20.0
     started = time.monotonic()
     try:
-        for block in (["s0"], ["r0", "r1"]):  # the second is dialled via r0
-            groups.append(serve_simulators(plan, block))
+        for block in blocks:
+            groups.extend(serve_simulators(plan, block))
         with pytest.raises(SimulationError) as err:
             run_coordinator(plan, timeouts=Timeouts(connect=5.0, read=read_timeout))
     finally:
@@ -510,7 +566,7 @@ def test_missing_peer_batch_fails_within_the_read_timeout():
     graph.add_component(atomic_spec("s0", "emit_once"))
     graph.add_component(atomic_spec("r0", "collector"))
     graph.connect("s0", "out", "r0", "in")
-    plan = local_plan(graph)
+    plan = spread_plan(graph)
     before = set(threading.enumerate())
     groups = []
     started = time.monotonic()
@@ -535,6 +591,39 @@ def test_missing_peer_batch_fails_within_the_read_timeout():
     assert left == []
 
 
+def test_coordinator_timeout_names_the_awaited_senders():
+    """When the coordinator gives up on a DELTFCN first, its error names
+    the command, the cycle time and the senders whose batches the process
+    waits for; stopping the groups ends that wait."""
+    graph = ModelGraph("toy")
+    graph.add_component(atomic_spec("s0", "emit_once"))
+    graph.add_component(atomic_spec("r0", "collector"))
+    graph.connect("s0", "out", "r0", "in")
+    plan = spread_plan(graph)
+    before = set(threading.enumerate())
+    groups = []
+    started = time.monotonic()
+    try:
+        for block in (["s0"], ["r0"]):
+            groups.append(ServiceGroup(plan, block, timeouts=Timeouts(read=30.0)).start())
+        groups[0]._ship = lambda imminent: None  # the batch is lost on the way
+        with pytest.raises(SimulationError) as err:
+            run_coordinator(plan, timeouts=Timeouts(connect=5.0, read=1.0))
+    finally:
+        for group in groups:
+            group.stop()
+    for group in groups:
+        group.join(timeout=5.0)
+    elapsed = time.monotonic() - started
+    message = str(err.value)
+    assert message == (f"simulator 'r0' at {plan.endpoints['r0']} timed out after 1 s "
+                       "on DELTFCN at t=0.0 waiting for the batches of 's0'")
+    assert elapsed < 3.0, elapsed
+    left = [t.name for t in threading.enumerate()
+            if t not in before and t.name.startswith(("coord", "svc-"))]
+    assert left == []
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_batch_members_run_at_once(workers, monkeypatch):
     """The members that one LAMBDA addresses run at the same time: two
@@ -545,11 +634,11 @@ def test_batch_members_run_at_once(workers, monkeypatch):
         graph.add_component(atomic_spec(name, "rendezvous"))
         graph.add_component(atomic_spec(f"r{name}", "collector"))
         graph.connect(name, "out", f"r{name}", "in")
-    plan = local_plan(graph)
+    plan = local_plan(graph, blocks=1)
     before = set(threading.enumerate())
     Rendezvous.barrier = threading.Barrier(2, timeout=5.0 if workers > 1 else 0.5)
     monkeypatch.setattr(distributed, "default_workers", lambda: workers)
-    group = serve_simulators(plan, plan.endpoints)
+    (group,) = serve_simulators(plan, plan.endpoints)
     try:
         if workers > 1:
             report = run_coordinator(plan)
@@ -570,9 +659,11 @@ def test_batch_members_run_at_once(workers, monkeypatch):
     [["generator", 0.0], ["ghost", "inf"]],
     [["generator", "soon"]],
     [["generator", 0.0], ["generator", "inf"]],
-], ids=["misses-itself", "unknown-atomic", "bad-tn", "duplicate-atomic"])
+    [["generator", 0.0], ["processor", "inf"]],
+], ids=["misses-itself", "unknown-atomic", "bad-tn", "duplicate-atomic",
+        "other-endpoint"])
 def test_bad_init_membership_is_rejected(gpt_graph, hosted):
-    plan = local_plan(gpt_graph)
+    plan = spread_plan(gpt_graph)
     endpoint = plan.endpoints["generator"]
     listener = socket.create_server(endpoint.main_addr())
     listener.settimeout(10.0)
@@ -587,16 +678,77 @@ def test_bad_init_membership_is_rejected(gpt_graph, hosted):
     server = threading.Thread(target=fake_service)
     server.start()
     try:
-        with pytest.raises(SimulationError, match=f"'generator' at {endpoint}"):
-            run_coordinator(plan, timeouts=Timeouts(connect=2.0, read=5.0))
+        with thread_services(plan, names=["transducer", "processor"]):
+            with pytest.raises(SimulationError, match=f"'generator' at {endpoint}"):
+                run_coordinator(plan, timeouts=Timeouts(connect=2.0, read=5.0))
     finally:
         server.join(timeout=10.0)
         listener.close()
     assert not server.is_alive()
 
 
+def test_coordinator_writes_every_init_before_reading_any_ack(gpt_graph, monkeypatch):
+    plan = spread_plan(gpt_graph)
+    coordinator = threading.current_thread()
+    calls = []
+    write, read = distributed.write_frame, distributed.read_frame
+
+    def recording_write(sock, frame):
+        if threading.current_thread() is coordinator:
+            calls.append(("write", frame.command))
+        write(sock, frame)
+
+    def recording_read(sock):
+        if threading.current_thread() is coordinator:
+            calls.append(("read", None))
+        return read(sock)
+
+    monkeypatch.setattr(distributed, "write_frame", recording_write)
+    monkeypatch.setattr(distributed, "read_frame", recording_read)
+    with thread_services(plan):
+        run_coordinator(plan)
+    assert calls[:4] == [("write", INIT)] * 3 + [("read", None)]
+
+
+def test_silent_service_fails_init_within_the_read_timeout(gpt_graph):
+    """A service that accepts the connection but never answers INIT ends
+    the run after the read timeout, with an error naming its endpoint, its
+    atomic and the command, and leaves no thread behind."""
+    plan = spread_plan(gpt_graph)
+    endpoint = plan.endpoints["generator"]
+    listener = socket.create_server(endpoint.main_addr())
+    listener.settimeout(10.0)
+
+    def silent_service():
+        conn, _ = listener.accept()
+        with conn:
+            while read_frame(conn) is not None:  # until the coordinator hangs up
+                pass
+
+    server = threading.Thread(target=silent_service, name="silent")
+    before = set(threading.enumerate())
+    server.start()
+    started = time.monotonic()
+    try:
+        with thread_services(plan, names=["transducer", "processor"]):
+            with pytest.raises(SimulationError) as err:
+                run_coordinator(plan, timeouts=Timeouts(connect=2.0, read=1.0))
+        elapsed = time.monotonic() - started
+    finally:
+        server.join(timeout=10.0)
+        listener.close()
+    message = str(err.value)
+    assert str(endpoint) in message and "'generator'" in message, message
+    assert "INIT" in message and "\n" not in message, message
+    assert elapsed < 3.0, elapsed
+    assert not server.is_alive()
+    left = [t.name for t in threading.enumerate()
+            if t not in before and t.name.startswith("coord")]
+    assert left == []
+
+
 def test_unreachable_service_names_the_endpoint(gpt_graph):
-    plan = local_plan(gpt_graph)
+    plan = spread_plan(gpt_graph)
     victim = plan.endpoints["processor"]
     names = [n for n in plan.endpoints if n != "processor"]
     with thread_services(plan, names=names):
@@ -606,7 +758,7 @@ def test_unreachable_service_names_the_endpoint(gpt_graph):
 
 
 def test_max_iterations_caps_distributed_run(gpt_graph):
-    plan = local_plan(gpt_graph)
+    plan = spread_plan(gpt_graph)
     with thread_services(plan):
         report = run_coordinator(plan, max_iterations=1, trace=True)
     assert report.cycles == 1
@@ -615,7 +767,7 @@ def test_max_iterations_caps_distributed_run(gpt_graph):
 
 
 def test_plan_check_rejects_inconsistencies(gpt_graph):
-    plan = local_plan(gpt_graph)
+    plan = spread_plan(gpt_graph)
     broken = DistributedPlan(plan.graph, dict(plan.endpoints),
                              Endpoint("127.0.0.1", plan.coordinator.main_port))
     del broken.endpoints["processor"]
@@ -624,6 +776,16 @@ def test_plan_check_rejects_inconsistencies(gpt_graph):
     dup = DistributedPlan(plan.graph, dict(plan.endpoints), plan.endpoints["generator"])
     with pytest.raises(SimulationError, match="duplicate endpoint"):
         dup.check()
+
+
+def test_plan_check_accepts_shared_endpoints(gpt_graph):
+    plan = grouped_plan(gpt_graph, [["generator", "transducer", "processor"]])
+    plan.check()
+    assert list(plan.groups().values()) == [["generator", "transducer", "processor"]]
+    on_coordinator = DistributedPlan(plan.graph, dict(plan.endpoints),
+                                     plan.endpoints["transducer"])
+    with pytest.raises(SimulationError, match="atomic 'generator' is on the coordinator"):
+        on_coordinator.check()
 
 
 def test_plan_requires_closed_flat_model():

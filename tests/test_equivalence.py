@@ -6,10 +6,12 @@ triple and the dropped-event count."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdevsim import (DistributedPlan, ModelGraph, ParallelCoordinator, PoolPlan,
+from pdevsim import (ModelGraph, ParallelCoordinator, PoolPlan,
                      SequentialCoordinator, atomic_spec, run_coordinator,
                      serve_simulators)
-from pdevsim.bench import local_plan, run_distributed_local
+from pdevsim.bench import run_distributed_local
+
+from conftest import grouped_plan
 
 # Emission times of the EmitOnce sources: ties and distinct times.
 _EMIT_TIMES = (0.0, 0.0, 0.5, 1.0)
@@ -46,16 +48,20 @@ def dags(draw):
     return graph, group_of
 
 
-def _distributed(graph, group_of):
-    plan = local_plan(graph)
-    names = list(plan.endpoints)
+def _blocks(graph, group_of):
     blocks = {}
-    for name, group in zip(names, group_of):
+    for name, group in zip(graph.atomics, group_of):
         blocks.setdefault(group, []).append(name)
+    return list(blocks.values())
+
+
+def _distributed(graph, group_of):
+    blocks = _blocks(graph, group_of)
+    plan = grouped_plan(graph, blocks)
     started = []
     try:
-        for block in blocks.values():
-            started.append(serve_simulators(plan, block))
+        for block in blocks:
+            started.extend(serve_simulators(plan, block))
         return run_coordinator(plan, trace=True)
     finally:
         for group in started:
@@ -63,15 +69,11 @@ def _distributed(graph, group_of):
 
 
 def _distributed_local(graph, group_of):
-    """distributed-local over a plan whose endpoints are sorted by group, so
-    that the contiguous blocks of its service processes cut edges of the DAG
-    in both directions."""
-    plan = local_plan(graph)
-    group = dict(zip(plan.endpoints, group_of))
-    order = sorted(plan.endpoints, key=group.__getitem__)
-    return run_distributed_local(DistributedPlan(
-        plan.graph, {name: plan.endpoints[name] for name in order}, plan.coordinator),
-        trace=True)
+    """distributed-local over a plan that co-hosts the atomics of each
+    drawn group, so that the groups' links cut edges of the DAG in both
+    directions."""
+    return run_distributed_local(grouped_plan(graph, _blocks(graph, group_of)),
+                                 trace=True)
 
 
 def _observed(report):

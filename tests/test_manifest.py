@@ -4,15 +4,16 @@ import pytest
 import yaml
 
 from pdevsim import build_gpt
-from pdevsim.bench import local_plan
 from pdevsim.devstone import DevstoneConfig, generate
 from pdevsim.distributed import DistributedPlan, Endpoint
 from pdevsim.manifest import (ManifestError, emit_orchestration_manifest,
                               group_by_atomic, group_by_host)
 
+from conftest import grouped_plan, spread_plan
+
 
 def test_one_pod_per_group_plus_coordinator():
-    plan = local_plan(build_gpt())
+    plan = spread_plan(build_gpt())
     text = emit_orchestration_manifest(plan, group_by_atomic(plan))
     documents = list(yaml.safe_load_all(text))
     assert len(documents) == 4  # three simulator pods and the coordinator
@@ -24,33 +25,54 @@ def test_one_pod_per_group_plus_coordinator():
 
 
 def test_single_group_exposes_all_ports():
-    plan = local_plan(build_gpt())
+    plan = spread_plan(build_gpt())
     text = emit_orchestration_manifest(plan, group_by_host(plan))
     documents = list(yaml.safe_load_all(text))
     assert len(documents) == 2
     ports = {p["containerPort"] for p in documents[0]["spec"]["containers"][0]["ports"]}
-    assert len(ports) == 2 * len(plan.endpoints)
+    assert ports == {endpoint.main_port for endpoint in plan.endpoints.values()}
+    assert len(ports) == len(plan.endpoints)
     command = documents[0]["spec"]["containers"][0]["command"][2]
     assert command == ("pdevsim serve --plan /etc/pdevsim/plan.xml --atomic generator"
                        " --atomic transducer --atomic processor")
 
 
+def test_one_port_per_distinct_endpoint():
+    plan = grouped_plan(build_gpt(), [["generator", "processor"], ["transducer"]])
+    documents = list(yaml.safe_load_all(
+        emit_orchestration_manifest(plan, group_by_host(plan))))
+    ports = [p["containerPort"] for p in documents[0]["spec"]["containers"][0]["ports"]]
+    assert ports == [plan.endpoints["generator"].main_port,
+                     plan.endpoints["transducer"].main_port]
+
+
+def test_group_that_splits_an_endpoint_rejected():
+    plan = grouped_plan(build_gpt(), [["generator", "processor"], ["transducer"]])
+    with pytest.raises(ManifestError) as err:
+        emit_orchestration_manifest(plan, group_by_atomic(plan))
+    message = str(err.value)
+    assert "splits endpoint" in message and "'processor'" in message
+    assert "\n" not in message
+    # Whole endpoints may share a group or have one each.
+    emit_orchestration_manifest(plan, {"generator": "a", "processor": "a",
+                                       "transducer": "b"})
+
+
 def test_port_collision_within_group_rejected():
-    plan = local_plan(build_gpt())
+    plan = spread_plan(build_gpt())
     first = next(iter(plan.endpoints))
     endpoints = dict(plan.endpoints)
     clash = endpoints[first]
     other = [n for n in endpoints if n != first][0]
-    # same aux port in one group; main ports stay unique so the plan checks
-    endpoints[other] = Endpoint(clash.host, endpoints[other].main_port,
-                                clash.aux_port)
+    # the same port on another host, in one group
+    endpoints[other] = Endpoint("127.0.0.2", clash.main_port)
     bad_plan = DistributedPlan(plan.graph, endpoints, plan.coordinator)
     with pytest.raises(ManifestError, match="collides"):
         emit_orchestration_manifest(bad_plan, {n: "g" for n in endpoints})
 
 
 def test_incomplete_grouping_rejected():
-    plan = local_plan(build_gpt())
+    plan = spread_plan(build_gpt())
     grouping = group_by_atomic(plan)
     del grouping["processor"]
     with pytest.raises(ManifestError, match="processor"):
@@ -62,7 +84,7 @@ def test_incomplete_grouping_rejected():
 
 
 def test_larger_model_manifest_is_valid_yaml():
-    plan = local_plan(generate(DevstoneConfig("HO", 4, 4)))
+    plan = spread_plan(generate(DevstoneConfig("HO", 4, 4)))
     grouping = {name: f"tier{i % 3}" for i, name in enumerate(plan.endpoints)}
     documents = list(yaml.safe_load_all(
         emit_orchestration_manifest(plan, grouping, image="example/image:1")))

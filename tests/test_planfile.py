@@ -64,7 +64,7 @@ def test_mixed_addressing_rejected():
     hacked = text.replace(
         '<atomic name="generator" model="generator" delayInt="0.0" delayExt="0.0" pool="main" />',
         '<atomic name="generator" model="generator" delayInt="0.0" delayExt="0.0" '
-        'host="127.0.0.1" mainPort="9001" auxPort="9002" />')
+        'host="127.0.0.1" mainPort="9001" />')
     with pytest.raises(PlanError, match="mixed addressing"):
         parse_plan_xml(hacked)
 
@@ -131,9 +131,21 @@ def test_delays_roundtrip_exactly():
 
 
 def test_default_endpoints_are_unique():
+    """One port per atomic after the coordinator's base port: every atomic
+    is a group of its own."""
     plan = default_endpoints(generate(DevstoneConfig("HO", 4, 4)), base_port=9000)
-    addresses = {e.main_addr() for e in plan.endpoints.values()}
-    aux = {e.aux_addr() for e in plan.endpoints.values()}
-    assert len(addresses) == len(plan.endpoints)
-    assert not (addresses & aux)
+    ports = [e.main_port for e in plan.endpoints.values()]
+    assert ports == list(range(9001, 9001 + len(plan.endpoints)))
+    assert plan.coordinator.main_port == 9000
     plan.check()
+
+
+def test_shared_endpoints_roundtrip_as_cohosted_groups():
+    from pdevsim import Endpoint
+    plan = default_endpoints(build_gpt(), base_port=9000)
+    plan.endpoints["processor"] = plan.endpoints["generator"]
+    text = emit_distributed_plan_xml(plan)
+    parsed = parse_plan_xml(text)
+    assert parsed.groups() == {Endpoint("127.0.0.1", 9001): ["generator", "processor"],
+                               Endpoint("127.0.0.1", 9002): ["transducer"]}
+    assert emit_distributed_plan_xml(parsed) == text
