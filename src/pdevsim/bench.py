@@ -30,7 +30,7 @@ from .distributed import (READY_LINE, DistributedPlan, Endpoint, Timeouts,
 from .kernel import RunReport, SequentialCoordinator, SimulationError
 from .model import ModelGraph, flatten
 from .parallel import ParallelCoordinator, PoolPlan, PoolSpec, default_workers
-from .planfile import ParallelPlan
+from .planfile import ParallelPlan, contiguous_blocks
 
 
 class BenchError(Exception):
@@ -198,26 +198,19 @@ def free_port_block(count: int, host: str = "127.0.0.1") -> list[int]:
             sock.close()
 
 
-def _blocks(items: list, count: int) -> list[list]:
-    """``items`` in ``count`` contiguous blocks whose sizes differ by at
-    most one."""
-    return [items[len(items) * i // count:len(items) * (i + 1) // count]
-            for i in range(count)]
-
-
-def local_plan(graph: ModelGraph, host: str = "127.0.0.1",
-               blocks: int | None = None) -> DistributedPlan:
-    """Distributed plan over loopback: the atomics in ``blocks`` contiguous
-    blocks of plan order, by default one per CPU this process may run on
-    and never more than there are atomics. Each block is co-hosted at one
-    freshly probed free port, which keeps coupled neighbours in one group,
-    where their pushes stay in memory."""
+def local_plan(graph: ModelGraph, host: str = "127.0.0.1") -> DistributedPlan:
+    """Distributed plan over loopback: the atomics in one contiguous block
+    of plan order per CPU this process may run on, never more blocks than
+    atomics. Each block is co-hosted at one freshly probed free port, which
+    keeps coupled neighbours in one group, where their pushes stay in
+    memory."""
     flat = flatten(graph)
     names = [spec.name for _, spec in flat.walk_atomics()]
-    count = min(blocks or default_workers(), len(names))
+    count = min(default_workers(), len(names))
     ports = free_port_block(count + 1, host)
     endpoints = {name: Endpoint(host, port)
-                 for block, port in zip(_blocks(names, count), ports) for name in block}
+                 for block, port in zip(contiguous_blocks(names, count), ports)
+                 for name in block}
     return DistributedPlan(flat, endpoints, Endpoint(host, ports[-1]))
 
 
@@ -300,11 +293,17 @@ def run_distributed_local(plan_or_graph, *, iterations: int | None = None,
     A graph gets :func:`local_plan`: one endpoint, and so one service
     group, per CPU. A plan keeps its endpoints, and its groups are dealt
     in plan order into contiguous blocks, one per process, never more
-    processes than CPUs or groups. Process ``i`` of ``count`` may run only
-    on its slice of the launcher's allowed CPUs, ``allowed[len * i //
-    count:len * (i + 1) // count]``, and sizes its engines to that share:
-    with one CPU each, every process runs its groups sequentially instead
-    of oversubscribing the host with one pool per process.
+    processes than CPUs or groups. The plan, not the process, decides
+    what is co-hosted: a plan with one endpoint per atomic (the default of
+    ``generate --addressing distributed``) runs every atomic as a group of
+    its own, whose couplings to the others cross loopback TCP even inside
+    one process; ``generate --workers`` co-hosts contiguous blocks.
+
+    Process ``i`` of ``count`` may run only on its slice of the launcher's
+    allowed CPUs, ``allowed[len * i // count:len * (i + 1) // count]``, and
+    its groups divide that share between them: with one CPU each, every
+    process runs its groups sequentially instead of oversubscribing the
+    host with one pool per process.
 
     A process is forked from this one and hands the plan it inherited in
     memory to :func:`cli.serve`, as ``pdevsim serve`` does after parsing
@@ -320,9 +319,10 @@ def run_distributed_local(plan_or_graph, *, iterations: int | None = None,
     plan.check()
     groups = list(plan.groups().values())
     count = min(default_workers(), len(groups))
-    blocks = [[name for group in block for name in group] for block in _blocks(groups, count)]
+    blocks = [[name for group in block for name in group]
+              for block in contiguous_blocks(groups, count)]
     allowed = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
-    shares = _blocks(allowed, count)
+    shares = contiguous_blocks(allowed, count)
     services: list[tuple[BaseProcess, BinaryIO]] = []
     with tempfile.TemporaryDirectory(prefix="pdevsim-") as tmp:
         stderr_paths = [Path(tmp) / f"serve-{i}.stderr" for i in range(count)]

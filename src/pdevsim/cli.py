@@ -37,7 +37,8 @@ def cmd_generate(args) -> int:
     config = DevstoneConfig(args.shape, args.width, args.depth, dist, args.seed)
     graph = generate(config)
     if args.addressing == "distributed":
-        text = emit_plan_xml(graph, host=args.host, base_port=args.base_port)
+        text = emit_plan_xml(graph, host=args.host, base_port=args.base_port,
+                             workers=args.workers)
     else:
         text = emit_plan_xml(graph, pool_name=args.pool, workers=args.workers)
     _emit(text, args.out)
@@ -170,7 +171,10 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--addressing", choices=("pool", "distributed"), default="pool")
     gen.add_argument("--pool", default="main")
-    gen.add_argument("--workers", type=int, default=None)
+    gen.add_argument("--workers", type=int, default=None,
+                     help="pool workers (default: one per CPU); with --addressing "
+                          "distributed, co-host the atomics in this many contiguous "
+                          "blocks, one port each (default: one port per atomic)")
     gen.add_argument("--host", default="127.0.0.1")
     gen.add_argument("--base-port", type=int, default=5000)
     gen.add_argument("--out", default=None)

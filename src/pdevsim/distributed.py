@@ -3,8 +3,10 @@
 The plan states the process layout: atomics whose plan endpoints are equal
 (``host:port``) are co-hosted by one :class:`ServiceGroup`, which runs the
 kernel's cycle engine over them: a :class:`SequentialCoordinator`, or a
-:class:`ParallelCoordinator` with one pool of up to one worker per CPU that
-the process may run on. A group binds one listener at its endpoint, served
+:class:`ParallelCoordinator` with one pool of up to one worker per CPU of
+its share (the groups of a process divide the CPUs it may run on). Groups
+that share a process but not an endpoint push to each other over TCP like
+any other peers. A group binds one listener at its endpoint, served
 by one accept thread. The first frame on an accepted connection says what
 the connection is: PROPAGATE opens a link from a peer group, anything else
 is the coordinator's link.
@@ -143,6 +145,17 @@ def _shutdown_close(sock: socket.socket) -> None:
         pass
 
 
+def _index(plan: DistributedPlan) -> dict[Endpoint, tuple[list[str], list]]:
+    """Each endpoint's atomics, and the couplings that enter or leave them,
+    both in plan order."""
+    index = {endpoint: (names, []) for endpoint, names in plan.groups().items()}
+    for coupling in plan.graph.couplings:
+        for endpoint in {plan.endpoints[coupling.src.component],
+                         plan.endpoints[coupling.dst.component]}:
+            index[endpoint][1].append(coupling)
+    return index
+
+
 class ServiceGroup:
     """The atomics at one plan endpoint, and the kernel engine over them.
 
@@ -150,39 +163,24 @@ class ServiceGroup:
     group listens on its endpoint with one socket and one accept thread,
     and serves each accepted connection on a thread of its own: the
     coordinator's link drives the whole group, and a peer group's link
-    carries that peer's pushes to every hosted atomic. The plan is checked,
-    and its couplings indexed, once per group.
+    carries that peer's pushes to every hosted atomic.
+
+    :func:`serve_simulators` builds the groups of a process: it checks the
+    plan, indexes it (``index``, see :func:`_index`) and divides the
+    process's CPUs between the groups (``workers``) once for all of them.
     """
 
-    def __init__(self, plan: DistributedPlan, names, *,
-                 timeouts: Timeouts | None = None) -> None:
-        plan.check()
+    def __init__(self, plan: DistributedPlan, endpoint: Endpoint, index: dict, *,
+                 workers: int, timeouts: Timeouts | None = None) -> None:
         self.plan = plan
-        names = list(names)
-        for name in names:
-            if name not in plan.graph.atomics:
-                raise SimulationError(f"unknown atomic {name!r} in plan "
-                                      f"{plan.graph.name!r}")
-        if not names:
-            raise SimulationError("a service group needs at least one atomic")
-        self.endpoint = plan.endpoints[names[0]]
-        # Every atomic at the endpoint, in plan order.
-        self.names = [name for name, at in plan.endpoints.items() if at == self.endpoint]
-        for name in names:
-            if name not in self.names:
-                raise SimulationError(
-                    f"one group serves one endpoint: {names[0]!r} is at {self.endpoint}, "
-                    f"{name!r} at {plan.endpoints[name]}")
-        for name in self.names:
-            if name not in names:
-                raise SimulationError(f"atomic {name!r} at {self.endpoint} is not hosted: "
-                                      "a group must host every atomic at its endpoint")
+        self.endpoint = endpoint
+        self.names, couplings = index[endpoint]
         self.label = f"the process of {self.names[0]!r} at {self.endpoint}"
         block = ModelGraph(plan.graph.name)
         for name in self.names:
             block.add_component(plan.graph.atomics[name])
         self.timeouts = timeouts or Timeouts()
-        workers = min(default_workers(), len(self.names))
+        workers = min(workers, len(self.names))
         self.engine = (ParallelCoordinator(block, PoolPlan.single_pool(self.names, workers))
                        if workers > 1 else SequentialCoordinator(block))
         sims = self.engine.simulators
@@ -196,7 +194,7 @@ class ServiceGroup:
         self._feeds: dict[str, list[tuple[str, str, str, str]]] = {}
         self._outbound: dict[str, list[tuple[list, Endpoint, list[str]]]] = {
             name: [] for name in self.names}
-        for coupling in plan.graph.couplings:
+        for coupling in couplings:
             src, dst = coupling.src, coupling.dst
             key = (src.component, src.port, dst.component, dst.port)
             if src.component in sims:
@@ -498,16 +496,31 @@ def serve_simulators(plan: DistributedPlan, names, *,
                      timeouts: Timeouts | None = None) -> list[ServiceGroup]:
     """Start, and return, one service group per distinct endpoint among
     ``names`` in this process: all of them or, on any error, none. Every
-    atomic at such an endpoint must be among ``names``."""
-    members: dict[Endpoint, list[str]] = {}
+    atomic at such an endpoint must be among ``names``.
+
+    The plan is checked and indexed once for all the groups. The groups
+    divide the CPUs the process may run on between them, at least one
+    each, as ``run_distributed_local`` divides the host's between its
+    processes, so k groups on N CPUs do not start k pools of N workers.
+    """
+    plan.check()
     for name in names:
         if name not in plan.endpoints:
             raise SimulationError(f"unknown atomic {name!r} in plan {plan.graph.name!r}")
-        members.setdefault(plan.endpoints[name], []).append(name)
+    index, named = _index(plan), set(names)
+    endpoints = list(dict.fromkeys(plan.endpoints[name] for name in names))
+    for endpoint in endpoints:
+        for name in index[endpoint][0]:
+            if name not in named:
+                raise SimulationError(f"atomic {name!r} at {endpoint} is not hosted: "
+                                      "a process must host every atomic at its endpoint")
+    cpus, count = default_workers(), len(endpoints)
     groups: list[ServiceGroup] = []
     try:
-        for hosted in members.values():
-            groups.append(ServiceGroup(plan, hosted, timeouts=timeouts))
+        for i, endpoint in enumerate(endpoints):
+            share = cpus * (i + 1) // count - cpus * i // count
+            groups.append(ServiceGroup(plan, endpoint, index, workers=max(share, 1),
+                                       timeouts=timeouts))
         for group in groups:
             group.start()
     except BaseException:

@@ -278,24 +278,41 @@ def emit_distributed_plan_xml(plan: DistributedPlan) -> str:
         atomic_attrs=attrs)
 
 
+def contiguous_blocks(items: list, count: int) -> list[list]:
+    """``items`` in ``count`` contiguous blocks whose sizes differ by at
+    most one."""
+    return [items[len(items) * i // count:len(items) * (i + 1) // count]
+            for i in range(count)]
+
+
 def default_endpoints(graph: ModelGraph, host: str = "127.0.0.1",
-                      base_port: int = 5000) -> DistributedPlan:
+                      base_port: int = 5000, blocks: int | None = None) -> DistributedPlan:
     """Distributed plan with generated endpoints: the coordinator takes the
-    base port, each atomic the next port, so each is a group of its own."""
+    base port and each atomic the next one, so each is a group of its own.
+    Given ``blocks``, the atomics are cut into that many contiguous blocks
+    of plan order (never more than there are atomics) instead, and each
+    block takes the next port, so it is co-hosted by one group."""
     flat = _flat(graph)
-    endpoints = {spec.name: Endpoint(host, base_port + 1 + index)
-                 for index, (_, spec) in enumerate(flat.walk_atomics())}
+    names = [spec.name for _, spec in flat.walk_atomics()]
+    if blocks is not None and blocks < 1:
+        raise PlanError(f"a plan needs at least one endpoint block, got {blocks}")
+    endpoints = {name: Endpoint(host, base_port + 1 + index)
+                 for index, block in enumerate(contiguous_blocks(
+                     names, min(blocks or len(names), len(names))))
+                 for name in block}
     return DistributedPlan(flat, endpoints, Endpoint(host, base_port))
 
 
 def emit_plan_xml(graph: ModelGraph, *, pool_name: str = "main",
                   workers: int | None = None, host: str | None = None,
                   base_port: int = 5000) -> str:
-    """Serialize with automatic defaults: a single thread pool, or a single
-    host with consecutive ports when ``host`` is given."""
+    """Serialize with automatic defaults: a single thread pool of
+    ``workers``, or, when ``host`` is given, a single host with consecutive
+    ports, one per atomic or, given ``workers``, one per each of that many
+    contiguous blocks of atomics (see :func:`default_endpoints`)."""
     flat = _flat(graph)
     if host is not None:
-        return emit_distributed_plan_xml(default_endpoints(flat, host, base_port))
+        return emit_distributed_plan_xml(default_endpoints(flat, host, base_port, workers))
     names = [spec.name for _, spec in flat.walk_atomics()]
     return emit_pool_plan_xml(flat, PoolPlan.single_pool(names, workers, pool_name))
 

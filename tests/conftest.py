@@ -11,7 +11,8 @@ from hypothesis import settings
 from pdevsim import (AtomicModel, DistributedPlan, Endpoint, ModelGraph,
                      atomic_spec, flatten, register_behavior, serve_simulators)
 from pdevsim.behaviors import _REGISTRY
-from pdevsim.bench import free_port_block, local_plan
+from pdevsim.bench import free_port_block
+from pdevsim.planfile import contiguous_blocks
 
 # Every run draws the same examples, and no example fails on its wall time.
 settings.register_profile("pdevsim", derandomize=True, deadline=None)
@@ -162,9 +163,14 @@ def fan_out_model(senders=1, receivers=2, emit_at=0.0) -> ModelGraph:
     return graph
 
 
+def blocks_of(graph, count):
+    """The atomics of ``graph`` in ``count`` contiguous blocks of plan order."""
+    return contiguous_blocks(list(flatten(graph).atomics), count)
+
+
 def spread_plan(graph):
     """Loopback plan that gives every atomic an endpoint of its own."""
-    return local_plan(graph, blocks=len(flatten(graph).atomics))
+    return grouped_plan(graph, [[name] for name in flatten(graph).atomics])
 
 
 def grouped_plan(graph, blocks):

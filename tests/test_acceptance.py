@@ -22,13 +22,13 @@ import pytest
 
 from pdevsim import (PoolPlan, PoolSpec, SequentialCoordinator, build_efp,
                      build_gpt, busy_cpu, flatten, run_coordinator, validate)
-from pdevsim.bench import (local_plan, profile_model, run_distributed_local,
+from pdevsim.bench import (profile_model, run_distributed_local,
                            run_parallel, run_sequential)
 from pdevsim.devstone import (DelayDistribution, DevstoneConfig,
                               expected_counts, generate, sample_delays)
 from pdevsim.wire import COMMANDS, WireFrame, decode_frame, encode_frame
 
-from conftest import thread_services
+from conftest import spread_plan, thread_services
 from test_model import _random_nested
 
 CPUS = os.cpu_count() or 1
@@ -237,7 +237,7 @@ def test_distributed_protocol_properties():
             frame = _random_frame(rng)
             assert decode_frame(encode_frame(frame)[4:]) == frame
 
-        plan = local_plan(build_gpt())
+        plan = spread_plan(build_gpt())
         with thread_services(plan):
             gpt_report = run_coordinator(plan)
         sent = gpt_report.diagnostics["frames_sent"]

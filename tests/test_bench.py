@@ -8,7 +8,7 @@ import pytest
 from pdevsim import SequentialCoordinator, SimulationError
 from pdevsim.bench import (Allocation2Level, AtomicProfile, BenchError,
                            allocate_two_level, append_report_row,
-                           balanced_buckets, balanced_pool_plan, local_plan,
+                           balanced_buckets, balanced_pool_plan,
                            plot_data_csv, profile_model, profiles_from_csv,
                            profiles_to_csv, read_report_rows,
                            run_distributed_local, run_parallel, run_plan,
@@ -17,6 +17,13 @@ from pdevsim.bench import (Allocation2Level, AtomicProfile, BenchError,
 from pdevsim.devstone import DelayDistribution, DevstoneConfig, generate
 from pdevsim.planfile import (emit_distributed_plan_xml, emit_plan_xml,
                               parse_plan_xml)
+
+from conftest import blocks_of, grouped_plan
+
+
+def _two_block_plan(graph):
+    """Loopback plan that co-hosts ``graph`` in two contiguous blocks."""
+    return grouped_plan(graph, blocks_of(graph, 2))
 
 
 def _synthetic_profiles(total=197, generator=True):
@@ -187,7 +194,7 @@ def test_distributed_local_reports_a_service_that_cannot_bind(monkeypatch, posit
     first case hangs until the deadline if a later child holds the first
     child's pipe write end."""
     from multiprocessing.context import ForkProcess
-    plan = local_plan(generate(DevstoneConfig("HO", 3, 3)))
+    plan = _two_block_plan(generate(DevstoneConfig("HO", 3, 3)))
     victim = list(plan.endpoints)[position]
     spawned = []  # the pid of every forked service process
     start = ForkProcess.start
@@ -218,7 +225,7 @@ def test_distributed_local_leaves_no_child_process():
     graph = generate(DevstoneConfig("HO", 3, 3))
     assert run_distributed_local(graph).counter_triple() == (7, 7, 7)
     _assert_no_child_process()
-    plan = local_plan(graph)
+    plan = _two_block_plan(graph)
     _fail_to_bind(plan, list(plan.endpoints)[-1])
     _assert_no_child_process()
 
@@ -245,7 +252,7 @@ def test_distributed_local_services_use_the_launchers_timeouts(monkeypatch):
 
     from pdevsim import ServiceGroup, Timeouts
     monkeypatch.setattr(ServiceGroup, "_ship", lambda self, imminent: None)
-    plan = local_plan(generate(DevstoneConfig("HO", 3, 3)), blocks=2)
+    plan = _two_block_plan(generate(DevstoneConfig("HO", 3, 3)))
     first, second = plan.groups().values()
     senders = {c.src.component for c in plan.graph.couplings
                if c.src.component in first and c.dst.component in second}
@@ -287,7 +294,7 @@ def test_distributed_local_leaves_nothing_unclosed(tmp_path):
     import socket
     import subprocess
     import sys
-    plan = local_plan(generate(DevstoneConfig("HO", 3, 3)))
+    plan = _two_block_plan(generate(DevstoneConfig("HO", 3, 3)))
     plan_path = tmp_path / "plan.xml"
     plan_path.write_text(emit_distributed_plan_xml(plan), encoding="utf-8")
     trace = tmp_path / "trace.txt"

@@ -31,6 +31,27 @@ def test_generate_distributed_mode(capsys):
     assert code == 0 and 'mainPort="6100"' in out
 
 
+def test_generate_distributed_workers_cohost_blocks(tmp_path, capsys):
+    """--workers with distributed addressing co-hosts that many contiguous
+    blocks, and distributed-local runs such a plan to the sequential trace."""
+    from pdevsim.planfile import parse_plan_xml
+    plan = tmp_path / "plan.xml"
+    code, _, _ = run_cli(["generate", "-w", "3", "-d", "3", "--addressing", "distributed",
+                          "--workers", "2", "--base-port", "6300", "--out", str(plan)],
+                         capsys)
+    assert code == 0
+    groups = parse_plan_xml(plan).groups()
+    assert [endpoint.main_port for endpoint in groups] == [6301, 6302]
+    assert [len(members) for members in groups.values()] == [3, 3]
+    traces = {}
+    for backend in ("sequential", "distributed-local"):
+        traces[backend] = tmp_path / f"{backend}.txt"
+        code, _, err = run_cli(["run", "--plan", str(plan), "--backend", backend,
+                                "--trace-out", str(traces[backend])], capsys)
+        assert code == 0, err
+    assert traces["distributed-local"].read_text() == traces["sequential"].read_text()
+
+
 def test_failures_exit_nonzero_with_one_line(capsys):
     code, out, err = run_cli(["run", "--plan", "/does/not/exist.xml",
                               "--backend", "sequential"], capsys)

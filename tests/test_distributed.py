@@ -13,17 +13,16 @@ from collections import Counter
 import pytest
 
 from pdevsim import (DistributedPlan, Endpoint, ModelGraph, ParallelCoordinator,
-                     SequentialCoordinator, ServiceGroup, SimulationError,
+                     SequentialCoordinator, SimulationError,
                      Timeouts, atomic_spec, build_gpt, flatten,
                      run_coordinator, serve_simulators)
 from pdevsim import distributed
-from pdevsim.bench import local_plan
 from pdevsim.devstone import DevstoneConfig, generate
 from pdevsim.wire import (ACK, DELTFCN, EXIT, INIT, LAMBDA, PROPAGATE,
                           WireFrame, decode_time, read_frame, write_frame)
 
-from conftest import (Rendezvous, fan_out_model, grouped_plan, spread_plan,
-                      thread_services)
+from conftest import (Rendezvous, blocks_of, fan_out_model, grouped_plan,
+                      spread_plan, thread_services)
 
 
 def _dial(endpoint):
@@ -232,7 +231,8 @@ def test_serve_refuses_to_split_an_endpoint(gpt_graph):
 
 
 def test_nine_atomic_group_has_one_listener_and_one_accept_thread():
-    plan = local_plan(generate(DevstoneConfig("HO", 5, 5)), blocks=2)
+    graph = generate(DevstoneConfig("HO", 5, 5))
+    plan = grouped_plan(graph, blocks_of(graph, 2))
     block = list(plan.groups().values())[0]
     assert len(block) == 9
     before = set(threading.enumerate())
@@ -373,7 +373,8 @@ def _run_blocks(config, groups, monkeypatch):
     return the report, each atomic's group, the (pushing group, dialled
     group) of every peer dial and the DELTFCN frames by (time, receiving
     group, senders named)."""
-    plan = local_plan(generate(config), blocks=groups)
+    graph = generate(config)
+    plan = grouped_plan(graph, blocks_of(graph, groups))
     names = list(plan.endpoints)
     blocks = list(plan.groups().values())
     assert len(blocks) == groups
@@ -493,35 +494,57 @@ def test_cohosted_fan_in_under_frequent_switches():
 
 
 def test_group_checks_the_plan_once(monkeypatch):
-    plan = local_plan(generate(DevstoneConfig("HO", 4, 3)), blocks=1)
-    calls = []
-    check = DistributedPlan.check
+    """A process that serves many endpoints checks the plan once and walks
+    its couplings once, not once per group."""
+    plan = spread_plan(generate(DevstoneConfig("HO", 4, 3)))
+    checks, indexes = [], []
+    check, index = DistributedPlan.check, distributed._index
 
     def counting_check(self):
-        calls.append(self)
+        checks.append(self)
         return check(self)
 
+    def counting_index(plan):
+        indexes.append(plan)
+        return index(plan)
+
     monkeypatch.setattr(DistributedPlan, "check", counting_check)
-    group = ServiceGroup(plan, plan.endpoints)
-    assert len(calls) == 1
-    assert group.names == list(plan.endpoints)
-
-
-@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
-def test_group_engine_follows_its_cpu_share(monkeypatch, cpus):
-    """A group sizes its engine by the CPUs its process may run on: one CPU
-    runs the block sequentially, two run it on a pool of two workers."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-    plan = local_plan(generate(DevstoneConfig("HO", 3, 3)), blocks=1)
-    group = ServiceGroup(plan, plan.endpoints)
+    monkeypatch.setattr(distributed, "_index", counting_index)
+    groups = serve_simulators(plan, plan.endpoints)
     try:
-        if len(cpus) == 1:
-            assert type(group.engine) is SequentialCoordinator
-        else:
-            assert isinstance(group.engine, ParallelCoordinator)
-            assert group.engine.plan.label() == "2"
+        assert len(groups) == len(plan.endpoints) > 1
+        assert (len(checks), len(indexes)) == (1, 1)
+        assert [group.names for group in groups] == [[name] for name in plan.endpoints]
     finally:
-        group.stop()
+        for group in groups:
+            group.stop()
+
+
+@pytest.mark.parametrize("cpus, blocks, pools", [
+    ({0}, 1, [None]),
+    ({0, 1}, 1, ["2"]),
+    ({0, 1}, 2, [None, None]),
+    ({0, 1, 2, 3}, 2, ["2", "2"]),
+    ({0, 1, 2}, 2, [None, "2"]),
+], ids=["one-cpu", "two-cpus", "two-groups-two-cpus", "two-groups-four-cpus",
+        "two-groups-three-cpus"])
+def test_group_engine_follows_its_cpu_share(monkeypatch, cpus, blocks, pools):
+    """The groups of one process divide the CPUs it may run on, at least
+    one each: a group with one CPU runs its block sequentially, one with
+    more on a pool of that many workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    graph = generate(DevstoneConfig("HO", 3, 3))
+    plan = grouped_plan(graph, blocks_of(graph, blocks))
+    groups = serve_simulators(plan, plan.endpoints)
+    try:
+        assert [group.engine.plan.label()
+                if isinstance(group.engine, ParallelCoordinator) else None
+                for group in groups] == pools
+        assert all(type(group.engine) is SequentialCoordinator
+                   for group, pool in zip(groups, pools) if pool is None)
+    finally:
+        for group in groups:
+            group.stop()
 
 
 def test_batched_command_failure_names_the_failing_atomic():
@@ -572,7 +595,7 @@ def test_missing_peer_batch_fails_within_the_read_timeout():
     started = time.monotonic()
     try:
         for block in (["s0"], ["r0"]):
-            groups.append(ServiceGroup(plan, block, timeouts=Timeouts(read=1.0)).start())
+            groups.extend(serve_simulators(plan, block, timeouts=Timeouts(read=1.0)))
         groups[0]._ship = lambda imminent: None  # the batch is lost on the way
         with pytest.raises(SimulationError) as err:
             run_coordinator(plan, timeouts=Timeouts(connect=5.0, read=10.0))
@@ -605,7 +628,7 @@ def test_coordinator_timeout_names_the_awaited_senders():
     started = time.monotonic()
     try:
         for block in (["s0"], ["r0"]):
-            groups.append(ServiceGroup(plan, block, timeouts=Timeouts(read=30.0)).start())
+            groups.extend(serve_simulators(plan, block, timeouts=Timeouts(read=30.0)))
         groups[0]._ship = lambda imminent: None  # the batch is lost on the way
         with pytest.raises(SimulationError) as err:
             run_coordinator(plan, timeouts=Timeouts(connect=5.0, read=1.0))
@@ -634,7 +657,7 @@ def test_batch_members_run_at_once(workers, monkeypatch):
         graph.add_component(atomic_spec(name, "rendezvous"))
         graph.add_component(atomic_spec(f"r{name}", "collector"))
         graph.connect(name, "out", f"r{name}", "in")
-    plan = local_plan(graph, blocks=1)
+    plan = grouped_plan(graph, blocks_of(graph, 1))
     before = set(threading.enumerate())
     Rendezvous.barrier = threading.Barrier(2, timeout=5.0 if workers > 1 else 0.5)
     monkeypatch.setattr(distributed, "default_workers", lambda: workers)
@@ -792,7 +815,7 @@ def test_plan_requires_closed_flat_model():
     open_graph = fan_out_model(1, 1)
     open_graph.input_ports = ("in",)
     open_graph.connect(open_graph.name, "in", "r0", "in")
-    plan = local_plan(fan_out_model(1, 1))
+    plan = spread_plan(fan_out_model(1, 1))
     bad = DistributedPlan(open_graph, plan.endpoints, plan.coordinator)
     with pytest.raises(SimulationError, match="closed"):
         bad.check()

@@ -7,7 +7,7 @@ from pdevsim import (DistributedPlan, build_efp, build_gpt, default_endpoints,
                      emit_pool_plan_xml, load_pool_plan, parse_plan_xml)
 from pdevsim.devstone import DevstoneConfig, generate
 from pdevsim.parallel import PoolPlan, PoolSpec
-from pdevsim.planfile import ParallelPlan, PlanError
+from pdevsim.planfile import ParallelPlan, PlanError, contiguous_blocks
 
 
 def test_distributed_plan_roundtrip():
@@ -138,6 +138,21 @@ def test_default_endpoints_are_unique():
     assert ports == list(range(9001, 9001 + len(plan.endpoints)))
     assert plan.coordinator.main_port == 9000
     plan.check()
+
+
+def test_default_endpoints_cohost_contiguous_blocks():
+    """Given a block count, each contiguous block of plan order takes one
+    port after the coordinator's, never more blocks than atomics."""
+    graph = generate(DevstoneConfig("HO", 4, 4))
+    plan = default_endpoints(graph, base_port=9000, blocks=3)
+    blocks = list(plan.groups().items())
+    assert [endpoint.main_port for endpoint, _ in blocks] == [9001, 9002, 9003]
+    assert [members for _, members in blocks] == contiguous_blocks(list(plan.endpoints), 3)
+    assert [len(members) for _, members in blocks] == [3, 4, 4]
+    plan.check()
+    assert len(default_endpoints(build_gpt(), blocks=10).groups()) == 3
+    with pytest.raises(PlanError, match="at least one endpoint block"):
+        default_endpoints(build_gpt(), blocks=0)
 
 
 def test_shared_endpoints_roundtrip_as_cohosted_groups():
