@@ -11,22 +11,19 @@ from __future__ import annotations
 import csv
 import io
 import math
-import multiprocessing
 import os
 import select
+import signal
 import socket
 import sys
-import tempfile
 import time
 from dataclasses import dataclass
-from multiprocessing.process import BaseProcess
 from pathlib import Path
-from typing import BinaryIO
 
 from . import cli
 from .devstone import GENERATOR_NAME
-from .distributed import (READY_LINE, DistributedPlan, Endpoint, Timeouts,
-                          run_coordinator)
+from .distributed import (READY_LINE, DistributedPlan, Endpoint, ServiceGroup,
+                          Timeouts, run_coordinator, serve_simulators)
 from .kernel import RunReport, SequentialCoordinator, SimulationError
 from .model import ModelGraph, flatten
 from .parallel import ParallelCoordinator, PoolPlan, PoolSpec, default_workers
@@ -214,138 +211,136 @@ def local_plan(graph: ModelGraph, host: str = "127.0.0.1") -> DistributedPlan:
     return DistributedPlan(flat, endpoints, Endpoint(host, ports[-1]))
 
 
-def _serve(plan: DistributedPlan, members: list[str], timeouts: Timeouts | None,
-           stdout_fd: int, stderr_path: Path, share: list[int]) -> None:
-    """Body of a forked service process: serve ``members`` of the plan the
-    launcher holds in memory, like ``pdevsim serve`` does after parsing
-    its plan, on the CPUs in ``share`` (all the launcher's if empty), with
-    stdout on the launcher's pipe and stderr in ``stderr_path``.
+@dataclass
+class _Child:
+    """A forked service process, a pidfd that is readable once it exits,
+    and the read end of the pipe that carries its stdout and stderr."""
 
-    The process sizes its engines by the CPUs it may run on, so a share of
-    one CPU runs its blocks sequentially. Fresh ``sys.stdout``/``sys.stderr``
-    objects are put on fds 1 and 2, so nothing the launcher left unflushed
-    in its own stream objects can reach the pipe, and no lock a launcher
-    thread held on them at the fork is taken; multiprocessing flushes the
-    new ones before the process ends.
-    """
-    if share:
-        os.sched_setaffinity(0, share)
-    os.dup2(stdout_fd, 1)
-    os.close(stdout_fd)
-    with open(stderr_path, "wb") as stderr:
-        os.dup2(stderr.fileno(), 2)
-    sys.stdout = open(1, "w", encoding="utf-8")
-    sys.stderr = open(2, "w", buffering=1, encoding="utf-8", errors="backslashreplace")
-    sys.exit(cli.guarded(cli.serve, plan, members, timeouts))
+    pid: int
+    pidfd: int
+    output: int
+    code: int | None = None  # its exit code, once reaped
+
+    def close(self, timeout: float = 0.0) -> int:
+        """Wait up to ``timeout`` seconds for the process to exit, kill it
+        if it has not, reap it and close its fds, once; its exit code."""
+        if self.code is None:
+            if not select.select([self.pidfd], [], [], timeout)[0]:
+                os.kill(self.pid, signal.SIGKILL)
+            self.code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+            os.close(self.pidfd)
+            os.close(self.output)
+        return self.code
 
 
-def _start_service(plan: DistributedPlan, members: list[str], timeouts: Timeouts | None,
-                   stderr_path: Path, share: list[int]) -> tuple[BaseProcess, BinaryIO]:
-    """Fork one process that serves ``members`` on the CPUs in ``share``;
-    returns it with the read end of its stdout pipe."""
+def _fork_service(plan: DistributedPlan, members: list[str], timeouts: Timeouts | None,
+                  share: list[int]) -> _Child:
+    """Fork one process that serves ``members`` of the plan, like ``pdevsim
+    serve`` after parsing it, on the CPUs in ``share``. Its stdout and
+    stderr go to one pipe as fresh stream objects, so nothing the launcher
+    left unflushed, and no lock a launcher thread held at the fork, is in
+    them; ``os._exit`` runs none of the launcher's exit handlers."""
     read_fd, write_fd = os.pipe()
-    stdout = open(read_fd, "rb")
-    process = multiprocessing.get_context("fork").Process(
-        target=_serve, args=(plan, members, timeouts, write_fd, stderr_path, share))
+    pid = 0
     try:
-        process.start()
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                os.sched_setaffinity(0, share)
+                os.dup2(write_fd, 1)
+                os.dup2(write_fd, 2)
+                sys.stdout = sys.stderr = open(1, "w", buffering=1, encoding="utf-8",
+                                               errors="backslashreplace")
+                code = cli.guarded(cli.serve, plan, members, timeouts)
+                sys.stdout.flush()
+            finally:
+                os._exit(code)
+        return _Child(pid, os.pidfd_open(pid), read_fd)
     except BaseException:
-        stdout.close()
+        if pid:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        os.close(read_fd)
         raise
-    finally:
-        # The child has its own copy. Any other copy of the write end, here
-        # or in a later child, would hide this child's exit from the pipe.
+    finally:  # only the child may keep the write end, or its exit would not end the pipe
         os.close(write_fd)
-    return process, stdout
 
 
-def _wait_ready(process: BaseProcess, stdout: BinaryIO, members: list[str],
-                deadline: float, stderr_path: Path) -> None:
-    """Wait until a service process prints its ready line on stdout."""
-    while True:
+def _wait_ready(child: _Child, members: list[str], deadline: float) -> None:
+    """Wait until a service process prints its ready line; if it exits
+    first, report its exit code and the last lines it printed."""
+    output = b""
+    while READY_LINE not in (lines := output.decode(errors="replace").splitlines()):
         remaining = deadline - time.monotonic()
-        if remaining <= 0 or not select.select([stdout], [], [], remaining)[0]:
-            raise SimulationError(
-                f"simulator process for {', '.join(members)} never came up")
-        line = stdout.readline()
-        if line.decode(errors="replace").strip() == READY_LINE:
-            return
-        if not line:  # stdout closed: the process is exiting
-            process.join(timeout=max(deadline - time.monotonic(), 1.0))
-            raise SimulationError(
-                f"simulator process for {', '.join(members)} exited with "
-                f"code {process.exitcode} before listening: {_tail(stderr_path)}")
-
-
-def _tail(path: Path, lines: int = 5) -> str:
-    """The last lines of a service process's stderr, on one line."""
-    text = path.read_text(encoding="utf-8", errors="replace").splitlines()
-    return " | ".join(line for line in text[-lines:] if line.strip()) or "no stderr output"
+        if remaining <= 0 or not select.select([child.output], [], [], remaining)[0]:
+            raise SimulationError(f"simulator process for {', '.join(members)} never came up")
+        chunk = os.read(child.output, 65536)
+        if not chunk:  # the pipe closed: the process is exiting
+            code = child.close(max(deadline - time.monotonic(), 1.0))
+            tail = " | ".join(line for line in lines[-5:] if line.strip()) or "no output"
+            raise SimulationError(f"simulator process for {', '.join(members)} exited "
+                                  f"with code {code} before listening: {tail}")
+        output += chunk
 
 
 def run_distributed_local(plan_or_graph, *, iterations: int | None = None,
                           trace: bool = False, startup_timeout: float = 60.0,
                           timeouts: Timeouts | None = None) -> RunReport:
-    """Fork one service process per CPU on loopback, wait for each to
-    print its ready line, run the coordinator against them, and tear
-    everything down.
+    """Serve a plan on loopback in one process per CPU, run the coordinator
+    against it, and tear everything down.
 
-    A graph gets :func:`local_plan`: one endpoint, and so one service
-    group, per CPU. A plan keeps its endpoints, and its groups are dealt
-    in plan order into contiguous blocks, one per process, never more
-    processes than CPUs or groups. The plan, not the process, decides
-    what is co-hosted: a plan with one endpoint per atomic (the default of
-    ``generate --addressing distributed``) runs every atomic as a group of
-    its own, whose couplings to the others cross loopback TCP even inside
-    one process; ``generate --workers`` co-hosts contiguous blocks.
+    A graph gets :func:`local_plan`, one endpoint per CPU. A plan keeps its
+    endpoints: its groups are dealt in plan order into contiguous blocks,
+    one per process, never more processes than CPUs or groups, so only a
+    shared endpoint co-hosts (``generate --workers`` makes such plans; with
+    one endpoint per atomic, every coupling crosses loopback TCP). Process
+    ``i`` of ``count`` runs on slice ``i`` of the launcher's allowed CPUs,
+    ``allowed[len * i // count:len * (i + 1) // count]``, which its groups
+    divide between them, so with one CPU each every group runs sequentially.
 
-    Process ``i`` of ``count`` may run only on its slice of the launcher's
-    allowed CPUs, ``allowed[len * i // count:len * (i + 1) // count]``, and
-    its groups divide that share between them: with one CPU each, every
-    process runs its groups sequentially instead of oversubscribing the
-    host with one pool per process.
-
-    A process is forked from this one and hands the plan it inherited in
-    memory to :func:`cli.serve`, as ``pdevsim serve`` does after parsing
-    its plan, with this call's ``timeouts``: no interpreter start-up, no
-    argument parsing and no plan XML. Every process is forked before the
-    coordinator opens a socket or starts a thread. The temporary directory
-    holds only the processes' stderr. POSIX only.
+    This process serves block 0 next to the coordinator, on group threads
+    pinned to share 0. Each other block gets a process forked from this one
+    before those threads start; it serves the plan it inherited in memory
+    with this call's ``timeouts`` (no interpreter start-up, argument parsing
+    or plan XML), and its stdout and stderr come back on the pipe that
+    carries its ready line. Linux only (``os.pidfd_open``).
     """
-    if isinstance(plan_or_graph, DistributedPlan):
-        plan = plan_or_graph
-    else:
-        plan = local_plan(plan_or_graph)
+    plan = (plan_or_graph if isinstance(plan_or_graph, DistributedPlan)
+            else local_plan(plan_or_graph))
     plan.check()
     groups = list(plan.groups().values())
     count = min(default_workers(), len(groups))
     blocks = [[name for group in block for name in group]
               for block in contiguous_blocks(groups, count)]
-    allowed = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    allowed = sorted(os.sched_getaffinity(0))
     shares = contiguous_blocks(allowed, count)
-    services: list[tuple[BaseProcess, BinaryIO]] = []
-    with tempfile.TemporaryDirectory(prefix="pdevsim-") as tmp:
-        stderr_paths = [Path(tmp) / f"serve-{i}.stderr" for i in range(count)]
+    children: list[_Child] = []
+    served: list[ServiceGroup] = []
+    try:
+        for members, share in zip(blocks[1:], shares[1:]):
+            children.append(_fork_service(plan, members, timeouts, share))
+        # Linux pins only the calling thread: the group threads it starts
+        # keep share 0, and default_workers() sizes their engines by it.
+        os.sched_setaffinity(0, shares[0])
         try:
-            for members, stderr_path, share in zip(blocks, stderr_paths, shares):
-                services.append(_start_service(plan, members, timeouts, stderr_path, share))
-            deadline = time.monotonic() + startup_timeout
-            for (process, stdout), members, stderr_path in zip(services, blocks,
-                                                               stderr_paths):
-                _wait_ready(process, stdout, members, deadline, stderr_path)
-            report = run_coordinator(plan, iterations, trace=trace,
-                                     timeouts=timeouts)
-            for process, _ in services:
-                process.join(timeout=10.0)  # killed below if still running
-            report.backend = "distributed-local"
-            return report
+            served = serve_simulators(plan, blocks[0], timeouts=timeouts)
         finally:
-            for process, stdout in services:
-                if process.exitcode is None:
-                    process.kill()
-                process.join()
-                process.close()
-                stdout.close()
+            os.sched_setaffinity(0, allowed)
+        deadline = time.monotonic() + startup_timeout
+        for child, members in zip(children, blocks[1:]):
+            _wait_ready(child, members, deadline)
+        report = run_coordinator(plan, iterations, trace=trace, timeouts=timeouts)
+        for child in children:
+            child.close(10.0)  # killed if still running
+        report.backend = "distributed-local"
+        return report
+    finally:
+        for group in served:
+            group.stop()
+            group.join()
+        for child in children:
+            child.close()
 
 
 BACKENDS = ("sequential", "parallel", "distributed-local")

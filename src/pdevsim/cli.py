@@ -126,9 +126,9 @@ def cmd_emit_manifest(args) -> int:
 def serve(plan, names, timeouts=None) -> int:
     """Host ``names`` of ``plan`` in this process, one service group per
     distinct endpoint among them, print the ready line once every listener
-    is bound, and return once every group has taken its EXIT. This is
-    ``pdevsim serve`` after it parsed its plan, and the body of each forked
-    distributed-local process."""
+    is bound, and return once every group has ended with its coordinator's
+    link. This is ``pdevsim serve`` after it parsed its plan, and the body
+    of each process that distributed-local forks for blocks 1 and up."""
     from .distributed import READY_LINE, serve_simulators
     groups = serve_simulators(plan, names, timeouts=timeouts)
     print(READY_LINE, flush=True)

@@ -6,56 +6,54 @@ kernel's cycle engine over them: a :class:`SequentialCoordinator`, or a
 :class:`ParallelCoordinator` with one pool of up to one worker per CPU of
 its share (the groups of a process divide the CPUs it may run on). Groups
 that share a process but not an endpoint push to each other over TCP like
-any other peers. A group binds one listener at its endpoint, served
-by one accept thread. The first frame on an accepted connection says what
-the connection is: PROPAGATE opens a link from a peer group, anything else
-is the coordinator's link.
+any other peers. A group serves its listener, the coordinator's link and
+every peer link from one selector on one thread. The first frame on an
+accepted connection says what the connection is: PROPAGATE opens a link
+from a peer group, anything else is the coordinator's link.
 
 The root coordinator connects to every endpoint in plan order and writes
 every INIT before it reads any reply. Each ACK lists exactly the atomics
 that the plan puts at that endpoint, each with its next-event time (tN).
 The coordinator keeps every atomic's tN and takes the minimum itself. Each
-cycle then sends at most two frames per group, both carrying the cycle
-time and naming the atomics they address:
+cycle then sends one DELTFCN, carrying the cycle time and ``[imminent,
+atomics, senders]``, to each group that hosts an imminent atomic or a
+coupling target of one. The group:
 
-- LAMBDA, to the imminent atomics. The group runs their output functions,
-  copies every coupling that leaves its block into one batch per peer
-  group, and sends each peer one PROPAGATE frame, which is not
-  acknowledged.
-- DELTFCN, to the imminent atomics and their coupling targets, as
-  ``[atomics, senders]``: the senders are the imminent atomics of other
-  groups coupled into the block. The group waits until every coupling
-  from them into the block has filed its batch, then fills its input bags
-  along every coupling that enters the block, in plan coupling order:
-  in-block couplings read the hosted output bags, cross-group ones the
-  batches that peers sent. This keeps bags byte-identical to the
-  sequential backend. It then runs the transitions and answers with
-  ``[atomic, tN]`` for each addressed atomic, or with the first error that
-  a peer's batch raised when it arrived.
+- runs the output functions of its ``imminent`` atomics and sends each
+  peer group one PROPAGATE frame, which is not acknowledged, holding every
+  coupling from them into that group;
+- pumps its selector until every coupling from ``senders``, the imminent
+  atomics of other groups coupled into the block, has filed its batch;
+- fills its input bags along every coupling that enters the block, in plan
+  coupling order, from the hosted output bags or the peers' batches, which
+  keeps bags byte-identical to the sequential backend;
+- runs the transitions of ``atomics`` and answers with ``[atomic, tN]``
+  for each, or with the first error that a peer's batch raised.
 
 The coordinator writes a phase's frame to every group before it reads any
-reply, and never relays event values.
-
-A group dials a peer's endpoint on its first push to it, so there is one
-link per ordered pair of groups. The link carries PROPAGATE frames only,
-and nothing is ever read back from it.
+reply, and never relays event values. A group dials a peer's endpoint on
+its first push to it, so there is one link per ordered pair of groups; the
+link carries PROPAGATE frames only, and nothing is read back from it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import selectors
 import socket
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 from .kernel import (RunReport, SequentialCoordinator, SimulationError,
                      Simulator, TraceEntry)
-from .model import IC, ModelGraph, validate
+from .model import IC, ModelError, ModelGraph, check_event_value, validate
 from .parallel import ParallelCoordinator, PoolPlan, default_workers
-from .wire import (ACK, DELTFCN, EXIT, INIT, LAMBDA, PROPAGATE, ProtocolError,
-                   WireFrame, decode_time, encode_time, read_frame,
-                   write_frame)
+from .wire import (ACK, DELTFCN, EXIT, INIT, PROPAGATE, ProtocolError,
+                   WireFrame, decode_time, encode_frame, encode_time,
+                   read_frame, take_frame, write_frame)
 
 _ERROR_MARK = "__error__"
 
@@ -133,16 +131,10 @@ def _configure(sock: socket.socket, read_timeout: float | None) -> None:
     sock.settimeout(read_timeout)
 
 
-def _shutdown_close(sock: socket.socket) -> None:
-    """Close a socket so that a thread blocked on it wakes up."""
-    try:
-        sock.shutdown(socket.SHUT_RDWR)
-    except OSError:
-        pass
-    try:
-        sock.close()
-    except OSError:
-        pass
+def _push(key: tuple[str, str, str, str]) -> str:
+    """How errors name the coupling ``key``: (sender, port, target, port)."""
+    sender, port, target, target_port = key
+    return f"PROPAGATE from {sender!r} port {port!r} to {target!r} port {target_port!r}"
 
 
 def _index(plan: DistributedPlan) -> dict[Endpoint, tuple[list[str], list]]:
@@ -159,11 +151,10 @@ def _index(plan: DistributedPlan) -> dict[Endpoint, tuple[list[str], list]]:
 class ServiceGroup:
     """The atomics at one plan endpoint, and the kernel engine over them.
 
-    The engine is built with the group, so INIT only initializes it. The
-    group listens on its endpoint with one socket and one accept thread,
-    and serves each accepted connection on a thread of its own: the
-    coordinator's link drives the whole group, and a peer group's link
-    carries that peer's pushes to every hosted atomic.
+    The engine is built with the group, so INIT only initializes it. One
+    thread serves the group's listener and every connection it accepts
+    from one selector: the coordinator's link drives the whole group, and
+    a peer group's link carries that peer's pushes to every hosted atomic.
 
     :func:`serve_simulators` builds the groups of a process: it checks the
     plan, indexes it (``index``, see :func:`_index`) and divides the
@@ -172,7 +163,6 @@ class ServiceGroup:
 
     def __init__(self, plan: DistributedPlan, endpoint: Endpoint, index: dict, *,
                  workers: int, timeouts: Timeouts | None = None) -> None:
-        self.plan = plan
         self.endpoint = endpoint
         self.names, couplings = index[endpoint]
         self.label = f"the process of {self.names[0]!r} at {self.endpoint}"
@@ -186,7 +176,7 @@ class ServiceGroup:
         sims = self.engine.simulators
         # Couplings into the block, in plan order, read a hosted output bag
         # or the inbound bucket that peers fill; couplings out of it are
-        # shipped at LAMBDA to the target's endpoint as [sender, port,
+        # shipped at DELTFCN to the target's endpoint as [sender, port,
         # target, target port, values].
         routes = []
         self._inbound: dict[tuple[str, str, str, str], list] = {}
@@ -213,16 +203,18 @@ class ServiceGroup:
         self.engine._bind_routes(routes, self._inbound.values(), shipped=[
             bag for leaving in self._outbound.values() for bag, _, _ in leaving])
         # Inbound couplings that filed a batch since the last DELTFCN, and
-        # the intake errors the next DELTFCN reports. Peer links file under
-        # the condition's lock, and DELTFCN waits on it.
+        # the intake errors the next DELTFCN reports.
         self._received: set[tuple[str, str, str, str]] = set()
         self._intake_errors: list[str] = []
-        self._filed = threading.Condition()
         self._initialized = False
+        self._depth = 0  # commands running: a DELTFCN pumps the selector
         self.peer_frames = 0
         self._links: dict[Endpoint, socket.socket] = {}  # to peer groups
-        self._sockets: list[socket.socket] = []  # the listener and connections
-        self._threads: list[threading.Thread] = []
+        # Every socket the group holds; for an accepted connection, what it
+        # has sent that is not yet a whole frame.
+        self._sockets: dict[socket.socket, bytearray | None] = {}
+        self._selector = selectors.DefaultSelector()
+        self._thread: threading.Thread | None = None
         self._stop = threading.Event()
 
     # -- lifecycle -----------------------------------------------------------
@@ -235,101 +227,126 @@ class ServiceGroup:
             raise SimulationError(
                 f"cannot bind {', '.join(map(repr, self.names))} at "
                 f"{self.endpoint}: {exc}") from exc
-        self._sockets.append(listener)
-        self._spawn(f"svc-{self.names[0]}", self._accept, listener)
+        self._sockets[listener] = None
+        self._selector.register(listener, selectors.EVENT_READ, "listener")
+        self._thread = threading.Thread(target=self._run, daemon=True, name=f"svc-{self.names[0]}")
+        self._thread.start()
         return self
 
-    def _spawn(self, thread_name: str, target, *args) -> None:
-        thread = threading.Thread(target=target, args=args, daemon=True,
-                                  name=thread_name)
-        thread.start()
-        self._threads.append(thread)
-
     def join(self, timeout: float | None = None) -> None:
-        index = 0
-        while index < len(self._threads):  # the accept loop may still add some
-            self._threads[index].join(timeout)
-            index += 1
+        if self._thread is not None:
+            self._thread.join(timeout)
 
     def stop(self) -> None:
-        """Close every socket and end a DELTFCN's wait for batches, which
-        wakes the accept loop and every connection thread; the threads then
-        end on their own."""
+        """End the group from any thread: shutting its sockets down wakes its
+        thread wherever it waits, which then closes them and ends."""
         self._stop.set()
         for sock in list(self._sockets):
-            _shutdown_close(sock)
-        with self._filed:  # ends a DELTFCN's wait for batches
-            self._filed.notify_all()
+            with contextlib.suppress(OSError):
+                sock.shutdown(socket.SHUT_RDWR)
+        if self._thread is None:
+            self._close()
+
+    def _run(self) -> None:
+        try:
+            while not self._stop.is_set():
+                self._pump(None)
+        finally:
+            self._close()
+
+    def _close(self) -> None:
+        for sock in self._sockets:
+            sock.close()
+        self._selector.close()
         if isinstance(self.engine, ParallelCoordinator):
             self.engine.close()
 
     # -- connections --------------------------------------------------------------
 
-    def _accept(self, listener: socket.socket) -> None:
-        """Serve each connection ``listener`` accepts on a thread of its
-        own, until :meth:`stop` shuts the listener down."""
-        while True:
-            try:
-                conn, _ = listener.accept()
-            except OSError:
+    def _pump(self, timeout: float | None) -> None:
+        """Serve what one select within ``timeout`` seconds reports, up to the
+        coordinator's link: a command may pump the selector, staling the rest."""
+        for key, _ in self._selector.select(timeout):
+            if self._stop.is_set() or self._serve(key.fileobj, key.data):
                 return
-            _configure(conn, None)
-            self._sockets.append(conn)
-            if self._stop.is_set():  # stop() may have closed the others before this one
-                _shutdown_close(conn)
-                return
-            self._spawn(f"svc-{self.names[0]}-conn", self._serve, conn)
 
-    def _serve(self, conn: socket.socket) -> None:
-        """Serve one connection: a peer group's link if its first frame is
-        a PROPAGATE, else the coordinator's link. A first frame that cannot
-        be read is answered with a one-line error."""
-        with conn:
+    def _serve(self, sock: socket.socket, role: str) -> bool:
+        """Serve a ready socket in its ``role``. The listener accepts ``new``
+        connections, whose bytes are buffered until a frame is whole, so no
+        read waits for the rest of a frame. A first PROPAGATE makes one a
+        ``peer`` group's link, never answered; any other first frame the
+        ``coordinator``'s link, whose end ends the group. A frame that
+        cannot be read ends the connection, reported on it or, from a peer,
+        by the next DELTFCN. True for the coordinator's link (see _pump)."""
+        if role == "full":  # a peer link took more: _send writes on
+            return False
+        if role == "listener":
             try:
-                frame = read_frame(conn)
-            except ProtocolError as exc:
-                try:
-                    self._reply(conn, (_ERROR_MARK, f"bad first frame on a connection "
-                                                    f"to {self.label}: {exc}"))
-                except OSError:
-                    pass
-                return
-            except OSError:
-                return
-            if frame is None:
-                return
-            if frame.command == PROPAGATE:
-                self._serve_peer(conn, frame)
-            else:
-                self._serve_commands(conn, frame)
-
-    def _serve_commands(self, conn: socket.socket, frame: WireFrame) -> None:
-        """Answer ``frame`` and each later coordinator command with one ACK
-        carrying its result, or the error it raised, until the coordinator
-        hangs up or an EXIT succeeds."""
+                conn, _ = sock.accept()
+            except OSError:  # stop() shut the listener down
+                return False
+            _configure(conn, self.timeouts.read)
+            self._sockets[conn] = bytearray()
+            self._selector.register(conn, selectors.EVENT_READ, "new")
+            return False
+        buffer = self._sockets[sock]
         try:
-            while frame is not None:
-                try:
-                    values = self._dispatch(frame)
-                except SimulationError as exc:
-                    self._reply(conn, (_ERROR_MARK, str(exc)))
+            buffer += (chunk := sock.recv(1 << 16))
+            # A command may pump the selector, and so serve this socket too.
+            while sock in self._sockets and (frame := take_frame(buffer)):
+                if role == "new":
+                    role = "peer" if frame.command == PROPAGATE else "coordinator"
+                    self._selector.modify(sock, selectors.EVENT_READ, role)
+                if role == "peer":
+                    self._take_batch(frame)
                 else:
-                    self._reply(conn, values)
-                    if frame.command == EXIT:
-                        self.stop()
-                        return
-                frame = read_frame(conn)
-        except (ProtocolError, OSError):
-            pass
+                    self._command(sock, frame)
+            if chunk or sock not in self._sockets:
+                return role == "coordinator"
+            error = ProtocolError("connection closed mid-frame") if buffer else None
+        except (ProtocolError, OSError) as exc:
+            error = exc
+        if isinstance(error, ProtocolError) and role == "peer":
+            self._intake_errors.append(f"bad frame on a peer link to {self.label}: {error}")
+        elif isinstance(error, ProtocolError):
+            where = ("first frame on a connection" if role == "new"
+                     else "frame on the coordinator's link")
+            self._reply(sock, (_ERROR_MARK, f"bad {where} to {self.label}: {error}"))
+        self._selector.unregister(sock)
+        del self._sockets[sock]
+        sock.close()
+        if role == "coordinator":
+            self.stop()
+        return role == "coordinator"
 
-    def _reply(self, conn: socket.socket, values: tuple) -> None:
-        write_frame(conn, WireFrame(ACK, sender=self.names[0], values=values))
+    def _command(self, conn: socket.socket, frame: WireFrame) -> None:
+        """Answer one command with an ACK carrying its result, or the error
+        it raised. The group ends once an EXIT succeeds or a reply fails."""
+        self._depth += 1
+        try:
+            if self._depth > 1:
+                raise SimulationError(f"{frame.command} to {self.label} while another runs")
+            values, ended = self._dispatch(frame), frame.command == EXIT
+        except SimulationError as exc:
+            values, ended = (_ERROR_MARK, str(exc)), False
+        finally:
+            self._depth -= 1
+        if not self._reply(conn, values) or ended:
+            self.stop()
+
+    def _reply(self, conn: socket.socket, values: tuple) -> bool:
+        """Write one ACK; False if the link failed."""
+        try:
+            write_frame(conn, WireFrame(ACK, sender=self.names[0], values=values))
+        except (OSError, ProtocolError):
+            return False
+        return True
 
     # -- coordinator commands -----------------------------------------------------
 
     def _dispatch(self, frame: WireFrame) -> tuple:
         """Run one coordinator command over the block: INIT and EXIT cover
-        every hosted atomic, LAMBDA and DELTFCN the atomics the frame names."""
+        every hosted atomic, DELTFCN the atomics the frame names."""
         command = frame.command
         engine = self.engine
         sims = engine.simulators
@@ -347,36 +364,37 @@ class ServiceGroup:
                       for atomic, sim in sims.items()]
             return (*engine.counters.triple(), engine.dropped_events,
                     self.peer_frames, traces)
-        if command not in (LAMBDA, DELTFCN):
+        if command != DELTFCN:
             raise SimulationError(f"unexpected command {command} on the coordinator's "
                                   f"link to {self.label}")
         if frame.time is None:
             raise SimulationError(f"{command} frame without time")
-        atomics, senders = frame.values, []
-        if command == DELTFCN:
-            if not (len(frame.values) == 2
-                    and all(isinstance(part, list) for part in frame.values)):
-                raise SimulationError(f"{command} values must be [atomics, senders], "
-                                      f"got {list(frame.values)!r:.80}")
-            atomics, senders = frame.values
-        addressed = []
-        for atomic in atomics:
-            sim = sims.get(atomic) if isinstance(atomic, str) else None
-            if sim is None:
-                raise SimulationError(
-                    f"{command} addresses {atomic!r}, which {self.label} does not host")
-            addressed.append(sim)
-        if len(set(addressed)) != len(addressed):
-            raise SimulationError(f"{command} addresses an atomic twice: "
-                                  f"{list(atomics)}")
+        if not (len(frame.values) == 3
+                and all(isinstance(part, list) for part in frame.values)):
+            raise SimulationError(f"{command} values must be [imminent, atomics, senders], "
+                                  f"got {list(frame.values)!r:.80}")
+        imminent, atomics, senders = frame.values
+        imminent, addressed = self._hosted(imminent), self._hosted(atomics)
         t = frame.time
-        if command == LAMBDA:
-            engine._run_phase(Simulator.run_lambda, addressed, t)
-            self._ship([sim for sim in addressed if sim.tN == t])
-            return ()
+        engine._run_phase(Simulator.run_lambda, imminent, t)
+        self._ship([sim for sim in imminent if sim.tN == t])
         self._take_inputs(senders)
         engine._run_phase(Simulator.run_delta, addressed, t)
         return tuple([sim.name, encode_time(sim.tN)] for sim in addressed)
+
+    def _hosted(self, names: list) -> list[Simulator]:
+        """The simulators of the atomics that a DELTFCN names, each once."""
+        sims = self.engine.simulators
+        found = []
+        for name in names:
+            sim = sims.get(name) if isinstance(name, str) else None
+            if sim is None:
+                raise SimulationError(
+                    f"{DELTFCN} addresses {name!r}, which {self.label} does not host")
+            found.append(sim)
+        if len(set(found)) != len(found):
+            raise SimulationError(f"{DELTFCN} addresses an atomic twice: {names}")
+        return found
 
     # -- peer links ---------------------------------------------------------------
 
@@ -390,7 +408,8 @@ class ServiceGroup:
                 batches.setdefault(endpoint, []).append([*head, list(bag)])
         for endpoint, items in batches.items():
             try:
-                write_frame(self._link(endpoint), WireFrame(PROPAGATE, values=tuple(items)))
+                self._send(self._link(endpoint),
+                           encode_frame(WireFrame(PROPAGATE, values=tuple(items))))
             except (OSError, ProtocolError) as exc:
                 raise SimulationError(f"propagation to the process of {items[0][2]!r} at "
                                       f"{endpoint} failed: {exc}") from exc
@@ -401,65 +420,58 @@ class ServiceGroup:
         push to it."""
         link = self._links.get(endpoint)
         if link is None:
-            link = socket.create_connection(endpoint.main_addr(),
-                                            timeout=self.timeouts.connect)
-            self._sockets.append(link)
-            _configure(link, self.timeouts.read)
+            link = socket.create_connection(endpoint.main_addr(), timeout=self.timeouts.connect)
+            self._sockets[link] = None
+            _configure(link, 0.0)  # non-blocking: see _send
             self._links[endpoint] = link
         return link
 
-    def _serve_peer(self, conn: socket.socket, frame: WireFrame) -> None:
-        """File ``frame`` and every later batch a peer group's link brings,
-        unanswered, until the peer hangs up."""
-        try:
-            while frame is not None:
-                self._take_batch(frame)
-                frame = read_frame(conn)
-        except ProtocolError as exc:
-            with self._filed:
-                self._intake_errors.append(f"bad frame on a peer link to {self.label}: {exc}")
-                self._filed.notify_all()
-        except OSError:
-            pass
+    def _send(self, link: socket.socket, data: bytes) -> None:
+        """Write ``data`` to a peer link, serving the group's sockets while
+        the link is full: two groups that push large batches to each other
+        would otherwise wait on each other until the read timeout."""
+        view, deadline = memoryview(data), time.monotonic() + self.timeouts.read
+        while view:
+            try:
+                view = view[link.send(view):]
+            except BlockingIOError:
+                if self._stop.is_set() or time.monotonic() > deadline:
+                    raise OSError("stopped" if self._stop.is_set() else "timed out")
+                self._selector.register(link, selectors.EVENT_WRITE, "full")
+                self._pump(deadline - time.monotonic())
+                self._selector.unregister(link)
 
     def _take_batch(self, frame: WireFrame) -> None:
         """Put a peer's PROPAGATE batch in the inbound buckets, which the
-        next DELTFCN empties, and wake a DELTFCN that waits for it. Each
-        coupling that enters the block may send one batch per cycle; an
-        error is kept for the next DELTFCN to report."""
-        with self._filed:
-            try:
-                if frame.command != PROPAGATE:
+        next DELTFCN empties. Each coupling that enters the block may send
+        one batch per cycle; an error is kept for the next DELTFCN to
+        report."""
+        try:
+            if frame.command != PROPAGATE:
+                raise SimulationError(
+                    f"unexpected {frame.command} on a peer link to {self.label}")
+            for item in frame.values:
+                if not (isinstance(item, list) and len(item) == 5
+                        and isinstance(item[4], list)
+                        and all(isinstance(field, str) for field in item[:4])):
                     raise SimulationError(
-                        f"unexpected {frame.command} on a peer link to {self.label}")
-                for item in frame.values:
-                    if not (isinstance(item, list) and len(item) == 5
-                            and isinstance(item[4], list)
-                            and all(isinstance(field, str) for field in item[:4])):
-                        raise SimulationError(
-                            f"malformed PROPAGATE item for {self.label}: {item!r:.80}")
-                    sender, port, target, target_port, values = item
-                    key = (sender, port, target, target_port)
-                    bucket = self._inbound.get(key)
-                    if bucket is None:
-                        raise SimulationError(
-                            f"PROPAGATE from {sender!r} port {port!r} to {target!r} port "
-                            f"{target_port!r}: no such coupling enters {self.label}")
-                    if key in self._received:
-                        raise SimulationError(
-                            f"PROPAGATE from {sender!r} port {port!r} to {target!r} port "
-                            f"{target_port!r}: a second batch in one cycle")
-                    self._received.add(key)
-                    bucket.extend(values)
-            except SimulationError as exc:
-                self._intake_errors.append(str(exc))
-            self._filed.notify_all()
+                        f"malformed PROPAGATE item for {self.label}: {item!r:.80}")
+                key, values = tuple(item[:4]), item[4]
+                bucket = self._inbound.get(key)
+                if bucket is None:
+                    raise SimulationError(f"{_push(key)}: no such coupling enters {self.label}")
+                if key in self._received:
+                    raise SimulationError(f"{_push(key)}: a second batch in one cycle")
+                self._received.add(key)
+                bucket.extend(values)
+        except SimulationError as exc:
+            self._intake_errors.append(str(exc))
 
     def _take_inputs(self, senders: list) -> None:
-        """Wait until every coupling from ``senders`` into the block has filed
-        its batch, then fill the input bags along every route. Raises the
-        first intake error, or names a coupling whose batch did not arrive
-        within the read timeout."""
+        """Pump the selector until every coupling from ``senders`` into the
+        block has filed its batch, then fill the input bags along every
+        route. Raises the first intake error, or names a coupling whose
+        batch did not arrive within the read timeout."""
         expected = []
         for sender in senders:
             keys = self._feeds.get(sender) if isinstance(sender, str) else None
@@ -467,29 +479,28 @@ class ServiceGroup:
                 raise SimulationError(f"{DELTFCN} names sender {sender!r}, which has no "
                                       f"coupling into {self.label}")
             expected.extend(keys)
-        with self._filed:
-            arrived = self._filed.wait_for(
-                lambda: (self._stop.is_set() or self._intake_errors
-                         or self._received.issuperset(expected)),
-                timeout=self.timeouts.read)
-            if self._stop.is_set():
-                raise SimulationError(f"{self.label} stopped")
-            if self._intake_errors:
-                error = self._intake_errors[0]
-                self._intake_errors.clear()
-                raise SimulationError(error)
-            if not arrived:
-                key = next(key for key in expected if key not in self._received)
-                problem = f"no batch within {self.timeouts.read:g} s"
-            else:  # a peer that sent what no DELTFCN expects is out of step
-                key = min(self._received.difference(expected), default=None)
-                problem = "a batch that this DELTFCN does not name"
-            if key is not None:
-                sender, port, target, target_port = key
-                raise SimulationError(f"PROPAGATE from {sender!r} port {port!r} to "
-                                      f"{target!r} port {target_port!r}: {problem}")
-            self.engine._propagate()
-            self._received.clear()
+        deadline = time.monotonic() + self.timeouts.read
+        while not (arrived := self._received.issuperset(expected)):
+            remaining = deadline - time.monotonic()
+            if self._stop.is_set() or self._intake_errors or remaining <= 0:
+                break
+            self._pump(remaining)
+        if self._stop.is_set():
+            raise SimulationError(f"{self.label} stopped")
+        if self._intake_errors:
+            error = self._intake_errors[0]
+            self._intake_errors.clear()
+            raise SimulationError(error)
+        if not arrived:
+            key = next(key for key in expected if key not in self._received)
+            problem = f"no batch within {self.timeouts.read:g} s"
+        else:  # a peer that sent what no DELTFCN expects is out of step
+            key = min(self._received.difference(expected), default=None)
+            problem = "a batch that this DELTFCN does not name"
+        if key is not None:
+            raise SimulationError(f"{_push(key)}: {problem}")
+        self.engine._propagate()
+        self._received.clear()
 
 
 def serve_simulators(plan: DistributedPlan, names, *,
@@ -526,6 +537,7 @@ def serve_simulators(plan: DistributedPlan, names, *,
     except BaseException:
         for group in groups:
             group.stop()
+            group.join()
         raise
     return groups
 
@@ -554,8 +566,8 @@ class DistributedCoordinator:
         self._feeds: dict[str, set[Endpoint]] = {
             name: {plan.endpoints[dst] for dst in targets} - {plan.endpoints[name]}
             for name, targets in self._targets.items()}
-        self.frames_sent: dict[str, int] = {}
-        self.frames_received: dict[str, int] = {}
+        self.frames_sent: Counter[str] = Counter()
+        self.frames_received: Counter[str] = Counter()
         self._conns: dict[Endpoint, socket.socket] = {}
 
     # -- plumbing ---------------------------------------------------------------
@@ -578,8 +590,8 @@ class DistributedCoordinator:
             self._conns[endpoint] = sock
             self._write(endpoint, init)
         tn: dict[str, float] = {}
-        for endpoint, reply in self._replies(dict.fromkeys(self._groups, init)).items():
-            hosted = self._tn_pairs(endpoint, reply)
+        for endpoint in self._groups:
+            hosted = self._tn_pairs(endpoint, self._read(endpoint, init))
             if sorted(hosted) != sorted(self._groups[endpoint]):
                 raise SimulationError(
                     f"{self._where(endpoint)} hosts {list(hosted)}, but the plan puts "
@@ -592,7 +604,7 @@ class DistributedCoordinator:
             write_frame(self._conns[endpoint], frame)
         except (OSError, ProtocolError) as exc:
             raise SimulationError(f"{self._where(endpoint)} failed: {exc}") from exc
-        self._count(self.frames_sent, frame.command)
+        self.frames_sent[frame.command] += 1
 
     def _read(self, endpoint: Endpoint, sent: WireFrame) -> WireFrame:
         """The reply to ``sent``. A read timeout names the command, its
@@ -603,9 +615,9 @@ class DistributedCoordinator:
             reply = read_frame(self._conns[endpoint])
         except socket.timeout as exc:
             waiting = f" at t={sent.time!r}" if sent.time is not None else ""
-            if sent.command == DELTFCN and sent.values[1]:
+            if sent.command == DELTFCN and sent.values[2]:
                 waiting += (" waiting for the batches of "
-                            f"{', '.join(map(repr, sent.values[1]))}")
+                            f"{', '.join(map(repr, sent.values[2]))}")
             raise SimulationError(f"{where} timed out after {self.timeouts.read:g} s "
                                   f"on {sent.command}{waiting}") from exc
         except (OSError, ProtocolError) as exc:
@@ -614,48 +626,39 @@ class DistributedCoordinator:
             raise SimulationError(f"{where} closed the connection")
         if reply.values[:1] == (_ERROR_MARK,):
             raise SimulationError(f"{where} reported: {reply.values[1]}")
-        self._count(self.frames_received, reply.command)
+        self.frames_received[reply.command] += 1
         if reply.command != ACK:
             raise SimulationError(f"{where} replied {reply.command}, expected {ACK}")
         return reply
-
-    def _count(self, histogram: dict[str, int], command: str) -> None:
-        histogram[command] = histogram.get(command, 0) + 1
-
-    def _replies(self, frames: dict[Endpoint, WireFrame]) -> dict[Endpoint, WireFrame]:
-        return {endpoint: self._read(endpoint, frame) for endpoint, frame in frames.items()}
 
     def _send(self, frames: dict[Endpoint, WireFrame]) -> dict[Endpoint, WireFrame]:
         """Write every frame to its connection, then read every ACK: the
         groups work on their commands at once."""
         for endpoint, frame in frames.items():
             self._write(endpoint, frame)
-        return self._replies(frames)
+        return {endpoint: self._read(endpoint, frame) for endpoint, frame in frames.items()}
 
-    def _command(self, command: str, t: float, names: list[str],
-                 imminent: list[str] = ()) -> dict[str, float]:
-        """Send ``command`` at ``t`` to the groups hosting ``names``, one
-        frame per group naming its atomics in the order given; for DELTFCN,
-        the new tN of each. A DELTFCN frame holds ``[atomics, senders]``:
-        the senders are the ``imminent`` atomics of other groups whose
-        output enters the group, so it knows whose PROPAGATE batches to
-        wait for."""
-        batches: dict[Endpoint, list[str]] = {}
-        for name in names:
-            batches.setdefault(self.plan.endpoints[name], []).append(name)
-        replies = self._send({endpoint: WireFrame(command, time=t, values=(
-            (batch, [sender for sender in imminent if endpoint in self._feeds[sender]])
-            if command == DELTFCN else tuple(batch)))
-            for endpoint, batch in batches.items()})
+    def _deltfcn(self, t: float, imminent: list[str],
+                 active: list[str]) -> dict[str, float]:
+        """Send a DELTFCN at ``t`` to each group hosting ``active`` atomics,
+        naming its ``imminent`` and ``active`` atomics and the senders whose
+        PROPAGATE batches it waits for; the new tN of each active atomic."""
+        batches: dict[Endpoint, tuple[list[str], list[str]]] = {}
+        for name in active:
+            batches.setdefault(self.plan.endpoints[name], ([], []))[1].append(name)
+        for name in imminent:
+            batches[self.plan.endpoints[name]][0].append(name)
+        replies = self._send({endpoint: WireFrame(DELTFCN, time=t, values=(
+            mine, atomics, [sender for sender in imminent if endpoint in self._feeds[sender]]))
+            for endpoint, (mine, atomics) in batches.items()})
         tn: dict[str, float] = {}
-        if command == DELTFCN:
-            for endpoint, reply in replies.items():
-                pairs = self._tn_pairs(endpoint, reply)
-                if list(pairs) != batches[endpoint]:
-                    raise SimulationError(
-                        f"{self._where(endpoint)} acknowledged {command} for "
-                        f"{list(pairs)}, expected {batches[endpoint]}")
-                tn.update(pairs)
+        for endpoint, reply in replies.items():
+            pairs = self._tn_pairs(endpoint, reply)
+            if list(pairs) != batches[endpoint][1]:
+                raise SimulationError(
+                    f"{self._where(endpoint)} acknowledged {DELTFCN} for "
+                    f"{list(pairs)}, expected {batches[endpoint][1]}")
+            tn.update(pairs)
         return tn
 
     def _tn_pairs(self, endpoint: Endpoint, reply: WireFrame) -> dict[str, float]:
@@ -663,20 +666,12 @@ class DistributedCoordinator:
         once. Callers check the atomics against the plan."""
         try:
             pairs = {atomic: decode_time(tn) for atomic, tn in reply.values}
-            if len(pairs) != len(reply.values):
-                raise ValueError("an atomic is listed twice")
+            if len(pairs) != len(reply.values) or not all(isinstance(a, str) for a in pairs):
+                raise ValueError("an atomic is listed twice or is not a name")
             return pairs
         except (TypeError, ValueError, ProtocolError) as exc:
             raise SimulationError(
                 f"{self._where(endpoint)} sent bad [atomic, tN] pairs: {exc}") from exc
-
-    def close(self) -> None:
-        for sock in self._conns.values():
-            try:
-                sock.close()
-            except OSError:
-                pass
-        self._conns.clear()
 
     # -- the protocol ------------------------------------------------------------------
 
@@ -691,22 +686,26 @@ class DistributedCoordinator:
                 if math.isinf(t):
                     break
                 imminent = [name for name in self.names if tn[name] == t]
-                self._command(LAMBDA, t, imminent)
                 active = set(imminent)
                 for name in imminent:
                     active.update(self._targets[name])
-                tn.update(self._command(
-                    DELTFCN, t, sorted(active, key=self._ranks.__getitem__), imminent))
+                tn.update(self._deltfcn(
+                    t, imminent, sorted(active, key=self._ranks.__getitem__)))
                 cycles += 1
             exits = self._send({endpoint: WireFrame(EXIT) for endpoint in self._conns})
         finally:
-            self.close()
+            for sock in self._conns.values():
+                sock.close()
         # Each group's EXIT ACK: its ints, exts, events, dropped events and
         # PROPAGATE frames, then [atomic, trace] for every atomic it hosts.
         totals = [0] * 5
         traces: dict[str, list] = {}
         for endpoint, reply in exits.items():
             *numbers, pairs = reply.values or (None,)
+            try:
+                check_event_value(pairs)  # the traces carry event values
+            except ModelError:
+                pairs = None
             if not (len(numbers) == 5 and all(type(n) is int for n in numbers)
                     and isinstance(pairs, list) and all(
                         isinstance(pair, list) and len(pair) == 2

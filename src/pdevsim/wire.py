@@ -5,7 +5,7 @@ with the fixed field names ``command``, ``sender``, ``port``, ``values``
 and ``time``. Absent fields are omitted from the body. Virtual-time
 infinity is carried as the string ``"inf"`` so that the body stays strict
 JSON; event payloads themselves must be finite (see the event-value
-contract in the modeling layer).
+contract in the modeling layer), and only PROPAGATE frames carry them.
 """
 
 from __future__ import annotations
@@ -19,13 +19,12 @@ from dataclasses import dataclass
 from .model import ModelError, check_event_value
 
 INIT = "INIT"
-LAMBDA = "LAMBDA"
 PROPAGATE = "PROPAGATE"
 DELTFCN = "DELTFCN"
 EXIT = "EXIT"
 ACK = "ACK"
 
-COMMANDS = frozenset({INIT, LAMBDA, PROPAGATE, DELTFCN, EXIT, ACK})
+COMMANDS = frozenset({INIT, PROPAGATE, DELTFCN, EXIT, ACK})
 
 _MAX_FRAME = 64 * 1024 * 1024
 _LENGTH = struct.Struct(">I")
@@ -39,13 +38,12 @@ class ProtocolError(Exception):
 class WireFrame:
     """One protocol message.
 
-    ``values`` carries the payload: the atomics a LAMBDA addresses,
-    ``[atomics, senders]`` for a DELTFCN, ``[sender, port, target, target
-    port, values]`` items for a PROPAGATE, and the replies, such as the
-    ``[atomic, tN]`` pairs of an INIT or DELTFCN ACK. ``time`` is the
-    virtual time of LAMBDA and DELTFCN frames. ``sender`` names the first
-    atomic of the service group an ACK comes from; ``port`` is part of the
-    frame format, but no command uses it.
+    ``values`` carries the payload: ``[imminent, atomics, senders]`` for a
+    DELTFCN, ``[sender, port, target, target port, values]`` items for a
+    PROPAGATE, and the replies, such as the ``[atomic, tN]`` pairs of an
+    INIT or DELTFCN ACK. ``time`` is the virtual time of DELTFCN frames.
+    ``sender`` names the first atomic of the service group an ACK comes
+    from; ``port`` is part of the frame format, but no command uses it.
     """
 
     command: str
@@ -110,10 +108,11 @@ def decode_frame(payload: bytes) -> WireFrame:
     values = body.get("values", [])
     if not isinstance(values, list):
         raise ProtocolError(f"bad values field: {values!r}")
-    try:
-        check_event_value(values)
-    except ModelError as exc:
-        raise ProtocolError(f"bad values field: {exc}") from exc
+    if command == PROPAGATE:
+        try:
+            check_event_value(values)
+        except ModelError as exc:
+            raise ProtocolError(f"bad values field: {exc}") from exc
     for name in ("sender", "port"):
         if not isinstance(body.get(name, ""), str):
             raise ProtocolError(f"bad {name} field: {body[name]!r}")
@@ -131,29 +130,35 @@ def write_frame(sock: socket.socket, frame: WireFrame) -> None:
     sock.sendall(encode_frame(frame))
 
 
-def _recv_exact(sock: socket.socket, count: int) -> bytes | None:
-    chunks = []
-    remaining = count
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            if chunks:
-                raise ProtocolError("connection closed mid-frame")
-            return None
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+def _missing(buffer: bytearray) -> int:
+    """How many bytes the first frame in ``buffer`` still lacks."""
+    if len(buffer) < _LENGTH.size:
+        return _LENGTH.size - len(buffer)
+    (length,) = _LENGTH.unpack_from(buffer)
+    if length > _MAX_FRAME:
+        raise ProtocolError(f"frame length {length} exceeds limit")
+    return _LENGTH.size + length - len(buffer)
+
+
+def take_frame(buffer: bytearray) -> WireFrame | None:
+    """Remove the first frame from ``buffer`` and decode it; None while
+    the frame is not whole."""
+    if _missing(buffer) > 0:
+        return None
+    end = _LENGTH.size + _LENGTH.unpack_from(buffer)[0]
+    payload = bytes(buffer[_LENGTH.size:end])
+    del buffer[:end]
+    return decode_frame(payload)
 
 
 def read_frame(sock: socket.socket) -> WireFrame | None:
-    """Read one frame; None on clean end-of-stream."""
-    header = _recv_exact(sock, _LENGTH.size)
-    if header is None:
-        return None
-    (length,) = _LENGTH.unpack(header)
-    if length > _MAX_FRAME:
-        raise ProtocolError(f"frame length {length} exceeds limit")
-    payload = _recv_exact(sock, length)
-    if payload is None:
-        raise ProtocolError("connection closed mid-frame")
-    return decode_frame(payload)
+    """Read one frame, and nothing after it; None on clean end-of-stream."""
+    buffer = bytearray()
+    while (missing := _missing(buffer)) > 0:
+        chunk = sock.recv(missing)
+        if not chunk:
+            if buffer:
+                raise ProtocolError("connection closed mid-frame")
+            return None
+        buffer += chunk
+    return take_frame(buffer)

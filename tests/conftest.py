@@ -136,11 +136,34 @@ class Affinity(AtomicModel):
         pass
 
 
+class SwapLarge(AtomicModel):
+    """Emits one string of ``size`` characters at time 0 and keeps the
+    length of each string it receives."""
+
+    INPUT_PORTS = ("in",)
+    OUTPUT_PORTS = ("out",)
+    size = 8 * 2**20
+
+    def initialize(self):
+        self.received = []
+        self.hold_in("armed", 0.0)
+
+    def output(self):
+        self.emit("out", "x" * type(self).size)
+
+    def delta_int(self):
+        self.passivate()
+
+    def delta_ext(self, e):
+        self.received.extend(len(value) for value in self.bag("in"))
+
+
 _register("emit_once", EmitOnce)
 _register("collector", Collector)
 _register("busy_ext", BusyExt)
 _register("raise_ext", RaiseExt)
 _register("affinity", Affinity)
+_register("swap_large", SwapLarge)
 Rendezvous = _register("rendezvous", Rendezvous)
 
 

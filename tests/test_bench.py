@@ -21,6 +21,21 @@ from pdevsim.planfile import (emit_distributed_plan_xml, emit_plan_xml,
 from conftest import blocks_of, grouped_plan
 
 
+def _recorded_forks(monkeypatch) -> list[int]:
+    """The pids of the processes that ``os.fork`` forks from now on."""
+    spawned = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            spawned.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return spawned
+
+
 def _two_block_plan(graph):
     """Loopback plan that co-hosts ``graph`` in two contiguous blocks."""
     return grouped_plan(graph, blocks_of(graph, 2))
@@ -190,25 +205,18 @@ def _fail_to_bind(plan, victim):
 
 @pytest.mark.parametrize("position", [0, -1], ids=["first", "last"])
 def test_distributed_local_reports_a_service_that_cannot_bind(monkeypatch, position):
-    """A failed bind is reported well inside the start-up deadline: the
-    first case hangs until the deadline if a later child holds the first
-    child's pipe write end."""
-    from multiprocessing.context import ForkProcess
+    """A failed bind is reported well inside the start-up deadline, by the
+    launcher itself for block 0 and by the forked process for block 1,
+    which the launcher reaps."""
+    from pdevsim.parallel import default_workers
     plan = _two_block_plan(generate(DevstoneConfig("HO", 3, 3)))
     victim = list(plan.endpoints)[position]
-    spawned = []  # the pid of every forked service process
-    start = ForkProcess.start
-
-    def recording_start(self):
-        start(self)
-        spawned.append(self.pid)
-
-    monkeypatch.setattr(ForkProcess, "start", recording_start)
+    spawned = _recorded_forks(monkeypatch)
     message, seconds = _fail_to_bind(plan, victim)
     assert "cannot bind" in message and repr(victim) in message
     assert victim in message.split(" exited ")[0]  # the hosting process's atomics
     assert seconds < 5.0, message
-    assert spawned
+    assert len(spawned) == min(default_workers(), 2) - 1
     for pid in spawned:  # exited and reaped
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
@@ -227,6 +235,29 @@ def test_distributed_local_leaves_no_child_process():
     _assert_no_child_process()
     plan = _two_block_plan(graph)
     _fail_to_bind(plan, list(plan.endpoints)[-1])
+    _assert_no_child_process()
+
+
+def test_distributed_local_serves_block_0_in_the_launcher(monkeypatch):
+    """The launcher serves block 0 itself and forks one process per other
+    block, so one on a 2-CPU host; no service thread is left in it after
+    a run that succeeds or one that fails."""
+    import threading
+
+    from pdevsim.parallel import default_workers
+
+    def service_threads():
+        return [t.name for t in threading.enumerate() if t.name.startswith("svc-")]
+
+    spawned = _recorded_forks(monkeypatch)
+    graph = generate(DevstoneConfig("HO", 3, 3))
+    assert run_distributed_local(graph).counter_triple() == (7, 7, 7)
+    assert len(spawned) == min(default_workers(), len(list(graph.walk_atomics()))) - 1
+    assert service_threads() == []
+    plan = _two_block_plan(graph)
+    for victim in (list(plan.endpoints)[0], list(plan.endpoints)[-1]):
+        _fail_to_bind(plan, victim)
+        assert service_threads() == []
     _assert_no_child_process()
 
 
@@ -307,18 +338,23 @@ def test_distributed_local_leaves_nothing_unclosed(tmp_path):
     assert "ResourceWarning" not in result.stderr, result.stderr
     sequential = run_sequential(generate(DevstoneConfig("HO", 3, 3)), trace=True)
     assert trace.read_text() == sequential.trace_text()
-    # The error path too: a service process that cannot bind its endpoint.
-    blocker = socket.create_server(list(plan.endpoints.values())[-1].main_addr())
-    try:
-        result = subprocess.run(
-            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "pdevsim",
-             "run", "--plan", str(plan_path), "--backend", "distributed-local"],
-            capture_output=True, text=True, timeout=120)
-    finally:
-        blocker.close()
-    assert result.returncode == 1, result.stderr
-    assert "cannot bind" in result.stderr and result.stderr.count("\n") == 1, result.stderr
-    assert "ResourceWarning" not in result.stderr, result.stderr
+    # The error path too: a service that cannot bind its endpoint, in the
+    # launcher (block 0) or in a forked process (block 1).
+    for endpoint in (list(plan.groups())[0], list(plan.groups())[-1]):
+        blocker = socket.create_server(endpoint.main_addr())
+        try:
+            result = subprocess.run(
+                [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m",
+                 "pdevsim", "run", "--plan", str(plan_path), "--backend",
+                 "distributed-local"],
+                capture_output=True, text=True, timeout=120)
+        finally:
+            blocker.close()
+        assert result.returncode == 1, result.stderr
+        assert "cannot bind" in result.stderr and result.stderr.count("\n") == 1, \
+            result.stderr
+        assert str(endpoint) in result.stderr, result.stderr
+        assert "ResourceWarning" not in result.stderr, result.stderr
 
 
 def test_report_rows_roundtrip(tmp_path):

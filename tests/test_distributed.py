@@ -18,11 +18,11 @@ from pdevsim import (DistributedPlan, Endpoint, ModelGraph, ParallelCoordinator,
                      run_coordinator, serve_simulators)
 from pdevsim import distributed
 from pdevsim.devstone import DevstoneConfig, generate
-from pdevsim.wire import (ACK, DELTFCN, EXIT, INIT, LAMBDA, PROPAGATE,
-                          WireFrame, decode_time, read_frame, write_frame)
+from pdevsim.wire import (ACK, DELTFCN, EXIT, INIT, PROPAGATE, WireFrame,
+                          decode_time, read_frame, write_frame)
 
-from conftest import (Rendezvous, blocks_of, fan_out_model, grouped_plan,
-                      spread_plan, thread_services)
+from conftest import (Rendezvous, SwapLarge, blocks_of, fan_out_model,
+                      grouped_plan, spread_plan, thread_services)
 
 
 def _dial(endpoint):
@@ -56,8 +56,9 @@ def _peer_link(endpoint):
 
 
 def _deltfcn(sock, atomics, senders):
-    """Send a DELTFCN at time 0 and return its reply."""
-    write_frame(sock, WireFrame(DELTFCN, time=0.0, values=(list(atomics), list(senders))))
+    """Send a DELTFCN at time 0 with no imminent atomic and return its reply."""
+    write_frame(sock, WireFrame(DELTFCN, time=0.0,
+                                values=([], list(atomics), list(senders))))
     return read_frame(sock)
 
 
@@ -72,9 +73,11 @@ def test_leftover_propagate_batch_is_an_error(gpt_graph):
             for value in ("job-1", "job-2"):  # two batches on one coupling, one cycle
                 write_frame(peer, WireFrame(PROPAGATE, values=(
                     ["generator", "out", "processor", "in", [value]],)))
-            # Pushes get no reply; let the link file both before DELTFCN reads them.
-            with group._filed:
-                assert group._filed.wait_for(lambda: group._intake_errors, timeout=10.0)
+            # Pushes get no reply; let the group file both before DELTFCN reads them.
+            deadline = time.monotonic() + 10.0
+            while not group._intake_errors:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
             reply = _deltfcn(sock, ["processor"], ["generator"])
             assert not select.select([peer], [], [], 0)[0]  # the peer link stays silent
             assert reply.command == ACK and reply.values[0] == "__error__"
@@ -148,7 +151,7 @@ def test_commands_without_time_are_rejected(gpt_graph):
         try:
             write_frame(sock, WireFrame(INIT, values=(0,)))
             assert read_frame(sock).command == ACK
-            for command in (LAMBDA, DELTFCN):
+            for command in (DELTFCN,):
                 write_frame(sock, WireFrame(command))
                 reply = read_frame(sock)
                 assert reply.values[0] == "__error__"
@@ -168,8 +171,8 @@ def test_badly_addressed_commands_are_rejected(gpt_graph, names, message):
         try:
             write_frame(sock, WireFrame(INIT, values=(0,)))
             assert read_frame(sock).command == ACK
-            for command, values in ((LAMBDA, names), (DELTFCN, (list(names), []))):
-                write_frame(sock, WireFrame(command, time=0.0, values=values))
+            for values in ((list(names), [], []), ([], list(names), [])):
+                write_frame(sock, WireFrame(DELTFCN, time=0.0, values=values))
                 reply = read_frame(sock)
                 assert reply.values[0] == "__error__"
                 assert message in reply.values[1]
@@ -178,9 +181,9 @@ def test_badly_addressed_commands_are_rejected(gpt_graph, names, message):
 
 
 @pytest.mark.parametrize("values, message", [
-    (("processor",), "must be [atomics, senders]"),
-    ((["processor"], ["transducer"]), "no coupling into the process"),
-    ((["processor"], ["processor"]), "no coupling into the process"),
+    (("processor",), "must be [imminent, atomics, senders]"),
+    (([], ["processor"], ["transducer"]), "no coupling into the process"),
+    (([], ["processor"], ["processor"]), "no coupling into the process"),
 ], ids=["flat", "uncoupled-sender", "hosted-sender"])
 def test_deltfcn_must_name_senders_coupled_into_the_process(gpt_graph, values, message):
     plan = spread_plan(gpt_graph)
@@ -230,7 +233,7 @@ def test_serve_refuses_to_split_an_endpoint(gpt_graph):
             group.stop()
 
 
-def test_nine_atomic_group_has_one_listener_and_one_accept_thread():
+def test_nine_atomic_group_has_one_listener_and_one_thread():
     graph = generate(DevstoneConfig("HO", 5, 5))
     plan = grouped_plan(graph, blocks_of(graph, 2))
     block = list(plan.groups().values())[0]
@@ -247,6 +250,97 @@ def test_nine_atomic_group_has_one_listener_and_one_accept_thread():
     group.join(timeout=5.0)
     assert not started[0].is_alive()
     assert listener.fileno() == -1
+
+
+def test_bad_later_frame_on_the_coordinators_link_ends_the_group(gpt_graph):
+    """A malformed frame after INIT on the coordinator's link is answered
+    within 1 s with one line naming the group's first atomic and its
+    endpoint; the group then hangs up and ends its thread."""
+    plan = spread_plan(gpt_graph)
+    before = set(threading.enumerate())
+    with thread_services(plan, names=["processor"]) as (group,):
+        sock = _dial(plan.endpoints["processor"])
+        try:
+            write_frame(sock, WireFrame(INIT, values=(0,)))
+            assert read_frame(sock).command == ACK
+            started = time.monotonic()
+            sock.sendall(b"\x00\x00\x00\x02{]")
+            reply = read_frame(sock)
+            elapsed = time.monotonic() - started
+            closed = read_frame(sock)
+        finally:
+            sock.close()
+        group.join(timeout=5.0)
+        left = [t.name for t in threading.enumerate()
+                if t not in before and t.name.startswith("svc-")]
+    assert reply.command == ACK and reply.values[0] == "__error__"
+    assert "bad frame" in reply.values[1] and "'processor'" in reply.values[1]
+    assert str(plan.endpoints["processor"]) in reply.values[1]
+    assert "\n" not in reply.values[1]
+    assert elapsed < 1.0, elapsed
+    assert closed is None  # the service hangs up
+    assert left == []
+
+
+def test_command_during_a_deltfcn_wait_is_refused(gpt_graph):
+    """A frame that reaches the coordinator's link while a DELTFCN waits for
+    peer batches is refused with one line; the DELTFCN still ends with the
+    group's read timeout."""
+    plan = spread_plan(gpt_graph)
+    groups = serve_simulators(plan, ["processor"], timeouts=Timeouts(read=1.0))
+    try:
+        sock = _dial(plan.endpoints["processor"])
+        try:
+            write_frame(sock, WireFrame(INIT, values=(0,)))
+            assert read_frame(sock).command == ACK
+            write_frame(sock, WireFrame(DELTFCN, time=0.0,
+                                        values=([], ["processor"], ["generator"])))
+            time.sleep(0.2)  # the group now waits for the generator's batch
+            write_frame(sock, WireFrame(INIT, values=(0,)))
+            refused, timed_out = read_frame(sock), read_frame(sock)
+        finally:
+            sock.close()
+    finally:
+        for group in groups:
+            group.stop()
+    assert refused.values[0] == "__error__" and "INIT" in refused.values[1]
+    assert "while another runs" in refused.values[1] and "'processor'" in refused.values[1]
+    assert timed_out.values[0] == "__error__" and "no batch within 1 s" in timed_out.values[1]
+
+
+def test_a_deltfcn_leaves_no_stale_event_behind(gpt_graph):
+    """A select that reports both a DELTFCN and the peer batch it waits for:
+    the DELTFCN files the batch itself, and the group then selects again
+    rather than read the peer link on the stale event, which would hold it
+    until the read timeout."""
+    plan = spread_plan(gpt_graph)
+    endpoint = plan.endpoints["processor"]
+    (group,) = serve_simulators(plan, ["processor"], timeouts=Timeouts(read=3.0))
+    initialize = group.engine.initialize
+    group.engine.initialize = lambda: (time.sleep(0.3), initialize())
+    try:
+        peer = _peer_link(endpoint)
+        write_frame(peer, WireFrame(PROPAGATE))  # the group now watches the link
+        sock = _dial(endpoint)
+        try:
+            write_frame(sock, WireFrame(INIT, values=(0,)))
+            time.sleep(0.1)  # the group is in INIT while both frames arrive
+            write_frame(sock, WireFrame(DELTFCN, time=0.0,
+                                        values=([], ["processor"], ["generator"])))
+            write_frame(peer, WireFrame(PROPAGATE, values=(
+                ["generator", "out", "processor", "in", ["job"]],)))
+            assert read_frame(sock).command == ACK
+            reply = read_frame(sock)  # the job arrived: the processor is busy
+            assert reply.values == (["processor", 1.0],), reply.values
+            started = time.monotonic()
+            write_frame(sock, WireFrame(EXIT))
+            assert read_frame(sock).command == ACK
+            assert time.monotonic() - started < 1.0
+        finally:
+            sock.close()
+            peer.close()
+    finally:
+        group.stop()
 
 
 def test_bad_first_frame_is_rejected_with_one_line(gpt_graph):
@@ -299,12 +393,13 @@ def test_gpt_distributed_equals_sequential(gpt_graph):
 
 
 def _addressed_command_counts(graph, group_of=None) -> tuple[int, int, Counter, Counter]:
-    """(LAMBDA, DELTFCN) frames the coordinator must send for ``graph``,
-    from a sequential oracle: per cycle, the service processes hosting an
+    """(imminent processes, DELTFCN frames) for ``graph``, from a
+    sequential oracle: per cycle, the service processes hosting an
     imminent simulator, and those hosting an imminent simulator or one of
-    its coupling targets. ``group_of`` maps an atomic to its process; by
-    default every atomic has a process of its own, and LAMBDA must then
-    equal the oracle's int and con transitions. The third item counts the
+    its coupling targets, to which the coordinator sends a DELTFCN.
+    ``group_of`` maps an atomic to its process; by default every atomic has
+    a process of its own, and the first count must then equal the oracle's
+    int and con transitions. The third item counts the
     PROPAGATE frames that services send each other: per (sender process,
     receiver process) pair, the cycles with an imminent sender coupled
     across that pair. The fourth counts the DELTFCN frames by (time,
@@ -346,8 +441,8 @@ def test_coordinator_relays_no_propagate_frames(gpt_graph):
     sent = report.diagnostics["frames_sent"]
     assert sent.get("PROPAGATE", 0) == 0
     assert report.diagnostics["frames_received"].get("PROPAGATE", 0) == 0
-    lambdas, deltfcns, _, _ = _addressed_command_counts(build_gpt())
-    assert sent == {"INIT": 3, "LAMBDA": lambdas, "DELTFCN": deltfcns, "EXIT": 3}
+    _, deltfcns, _, _ = _addressed_command_counts(build_gpt())
+    assert sent == {"INIT": 3, "DELTFCN": deltfcns, "EXIT": 3}
 
 
 def test_ho_distributed_counters_and_traces():
@@ -359,11 +454,11 @@ def test_ho_distributed_counters_and_traces():
     assert report.counter_triple() == sequential.counter_triple()
     assert report.trace_text() == sequential.trace_text()
     assert report.diagnostics["dropped_events"] == sequential.diagnostics["dropped_events"]
-    lambdas, deltfcns, pushes, _ = _addressed_command_counts(
+    _, deltfcns, pushes, _ = _addressed_command_counts(
         generate(DevstoneConfig("HO", 4, 3)))
     atomics = len(plan.endpoints)
     assert report.diagnostics["frames_sent"] == {
-        "INIT": atomics, "LAMBDA": lambdas, "DELTFCN": deltfcns, "EXIT": atomics}
+        "INIT": atomics, "DELTFCN": deltfcns, "EXIT": atomics}
     assert report.diagnostics["peer_frames"] == sum(pushes.values())
 
 
@@ -384,9 +479,8 @@ def _run_blocks(config, groups, monkeypatch):
     dial = socket.create_connection
 
     def recording_dial(address, *args, **kwargs):
-        # A push runs on the thread serving the coordinator's connection,
-        # named svc-<first atomic of the group>-conn; the coordinator dials
-        # from this thread.
+        # A push runs on the group's thread, named svc-<first atomic of the
+        # group>; the coordinator dials from this thread.
         pusher = threading.current_thread().name
         if pusher.startswith("svc-"):
             pusher = pusher.removeprefix("svc-").split("-")[0]
@@ -400,7 +494,7 @@ def _run_blocks(config, groups, monkeypatch):
     def recording_write(sock, frame):
         # Only the coordinator writes DELTFCN frames.
         if frame.command == DELTFCN:
-            atomics, senders = frame.values
+            _, atomics, senders = frame.values
             named[(frame.time, group_of[atomics[0]], tuple(senders))] += 1
         write(sock, frame)
 
@@ -428,15 +522,15 @@ def test_cohosted_groups_push_in_memory(groups, monkeypatch):
     senders of other groups coupled into its group."""
     config = DevstoneConfig("HO", 4, 3)
     report, group_of, dials, named = _run_blocks(config, groups, monkeypatch)
-    lambdas, deltfcns, pushes, senders = _addressed_command_counts(generate(config),
-                                                                   group_of)
+    _, deltfcns, pushes, senders = _addressed_command_counts(generate(config),
+                                                             group_of)
     assert named == senders
     assert sorted(dials) == sorted(pushes), dials
     assert bool(dials) == (groups > 1)  # cross-group pushes still use TCP
     assert report.diagnostics["peer_frames"] == sum(pushes.values())
     # One frame per group and phase: INIT and EXIT reach every group once.
     assert report.diagnostics["frames_sent"] == {
-        "INIT": groups, "LAMBDA": lambdas, "DELTFCN": deltfcns, "EXIT": groups}
+        "INIT": groups, "DELTFCN": deltfcns, "EXIT": groups}
 
 
 def test_two_blocks_of_ho55_send_four_peer_frames(monkeypatch):
@@ -450,7 +544,7 @@ def test_two_blocks_of_ho55_send_four_peer_frames(monkeypatch):
     assert named == senders
     assert sum(n for (_, _, names), n in named.items() if names) == 4
     assert report.diagnostics["frames_sent"] == {
-        "INIT": 2, "LAMBDA": lambdas, "DELTFCN": deltfcns, "EXIT": 2}
+        "INIT": 2, "DELTFCN": deltfcns, "EXIT": 2}
     assert (lambdas, deltfcns) == (9, 10)
     assert sum(pushes.values()) == report.diagnostics["peer_frames"] == 4
     assert sorted(dials) == sorted(pushes) == [(0, 1)]  # HO feeds forward only
@@ -581,6 +675,31 @@ def test_batched_command_failure_names_the_failing_atomic():
     assert left == []
 
 
+def _swap_model():
+    graph = ModelGraph("swap")
+    for name in ("a", "b"):
+        graph.add_component(atomic_spec(name, "swap_large"))
+    graph.connect("a", "out", "b", "in")
+    graph.connect("b", "out", "a", "in")
+    return graph
+
+
+def test_groups_that_push_large_batches_to_each_other_finish_the_cycle():
+    """Two groups that send each other a batch larger than the loopback
+    socket buffers in one cycle finish it well inside the read timeout:
+    while its link to the peer is full, a group files the peer's batch."""
+    plan = spread_plan(_swap_model())
+    started = time.monotonic()
+    with thread_services(plan) as groups:
+        report = run_coordinator(plan, timeouts=Timeouts(connect=5.0, read=20.0))
+        received = [group.engine.simulators[group.names[0]].model.received
+                    for group in groups]
+    assert time.monotonic() - started < 10.0
+    sequential = SequentialCoordinator(_swap_model()).simulate()
+    assert report.counter_triple() == sequential.counter_triple()
+    assert received == [[SwapLarge.size], [SwapLarge.size]]
+
+
 def test_missing_peer_batch_fails_within_the_read_timeout():
     """A DELTFCN names a sender whose PROPAGATE never comes: the receiving
     process gives up after its read timeout, naming the coupling and the
@@ -649,7 +768,7 @@ def test_coordinator_timeout_names_the_awaited_senders():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_batch_members_run_at_once(workers, monkeypatch):
-    """The members that one LAMBDA addresses run at the same time: two
+    """The members that one DELTFCN names imminent run at the same time: two
     co-hosted atomics whose output functions wait for each other finish
     with two workers and fail with one."""
     graph = ModelGraph("toy")
@@ -667,7 +786,7 @@ def test_batch_members_run_at_once(workers, monkeypatch):
             report = run_coordinator(plan)
             assert report.cycles == 1
             assert report.diagnostics["frames_sent"] == {
-                "INIT": 1, "LAMBDA": 1, "DELTFCN": 1, "EXIT": 1}
+                "INIT": 1, "DELTFCN": 1, "EXIT": 1}
         else:
             with pytest.raises(SimulationError, match="output failed in atomic 'a0'"):
                 run_coordinator(plan)

@@ -123,3 +123,24 @@ def test_bad_time_field_rejected():
 def test_frames_outside_the_contract_rejected(body):
     with pytest.raises(ProtocolError, match="bad (values|sender|time) field"):
         decode_frame(body)
+
+
+def test_only_propagate_values_are_checked(monkeypatch):
+    """Only PROPAGATE frames carry event values, so only they pass the
+    event-value check: a DELTFCN ACK listing 360 [atomic, tN] pairs, as one
+    group hosting HO(20,20) sends, decodes without a single check."""
+    from pdevsim import wire
+    calls = []
+    check = wire.check_event_value
+
+    def counting_check(value):
+        calls.append(value)
+        return check(value)
+
+    monkeypatch.setattr(wire, "check_event_value", counting_check)
+    pairs = tuple([f"A{i}", float(i)] for i in range(360))
+    ack = WireFrame("ACK", sender="A0", values=pairs)
+    assert decode_frame(encode_frame(ack)[4:]) == ack
+    assert calls == []
+    decode_frame(encode_frame(WireFrame("PROPAGATE", values=(["a", "out", "b", "in", [1]],)))[4:])
+    assert len(calls) == 1
