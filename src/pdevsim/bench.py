@@ -23,7 +23,7 @@ from pathlib import Path
 from . import cli
 from .devstone import GENERATOR_NAME
 from .distributed import (READY_LINE, DistributedPlan, Endpoint, ServiceGroup,
-                          Timeouts, run_coordinator, serve_simulators)
+                          Timeouts, _index, _listen, _start_groups, run_coordinator)
 from .kernel import RunReport, SequentialCoordinator, SimulationError
 from .model import ModelGraph, flatten
 from .parallel import ParallelCoordinator, PoolPlan, PoolSpec, default_workers
@@ -143,21 +143,6 @@ def two_level_pool_plan(alloc: Allocation2Level) -> PoolPlan:
                      PoolSpec("L2", alloc.l2_resources)), assignment)
 
 
-def balanced_buckets(profiles: list[AtomicProfile], m: int) -> list[list[str]]:
-    """Round-robin the ranked atomics over ``m`` resources.
-
-    Heaviest-first round-robin keeps per-resource load sums within one
-    heaviest atomic of each other.
-    """
-    if m < 1:
-        raise BenchError("resource count must be >= 1")
-    ranked = sorted(profiles, key=lambda p: (-p.total, p.name))
-    buckets: list[list[str]] = [[] for _ in range(m)]
-    for index, profile in enumerate(ranked):
-        buckets[index % m].append(profile.name)
-    return buckets
-
-
 def balanced_pool_plan(profiles: list[AtomicProfile], m: int,
                        name: str = "main") -> PoolPlan:
     """One pool of ``m`` workers that pull atomics heaviest first, so the
@@ -180,35 +165,21 @@ def run_parallel(graph: ModelGraph, pool_plan: PoolPlan, *,
         return coordinator.simulate(iterations)
 
 
-def free_port_block(count: int, host: str = "127.0.0.1") -> list[int]:
-    """Distinct currently-free TCP ports, reserved simultaneously so they
-    cannot collide with each other."""
-    sockets = []
-    try:
-        for _ in range(count):
-            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            sock.bind((host, 0))
-            sockets.append(sock)
-        return [sock.getsockname()[1] for sock in sockets]
-    finally:
-        for sock in sockets:
-            sock.close()
-
-
-def local_plan(graph: ModelGraph, host: str = "127.0.0.1") -> DistributedPlan:
-    """Distributed plan over loopback: the atomics in one contiguous block
-    of plan order per CPU this process may run on, never more blocks than
-    atomics. Each block is co-hosted at one freshly probed free port, which
-    keeps coupled neighbours in one group, where their pushes stay in
-    memory."""
+def _loopback_plan(graph: ModelGraph,
+                   listeners: dict[Endpoint, socket.socket]) -> DistributedPlan:
+    """Plan for ``graph`` over loopback: one contiguous block of plan order
+    per CPU this process may run on (never more blocks than atomics), each
+    co-hosted, so coupled neighbours push in memory, at a listener bound on
+    a port that the kernel assigns and added to ``listeners``."""
     flat = flatten(graph)
-    names = [spec.name for _, spec in flat.walk_atomics()]
-    count = min(default_workers(), len(names))
-    ports = free_port_block(count + 1, host)
-    endpoints = {name: Endpoint(host, port)
-                 for block, port in zip(contiguous_blocks(names, count), ports)
-                 for name in block}
-    return DistributedPlan(flat, endpoints, Endpoint(host, ports[-1]))
+    names = list(flat.atomics)
+    endpoints = {}
+    for block in contiguous_blocks(names, min(default_workers(), len(names))):
+        listener = socket.create_server(("127.0.0.1", 0))
+        endpoint = Endpoint(*listener.getsockname())
+        listeners[endpoint] = listener
+        endpoints.update(dict.fromkeys(block, endpoint))
+    return DistributedPlan(flat, endpoints)
 
 
 @dataclass
@@ -233,13 +204,15 @@ class _Child:
         return self.code
 
 
-def _fork_service(plan: DistributedPlan, members: list[str], timeouts: Timeouts | None,
-                  share: list[int]) -> _Child:
-    """Fork one process that serves ``members`` of the plan, like ``pdevsim
-    serve`` after parsing it, on the CPUs in ``share``. Its stdout and
-    stderr go to one pipe as fresh stream objects, so nothing the launcher
-    left unflushed, and no lock a launcher thread held at the fork, is in
-    them; ``os._exit`` runs none of the launcher's exit handlers."""
+def _fork_service(plan: DistributedPlan, index: dict, listeners: dict[Endpoint, socket.socket],
+                  block: list[Endpoint], timeouts: Timeouts | None, share: list[int]) -> _Child:
+    """Fork one process that serves the groups at the endpoints of ``block``
+    on the CPUs in ``share``: it keeps their ``listeners``, which it
+    inherits, closes the others, and goes on like ``pdevsim serve`` once
+    that has bound its listeners. Its stdout and stderr go to one pipe as
+    fresh stream objects, so nothing the launcher left unflushed, and no
+    lock a launcher thread held at the fork, is in them; ``os._exit`` runs
+    none of the launcher's exit handlers."""
     read_fd, write_fd = os.pipe()
     pid = 0
     try:
@@ -247,12 +220,16 @@ def _fork_service(plan: DistributedPlan, members: list[str], timeouts: Timeouts 
         if pid == 0:
             code = 1
             try:
+                for endpoint in listeners.keys() - block:
+                    listeners[endpoint].close()
                 os.sched_setaffinity(0, share)
                 os.dup2(write_fd, 1)
                 os.dup2(write_fd, 2)
                 sys.stdout = sys.stderr = open(1, "w", buffering=1, encoding="utf-8",
                                                errors="backslashreplace")
-                code = cli.guarded(cli.serve, plan, members, timeouts)
+                code = cli.guarded(lambda: cli.serve(_start_groups(
+                    plan, index, {endpoint: listeners[endpoint] for endpoint in block},
+                    timeouts)))
                 sys.stdout.flush()
             finally:
                 os._exit(code)
@@ -280,7 +257,7 @@ def _wait_ready(child: _Child, members: list[str], deadline: float) -> None:
             code = child.close(max(deadline - time.monotonic(), 1.0))
             tail = " | ".join(line for line in lines[-5:] if line.strip()) or "no output"
             raise SimulationError(f"simulator process for {', '.join(members)} exited "
-                                  f"with code {code} before listening: {tail}")
+                                  f"with code {code} before it was ready: {tail}")
         output += chunk
 
 
@@ -290,52 +267,65 @@ def run_distributed_local(plan_or_graph, *, iterations: int | None = None,
     """Serve a plan on loopback in one process per CPU, run the coordinator
     against it, and tear everything down.
 
-    A graph gets :func:`local_plan`, one endpoint per CPU. A plan keeps its
-    endpoints: its groups are dealt in plan order into contiguous blocks,
-    one per process, never more processes than CPUs or groups, so only a
-    shared endpoint co-hosts (``generate --workers`` makes such plans; with
-    one endpoint per atomic, every coupling crosses loopback TCP). Process
-    ``i`` of ``count`` runs on slice ``i`` of the launcher's allowed CPUs,
-    ``allowed[len * i // count:len * (i + 1) // count]``, which its groups
-    divide between them, so with one CPU each every group runs sequentially.
+    The launcher binds every listener before its first fork, so no port is
+    chosen first and bound later, and one that cannot be bound is reported
+    before any fork. A graph gets one contiguous block of plan order per
+    CPU at a port the kernel assigns (:func:`_loopback_plan`). A plan keeps
+    its endpoints, and its groups are dealt in plan order into contiguous
+    blocks, one per process, never more processes than CPUs or groups, so
+    only a shared endpoint co-hosts (``generate --workers`` makes such
+    plans; with one endpoint per atomic, every coupling crosses loopback
+    TCP). Process ``i`` of ``count`` runs on slice ``i`` of the launcher's
+    allowed CPUs, ``allowed[len * i // count:len * (i + 1) // count]``,
+    which its groups divide between them.
 
     This process serves block 0 next to the coordinator, on group threads
     pinned to share 0. Each other block gets a process forked from this one
-    before those threads start; it serves the plan it inherited in memory
-    with this call's ``timeouts`` (no interpreter start-up, argument parsing
-    or plan XML), and its stdout and stderr come back on the pipe that
-    carries its ready line. Linux only (``os.pidfd_open``).
+    before those threads start, which inherits its block's listeners; this
+    process closes its copies right after the fork, as it does the pipe's
+    write end. The child serves the plan it inherited in memory with this
+    call's ``timeouts`` (no interpreter start-up, argument parsing or plan
+    XML), and its stdout and stderr come back on the pipe that carries its
+    ready line, which is awaited before the coordinator runs. Linux only
+    (``os.pidfd_open``).
     """
-    plan = (plan_or_graph if isinstance(plan_or_graph, DistributedPlan)
-            else local_plan(plan_or_graph))
-    plan.check()
-    groups = list(plan.groups().values())
-    count = min(default_workers(), len(groups))
-    blocks = [[name for group in block for name in group]
-              for block in contiguous_blocks(groups, count)]
-    allowed = sorted(os.sched_getaffinity(0))
-    shares = contiguous_blocks(allowed, count)
+    listeners: dict[Endpoint, socket.socket] = {}  # bound, not yet handed over
     children: list[_Child] = []
     served: list[ServiceGroup] = []
     try:
-        for members, share in zip(blocks[1:], shares[1:]):
-            children.append(_fork_service(plan, members, timeouts, share))
+        plan = (plan_or_graph if isinstance(plan_or_graph, DistributedPlan)
+                else _loopback_plan(plan_or_graph, listeners))
+        plan.check()
+        index = _index(plan)
+        listeners.update(_listen(index, [endpoint for endpoint in index
+                                         if endpoint not in listeners]))
+        blocks = contiguous_blocks(list(index), min(default_workers(), len(index)))
+        allowed = sorted(os.sched_getaffinity(0))
+        shares = contiguous_blocks(allowed, len(blocks))
+        for block, share in zip(blocks[1:], shares[1:]):
+            children.append(_fork_service(plan, index, listeners, block, timeouts, share))
+            for endpoint in block:  # close(), never shutdown(): the child serves it
+                listeners.pop(endpoint).close()
         # Linux pins only the calling thread: the group threads it starts
         # keep share 0, and default_workers() sizes their engines by it.
         os.sched_setaffinity(0, shares[0])
         try:
-            served = serve_simulators(plan, blocks[0], timeouts=timeouts)
+            served = _start_groups(plan, index, {endpoint: listeners.pop(endpoint)
+                                                 for endpoint in blocks[0]}, timeouts)
         finally:
             os.sched_setaffinity(0, allowed)
         deadline = time.monotonic() + startup_timeout
-        for child, members in zip(children, blocks[1:]):
-            _wait_ready(child, members, deadline)
+        for child, block in zip(children, blocks[1:]):
+            _wait_ready(child, [name for endpoint in block for name in index[endpoint][0]],
+                        deadline)
         report = run_coordinator(plan, iterations, trace=trace, timeouts=timeouts)
         for child in children:
             child.close(10.0)  # killed if still running
         report.backend = "distributed-local"
         return report
     finally:
+        for listener in listeners.values():
+            listener.close()
         for group in served:
             group.stop()
             group.join()

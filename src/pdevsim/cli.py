@@ -123,14 +123,12 @@ def cmd_emit_manifest(args) -> int:
     return 0
 
 
-def serve(plan, names, timeouts=None) -> int:
-    """Host ``names`` of ``plan`` in this process, one service group per
-    distinct endpoint among them, print the ready line once every listener
-    is bound, and return once every group has ended with its coordinator's
-    link. This is ``pdevsim serve`` after it parsed its plan, and the body
-    of each process that distributed-local forks for blocks 1 and up."""
-    from .distributed import READY_LINE, serve_simulators
-    groups = serve_simulators(plan, names, timeouts=timeouts)
+def serve(groups) -> int:
+    """Print the ready line once ``groups`` are serving, and return once
+    every group has ended with its coordinator's link. This is ``pdevsim
+    serve`` once it has started its groups, and the body of each process
+    that distributed-local forks for blocks 1 and up."""
+    from .distributed import READY_LINE
     print(READY_LINE, flush=True)
     for group in groups:
         group.join()
@@ -138,11 +136,11 @@ def serve(plan, names, timeouts=None) -> int:
 
 
 def cmd_serve(args) -> int:
-    from .distributed import DistributedPlan
+    from .distributed import DistributedPlan, serve_simulators
     parsed = _parse_plan(args.plan)
     if not isinstance(parsed, DistributedPlan):
         raise ValueError("serve needs an endpoint-addressed plan")
-    return serve(parsed, args.atomic)
+    return serve(serve_simulators(parsed, args.atomic))
 
 
 def cmd_coordinate(args) -> int:

@@ -34,6 +34,11 @@ The coordinator writes a phase's frame to every group before it reads any
 reply, and never relays event values. A group dials a peer's endpoint on
 its first push to it, so there is one link per ordered pair of groups; the
 link carries PROPAGATE frames only, and nothing is read back from it.
+
+A group serves a listener that is already bound: :func:`serve_simulators`
+binds them for ``pdevsim serve``, and the ``distributed-local`` launcher
+binds every one before it forks, so each forked process inherits its own.
+The coordinator only dials out: it has no endpoint of its own.
 """
 
 from __future__ import annotations
@@ -63,15 +68,15 @@ READY_LINE = "ready"
 
 @dataclass(frozen=True)
 class Endpoint:
-    """Where a service group, or the coordinator, listens. Atomics with
-    equal endpoints are co-hosted by one group."""
+    """Where a service group listens. Atomics with equal endpoints are
+    co-hosted by one group."""
 
     host: str
     main_port: int
 
     def __post_init__(self) -> None:
-        if self.main_port and not 1 <= self.main_port <= 65535:
-            raise SimulationError(f"port {self.main_port} out of range on {self.host}")
+        if not 1 <= self.main_port <= 65535:
+            raise SimulationError(f"port {self.main_port} out of range 1-65535 on {self.host}")
 
     def main_addr(self) -> tuple[str, int]:
         return self.host, self.main_port
@@ -93,7 +98,6 @@ class DistributedPlan:
 
     graph: ModelGraph
     endpoints: dict[str, Endpoint]
-    coordinator: Endpoint
 
     def check(self) -> None:
         errors = [v for v in validate(self.graph) if v.severity == "error"]
@@ -113,10 +117,6 @@ class DistributedPlan:
         unknown = sorted(set(self.endpoints) - atoms)
         if unknown:
             raise SimulationError(f"endpoint for unknown atomic {unknown[0]!r}")
-        for name, endpoint in self.endpoints.items():
-            if endpoint == self.coordinator:
-                raise SimulationError(f"duplicate endpoint {endpoint}: atomic {name!r} "
-                                      "is on the coordinator's endpoint")
 
     def groups(self) -> dict[Endpoint, list[str]]:
         """The atomics at each endpoint, both in plan order."""
@@ -156,9 +156,10 @@ class ServiceGroup:
     from one selector: the coordinator's link drives the whole group, and
     a peer group's link carries that peer's pushes to every hosted atomic.
 
-    :func:`serve_simulators` builds the groups of a process: it checks the
-    plan, indexes it (``index``, see :func:`_index`) and divides the
-    process's CPUs between the groups (``workers``) once for all of them.
+    :func:`_start_groups` builds the groups of a process once the plan is
+    checked and indexed (``index``, see :func:`_index`), dividing the
+    process's CPUs between them (``workers``), and starts each on the
+    listener bound at its endpoint.
     """
 
     def __init__(self, plan: DistributedPlan, endpoint: Endpoint, index: dict, *,
@@ -219,19 +220,13 @@ class ServiceGroup:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def start(self) -> "ServiceGroup":
-        try:
-            listener = socket.create_server(self.endpoint.main_addr())
-        except OSError as exc:
-            self.stop()
-            raise SimulationError(
-                f"cannot bind {', '.join(map(repr, self.names))} at "
-                f"{self.endpoint}: {exc}") from exc
+    def start(self, listener: socket.socket) -> None:
+        """Serve ``listener``, bound at the group's endpoint, and every
+        connection it accepts, on a thread of the group's own."""
         self._sockets[listener] = None
         self._selector.register(listener, selectors.EVENT_READ, "listener")
         self._thread = threading.Thread(target=self._run, daemon=True, name=f"svc-{self.names[0]}")
         self._thread.start()
-        return self
 
     def join(self, timeout: float | None = None) -> None:
         if self._thread is not None:
@@ -503,17 +498,55 @@ class ServiceGroup:
         self._received.clear()
 
 
+def _listen(index: dict, endpoints) -> dict[Endpoint, socket.socket]:
+    """A listening socket at each of ``endpoints``: all of them or, when one
+    cannot be bound, none, and an error that names its atomics."""
+    listeners: dict[Endpoint, socket.socket] = {}
+    with contextlib.ExitStack() as bound:
+        for endpoint in endpoints:
+            try:
+                listener = socket.create_server(endpoint.main_addr())
+            except OSError as exc:
+                raise SimulationError(f"cannot bind {', '.join(map(repr, index[endpoint][0]))} "
+                                      f"at {endpoint}: {exc}") from exc
+            listeners[endpoint] = bound.enter_context(listener)
+        bound.pop_all()  # every one is bound: keep them open
+    return listeners
+
+
+def _start_groups(plan: DistributedPlan, index: dict, listeners: dict[Endpoint, socket.socket],
+                  timeouts: Timeouts | None) -> list[ServiceGroup]:
+    """Start, and return, one service group on each of ``listeners``, keyed
+    by endpoint, once the plan is checked and indexed: all of them or, on
+    any error, none, and every listener closed. The groups divide the CPUs
+    the process may run on, at least one each, as ``run_distributed_local``
+    divides the host's, so k groups on N CPUs do not start k pools of N."""
+    cpus, count = default_workers(), len(listeners)
+    groups: list[ServiceGroup] = []
+    try:
+        for i, endpoint in enumerate(listeners):
+            share = cpus * (i + 1) // count - cpus * i // count
+            groups.append(ServiceGroup(plan, endpoint, index, workers=max(share, 1),
+                                       timeouts=timeouts))
+        for group in groups:
+            group.start(listeners[group.endpoint])
+    except BaseException:
+        for group in groups:
+            group.stop()
+            group.join()
+        for listener in listeners.values():
+            listener.close()
+        raise
+    return groups
+
+
 def serve_simulators(plan: DistributedPlan, names, *,
                      timeouts: Timeouts | None = None) -> list[ServiceGroup]:
-    """Start, and return, one service group per distinct endpoint among
-    ``names`` in this process: all of them or, on any error, none. Every
-    atomic at such an endpoint must be among ``names``.
-
-    The plan is checked and indexed once for all the groups. The groups
-    divide the CPUs the process may run on between them, at least one
-    each, as ``run_distributed_local`` divides the host's between its
-    processes, so k groups on N CPUs do not start k pools of N workers.
-    """
+    """Bind a listener at each distinct endpoint among ``names`` and start,
+    and return, one service group on each (see :func:`_start_groups`).
+    Every atomic at such an endpoint must be among ``names``: the plan is
+    checked and indexed once, and an unknown atomic or a split endpoint
+    refused, before anything is bound."""
     plan.check()
     for name in names:
         if name not in plan.endpoints:
@@ -525,21 +558,7 @@ def serve_simulators(plan: DistributedPlan, names, *,
             if name not in named:
                 raise SimulationError(f"atomic {name!r} at {endpoint} is not hosted: "
                                       "a process must host every atomic at its endpoint")
-    cpus, count = default_workers(), len(endpoints)
-    groups: list[ServiceGroup] = []
-    try:
-        for i, endpoint in enumerate(endpoints):
-            share = cpus * (i + 1) // count - cpus * i // count
-            groups.append(ServiceGroup(plan, endpoint, index, workers=max(share, 1),
-                                       timeouts=timeouts))
-        for group in groups:
-            group.start()
-    except BaseException:
-        for group in groups:
-            group.stop()
-            group.join()
-        raise
-    return groups
+    return _start_groups(plan, index, _listen(index, endpoints), timeouts)
 
 
 class DistributedCoordinator:
@@ -625,7 +644,8 @@ class DistributedCoordinator:
         if reply is None:
             raise SimulationError(f"{where} closed the connection")
         if reply.values[:1] == (_ERROR_MARK,):
-            raise SimulationError(f"{where} reported: {reply.values[1]}")
+            detail = reply.values[1] if len(reply.values) > 1 else "an error without a message"
+            raise SimulationError(f"{where} reported: {detail}")
         self.frames_received[reply.command] += 1
         if reply.command != ACK:
             raise SimulationError(f"{where} replied {reply.command}, expected {ACK}")

@@ -247,7 +247,6 @@ class SequentialCoordinator:
         self._ranks = {sim.name: rank for rank, sim in enumerate(self._sim_list)}
         self.dropped_events = 0
         self._build_routes()
-        self._init_done = False
         self.initialize()
 
     # -- protocol operations ---------------------------------------------------
@@ -260,7 +259,6 @@ class SequentialCoordinator:
         self.dropped_events = 0
         # (t, simulators) that run_lambda left for run_deltfcn.
         self._active: tuple[float, list[Simulator]] | None = None
-        self._init_done = True
 
     def time_advance(self) -> float:
         """Minimum next-event time over the child simulators (read-only)."""
@@ -292,8 +290,6 @@ class SequentialCoordinator:
 
     def simulate(self, max_iterations: int | None = None) -> RunReport:
         """Drive cycles until passivity or the iteration cap."""
-        if not self._init_done:
-            self.initialize()
         started = time.perf_counter()
         cycles = 0
         while max_iterations is None or cycles < max_iterations:

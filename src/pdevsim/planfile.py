@@ -5,7 +5,8 @@ addressing mode: per-atomic ``pool`` attributes select worker-pool parallel
 execution, per-atomic ``host``/``mainPort`` attributes select
 socket-distributed execution, where atomics with equal endpoints are
 co-hosted by one service group. A file must use exactly one mode. Emission
-is deterministic, so emit-parse-emit is byte stable.
+is deterministic, so emit-parse-emit is byte stable. A ``host``/``mainPort``
+on the root element, which older files give the coordinator, is ignored.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from pathlib import Path
 from . import devstone  # noqa: F401  (registers the benchmark behavior)
 from .behaviors import behavior_ports
 from .distributed import DistributedPlan, Endpoint
+from .kernel import SimulationError
 from .model import AtomicSpec, ModelError, ModelGraph, flatten, validate
 from .parallel import PoolPlan, PoolSpec, default_workers
 
@@ -68,7 +70,7 @@ def parse_plan_xml(source: str | Path) -> DistributedPlan | ParallelPlan:
     graph = _build_graph(name, root, atomics)
     if has_pool:
         return ParallelPlan(graph, _pool_plan(root, atomics))
-    plan = DistributedPlan(graph, _endpoints(atomics), _coordinator_endpoint(root))
+    plan = DistributedPlan(graph, _endpoints(atomics))
     try:
         plan.check()
     except Exception as exc:
@@ -195,29 +197,23 @@ def _pool_plan(root: ET.Element, atomics: list[ET.Element]) -> PoolPlan:
 def _endpoints(atomics: list[ET.Element]) -> dict[str, Endpoint]:
     endpoints: dict[str, Endpoint] = {}
     for element in atomics:
+        name = element.get("name")
         missing = [k for k in _DIST_ATTRS if element.get(k) is None]
         if missing:
-            raise PlanError(f"atomic {element.get('name')!r} lacks endpoint "
-                            f"attribute {missing[0]!r}")
-        endpoints[element.get("name")] = Endpoint(
-            element.get("host"), _int_attr(element, "mainPort"))
+            raise PlanError(f"atomic {name!r} lacks endpoint attribute {missing[0]!r}")
+        try:
+            endpoints[name] = Endpoint(element.get("host"), _int_attr(element, "mainPort"))
+        except (PlanError, SimulationError) as exc:
+            raise PlanError(f"atomic {name!r}: {exc}") from None
     return endpoints
-
-
-def _coordinator_endpoint(root: ET.Element) -> Endpoint:
-    if root.get("host") is None or root.get("mainPort") is None:
-        raise PlanError("distributed plan requires host/mainPort on <coupled> "
-                        "for the coordinator")
-    return Endpoint(root.get("host"), _int_attr(root, "mainPort"))
 
 
 # -- emission -----------------------------------------------------------------------
 
 
-def _write_document(graph: ModelGraph, *, root_attrs: dict[str, str],
-                    pools: tuple[PoolSpec, ...] = (),
+def _write_document(graph: ModelGraph, *, pools: tuple[PoolSpec, ...] = (),
                     atomic_attrs) -> str:
-    root = ET.Element("coupled", {"name": graph.name, **root_attrs})
+    root = ET.Element("coupled", {"name": graph.name})
     for pool in pools:
         ET.SubElement(root, "pool", {"name": pool.name, "workers": str(pool.workers)})
     for _, spec in graph.walk_atomics():
@@ -256,7 +252,7 @@ def emit_pool_plan_xml(graph: ModelGraph, pool_plan: PoolPlan) -> str:
         if atomic not in names:
             raise PlanError(f"pool plan assigns unknown atomic {atomic!r}")
     return _write_document(
-        flat, root_attrs={}, pools=pool_plan.pools,
+        flat, pools=pool_plan.pools,
         atomic_attrs=lambda name: {"pool": pool_plan.assignment[name]})
 
 
@@ -271,11 +267,7 @@ def emit_distributed_plan_xml(plan: DistributedPlan) -> str:
         endpoint = plan.endpoints[name]
         return {"host": endpoint.host, "mainPort": str(endpoint.main_port)}
 
-    return _write_document(
-        plan.graph,
-        root_attrs={"host": plan.coordinator.host,
-                    "mainPort": str(plan.coordinator.main_port)},
-        atomic_attrs=attrs)
+    return _write_document(plan.graph, atomic_attrs=attrs)
 
 
 def contiguous_blocks(items: list, count: int) -> list[list]:
@@ -287,20 +279,19 @@ def contiguous_blocks(items: list, count: int) -> list[list]:
 
 def default_endpoints(graph: ModelGraph, host: str = "127.0.0.1",
                       base_port: int = 5000, blocks: int | None = None) -> DistributedPlan:
-    """Distributed plan with generated endpoints: the coordinator takes the
-    base port and each atomic the next one, so each is a group of its own.
-    Given ``blocks``, the atomics are cut into that many contiguous blocks
-    of plan order (never more than there are atomics) instead, and each
-    block takes the next port, so it is co-hosted by one group."""
+    """Distributed plan with generated endpoints on consecutive ports from
+    ``base_port``: one per atomic, so each is a group of its own, or, given
+    ``blocks``, one per each of that many contiguous blocks of plan order
+    (never more than there are atomics), so each block is one group."""
     flat = _flat(graph)
     names = [spec.name for _, spec in flat.walk_atomics()]
     if blocks is not None and blocks < 1:
         raise PlanError(f"a plan needs at least one endpoint block, got {blocks}")
-    endpoints = {name: Endpoint(host, base_port + 1 + index)
+    endpoints = {name: Endpoint(host, base_port + index)
                  for index, block in enumerate(contiguous_blocks(
                      names, min(blocks or len(names), len(names))))
                  for name in block}
-    return DistributedPlan(flat, endpoints, Endpoint(host, base_port))
+    return DistributedPlan(flat, endpoints)
 
 
 def emit_plan_xml(graph: ModelGraph, *, pool_name: str = "main",

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import socket
 
 import pytest
 from hypothesis import settings
@@ -11,7 +12,6 @@ from hypothesis import settings
 from pdevsim import (AtomicModel, DistributedPlan, Endpoint, ModelGraph,
                      atomic_spec, flatten, register_behavior, serve_simulators)
 from pdevsim.behaviors import _REGISTRY
-from pdevsim.bench import free_port_block
 from pdevsim.planfile import contiguous_blocks
 
 # Every run draws the same examples, and no example fails on its wall time.
@@ -196,15 +196,22 @@ def spread_plan(graph):
     return grouped_plan(graph, [[name] for name in flatten(graph).atomics])
 
 
+def free_ports(count):
+    """``count`` distinct loopback ports that are free now, for plans whose
+    services bind fixed ports later; another process may take one first."""
+    with contextlib.ExitStack() as stack:
+        sockets = [stack.enter_context(socket.create_server(("127.0.0.1", 0)))
+                   for _ in range(count)]
+        return [sock.getsockname()[1] for sock in sockets]
+
+
 def grouped_plan(graph, blocks):
     """Loopback plan that co-hosts the atomics of each of ``blocks`` at one
     endpoint, in the plan order of ``graph``."""
     flat = flatten(graph)
-    ports = free_port_block(len(blocks) + 1)
-    at = {name: Endpoint("127.0.0.1", port) for block, port in zip(blocks, ports)
-          for name in block}
-    return DistributedPlan(flat, {name: at[name] for name in flat.atomics},
-                           Endpoint("127.0.0.1", ports[-1]))
+    at = {name: Endpoint("127.0.0.1", port)
+          for block, port in zip(blocks, free_ports(len(blocks))) for name in block}
+    return DistributedPlan(flat, {name: at[name] for name in flat.atomics})
 
 
 @contextlib.contextmanager

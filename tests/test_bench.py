@@ -8,7 +8,6 @@ import pytest
 from pdevsim import SequentialCoordinator, SimulationError
 from pdevsim.bench import (Allocation2Level, AtomicProfile, BenchError,
                            allocate_two_level, append_report_row,
-                           balanced_buckets, balanced_pool_plan,
                            plot_data_csv, profile_model, profiles_from_csv,
                            profiles_to_csv, read_report_rows,
                            run_distributed_local, run_parallel, run_plan,
@@ -89,16 +88,6 @@ def test_allocation_determinism_with_ties():
     two = allocate_two_level(list(reversed(profiles)), graph, fraction=0.5)
     assert one == two
     assert one.l1 == ("a", "b")  # ties break lexicographically
-
-
-def test_balanced_buckets_bound():
-    profiles = _synthetic_profiles(23, generator=False)
-    for m in (2, 3, 5):
-        buckets = balanced_buckets(profiles, m)
-        by_name = {p.name: p.total for p in profiles}
-        sums = [sum(by_name[n] for n in bucket) for bucket in buckets]
-        heaviest = max(by_name.values())
-        assert max(sums) - min(sums) <= heaviest
 
 
 def test_two_level_pool_plan_shape():
@@ -205,10 +194,8 @@ def _fail_to_bind(plan, victim):
 
 @pytest.mark.parametrize("position", [0, -1], ids=["first", "last"])
 def test_distributed_local_reports_a_service_that_cannot_bind(monkeypatch, position):
-    """A failed bind is reported well inside the start-up deadline, by the
-    launcher itself for block 0 and by the forked process for block 1,
-    which the launcher reaps."""
-    from pdevsim.parallel import default_workers
+    """A failed bind, of block 0 or block 1, is reported by the launcher
+    well inside the start-up deadline, before it forks any process."""
     plan = _two_block_plan(generate(DevstoneConfig("HO", 3, 3)))
     victim = list(plan.endpoints)[position]
     spawned = _recorded_forks(monkeypatch)
@@ -216,10 +203,92 @@ def test_distributed_local_reports_a_service_that_cannot_bind(monkeypatch, posit
     assert "cannot bind" in message and repr(victim) in message
     assert victim in message.split(" exited ")[0]  # the hosting process's atomics
     assert seconds < 5.0, message
-    assert len(spawned) == min(default_workers(), 2) - 1
-    for pid in spawned:  # exited and reaped
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
+    assert len(spawned) == 0
+    _assert_no_child_process()  # nothing left unreaped
+
+
+def _recorded_sockets(monkeypatch) -> list[tuple]:
+    """From now on, in order: ("bind", address) for each socket bound,
+    ("listen", address) for each that listens, ("dial", address) for each
+    connection made with ``socket.create_connection`` and ("fork", pid) for
+    each process forked, as this process sees them."""
+    import socket
+    events = []
+    bind, listen, dial = socket.socket.bind, socket.socket.listen, socket.create_connection
+
+    def recording_bind(self, address):
+        bind(self, address)
+        events.append(("bind", self.getsockname()))
+
+    def recording_listen(self, *args):
+        listen(self, *args)
+        events.append(("listen", self.getsockname()))
+
+    def recording_dial(address, *args, **kwargs):
+        events.append(("dial", tuple(address)))
+        return dial(address, *args, **kwargs)
+
+    monkeypatch.setattr(socket.socket, "bind", recording_bind)
+    monkeypatch.setattr(socket.socket, "listen", recording_listen)
+    monkeypatch.setattr(socket, "create_connection", recording_dial)
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            events.append(("fork", pid))
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return events
+
+
+@pytest.mark.parametrize("given", ["graph", "plan"])
+def test_distributed_local_binds_every_listener_before_it_forks(monkeypatch, given):
+    """The launcher binds each listener once, all before its first fork,
+    and every socket it binds listens and is dialled: none is bound only
+    to learn a free port and be closed."""
+    from pdevsim.parallel import default_workers
+    graph = generate(DevstoneConfig("HO", 3, 3))
+    target = graph if given == "graph" else _two_block_plan(graph)
+    events = _recorded_sockets(monkeypatch)
+    assert run_distributed_local(target).counter_triple() == (7, 7, 7)
+    bound = [address for kind, address in events if kind == "bind"]
+    assert len(bound) == len(set(bound)) > 0
+    assert [address for kind, address in events if kind == "listen"] == bound
+    assert {address for kind, address in events if kind == "dial"} == set(bound)
+    if given == "plan":
+        assert set(bound) == {endpoint.main_addr() for endpoint in target.groups()}
+    forks = [i for i, (kind, _) in enumerate(events) if kind == "fork"]
+    assert len(forks) == min(default_workers(), len(bound)) - 1
+    last_bind = max(i for i, (kind, _) in enumerate(events) if kind == "bind")
+    assert all(last_bind < i for i in forks)
+
+
+def test_distributed_local_reports_a_process_that_exits_before_it_is_ready(monkeypatch):
+    """A forked process that fails before its ready line is reported with
+    the atomics it hosts, its exit code and its last output, and reaped."""
+    import time
+
+    from pdevsim import cli
+    from pdevsim.parallel import default_workers
+    if default_workers() < 2:
+        pytest.skip("a single CPU runs every block in the launcher")
+
+    def failing_serve(groups):
+        raise SimulationError("injected start-up failure")
+
+    monkeypatch.setattr(cli, "serve", failing_serve)  # only forked processes call it
+    plan = _two_block_plan(generate(DevstoneConfig("HO", 3, 3)))
+    second = list(plan.groups().values())[1]
+    started = time.monotonic()
+    with pytest.raises(SimulationError) as err:
+        run_distributed_local(plan, startup_timeout=30.0)
+    message = str(err.value)
+    assert "exited with code 1 before it was ready" in message, message
+    assert "injected start-up failure" in message and second[0] in message, message
+    assert time.monotonic() - started < 5.0, message
+    _assert_no_child_process()
 
 
 def _assert_no_child_process():
@@ -338,8 +407,8 @@ def test_distributed_local_leaves_nothing_unclosed(tmp_path):
     assert "ResourceWarning" not in result.stderr, result.stderr
     sequential = run_sequential(generate(DevstoneConfig("HO", 3, 3)), trace=True)
     assert trace.read_text() == sequential.trace_text()
-    # The error path too: a service that cannot bind its endpoint, in the
-    # launcher (block 0) or in a forked process (block 1).
+    # The error path too: the launcher cannot bind the endpoint of block 0
+    # or of block 1.
     for endpoint in (list(plan.groups())[0], list(plan.groups())[-1]):
         blocker = socket.create_server(endpoint.main_addr())
         try:

@@ -41,7 +41,7 @@ def test_generate_distributed_workers_cohost_blocks(tmp_path, capsys):
                          capsys)
     assert code == 0
     groups = parse_plan_xml(plan).groups()
-    assert [endpoint.main_port for endpoint in groups] == [6301, 6302]
+    assert [endpoint.main_port for endpoint in groups] == [6300, 6301]
     assert [len(members) for members in groups.values()] == [3, 3]
     traces = {}
     for backend in ("sequential", "distributed-local"):

@@ -12,7 +12,7 @@ from collections import Counter
 
 import pytest
 
-from pdevsim import (DistributedPlan, Endpoint, ModelGraph, ParallelCoordinator,
+from pdevsim import (DistributedPlan, ModelGraph, ParallelCoordinator,
                      SequentialCoordinator, SimulationError,
                      Timeouts, atomic_spec, build_gpt, flatten,
                      run_coordinator, serve_simulators)
@@ -802,8 +802,9 @@ def test_batch_members_run_at_once(workers, monkeypatch):
     [["generator", "soon"]],
     [["generator", 0.0], ["generator", "inf"]],
     [["generator", 0.0], ["processor", "inf"]],
+    ["__error__"],
 ], ids=["misses-itself", "unknown-atomic", "bad-tn", "duplicate-atomic",
-        "other-endpoint"])
+        "other-endpoint", "error-without-message"])
 def test_bad_init_membership_is_rejected(gpt_graph, hosted):
     plan = spread_plan(gpt_graph)
     endpoint = plan.endpoints["generator"]
@@ -910,24 +911,16 @@ def test_max_iterations_caps_distributed_run(gpt_graph):
 
 def test_plan_check_rejects_inconsistencies(gpt_graph):
     plan = spread_plan(gpt_graph)
-    broken = DistributedPlan(plan.graph, dict(plan.endpoints),
-                             Endpoint("127.0.0.1", plan.coordinator.main_port))
+    broken = DistributedPlan(plan.graph, dict(plan.endpoints))
     del broken.endpoints["processor"]
     with pytest.raises(SimulationError, match="processor"):
         broken.check()
-    dup = DistributedPlan(plan.graph, dict(plan.endpoints), plan.endpoints["generator"])
-    with pytest.raises(SimulationError, match="duplicate endpoint"):
-        dup.check()
 
 
 def test_plan_check_accepts_shared_endpoints(gpt_graph):
     plan = grouped_plan(gpt_graph, [["generator", "transducer", "processor"]])
     plan.check()
     assert list(plan.groups().values()) == [["generator", "transducer", "processor"]]
-    on_coordinator = DistributedPlan(plan.graph, dict(plan.endpoints),
-                                     plan.endpoints["transducer"])
-    with pytest.raises(SimulationError, match="atomic 'generator' is on the coordinator"):
-        on_coordinator.check()
 
 
 def test_plan_requires_closed_flat_model():
@@ -935,6 +928,6 @@ def test_plan_requires_closed_flat_model():
     open_graph.input_ports = ("in",)
     open_graph.connect(open_graph.name, "in", "r0", "in")
     plan = spread_plan(fan_out_model(1, 1))
-    bad = DistributedPlan(open_graph, plan.endpoints, plan.coordinator)
+    bad = DistributedPlan(open_graph, plan.endpoints)
     with pytest.raises(SimulationError, match="closed"):
         bad.check()

@@ -66,7 +66,7 @@ def test_port_collision_within_group_rejected():
     other = [n for n in endpoints if n != first][0]
     # the same port on another host, in one group
     endpoints[other] = Endpoint("127.0.0.2", clash.main_port)
-    bad_plan = DistributedPlan(plan.graph, endpoints, plan.coordinator)
+    bad_plan = DistributedPlan(plan.graph, endpoints)
     with pytest.raises(ManifestError, match="collides"):
         emit_orchestration_manifest(bad_plan, {n: "g" for n in endpoints})
 

@@ -15,8 +15,7 @@ def test_distributed_plan_roundtrip():
     plan = parse_plan_xml(text)
     assert isinstance(plan, DistributedPlan)
     assert len(plan.endpoints) == 3
-    assert plan.endpoints["generator"].main_port == 5001
-    assert plan.coordinator.main_port == 5000
+    assert plan.endpoints["generator"].main_port == 5000
     assert plan.graph.structurally_equal(parse_plan_xml(text).graph)
 
 
@@ -131,22 +130,21 @@ def test_delays_roundtrip_exactly():
 
 
 def test_default_endpoints_are_unique():
-    """One port per atomic after the coordinator's base port: every atomic
-    is a group of its own."""
+    """One port per atomic from the base port on: every atomic is a group
+    of its own."""
     plan = default_endpoints(generate(DevstoneConfig("HO", 4, 4)), base_port=9000)
     ports = [e.main_port for e in plan.endpoints.values()]
-    assert ports == list(range(9001, 9001 + len(plan.endpoints)))
-    assert plan.coordinator.main_port == 9000
+    assert ports == list(range(9000, 9000 + len(plan.endpoints)))
     plan.check()
 
 
 def test_default_endpoints_cohost_contiguous_blocks():
     """Given a block count, each contiguous block of plan order takes one
-    port after the coordinator's, never more blocks than atomics."""
+    port from the base port on, never more blocks than atomics."""
     graph = generate(DevstoneConfig("HO", 4, 4))
     plan = default_endpoints(graph, base_port=9000, blocks=3)
     blocks = list(plan.groups().items())
-    assert [endpoint.main_port for endpoint, _ in blocks] == [9001, 9002, 9003]
+    assert [endpoint.main_port for endpoint, _ in blocks] == [9000, 9001, 9002]
     assert [members for _, members in blocks] == contiguous_blocks(list(plan.endpoints), 3)
     assert [len(members) for _, members in blocks] == [3, 4, 4]
     plan.check()
@@ -161,6 +159,27 @@ def test_shared_endpoints_roundtrip_as_cohosted_groups():
     plan.endpoints["processor"] = plan.endpoints["generator"]
     text = emit_distributed_plan_xml(plan)
     parsed = parse_plan_xml(text)
-    assert parsed.groups() == {Endpoint("127.0.0.1", 9001): ["generator", "processor"],
-                               Endpoint("127.0.0.1", 9002): ["transducer"]}
+    assert parsed.groups() == {Endpoint("127.0.0.1", 9000): ["generator", "processor"],
+                               Endpoint("127.0.0.1", 9001): ["transducer"]}
     assert emit_distributed_plan_xml(parsed) == text
+
+
+def test_root_endpoint_of_older_plans_is_ignored():
+    """Older plans carry the coordinator's host/mainPort on the root
+    element; they parse to the same endpoints as a plan without them, and
+    emission no longer writes them."""
+    text = emit_plan_xml(build_gpt(), host="127.0.0.1", base_port=9000)
+    older = text.replace("<coupled ", '<coupled host="127.0.0.1" mainPort="8999" ', 1)
+    assert older != text
+    assert parse_plan_xml(older).endpoints == parse_plan_xml(text).endpoints
+    assert emit_distributed_plan_xml(parse_plan_xml(older)) == text
+
+
+@pytest.mark.parametrize("port", ["0", "70000", "x1"])
+def test_bad_port_names_the_atomic(port):
+    text = emit_plan_xml(build_gpt(), host="127.0.0.1", base_port=9000).replace(
+        'mainPort="9000"', f'mainPort="{port}"')
+    with pytest.raises(PlanError) as err:
+        parse_plan_xml(text)
+    message = str(err.value)
+    assert "'generator'" in message and port in message and "\n" not in message
