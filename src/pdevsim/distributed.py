@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 from .kernel import (RunReport, SequentialCoordinator, SimulationError,
                      Simulator, TraceEntry)
-from .model import IC, ModelError, ModelGraph, check_event_value, validate
+from .model import IC, ModelError, ModelGraph, check_event_value, freeze_valid
 from .parallel import ParallelCoordinator, PoolPlan, default_workers
 from .wire import (ACK, DELTFCN, EXIT, INIT, PROPAGATE, ProtocolError,
                    WireFrame, decode_time, encode_frame, encode_time,
@@ -77,6 +77,8 @@ class Endpoint:
     def __post_init__(self) -> None:
         if not 1 <= self.main_port <= 65535:
             raise SimulationError(f"port {self.main_port} out of range 1-65535 on {self.host}")
+        if not self.host:  # "" would bind every interface
+            raise SimulationError(f"empty host for port {self.main_port}")
 
     def main_addr(self) -> tuple[str, int]:
         return self.host, self.main_port
@@ -100,7 +102,9 @@ class DistributedPlan:
     endpoints: dict[str, Endpoint]
 
     def check(self) -> None:
-        errors = [v for v in validate(self.graph) if v.severity == "error"]
+        """Refuse a plan the backend cannot run. A valid graph is frozen
+        here, so each later check reuses its validation."""
+        errors = freeze_valid(self.graph)
         if errors:
             raise SimulationError(f"invalid plan graph: {errors[0].message}")
         if not self.graph.is_flat():

@@ -16,8 +16,7 @@ import time
 from dataclasses import dataclass, field
 
 from .behaviors import AtomicModel, Counters, create_behavior
-from .model import (EIC, IC, INPUT, AtomicSpec, ModelGraph, _leaf_names,
-                    flatten, validate)
+from .model import EIC, IC, INPUT, ModelGraph, _leaves, flatten, freeze_valid
 
 INFINITY = math.inf
 
@@ -222,27 +221,22 @@ class SequentialCoordinator:
 
     def __init__(self, graph: ModelGraph, *, flatten_graph: bool = True,
                  trace: bool = False, profile: bool = False) -> None:
-        errors = [v for v in validate(graph) if v.severity == "error"]
+        errors = freeze_valid(graph)
         if errors:
             raise SimulationError(f"invalid graph {graph.name!r}: {errors[0].message}")
-        graph.freeze()
         self.graph = graph
         self.exec_graph = flatten(graph) if flatten_graph else graph
-        self.exec_graph.freeze()
         self.counters = Counters()
         self.clock = SimulationClock()
         self.trace_enabled = trace
         self.simulators: dict[str, Simulator] = {}
         self._sim_list: list[Simulator] = []
-        self._rename = _leaf_names(self.exec_graph)
-        for path, spec in self.exec_graph.walk_atomics():
-            run_name = self._rename[path]
-            if run_name != spec.name:
-                spec = AtomicSpec(run_name, spec.model, spec.delay_int, spec.delay_ext,
-                                  spec.input_ports, spec.output_ports)
+        leaves = _leaves(self.exec_graph)
+        self._rename = {path: spec.name for path, spec in leaves}
+        for _, spec in leaves:
             sim = Simulator(create_behavior(spec, self.counters),
                             trace=trace, profile=profile)
-            self.simulators[run_name] = sim
+            self.simulators[spec.name] = sim
             self._sim_list.append(sim)
         self._ranks = {sim.name: rank for rank, sim in enumerate(self._sim_list)}
         self.dropped_events = 0

@@ -3,8 +3,14 @@
 The modeling layer is deliberately independent of any coordinator. A
 :class:`ModelGraph` describes structure only (components, ports, couplings);
 behavioral state lives in per-run behavior instances created from the
-registry in :mod:`pdevsim.behaviors`. Once a coordinator is built over a
-graph the graph is frozen and can be shared freely between executors.
+registry in :mod:`pdevsim.behaviors`.
+
+A graph is compiled once. :meth:`ModelGraph.freeze`, which every
+coordinator applies to a graph that validates, turns ``couplings`` into a
+tuple; from then on the graph is immutable, and the first :func:`validate`
+and :func:`flatten` of it keep their results on it (the flat form is
+frozen too), so every later coordinator, backend or plan built over the
+same graph shares one validation and one flat form.
 """
 
 from __future__ import annotations
@@ -12,7 +18,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Union
 
 EventValue = Union[int, float, str, list]
@@ -113,7 +120,8 @@ class ModelGraph:
 
     Graphs are built with :meth:`add_component` and :meth:`couple` (or the
     name-based :meth:`connect`) and become immutable once :meth:`freeze` is
-    called, which every coordinator does on construction.
+    called, which every coordinator does on construction (see
+    :func:`freeze_valid`).
     """
 
     def __init__(self, name: str, input_ports: Iterable[str] = (),
@@ -128,9 +136,12 @@ class ModelGraph:
             raise ModelError(f"duplicate boundary port on {name!r}")
         self.atomics: dict[str, AtomicSpec] = {}
         self.coupleds: dict[str, "ModelGraph"] = {}
-        self.couplings: list[Coupling] = []
+        self.couplings: list[Coupling] | tuple[Coupling, ...] = []
         self._order: list[str] = []  # child names in document order
         self._frozen = False
+        # Kept once frozen: the errors of validate() and the flat form.
+        self._errors: tuple[Violation, ...] | None = None
+        self._flat: ModelGraph | None = None
 
     # -- construction -----------------------------------------------------
 
@@ -173,7 +184,10 @@ class ModelGraph:
                            PortRef(dst_component, dst_port, dst_dir))
 
     def freeze(self) -> "ModelGraph":
+        """Make this graph and its children immutable, ``couplings`` a
+        tuple; validation and the flat form are then computed once."""
         self._frozen = True
+        self.couplings = tuple(self.couplings)
         for child in self.coupleds.values():
             child.freeze()
         return self
@@ -238,11 +252,17 @@ class ModelGraph:
         ``path`` is the chain of enclosing coupled names plus the leaf name,
         excluding the root.
         """
-        for child in self.components():
-            if isinstance(child, AtomicSpec):
-                yield path + (child.name,), child
+        leaves: list[tuple[tuple[str, ...], AtomicSpec]] = []
+        self._collect_atomics(path, leaves)
+        return iter(leaves)
+
+    def _collect_atomics(self, path: tuple[str, ...], out: list) -> None:
+        for name in self._order:
+            spec = self.atomics.get(name)
+            if spec is None:
+                self.coupleds[name]._collect_atomics(path + (name,), out)
             else:
-                yield from child.walk_atomics(path + (child.name,))
+                out.append((path + (name,), spec))
 
     def atomic_count(self) -> int:
         return sum(1 for _ in self.walk_atomics())
@@ -296,10 +316,9 @@ def validate(graph: ModelGraph, include_warnings: bool = False) -> list[Violatio
     Returns an empty list iff every structural invariant holds. With
     ``include_warnings`` the check also reports coupling cycles among
     atomics (possible zero-delay loops) as warnings; cycles are legal but
-    worth surfacing.
+    worth surfacing. A frozen graph is checked once and keeps its errors.
     """
-    violations: list[Violation] = []
-    _validate_level(graph, graph.name, violations)
+    violations = list(_errors(graph))
     if include_warnings and not violations:
         for cycle in _coupling_cycles(graph):
             violations.append(Violation(
@@ -309,25 +328,52 @@ def validate(graph: ModelGraph, include_warnings: bool = False) -> list[Violatio
     return violations
 
 
-def _validate_level(graph: ModelGraph, where: str, out: list[Violation]) -> None:
-    seen: set[str] = set()
-    for name in list(graph.atomics) + list(graph.coupleds):
-        if name in seen or name == graph.name:
-            out.append(Violation("error", where, f"duplicate component name {name!r}"))
-        seen.add(name)
-    for coupling in graph.couplings:
-        try:
-            kind = graph.classify(coupling.src, coupling.dst)
-        except ModelError as exc:
-            out.append(Violation("error", where, str(exc)))
-            continue
-        if kind != coupling.kind:
-            out.append(Violation(
-                "error", where,
-                f"stored kind {coupling.kind} does not match re-derived {kind} "
-                f"for {coupling.src} -> {coupling.dst}"))
-    for child in graph.coupleds.values():
-        _validate_level(child, f"{where}.{child.name}", out)
+def freeze_valid(graph: ModelGraph) -> tuple[Violation, ...]:
+    """The errors of ``validate(graph)``. A graph without any is frozen and
+    keeps that result, so building over it validates it once; an invalid
+    graph is left unfrozen."""
+    errors = _errors(graph)
+    if not errors and not graph.frozen:
+        graph.freeze()
+        graph._errors = errors
+    return errors
+
+
+def _errors(graph: ModelGraph) -> tuple[Violation, ...]:
+    """The structural errors of ``graph``; a frozen graph computes them once."""
+    errors = graph._errors
+    if errors is None:
+        errors = tuple(_validate_levels(graph))
+        if graph.frozen:
+            graph._errors = errors
+    return errors
+
+
+def _validate_levels(graph: ModelGraph) -> list[Violation]:
+    """One walk over every level of ``graph``, parents before children."""
+    out: list[Violation] = []
+    levels = [(graph.name, graph)]
+    while levels:
+        where, level = levels.pop()
+        seen: set[str] = set()
+        for name in list(level.atomics) + list(level.coupleds):
+            if name in seen or name == level.name:
+                out.append(Violation("error", where, f"duplicate component name {name!r}"))
+            seen.add(name)
+        for coupling in level.couplings:
+            try:
+                kind = level.classify(coupling.src, coupling.dst)
+            except ModelError as exc:
+                out.append(Violation("error", where, str(exc)))
+                continue
+            if kind != coupling.kind:
+                out.append(Violation(
+                    "error", where,
+                    f"stored kind {coupling.kind} does not match re-derived {kind} "
+                    f"for {coupling.src} -> {coupling.dst}"))
+        levels.extend((f"{where}.{child.name}", child)
+                      for child in reversed(level.coupleds.values()))
+    return out
 
 
 def _coupling_cycles(graph: ModelGraph) -> list[list[str]]:
@@ -377,95 +423,85 @@ def flatten(graph: ModelGraph) -> ModelGraph:
     outputs in depth-first insertion order. Models in which two senders hit
     the same input port in the same cycle may therefore observe a different
     within-bag merge order than non-flattened execution; each execution
-    mode is individually deterministic.
+    mode is individually deterministic. A frozen graph is flattened once:
+    its flat form is frozen and kept.
     """
-    errors = [v for v in validate(graph) if v.severity == "error"]
+    if graph._flat is not None:
+        return graph._flat
+    errors = _errors(graph)
     if errors:
         raise ModelError("cannot flatten invalid graph: " + errors[0].message)
-    if graph.is_flat():
-        clone = ModelGraph(graph.name, graph.input_ports, graph.output_ports)
-        for child in graph.components():
-            clone.add_component(child)
-        clone.couplings.extend(graph.couplings)
-        return clone
-
-    rename = _leaf_names(graph)
     flat = ModelGraph(graph.name, graph.input_ports, graph.output_ports)
-    for path, spec in graph.walk_atomics():
-        final = rename[path]
-        if final != spec.name:
-            spec = AtomicSpec(final, spec.model, spec.delay_int, spec.delay_ext,
-                              spec.input_ports, spec.output_ports)
-        flat.add_component(spec)
-
-    adjacency = _adjacency(graph)
-    atomic_paths = {path for path, _ in graph.walk_atomics()}
-
-    def expand(node: _Node, out: list[_Node]) -> None:
-        path, port, side = node
-        is_atomic_in = side == "in" and path in atomic_paths
-        is_root_out = side == "out" and path == ()
-        if is_atomic_in or is_root_out:
-            out.append(node)
-            return
-        for nxt in adjacency.get(node, ()):
-            expand(nxt, out)
-
-    def add_route(src_node: _Node, dst_node: _Node) -> None:
-        s_path, s_port, s_side = src_node
-        d_path, d_port, _ = dst_node
-        src = (PortRef(graph.name, s_port, INPUT) if s_path == ()
-               else PortRef(rename[s_path], s_port, OUTPUT))
-        dst = (PortRef(graph.name, d_port, OUTPUT) if d_path == ()
-               else PortRef(rename[d_path], d_port, INPUT))
-        flat.couple(src, dst)
-
-    for port in graph.input_ports:
-        sinks: list[_Node] = []
-        expand(((), port, "in"), sinks)
-        for sink in sinks:
-            add_route(((), port, "in"), sink)
-    for path, spec in graph.walk_atomics():
-        for port in spec.output_ports:
-            sinks = []
-            expand((path, port, "out"), sinks)
-            for sink in sinks:
-                add_route((path, port, "out"), sink)
+    if graph.is_flat():
+        for child in graph.components():
+            flat.add_component(child)
+        flat.couplings = list(graph.couplings)
+    else:
+        leaves = _leaves(graph)
+        for _, spec in leaves:
+            flat.add_component(spec)
+        flat.couplings = _routes(graph, flat, leaves)
+    if graph.frozen:
+        graph._flat = flat.freeze()
     return flat
 
 
-def _leaf_names(graph: ModelGraph) -> dict[tuple[str, ...], str]:
-    """Map atomic paths to flattened names, qualifying only collisions."""
-    counts: dict[str, int] = {}
-    for path, spec in graph.walk_atomics():
-        counts[spec.name] = counts.get(spec.name, 0) + 1
-    rename: dict[tuple[str, ...], str] = {}
-    for path, spec in graph.walk_atomics():
-        rename[path] = spec.name if counts[spec.name] == 1 else ".".join(path)
-    return rename
+def _leaves(graph: ModelGraph) -> list[tuple[tuple[str, ...], AtomicSpec]]:
+    """(path, spec) of every atomic in walk order, each spec under its
+    flattened name: its path, dotted, when two leaves share a name."""
+    leaves = list(graph.walk_atomics())
+    counts = Counter(spec.name for _, spec in leaves)
+    return [(path, spec if counts[spec.name] == 1 else replace(spec, name=".".join(path)))
+            for path, spec in leaves]
 
 
-def _adjacency(graph: ModelGraph) -> dict[_Node, list[_Node]]:
-    """Edges between route nodes, gathered level by level in document order."""
+def _routes(graph: ModelGraph, flat: ModelGraph, leaves) -> list[Coupling]:
+    """The couplings of ``flat``, the flat form of the valid ``graph`` with
+    ``leaves``: one per event path, in flatten's route order. A route's
+    kind follows from its ends; the one illegal route, root input to root
+    output, goes to ``flat.couple``, which rejects it."""
+    # Edges between route nodes; a node's edges all lie in one level, so
+    # the level order does not matter. Stored kinds are checked already.
     edges: dict[_Node, list[_Node]] = {}
-
-    def node_for(level_path: tuple[str, ...], level: ModelGraph,
-                 ref: PortRef, as_source: bool) -> _Node:
-        if ref.component == level.name:
-            # Boundary port of the level itself.
-            side = "in" if as_source else "out"
-            return level_path, ref.port, side
-        child_path = level_path + (ref.component,)
-        side = "out" if as_source else "in"
-        return child_path, ref.port, side
-
-    def visit(level: ModelGraph, level_path: tuple[str, ...]) -> None:
+    levels = [((), graph)]
+    while levels:
+        path, level = levels.pop()
         for coupling in level.couplings:
-            src = node_for(level_path, level, coupling.src, as_source=True)
-            dst = node_for(level_path, level, coupling.dst, as_source=False)
-            edges.setdefault(src, []).append(dst)
-        for child in level.coupleds.values():
-            visit(child, level_path + (child.name,))
+            src, dst = coupling.src, coupling.dst
+            src_node = ((path, src.port, "in") if coupling.kind == EIC
+                        else (path + (src.component,), src.port, "out"))
+            dst_node = ((path, dst.port, "out") if coupling.kind == EOC
+                        else (path + (dst.component,), dst.port, "in"))
+            edges.setdefault(src_node, []).append(dst_node)
+        levels.extend((path + (child.name,), child) for child in level.coupleds.values())
 
-    visit(graph, ())
-    return edges
+    atomics = dict(leaves)
+    sinks: dict[_Node, list[PortRef]] = {}
+
+    def reach(node: _Node) -> list[PortRef]:
+        """The atomic inputs and root outputs that ``node`` leads to."""
+        found = sinks.get(node)
+        if found is None:
+            path, port, side = node
+            if side == "in" and path in atomics:
+                found = [PortRef(atomics[path].name, port, INPUT)]
+            elif side == "out" and not path:
+                found = [PortRef(graph.name, port, OUTPUT)]
+            else:
+                found = [sink for nxt in edges.get(node, ()) for sink in reach(nxt)]
+            sinks[node] = found
+        return found
+
+    routes: list[Coupling] = []
+    for port in graph.input_ports:
+        src = PortRef(graph.name, port, INPUT)
+        for dst in reach(((), port, "in")):
+            if dst.direction == OUTPUT:
+                flat.couple(src, dst)
+            routes.append(Coupling(src, dst, EIC))
+    for path, spec in leaves:
+        for port in spec.output_ports:
+            src = PortRef(spec.name, port, OUTPUT)
+            for dst in reach((path, port, "out")):
+                routes.append(Coupling(src, dst, EOC if dst.direction == OUTPUT else IC))
+    return routes

@@ -20,7 +20,7 @@ from . import devstone  # noqa: F401  (registers the benchmark behavior)
 from .behaviors import behavior_ports
 from .distributed import DistributedPlan, Endpoint
 from .kernel import SimulationError
-from .model import AtomicSpec, ModelError, ModelGraph, flatten, validate
+from .model import AtomicSpec, ModelError, ModelGraph, flatten, freeze_valid, validate
 from .parallel import PoolPlan, PoolSpec, default_workers
 
 
@@ -161,7 +161,7 @@ def _build_graph(name: str, root: ET.Element, atomics: list[ET.Element]) -> Mode
             graph.connect(*fields)
         except ModelError as exc:
             raise PlanError(f"bad connection: {exc}") from exc
-    errors = [v for v in validate(graph) if v.severity == "error"]
+    errors = freeze_valid(graph)
     if errors:
         raise PlanError(errors[0].message)
     return graph

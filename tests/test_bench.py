@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from pdevsim import SequentialCoordinator, SimulationError
+from pdevsim import SequentialCoordinator, SimulationError, flatten, model
 from pdevsim.bench import (Allocation2Level, AtomicProfile, BenchError,
                            allocate_two_level, append_report_row,
                            plot_data_csv, profile_model, profiles_from_csv,
@@ -149,6 +149,37 @@ def test_distributed_local_harness_roundtrip():
     assert report.backend == "distributed-local"
     assert report.counter_triple() == sequential.counter_triple()
     assert report.trace_text() == sequential.trace_text()
+
+
+@pytest.mark.parametrize("given", ["graph", "plan"])
+def test_distributed_local_validates_the_plan_once(monkeypatch, given):
+    """The launcher's plan check and the coordinator's share one
+    validation walk of the plan graph: the flat form that a sequential
+    run of the graph already made, or the graph of a plan, which the
+    first check freezes. No graph is walked twice."""
+    walks = []
+    walk = model._validate_levels
+
+    def counting_walk(graph):
+        walks.append(graph)
+        return walk(graph)
+
+    monkeypatch.setattr(model, "_validate_levels", counting_walk)
+    graph = generate(DevstoneConfig("HO", 3, 3))
+    if given == "graph":
+        sequential = run_sequential(graph)
+        target = graph
+        plan_graph = flatten(graph)
+    else:
+        sequential = run_sequential(generate(DevstoneConfig("HO", 3, 3)))
+        target = grouped_plan(graph, blocks_of(graph, 2))
+        plan_graph = target.graph
+        assert not plan_graph.frozen
+    walks.clear()
+    report = run_distributed_local(target, startup_timeout=30.0)
+    assert report.counter_triple() == sequential.counter_triple()
+    assert walks.count(plan_graph) == 1
+    assert all(walks.count(walked) == 1 for walked in walks)
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs CPU affinity")

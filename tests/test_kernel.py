@@ -275,6 +275,7 @@ def test_invalid_graph_rejected():
         PortRef("transducer", "solved", "input"), IC))
     with pytest.raises(SimulationError, match="invalid graph"):
         _coordinator(broken)
+    assert not broken.frozen and isinstance(broken.couplings, list)
 
 
 def test_csv_row_schema(gpt_graph):

@@ -5,9 +5,12 @@ import random
 
 import pytest
 
-from pdevsim import (EIC, EOC, IC, AtomicSpec, ModelError, ModelGraph,
-                     PortRef, atomic_spec, build_efp, build_gpt,
-                     check_event_value, flatten, validate)
+from pdevsim import (EIC, EOC, IC, AtomicSpec, DevstoneConfig, ModelError,
+                     ModelGraph, ParallelCoordinator, PoolPlan, PortRef,
+                     SequentialCoordinator, atomic_spec, build_efp, build_gpt,
+                     check_event_value, flatten, generate, validate)
+from pdevsim import model
+from pdevsim.model import Coupling
 
 
 def test_add_component_and_duplicate_rejection():
@@ -186,3 +189,77 @@ def test_event_value_contract():
 def test_atomic_spec_duplicate_ports_rejected():
     with pytest.raises(ModelError):
         AtomicSpec("a", "devstone", input_ports=("in", "in"))
+
+
+# sha256 of the flat forms as flatten() made them when it passed every
+# route through couple(); a change of atomic order, route order or kind
+# changes them.
+FLAT_HASHES = {
+    "LI": "8f191dcbf316e39c9b40b12a57c6ce4f45f5b7d5393e960485ef05366d2b3322",
+    "HI": "80b60704566dc7aaf3d03046d94a8b29931ee1d6b6c43115cfd75c12ec5806e6",
+    "HO": "05d4c9fa125e2d9f02f3d6cf4fa89bfdc79d5f537065cb2542bffac594c25d4b",
+    "efp": "cdefeab652f1aa0ae27876ddda7c0b003ce4b59cc90407215e41d81280970d19",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLAT_HASHES))
+def test_flat_form_is_pinned(name):
+    graph = build_efp() if name == "efp" else generate(DevstoneConfig(name, 4, 3))
+    flat = flatten(graph)
+    assert flat.structural_hash() == FLAT_HASHES[name]
+    for coupling in flat.couplings:
+        assert coupling.kind == flat.classify(coupling.src, coupling.dst)
+    assert validate(flat) == []
+
+
+def test_pass_through_via_coupled_child_rejected():
+    """No route may run from a root input to a root output without an
+    atomic: coupling one through a child is refused, and a graph that got
+    one anyway cannot be flattened."""
+    inner = ModelGraph("inner", input_ports=("in",), output_ports=("out",))
+    inner.add_component(atomic_spec("a", "devstone"))
+    with pytest.raises(ModelError, match="boundary to boundary"):
+        inner.connect("inner", "in", "inner", "out")
+    root = ModelGraph("root", input_ports=("in",), output_ports=("out",))
+    root.add_component(inner)
+    root.connect("root", "in", "inner", "in")
+    root.connect("inner", "out", "root", "out")
+    inner.couplings.append(Coupling(PortRef("inner", "in", "input"),
+                                    PortRef("inner", "out", "output"), EIC))
+    with pytest.raises(ModelError, match="cannot flatten invalid graph: "
+                                         "cannot couple boundary to boundary"):
+        flatten(root)
+    assert not root.frozen
+
+
+def test_graph_compiles_once(monkeypatch):
+    """Both coordinators and a later flatten share one validation walk and
+    one route walk of the graph; the frozen graph refuses new couplings."""
+    walks, route_walks = [], []
+    walk, routes = model._validate_levels, model._routes
+
+    def counting_walk(graph):
+        walks.append(graph)
+        return walk(graph)
+
+    def counting_routes(graph, *args):
+        route_walks.append(graph)
+        return routes(graph, *args)
+
+    monkeypatch.setattr(model, "_validate_levels", counting_walk)
+    monkeypatch.setattr(model, "_routes", counting_routes)
+    graph = generate(DevstoneConfig("HO", 4, 3))
+    sequential = SequentialCoordinator(graph)
+    names = list(sequential.simulators)
+    with ParallelCoordinator(graph, PoolPlan.single_pool(names, 2)) as parallel:
+        assert parallel.exec_graph is sequential.exec_graph
+    flat = flatten(graph)
+    assert flat is sequential.exec_graph and flat.frozen
+    for checked in (graph, flat, graph, flat):
+        assert validate(checked) == []
+    assert walks == [graph, flat]
+    assert route_walks == [graph]
+    for frozen in (graph, graph.coupleds["C1"], flat):
+        with pytest.raises(AttributeError):
+            frozen.couplings.append(frozen.couplings[0])
+

@@ -183,3 +183,13 @@ def test_bad_port_names_the_atomic(port):
         parse_plan_xml(text)
     message = str(err.value)
     assert "'generator'" in message and port in message and "\n" not in message
+
+
+def test_empty_host_rejected():
+    text = emit_plan_xml(build_gpt(), host="127.0.0.1", base_port=9000)
+    hacked = text.replace('host="127.0.0.1" mainPort="9002"', 'host="" mainPort="9002"')
+    assert hacked != text
+    with pytest.raises(PlanError) as caught:
+        parse_plan_xml(hacked)
+    message = str(caught.value)
+    assert "'processor'" in message and "empty host" in message and "\n" not in message
