@@ -17,13 +17,14 @@ import signal
 import socket
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import cli
 from .devstone import GENERATOR_NAME
-from .distributed import (READY_LINE, DistributedPlan, Endpoint, ServiceGroup,
-                          Timeouts, _index, _listen, _start_groups, run_coordinator)
+from .distributed import (READY_LINE, DistributedCoordinator, DistributedPlan, Endpoint,
+                          ServiceGroup, Timeouts, _dial_links, _index, _listen,
+                          _start_groups)
 from .kernel import RunReport, SequentialCoordinator, SimulationError
 from .model import ModelGraph, flatten
 from .parallel import ParallelCoordinator, PoolPlan, PoolSpec, default_workers
@@ -182,33 +183,60 @@ def _loopback_plan(graph: ModelGraph,
     return DistributedPlan(flat, endpoints)
 
 
+# How long a service process may take to end once the coordinator's links
+# are closed, before a failed run stops waiting for it.
+_EXIT_GRACE_S = 1.0
+
+
 @dataclass
 class _Child:
-    """A forked service process, a pidfd that is readable once it exits,
-    and the read end of the pipe that carries its stdout and stderr."""
+    """A forked service process that serves the groups at ``endpoints``,
+    which host ``members``, a pidfd that is readable once it exits, and the
+    read end of the pipe that carries its stdout and stderr, with what has
+    been read from it."""
 
     pid: int
     pidfd: int
     output: int
+    members: list[str]
+    endpoints: list[Endpoint]
+    printed: bytearray = field(default_factory=bytearray)
     code: int | None = None  # its exit code, once reaped
+
+    def exited(self, timeout: float = 0.0) -> bool:
+        """Whether the process has exited, or exits within ``timeout`` seconds."""
+        return self.code is not None or bool(select.select([self.pidfd], [], [], timeout)[0])
 
     def close(self, timeout: float = 0.0) -> int:
         """Wait up to ``timeout`` seconds for the process to exit, kill it
-        if it has not, reap it and close its fds, once; its exit code."""
+        if it has not, reap it, read the rest of what it printed and close
+        its fds, once; its exit code."""
         if self.code is None:
-            if not select.select([self.pidfd], [], [], timeout)[0]:
+            if not self.exited(timeout):
                 os.kill(self.pid, signal.SIGKILL)
             self.code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+            while (select.select([self.output], [], [], 0)[0]
+                   and (chunk := os.read(self.output, 65536))):
+                self.printed += chunk
             os.close(self.pidfd)
             os.close(self.output)
         return self.code
 
+    def tail(self) -> str:
+        """The last lines the process printed, but its ready line."""
+        lines = self.printed.decode(errors="replace").splitlines()
+        return " | ".join(line for line in lines[-5:]
+                          if line.strip() and line != READY_LINE) or "no output"
 
-def _fork_service(plan: DistributedPlan, index: dict, listeners: dict[Endpoint, socket.socket],
-                  block: list[Endpoint], timeouts: Timeouts | None, share: list[int]) -> _Child:
+
+def _fork_service(plan: DistributedPlan, index: dict, block: list[Endpoint],
+                  listeners: dict[Endpoint, socket.socket], conns: dict[Endpoint, socket.socket],
+                  links: dict[Endpoint, dict[Endpoint, socket.socket]],
+                  timeouts: Timeouts | None, share: list[int]) -> _Child:
     """Fork one process that serves the groups at the endpoints of ``block``
-    on the CPUs in ``share``: it keeps their ``listeners``, which it
-    inherits, closes the others, and goes on like ``pdevsim serve`` once
+    on the CPUs in ``share``: it keeps their ``listeners`` and their peer
+    ``links``, which it inherits, closes the coordinator's ``conns`` and
+    every other group's sockets, and goes on like ``pdevsim serve`` once
     that has bound its listeners. Its stdout and stderr go to one pipe as
     fresh stream objects, so nothing the launcher left unflushed, and no
     lock a launcher thread held at the fork, is in them; ``os._exit`` runs
@@ -220,8 +248,11 @@ def _fork_service(plan: DistributedPlan, index: dict, listeners: dict[Endpoint, 
         if pid == 0:
             code = 1
             try:
-                for endpoint in listeners.keys() - block:
-                    listeners[endpoint].close()
+                for sock in [*conns.values(),
+                             *(listeners[endpoint] for endpoint in listeners.keys() - block),
+                             *(link for endpoint in links.keys() - block
+                               for link in links[endpoint].values())]:
+                    sock.close()
                 os.sched_setaffinity(0, share)
                 os.dup2(write_fd, 1)
                 os.dup2(write_fd, 2)
@@ -229,11 +260,13 @@ def _fork_service(plan: DistributedPlan, index: dict, listeners: dict[Endpoint, 
                                                errors="backslashreplace")
                 code = cli.guarded(lambda: cli.serve(_start_groups(
                     plan, index, {endpoint: listeners[endpoint] for endpoint in block},
-                    timeouts)))
+                    timeouts, {endpoint: links[endpoint] for endpoint in block
+                               if endpoint in links})))
                 sys.stdout.flush()
             finally:
                 os._exit(code)
-        return _Child(pid, os.pidfd_open(pid), read_fd)
+        return _Child(pid, os.pidfd_open(pid), read_fd,
+                      [name for endpoint in block for name in index[endpoint][0]], block)
     except BaseException:
         if pid:
             os.kill(pid, signal.SIGKILL)
@@ -244,21 +277,34 @@ def _fork_service(plan: DistributedPlan, index: dict, listeners: dict[Endpoint, 
         os.close(write_fd)
 
 
-def _wait_ready(child: _Child, members: list[str], deadline: float) -> None:
+def _wait_ready(child: _Child, deadline: float) -> None:
     """Wait until a service process prints its ready line; if it exits
     first, report its exit code and the last lines it printed."""
-    output = b""
-    while READY_LINE not in (lines := output.decode(errors="replace").splitlines()):
+    members = ", ".join(child.members)
+    while READY_LINE not in child.printed.decode(errors="replace").splitlines():
         remaining = deadline - time.monotonic()
         if remaining <= 0 or not select.select([child.output], [], [], remaining)[0]:
-            raise SimulationError(f"simulator process for {', '.join(members)} never came up")
+            raise SimulationError(f"simulator process for {members} never came up")
         chunk = os.read(child.output, 65536)
         if not chunk:  # the pipe closed: the process is exiting
             code = child.close(max(deadline - time.monotonic(), 1.0))
-            tail = " | ".join(line for line in lines[-5:] if line.strip()) or "no output"
-            raise SimulationError(f"simulator process for {', '.join(members)} exited "
-                                  f"with code {code} before it was ready: {tail}")
-        output += chunk
+            raise SimulationError(f"simulator process for {members} exited "
+                                  f"with code {code} before it was ready: {child.tail()}")
+        child.printed += chunk
+
+
+def _lost_process(error: SimulationError, children: list[_Child]) -> SimulationError | None:
+    """When a service process died during the coordinator run that
+    ``error`` ended, ``error`` naming that process's atomics and endpoints,
+    its exit code and the last lines it printed. The coordinator has closed
+    its links, so every process still serving ends at once with code 0."""
+    for child in children:
+        if child.exited(_EXIT_GRACE_S) and child.close() != 0:
+            return SimulationError(
+                f"{error}; the simulator process for {', '.join(child.members)} at "
+                f"{', '.join(map(str, child.endpoints))} exited with code {child.code}: "
+                f"{child.tail()}")
+    return None
 
 
 def run_distributed_local(plan_or_graph, *, iterations: int | None = None,
@@ -267,31 +313,41 @@ def run_distributed_local(plan_or_graph, *, iterations: int | None = None,
     """Serve a plan on loopback in one process per CPU, run the coordinator
     against it, and tear everything down.
 
-    The launcher binds every listener before its first fork, so no port is
-    chosen first and bound later, and one that cannot be bound is reported
-    before any fork. A graph gets one contiguous block of plan order per
-    CPU at a port the kernel assigns (:func:`_loopback_plan`). A plan keeps
-    its endpoints, and its groups are dealt in plan order into contiguous
-    blocks, one per process, never more processes than CPUs or groups, so
-    only a shared endpoint co-hosts (``generate --workers`` makes such
-    plans; with one endpoint per atomic, every coupling crosses loopback
-    TCP). Process ``i`` of ``count`` runs on slice ``i`` of the launcher's
-    allowed CPUs, ``allowed[len * i // count:len * (i + 1) // count]``,
-    which its groups divide between them.
+    The launcher binds every listener, and dials every link of the run,
+    before its first fork, so no port is chosen first and bound later, one
+    that cannot be bound is reported before any fork, and no connection is
+    made while the coordinator runs. A graph gets one contiguous block of
+    plan order per CPU at a port the kernel assigns (:func:`_loopback_plan`).
+    A plan keeps its endpoints, and its groups are dealt in plan order into
+    contiguous blocks, one per process, never more processes than CPUs or
+    groups, so only a shared endpoint co-hosts (``generate --workers`` makes
+    such plans; with one endpoint per atomic, every coupling crosses
+    loopback TCP). Process ``i`` of ``count`` runs on slice ``i`` of the
+    launcher's allowed CPUs, ``allowed[len * i // count:len * (i + 1) //
+    count]``, which its groups divide between them.
 
-    This process serves block 0 next to the coordinator, on group threads
-    pinned to share 0. Each other block gets a process forked from this one
-    before those threads start, which inherits its block's listeners; this
-    process closes its copies right after the fork, as it does the pipe's
-    write end. The child serves the plan it inherited in memory with this
-    call's ``timeouts`` (no interpreter start-up, argument parsing or plan
-    XML), and its stdout and stderr come back on the pipe that carries its
-    ready line, which is awaited before the coordinator runs. Linux only
-    (``os.pidfd_open``).
+    Each block but block 0 gets a process forked from this one, which
+    inherits its block's listeners and peer links (:func:`_dial_links`) and
+    closes every other socket; this process closes its copies right after
+    the fork, as it does the pipe's write end. The child serves the plan it
+    inherited in memory with this call's ``timeouts`` (no interpreter
+    start-up, argument parsing or plan XML), and its stdout and stderr come
+    back on the pipe that carries its ready line, which is awaited before
+    the coordinator runs. A process that dies mid-run is reported with its
+    atomics, endpoints, exit code and last output.
+
+    This process serves block 0, pinned to share 0 from before its groups
+    start until the coordinator ends: the coordinator runs block 0's first
+    group on its own thread, without a socket (``local`` of
+    :class:`DistributedCoordinator`), and any other group of block 0 runs
+    on a thread of its own. Linux only (``os.pidfd_open``).
     """
     listeners: dict[Endpoint, socket.socket] = {}  # bound, not yet handed over
+    conns: dict[Endpoint, socket.socket] = {}  # the coordinator's links
+    links: dict[Endpoint, dict[Endpoint, socket.socket]] = {}  # peer links, not yet handed over
     children: list[_Child] = []
     served: list[ServiceGroup] = []
+    grace = 0.0  # how long the processes may take to exit: a failed run kills them
     try:
         plan = (plan_or_graph if isinstance(plan_or_graph, DistributedPlan)
                 else _loopback_plan(plan_or_graph, listeners))
@@ -300,37 +356,50 @@ def run_distributed_local(plan_or_graph, *, iterations: int | None = None,
         listeners.update(_listen(index, [endpoint for endpoint in index
                                          if endpoint not in listeners]))
         blocks = contiguous_blocks(list(index), min(default_workers(), len(index)))
+        conns, links = _dial_links(plan, index, blocks[0][0], timeouts)
         allowed = sorted(os.sched_getaffinity(0))
         shares = contiguous_blocks(allowed, len(blocks))
         for block, share in zip(blocks[1:], shares[1:]):
-            children.append(_fork_service(plan, index, listeners, block, timeouts, share))
-            for endpoint in block:  # close(), never shutdown(): the child serves it
+            children.append(_fork_service(plan, index, block, listeners, conns, links,
+                                          timeouts, share))
+            for endpoint in block:  # close(), never shutdown(): the child serves them
                 listeners.pop(endpoint).close()
+                for link in links.pop(endpoint, {}).values():
+                    link.close()
         # Linux pins only the calling thread: the group threads it starts
-        # keep share 0, and default_workers() sizes their engines by it.
+        # keep share 0, default_workers() sizes the groups' engines by it,
+        # and it runs block 0's first group with the coordinator.
         os.sched_setaffinity(0, shares[0])
         try:
-            served = _start_groups(plan, index, {endpoint: listeners.pop(endpoint)
-                                                 for endpoint in blocks[0]}, timeouts)
+            served = _start_groups(
+                plan, index, {endpoint: listeners.pop(endpoint) for endpoint in blocks[0]},
+                timeouts, {endpoint: links.pop(endpoint) for endpoint in blocks[0]
+                           if endpoint in links}, first_local=True)
+            coordinator = DistributedCoordinator(plan, trace=trace, timeouts=timeouts,
+                                                 local=served[0], conns=conns)
+            deadline = time.monotonic() + startup_timeout
+            for child in children:
+                _wait_ready(child, deadline)
+            try:
+                report = coordinator.run(iterations)
+            except SimulationError as exc:
+                if (lost := _lost_process(exc, children)) is None:
+                    raise
+                raise lost from exc
         finally:
             os.sched_setaffinity(0, allowed)
-        deadline = time.monotonic() + startup_timeout
-        for child, block in zip(children, blocks[1:]):
-            _wait_ready(child, [name for endpoint in block for name in index[endpoint][0]],
-                        deadline)
-        report = run_coordinator(plan, iterations, trace=trace, timeouts=timeouts)
-        for child in children:
-            child.close(10.0)  # killed if still running
+        grace = 10.0  # they have answered EXIT: killed if still running then
         report.backend = "distributed-local"
         return report
     finally:
-        for listener in listeners.values():
-            listener.close()
+        for sock in [*listeners.values(), *conns.values(),
+                     *(link for peers in links.values() for link in peers.values())]:
+            sock.close()
         for group in served:
             group.stop()
             group.join()
         for child in children:
-            child.close()
+            child.close(grace)
 
 
 BACKENDS = ("sequential", "parallel", "distributed-local")

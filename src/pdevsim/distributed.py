@@ -31,14 +31,20 @@ coupling target of one. The group:
   for each, or with the first error that a peer's batch raised.
 
 The coordinator writes a phase's frame to every group before it reads any
-reply, and never relays event values. A group dials a peer's endpoint on
-its first push to it, so there is one link per ordered pair of groups; the
-link carries PROPAGATE frames only, and nothing is read back from it.
+reply, and never relays event values. There is one link per ordered pair
+of groups that a coupling connects; it carries PROPAGATE frames only, and
+nothing is read back from it. A peer link that ends is reported by the
+receiving group's next DELTFCN, since the group that dialled it has stopped.
 
 A group serves a listener that is already bound: :func:`serve_simulators`
-binds them for ``pdevsim serve``, and the ``distributed-local`` launcher
-binds every one before it forks, so each forked process inherits its own.
-The coordinator only dials out: it has no endpoint of its own.
+binds them for ``pdevsim serve``, and there a group dials a peer on its
+first push to it. The ``distributed-local`` launcher binds every listener
+and dials every link before it forks (:func:`_dial_links`), so each forked
+process inherits its own listeners and links, and the coordinator its
+links. The launcher runs its first group without a thread or a link: the
+coordinator hands it each command in-process (see
+:class:`DistributedCoordinator`). The coordinator has no endpoint of its
+own.
 """
 
 from __future__ import annotations
@@ -135,6 +141,24 @@ def _configure(sock: socket.socket, read_timeout: float | None) -> None:
     sock.settimeout(read_timeout)
 
 
+def _describe(hosted: list[str], endpoint: Endpoint) -> str:
+    """How the coordinator's errors name the group of ``hosted`` atomics at
+    ``endpoint``."""
+    more = f" (+{len(hosted) - 1} co-hosted)" if len(hosted) > 1 else ""
+    return f"simulator {hosted[0]!r}{more} at {endpoint}"
+
+
+def _dial(endpoint: Endpoint, where: str, timeouts: Timeouts) -> socket.socket:
+    """A link to the group at ``endpoint``, which ``where`` names, that
+    waits ``timeouts.read`` seconds for a reply."""
+    try:
+        sock = socket.create_connection(endpoint.main_addr(), timeout=timeouts.connect)
+    except OSError as exc:
+        raise SimulationError(f"{where} unreachable: {exc}") from exc
+    _configure(sock, timeouts.read)
+    return sock
+
+
 def _push(key: tuple[str, str, str, str]) -> str:
     """How errors name the coupling ``key``: (sender, port, target, port)."""
     sender, port, target, target_port = key
@@ -224,13 +248,21 @@ class ServiceGroup:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def start(self, listener: socket.socket) -> None:
+    def start(self, listener: socket.socket, links: dict[Endpoint, socket.socket] | None = None,
+              *, thread: bool = True) -> None:
         """Serve ``listener``, bound at the group's endpoint, and every
-        connection it accepts, on a thread of the group's own."""
+        connection it accepts, and push over ``links``, dialled already, by
+        peer endpoint; another peer is dialled on the first push to it. The
+        group runs on a thread of its own or, without ``thread``, only
+        within the commands that an in-process coordinator hands it."""
         self._sockets[listener] = None
         self._selector.register(listener, selectors.EVENT_READ, "listener")
-        self._thread = threading.Thread(target=self._run, daemon=True, name=f"svc-{self.names[0]}")
-        self._thread.start()
+        for endpoint, link in (links or {}).items():
+            self._keep_link(endpoint, link)
+        if thread:
+            self._thread = threading.Thread(target=self._run, daemon=True,
+                                            name=f"svc-{self.names[0]}")
+            self._thread.start()
 
     def join(self, timeout: float | None = None) -> None:
         if self._thread is not None:
@@ -305,8 +337,11 @@ class ServiceGroup:
             error = ProtocolError("connection closed mid-frame") if buffer else None
         except (ProtocolError, OSError) as exc:
             error = exc
-        if isinstance(error, ProtocolError) and role == "peer":
-            self._intake_errors.append(f"bad frame on a peer link to {self.label}: {error}")
+        if role == "peer":  # the peer group has stopped, or sent what cannot be read
+            self._intake_errors.append(
+                f"bad frame on a peer link to {self.label}: {error}"
+                if isinstance(error, ProtocolError)
+                else f"a peer link to {self.label} closed" + (f": {error}" if error else ""))
         elif isinstance(error, ProtocolError):
             where = ("first frame on a connection" if role == "new"
                      else "frame on the coordinator's link")
@@ -416,13 +451,17 @@ class ServiceGroup:
 
     def _link(self, endpoint: Endpoint) -> socket.socket:
         """The link to the peer group at ``endpoint``, dialled on the first
-        push to it."""
+        push to it unless it was handed in."""
         link = self._links.get(endpoint)
         if link is None:
-            link = socket.create_connection(endpoint.main_addr(), timeout=self.timeouts.connect)
-            self._sockets[link] = None
-            _configure(link, 0.0)  # non-blocking: see _send
-            self._links[endpoint] = link
+            link = self._keep_link(endpoint, socket.create_connection(
+                endpoint.main_addr(), timeout=self.timeouts.connect))
+        return link
+
+    def _keep_link(self, endpoint: Endpoint, link: socket.socket) -> socket.socket:
+        self._sockets[link] = None
+        _configure(link, 0.0)  # non-blocking: see _send
+        self._links[endpoint] = link
         return link
 
     def _send(self, link: socket.socket, data: bytes) -> None:
@@ -508,8 +547,8 @@ def _listen(index: dict, endpoints) -> dict[Endpoint, socket.socket]:
     listeners: dict[Endpoint, socket.socket] = {}
     with contextlib.ExitStack() as bound:
         for endpoint in endpoints:
-            try:
-                listener = socket.create_server(endpoint.main_addr())
+            try:  # the launcher dials every link before any is accepted
+                listener = socket.create_server(endpoint.main_addr(), backlog=socket.SOMAXCONN)
             except OSError as exc:
                 raise SimulationError(f"cannot bind {', '.join(map(repr, index[endpoint][0]))} "
                                       f"at {endpoint}: {exc}") from exc
@@ -519,29 +558,67 @@ def _listen(index: dict, endpoints) -> dict[Endpoint, socket.socket]:
 
 
 def _start_groups(plan: DistributedPlan, index: dict, listeners: dict[Endpoint, socket.socket],
-                  timeouts: Timeouts | None) -> list[ServiceGroup]:
+                  timeouts: Timeouts | None,
+                  links: dict[Endpoint, dict[Endpoint, socket.socket]] | None = None, *,
+                  first_local: bool = False) -> list[ServiceGroup]:
     """Start, and return, one service group on each of ``listeners``, keyed
-    by endpoint, once the plan is checked and indexed: all of them or, on
-    any error, none, and every listener closed. The groups divide the CPUs
-    the process may run on, at least one each, as ``run_distributed_local``
-    divides the host's, so k groups on N CPUs do not start k pools of N."""
+    by endpoint, with its peer ``links`` if dialled already (see
+    :func:`_dial_links`), once the plan is checked and indexed: all of them
+    or, on any error, none, and every listener and link closed. With
+    ``first_local`` the first group gets no thread: an in-process
+    coordinator drives it. The groups divide the CPUs the process may run
+    on, at least one each, as ``run_distributed_local`` divides the host's,
+    so k groups on N CPUs do not start k pools of N."""
     cpus, count = default_workers(), len(listeners)
+    links = links or {}
     groups: list[ServiceGroup] = []
     try:
         for i, endpoint in enumerate(listeners):
             share = cpus * (i + 1) // count - cpus * i // count
             groups.append(ServiceGroup(plan, endpoint, index, workers=max(share, 1),
                                        timeouts=timeouts))
-        for group in groups:
-            group.start(listeners[group.endpoint])
+        for i, group in enumerate(groups):
+            group.start(listeners[group.endpoint], links.get(group.endpoint),
+                        thread=i > 0 or not first_local)
     except BaseException:
         for group in groups:
             group.stop()
             group.join()
-        for listener in listeners.values():
-            listener.close()
+        for sock in [*listeners.values(), *(link for peers in links.values()
+                                            for link in peers.values())]:
+            sock.close()
         raise
     return groups
+
+
+def _dial_links(plan: DistributedPlan, index: dict, local: Endpoint | None,
+                timeouts: Timeouts | None) -> tuple[dict, dict]:
+    """Dial, through listeners already bound, the coordinator's link to
+    each group but the one at ``local``, which it drives in-process, and
+    one link per ordered pair of groups that a coupling connects, opened by
+    an empty PROPAGATE so that the receiving group reports its end. Each
+    waits in its listener's queue until the group accepts it. The
+    coordinator's links by endpoint, and the peer links by the dialling
+    group's endpoint and the peer's: all of them or, on an error, none."""
+    timeouts = timeouts or Timeouts()
+    conns: dict[Endpoint, socket.socket] = {}
+    links: dict[Endpoint, dict[Endpoint, socket.socket]] = {}
+    with contextlib.ExitStack() as dialled:
+        def dial(endpoint: Endpoint) -> socket.socket:
+            return dialled.enter_context(
+                _dial(endpoint, _describe(index[endpoint][0], endpoint), timeouts))
+
+        for endpoint in index:
+            if endpoint != local:
+                conns[endpoint] = dial(endpoint)
+        for coupling in plan.graph.couplings:
+            src = plan.endpoints[coupling.src.component]
+            dst = plan.endpoints[coupling.dst.component]
+            if src != dst and dst not in links.setdefault(src, {}):
+                links[src][dst] = link = dial(dst)
+                write_frame(link, WireFrame(PROPAGATE))
+        dialled.pop_all()  # every one is made: keep them open
+    return conns, links
 
 
 def serve_simulators(plan: DistributedPlan, names, *,
@@ -567,12 +644,20 @@ def serve_simulators(plan: DistributedPlan, names, *,
 
 class DistributedCoordinator:
     """Drives the abstract-protocol command cycle over service groups, one
-    connection per plan endpoint."""
+    connection per plan endpoint: ``conns`` if dialled already, the others
+    dialled at INIT, all closed when the run ends.
+
+    A ``local`` group of the plan, hosted by this process, gets no link:
+    each of its commands runs on the coordinator's thread once every other
+    group's frame of the phase is written and before any reply is read, so
+    it may push to, and wait for, the groups at work on theirs. One group,
+    not several: two driven from one thread would wait on each other."""
 
     backend_name = "distributed"
 
     def __init__(self, plan: DistributedPlan, *, trace: bool = False,
-                 timeouts: Timeouts | None = None) -> None:
+                 timeouts: Timeouts | None = None, local: ServiceGroup | None = None,
+                 conns: dict[Endpoint, socket.socket] | None = None) -> None:
         plan.check()
         self.plan = plan
         self.trace_enabled = trace
@@ -591,30 +676,25 @@ class DistributedCoordinator:
             for name, targets in self._targets.items()}
         self.frames_sent: Counter[str] = Counter()
         self.frames_received: Counter[str] = Counter()
-        self._conns: dict[Endpoint, socket.socket] = {}
+        self._conns: dict[Endpoint, socket.socket] = dict(conns or {})
+        self._local = local
+        self._local_at = local.endpoint if local is not None else None
 
     # -- plumbing ---------------------------------------------------------------
 
     def _where(self, endpoint: Endpoint) -> str:
-        hosted = self._groups[endpoint]
-        more = f" (+{len(hosted) - 1} co-hosted)" if len(hosted) > 1 else ""
-        return f"simulator {hosted[0]!r}{more} at {endpoint}"
+        return _describe(self._groups[endpoint], endpoint)
 
     def _connect_all(self, init: WireFrame) -> dict[str, float]:
-        """Connect to every endpoint in plan order and write its INIT, then
-        read the replies; the tN of every atomic."""
+        """Connect to every endpoint without a link, but the local group's,
+        in plan order, then write every INIT and read the replies; the tN of
+        every atomic."""
         for endpoint in self._groups:
-            try:
-                sock = socket.create_connection(endpoint.main_addr(),
-                                                timeout=self.timeouts.connect)
-            except OSError as exc:
-                raise SimulationError(f"{self._where(endpoint)} unreachable: {exc}") from exc
-            _configure(sock, self.timeouts.read)
-            self._conns[endpoint] = sock
-            self._write(endpoint, init)
+            if endpoint != self._local_at and endpoint not in self._conns:
+                self._conns[endpoint] = _dial(endpoint, self._where(endpoint), self.timeouts)
         tn: dict[str, float] = {}
-        for endpoint in self._groups:
-            hosted = self._tn_pairs(endpoint, self._read(endpoint, init))
+        for endpoint, reply in self._send(dict.fromkeys(self._groups, init)).items():
+            hosted = self._tn_pairs(endpoint, reply)
             if sorted(hosted) != sorted(self._groups[endpoint]):
                 raise SimulationError(
                     f"{self._where(endpoint)} hosts {list(hosted)}, but the plan puts "
@@ -623,17 +703,32 @@ class DistributedCoordinator:
         return tn
 
     def _write(self, endpoint: Endpoint, frame: WireFrame) -> None:
-        try:
-            write_frame(self._conns[endpoint], frame)
-        except (OSError, ProtocolError) as exc:
-            raise SimulationError(f"{self._where(endpoint)} failed: {exc}") from exc
+        """Write ``frame`` to the group at ``endpoint``; the local group
+        runs it when its reply is read."""
+        if endpoint != self._local_at:
+            try:
+                write_frame(self._conns[endpoint], frame)
+            except (OSError, ProtocolError) as exc:
+                raise SimulationError(f"{self._where(endpoint)} failed: {exc}") from exc
         self.frames_sent[frame.command] += 1
 
     def _read(self, endpoint: Endpoint, sent: WireFrame) -> WireFrame:
         """The reply to ``sent``. A read timeout names the command, its
         cycle time and, for a DELTFCN, the senders whose batches the
-        process waits for."""
+        process waits for. The local group runs ``sent`` here, and an error
+        it raises is reported as one that a group sends back."""
         where = self._where(endpoint)
+        if endpoint == self._local_at:
+            group = self._local
+            group._depth += 1  # a command on a link it accepts is refused meanwhile
+            try:
+                values = group._dispatch(sent)
+            except SimulationError as exc:
+                raise SimulationError(f"{where} reported: {exc}") from exc
+            finally:
+                group._depth -= 1
+            self.frames_received[ACK] += 1
+            return WireFrame(ACK, sender=group.names[0], values=values)
         try:
             reply = read_frame(self._conns[endpoint])
         except socket.timeout as exc:
@@ -657,10 +752,12 @@ class DistributedCoordinator:
 
     def _send(self, frames: dict[Endpoint, WireFrame]) -> dict[Endpoint, WireFrame]:
         """Write every frame to its connection, then read every ACK: the
-        groups work on their commands at once."""
+        groups work on their commands at once. The local group's command
+        runs first among the reads, once the others are at work."""
         for endpoint, frame in frames.items():
             self._write(endpoint, frame)
-        return {endpoint: self._read(endpoint, frame) for endpoint, frame in frames.items()}
+        return {endpoint: self._read(endpoint, frames[endpoint])
+                for endpoint in sorted(frames, key=lambda endpoint: endpoint != self._local_at)}
 
     def _deltfcn(self, t: float, imminent: list[str],
                  active: list[str]) -> dict[str, float]:
@@ -716,7 +813,7 @@ class DistributedCoordinator:
                 tn.update(self._deltfcn(
                     t, imminent, sorted(active, key=self._ranks.__getitem__)))
                 cycles += 1
-            exits = self._send({endpoint: WireFrame(EXIT) for endpoint in self._conns})
+            exits = self._send({endpoint: WireFrame(EXIT) for endpoint in self._groups})
         finally:
             for sock in self._conns.values():
                 sock.close()

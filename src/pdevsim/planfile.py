@@ -20,7 +20,7 @@ from . import devstone  # noqa: F401  (registers the benchmark behavior)
 from .behaviors import behavior_ports
 from .distributed import DistributedPlan, Endpoint
 from .kernel import SimulationError
-from .model import AtomicSpec, ModelError, ModelGraph, flatten, freeze_valid, validate
+from .model import AtomicSpec, ModelError, ModelGraph, flatten, freeze_valid
 from .parallel import PoolPlan, PoolSpec, default_workers
 
 
@@ -235,7 +235,9 @@ def _write_document(graph: ModelGraph, *, pools: tuple[PoolSpec, ...] = (),
 
 
 def _flat(graph: ModelGraph) -> ModelGraph:
-    errors = [v for v in validate(graph) if v.severity == "error"]
+    """The flat form of ``graph``, which is frozen, so that each graph is
+    validated and flattened once however often it is emitted."""
+    errors = freeze_valid(graph)
     if errors:
         raise PlanError(f"invalid model: {errors[0].message}")
     return flatten(graph)

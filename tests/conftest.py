@@ -158,12 +158,50 @@ class SwapLarge(AtomicModel):
         self.received.extend(len(value) for value in self.bag("in"))
 
 
+class ExitExt(AtomicModel):
+    """Ends the process it runs in with code 3, after printing one line, in
+    its external transition, as a service process that dies mid-run would.
+    It never ends the process that imported this module, the tests' own."""
+
+    INPUT_PORTS = ("in",)
+    OUTPUT_PORTS = ("out",)
+    spared = os.getpid()
+
+    def initialize(self):
+        self.passivate()
+
+    def delta_int(self):
+        self.passivate()
+
+    def delta_ext(self, e):
+        self.end_process()
+
+    def end_process(self):
+        if os.getpid() == type(self).spared:
+            raise RuntimeError(f"{self.name} would end the test process")
+        print(f"{self.name} ends its process", flush=True)
+        os._exit(3)
+
+
+class ExitOutput(ExitExt):
+    """:class:`ExitExt` that ends its process in its output function, at
+    time 0."""
+
+    def initialize(self):
+        self.hold_in("armed", 0.0)
+
+    def output(self):
+        self.end_process()
+
+
 _register("emit_once", EmitOnce)
 _register("collector", Collector)
 _register("busy_ext", BusyExt)
 _register("raise_ext", RaiseExt)
 _register("affinity", Affinity)
 _register("swap_large", SwapLarge)
+_register("exit_ext", ExitExt)
+_register("exit_output", ExitOutput)
 Rendezvous = _register("rendezvous", Rendezvous)
 
 

@@ -274,26 +274,54 @@ def _recorded_sockets(monkeypatch) -> list[tuple]:
     return events
 
 
-@pytest.mark.parametrize("given", ["graph", "plan"])
-def test_distributed_local_binds_every_listener_before_it_forks(monkeypatch, given):
+def _fed_back():
+    """Two atomics whose only coupling runs from the second in plan order
+    to the first, so that block 1 pushes into block 0."""
+    from pdevsim import ModelGraph, atomic_spec
+    graph = ModelGraph("toy")
+    graph.add_component(atomic_spec("r0", "collector"))
+    graph.add_component(atomic_spec("s0", "emit_once"))
+    graph.connect("s0", "out", "r0", "in")
+    return graph
+
+
+@pytest.mark.parametrize("model, given", [("ho", "graph"), ("ho", "plan"), ("fed-back", "plan")],
+                         ids=["graph", "plan", "fed-back"])
+def test_distributed_local_binds_every_listener_before_it_forks(monkeypatch, model, given):
     """The launcher binds each listener once, all before its first fork,
-    and every socket it binds listens and is dialled: none is bound only
-    to learn a free port and be closed."""
+    and every socket it binds listens: none is bound only to learn a free
+    port and be closed. It dials every link before its first fork too:
+    each forked process's listener, and block 0's exactly when a coupling
+    from another group enters it, since the coordinator runs block 0's
+    first group in-process."""
     from pdevsim.parallel import default_workers
-    graph = generate(DevstoneConfig("HO", 3, 3))
-    target = graph if given == "graph" else _two_block_plan(graph)
+
+    def build():
+        return generate(DevstoneConfig("HO", 3, 3)) if model == "ho" else _fed_back()
+
+    target = build() if given == "graph" else _two_block_plan(build())
     events = _recorded_sockets(monkeypatch)
-    assert run_distributed_local(target).counter_triple() == (7, 7, 7)
+    report = run_distributed_local(target)
+    assert report.counter_triple() == run_sequential(build()).counter_triple()
     bound = [address for kind, address in events if kind == "bind"]
     assert len(bound) == len(set(bound)) > 0
     assert [address for kind, address in events if kind == "listen"] == bound
-    assert {address for kind, address in events if kind == "dial"} == set(bound)
     if given == "plan":
         assert set(bound) == {endpoint.main_addr() for endpoint in target.groups()}
     forks = [i for i, (kind, _) in enumerate(events) if kind == "fork"]
     assert len(forks) == min(default_workers(), len(bound)) - 1
-    last_bind = max(i for i, (kind, _) in enumerate(events) if kind == "bind")
-    assert all(last_bind < i for i in forks)
+    made = [i for i, (kind, _) in enumerate(events) if kind in ("bind", "dial")]
+    assert all(i < fork for i in made for fork in forks)
+    local = bound[0]  # bound in plan order: block 0's first group
+    if given == "graph":
+        enters = False  # HO feeds forward only
+    else:
+        at = {name: endpoint.main_addr() for name, endpoint in target.endpoints.items()}
+        enters = any(at[c.dst.component] == local != at[c.src.component]
+                     for c in target.graph.couplings)
+    assert enters == (model == "fed-back")
+    dialled = {address for kind, address in events if kind == "dial"}
+    assert dialled == set(bound) - (set() if enters else {local})
 
 
 def test_distributed_local_reports_a_process_that_exits_before_it_is_ready(monkeypatch):
@@ -322,6 +350,58 @@ def test_distributed_local_reports_a_process_that_exits_before_it_is_ready(monke
     _assert_no_child_process()
 
 
+def _socket_fds() -> set[str]:
+    """The sockets this process holds open, as ``socket:[inode]``."""
+    held = set()
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:  # the directory listing's own fd
+            continue
+        if target.startswith("socket:"):
+            held.add(target)
+    return held
+
+
+@pytest.mark.parametrize("dies_in", ["delta_ext", "output"])
+def test_distributed_local_reports_a_process_that_dies_mid_run(dies_in):
+    """A forked process that dies in a transition, while the coordinator
+    waits for its reply or block 0 waits for its batch, is reported with
+    the atomics it hosts, its endpoint, its exit code and the last line it
+    printed, well inside the read timeout; no process, service thread or
+    socket is left behind."""
+    import threading
+    import time
+
+    from pdevsim import ModelGraph, Timeouts, atomic_spec
+    from pdevsim.parallel import default_workers
+    if default_workers() < 2:
+        pytest.skip("a single CPU runs every block in the launcher")
+    graph = ModelGraph("toy")
+    if dies_in == "delta_ext":  # block 0 pushes to it, then waits for its reply
+        graph.add_component(atomic_spec("s0", "emit_once"))
+        graph.add_component(atomic_spec("x0", "exit_ext"))
+        graph.connect("s0", "out", "x0", "in")
+    else:  # block 0 waits for its batch
+        graph.add_component(atomic_spec("r0", "collector"))
+        graph.add_component(atomic_spec("x0", "exit_output"))
+        graph.connect("x0", "out", "r0", "in")
+    plan = _two_block_plan(graph)
+    sockets = _socket_fds()
+    started = time.monotonic()
+    with pytest.raises(SimulationError) as err:
+        run_distributed_local(plan, timeouts=Timeouts(connect=5.0, read=20.0))
+    elapsed = time.monotonic() - started
+    message = str(err.value)
+    assert message.endswith(f"; the simulator process for x0 at {plan.endpoints['x0']} "
+                            "exited with code 3: x0 ends its process"), message
+    assert "\n" not in message
+    assert elapsed < 5.0, (elapsed, message)
+    _assert_no_child_process()
+    assert [t.name for t in threading.enumerate() if t.name.startswith("svc-")] == []
+    assert _socket_fds() == sockets
+
+
 def _assert_no_child_process():
     import multiprocessing
     assert multiprocessing.active_children() == []
@@ -340,19 +420,38 @@ def test_distributed_local_leaves_no_child_process():
 
 def test_distributed_local_serves_block_0_in_the_launcher(monkeypatch):
     """The launcher serves block 0 itself and forks one process per other
-    block, so one on a 2-CPU host; no service thread is left in it after
-    a run that succeeds or one that fails."""
+    block, so one on a 2-CPU host. It starts no service thread for block
+    0's first group, which the coordinator runs, and one for each other
+    group of block 0; none is left after a run that succeeds or one that
+    fails."""
     import threading
 
+    from pdevsim import ServiceGroup
     from pdevsim.parallel import default_workers
+    from pdevsim.planfile import contiguous_blocks
 
     def service_threads():
         return [t.name for t in threading.enumerate() if t.name.startswith("svc-")]
 
+    threaded = []
+    run = ServiceGroup._run
+
+    def recording_run(self):
+        threaded.append(self.names[0])
+        run(self)
+
+    monkeypatch.setattr(ServiceGroup, "_run", recording_run)
     spawned = _recorded_forks(monkeypatch)
     graph = generate(DevstoneConfig("HO", 3, 3))
     assert run_distributed_local(graph).counter_triple() == (7, 7, 7)
     assert len(spawned) == min(default_workers(), len(list(graph.walk_atomics()))) - 1
+    assert threaded == []  # block 0 is one group
+    assert service_threads() == []
+    spread = grouped_plan(graph, [[name] for name in flatten(graph).atomics])
+    assert run_distributed_local(spread).counter_triple() == (7, 7, 7)
+    groups = [names[0] for names in spread.groups().values()]
+    block0 = contiguous_blocks(groups, min(default_workers(), len(groups)))[0]
+    assert threaded == block0[1:]
     assert service_threads() == []
     plan = _two_block_plan(graph)
     for victim in (list(plan.endpoints)[0], list(plan.endpoints)[-1]):

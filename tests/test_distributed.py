@@ -700,6 +700,21 @@ def test_groups_that_push_large_batches_to_each_other_finish_the_cycle():
     assert received == [[SwapLarge.size], [SwapLarge.size]]
 
 
+def test_launcher_group_and_another_that_push_large_batches_to_each_other_finish_the_cycle():
+    """Under distributed-local, block 0's group, which the coordinator runs
+    in-process, and the other group (forked, or on a thread of its own on a
+    single CPU) send each other a batch larger than the loopback socket
+    buffers in one cycle, and finish it well inside the read timeout."""
+    from pdevsim.bench import run_distributed_local
+    plan = grouped_plan(_swap_model(), [["a"], ["b"]])
+    started = time.monotonic()
+    report = run_distributed_local(plan, timeouts=Timeouts(connect=5.0, read=20.0))
+    assert time.monotonic() - started < 10.0
+    sequential = SequentialCoordinator(_swap_model()).simulate()
+    assert report.counter_triple() == sequential.counter_triple()
+    assert report.diagnostics["peer_frames"] == 2
+
+
 def test_missing_peer_batch_fails_within_the_read_timeout():
     """A DELTFCN names a sender whose PROPAGATE never comes: the receiving
     process gives up after its read timeout, naming the coupling and the

@@ -193,3 +193,23 @@ def test_empty_host_rejected():
         parse_plan_xml(hacked)
     message = str(caught.value)
     assert "'processor'" in message and "empty host" in message and "\n" not in message
+
+
+def test_emitting_a_plan_validates_each_graph_once(monkeypatch):
+    """``emit_plan_xml`` walks the validation of each graph it handles at
+    most once: the model, which it freezes, and the flat forms it makes."""
+    from pdevsim import model
+    walks = []
+    walk = model._validate_levels
+
+    def counting_walk(graph):
+        walks.append(id(graph))
+        return walk(graph)
+
+    monkeypatch.setattr(model, "_validate_levels", counting_walk)
+    graph = generate(DevstoneConfig("HO", 3, 3))
+    text = emit_plan_xml(graph, host="127.0.0.1", workers=2)
+    assert id(graph) in walks and graph.frozen
+    assert len(walks) == len(set(walks)), walks
+    assert text == emit_plan_xml(generate(DevstoneConfig("HO", 3, 3)), host="127.0.0.1",
+                                 workers=2)
