@@ -17,14 +17,13 @@ import signal
 import socket
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import cli
 from .devstone import GENERATOR_NAME
-from .distributed import (READY_LINE, DistributedCoordinator, DistributedPlan, Endpoint,
-                          ServiceGroup, Timeouts, _dial_links, _index, _listen,
-                          _start_groups)
+from .distributed import (DistributedCoordinator, DistributedPlan, Endpoint, ServiceGroup,
+                          Timeouts, _dial_links, _index, _listen, _start_groups)
 from .kernel import RunReport, SequentialCoordinator, SimulationError
 from .model import ModelGraph, flatten
 from .parallel import ParallelCoordinator, PoolPlan, PoolSpec, default_workers
@@ -191,16 +190,17 @@ _EXIT_GRACE_S = 1.0
 @dataclass
 class _Child:
     """A forked service process that serves the groups at ``endpoints``,
-    which host ``members``, a pidfd that is readable once it exits, and the
-    read end of the pipe that carries its stdout and stderr, with what has
-    been read from it."""
+    which host ``members``: a pidfd that is readable once it exits, an
+    eventfd that it bumps once it serves, and the memfd that holds its
+    stdout and stderr, of which the last 4 KiB are kept once it is reaped."""
 
     pid: int
     pidfd: int
+    ready: int
     output: int
     members: list[str]
     endpoints: list[Endpoint]
-    printed: bytearray = field(default_factory=bytearray)
+    printed: bytes = b""
     code: int | None = None  # its exit code, once reaped
 
     def exited(self, timeout: float = 0.0) -> bool:
@@ -209,24 +209,22 @@ class _Child:
 
     def close(self, timeout: float = 0.0) -> int:
         """Wait up to ``timeout`` seconds for the process to exit, kill it
-        if it has not, reap it, read the rest of what it printed and close
+        if it has not, reap it, keep the end of what it printed and close
         its fds, once; its exit code."""
         if self.code is None:
             if not self.exited(timeout):
                 os.kill(self.pid, signal.SIGKILL)
             self.code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-            while (select.select([self.output], [], [], 0)[0]
-                   and (chunk := os.read(self.output, 65536))):
-                self.printed += chunk
-            os.close(self.pidfd)
-            os.close(self.output)
+            end = os.fstat(self.output).st_size
+            self.printed = os.pread(self.output, 4096, max(end - 4096, 0))
+            for fd in (self.pidfd, self.ready, self.output):
+                os.close(fd)
         return self.code
 
     def tail(self) -> str:
-        """The last lines the process printed, but its ready line."""
+        """The last lines the process printed, once it is reaped."""
         lines = self.printed.decode(errors="replace").splitlines()
-        return " | ".join(line for line in lines[-5:]
-                          if line.strip() and line != READY_LINE) or "no output"
+        return " | ".join(line for line in lines[-5:] if line.strip()) or "no output"
 
 
 def _fork_service(plan: DistributedPlan, index: dict, block: list[Endpoint],
@@ -237,11 +235,12 @@ def _fork_service(plan: DistributedPlan, index: dict, block: list[Endpoint],
     on the CPUs in ``share``: it keeps their ``listeners`` and their peer
     ``links``, which it inherits, closes the coordinator's ``conns`` and
     every other group's sockets, and goes on like ``pdevsim serve`` once
-    that has bound its listeners. Its stdout and stderr go to one pipe as
-    fresh stream objects, so nothing the launcher left unflushed, and no
-    lock a launcher thread held at the fork, is in them; ``os._exit`` runs
-    none of the launcher's exit handlers."""
-    read_fd, write_fd = os.pipe()
+    that has bound its listeners, but bumps an eventfd where that prints
+    its ready line. Its stdout and stderr go to one memfd, which a write
+    never waits on, as fresh stream objects, so nothing the launcher left
+    unflushed, and no lock a launcher thread held at the fork, is in them;
+    ``os._exit`` runs none of the launcher's exit handlers."""
+    output, ready = os.memfd_create("pdevsim-service"), os.eventfd(0)
     pid = 0
     try:
         pid = os.fork()
@@ -254,43 +253,40 @@ def _fork_service(plan: DistributedPlan, index: dict, block: list[Endpoint],
                                for link in links[endpoint].values())]:
                     sock.close()
                 os.sched_setaffinity(0, share)
-                os.dup2(write_fd, 1)
-                os.dup2(write_fd, 2)
+                os.dup2(output, 1)
+                os.dup2(output, 2)
                 sys.stdout = sys.stderr = open(1, "w", buffering=1, encoding="utf-8",
                                                errors="backslashreplace")
                 code = cli.guarded(lambda: cli.serve(_start_groups(
                     plan, index, {endpoint: listeners[endpoint] for endpoint in block},
                     timeouts, {endpoint: links[endpoint] for endpoint in block
-                               if endpoint in links})))
+                               if endpoint in links}), lambda: os.eventfd_write(ready, 1)))
                 sys.stdout.flush()
             finally:
                 os._exit(code)
-        return _Child(pid, os.pidfd_open(pid), read_fd,
+        return _Child(pid, os.pidfd_open(pid), ready, output,
                       [name for endpoint in block for name in index[endpoint][0]], block)
     except BaseException:
         if pid:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        os.close(read_fd)
+        os.close(output)
+        os.close(ready)
         raise
-    finally:  # only the child may keep the write end, or its exit would not end the pipe
-        os.close(write_fd)
 
 
 def _wait_ready(child: _Child, deadline: float) -> None:
-    """Wait until a service process prints its ready line; if it exits
+    """Wait until a service process bumps its ready eventfd; if it exits
     first, report its exit code and the last lines it printed."""
     members = ", ".join(child.members)
-    while READY_LINE not in child.printed.decode(errors="replace").splitlines():
-        remaining = deadline - time.monotonic()
-        if remaining <= 0 or not select.select([child.output], [], [], remaining)[0]:
-            raise SimulationError(f"simulator process for {members} never came up")
-        chunk = os.read(child.output, 65536)
-        if not chunk:  # the pipe closed: the process is exiting
-            code = child.close(max(deadline - time.monotonic(), 1.0))
-            raise SimulationError(f"simulator process for {members} exited "
-                                  f"with code {code} before it was ready: {child.tail()}")
-        child.printed += chunk
+    woken = select.select([child.ready, child.pidfd], [], [],
+                          max(deadline - time.monotonic(), 0.0))[0]
+    if child.ready in woken:
+        return
+    if not woken:
+        raise SimulationError(f"simulator process for {members} never came up")
+    raise SimulationError(f"simulator process for {members} exited with code "
+                          f"{child.close()} before it was ready: {child.tail()}")
 
 
 def _lost_process(error: SimulationError, children: list[_Child]) -> SimulationError | None:
@@ -329,12 +325,14 @@ def run_distributed_local(plan_or_graph, *, iterations: int | None = None,
     Each block but block 0 gets a process forked from this one, which
     inherits its block's listeners and peer links (:func:`_dial_links`) and
     closes every other socket; this process closes its copies right after
-    the fork, as it does the pipe's write end. The child serves the plan it
-    inherited in memory with this call's ``timeouts`` (no interpreter
-    start-up, argument parsing or plan XML), and its stdout and stderr come
-    back on the pipe that carries its ready line, which is awaited before
-    the coordinator runs. A process that dies mid-run is reported with its
-    atomics, endpoints, exit code and last output.
+    the fork. The child serves the plan it inherited in memory with this
+    call's ``timeouts`` (no interpreter start-up, argument parsing or plan
+    XML). The coordinator runs once every child has bumped its ready
+    eventfd, within ``startup_timeout`` seconds. A child's stdout and
+    stderr go to a memfd, which is read only once the child is reaped: a
+    process that exits before it is ready, or dies mid-run, is reported
+    with its atomics, exit code and last output, and in the second case
+    its endpoints.
 
     This process serves block 0, pinned to share 0 from before its groups
     start until the coordinator ends: the coordinator runs block 0's first

@@ -123,13 +123,13 @@ def cmd_emit_manifest(args) -> int:
     return 0
 
 
-def serve(groups) -> int:
-    """Print the ready line once ``groups`` are serving, and return once
-    every group has ended with its coordinator's link. This is ``pdevsim
-    serve`` once it has started its groups, and the body of each process
-    that distributed-local forks for blocks 1 and up."""
-    from .distributed import READY_LINE
-    print(READY_LINE, flush=True)
+def serve(groups, announce) -> int:
+    """Call ``announce`` once ``groups`` are serving, and return once every
+    group has ended with its coordinator's link. This is ``pdevsim serve``
+    once it has started its groups, which announces by printing ``ready``
+    on stdout, and the body of each process that distributed-local forks
+    for blocks 1 and up, which bumps an eventfd that the launcher waits on."""
+    announce()
     for group in groups:
         group.join()
     return 0
@@ -140,7 +140,7 @@ def cmd_serve(args) -> int:
     parsed = _parse_plan(args.plan)
     if not isinstance(parsed, DistributedPlan):
         raise ValueError("serve needs an endpoint-addressed plan")
-    return serve(serve_simulators(parsed, args.atomic))
+    return serve(serve_simulators(parsed, args.atomic), lambda: print("ready", flush=True))
 
 
 def cmd_coordinate(args) -> int:

@@ -68,9 +68,6 @@ from .wire import (ACK, DELTFCN, EXIT, INIT, PROPAGATE, ProtocolError,
 
 _ERROR_MARK = "__error__"
 
-# What ``pdevsim serve`` prints on stdout once every listener is bound.
-READY_LINE = "ready"
-
 
 @dataclass(frozen=True)
 class Endpoint:
@@ -179,7 +176,8 @@ def _index(plan: DistributedPlan) -> dict[Endpoint, tuple[list[str], list]]:
 class ServiceGroup:
     """The atomics at one plan endpoint, and the kernel engine over them.
 
-    The engine is built with the group, so INIT only initializes it. One
+    The engine is built, and so its atomics initialized, with the group:
+    INIT, once per group, only sets the trace mode and reports their tN. One
     thread serves the group's listener and every connection it accepts
     from one selector: the coordinator's link drives the whole group, and
     a peer group's link carries that peer's pushes to every hosted atomic.
@@ -385,10 +383,11 @@ class ServiceGroup:
         engine = self.engine
         sims = engine.simulators
         if command == INIT:
+            if self._initialized:
+                raise SimulationError(f"{self.label} got a second INIT")
             engine.trace_enabled = bool(frame.values and frame.values[0])
             for sim in sims.values():
                 sim.trace = [] if engine.trace_enabled else None
-            engine.initialize()
             self._initialized = True
             return tuple([atomic, encode_time(sim.tN)] for atomic, sim in sims.items())
         if not self._initialized:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import os
 import socket
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -13,6 +14,13 @@ from pdevsim import (AtomicModel, DistributedPlan, Endpoint, ModelGraph,
                      atomic_spec, flatten, register_behavior, serve_simulators)
 from pdevsim.behaviors import _REGISTRY
 from pdevsim.planfile import contiguous_blocks
+
+def pytest_configure(config):
+    """Let the interpreters that tests start (``python -m pdevsim``) import
+    pdevsim from this checkout, as the ``pythonpath`` setting lets the tests."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
 
 # Every run draws the same examples, and no example fails on its wall time.
 settings.register_profile("pdevsim", derandomize=True, deadline=None)
@@ -194,6 +202,54 @@ class ExitOutput(ExitExt):
         self.end_process()
 
 
+class ExitLoud(ExitExt):
+    """:class:`ExitExt` that prints 2000 lines of 100 characters before its
+    last line."""
+
+    def delta_ext(self, e):
+        for _ in range(2000):
+            print("p" * 100)
+        self.end_process()
+
+
+class PrintExt(AtomicModel):
+    """Prints 2000 lines of 100 characters, far more than a pipe buffer
+    holds, in its external transition."""
+
+    INPUT_PORTS = ("in",)
+    OUTPUT_PORTS = ()
+
+    def initialize(self):
+        self.passivate()
+
+    def delta_int(self):
+        self.passivate()
+
+    def delta_ext(self, e):
+        for _ in range(2000):
+            print("p" * 100)
+
+
+class CountInits(AtomicModel):
+    """Emits, at time 0, how many times it has been initialized."""
+
+    INPUT_PORTS = ()
+    OUTPUT_PORTS = ("out",)
+
+    def initialize(self):
+        self.inits = getattr(self, "inits", 0) + 1
+        self.hold_in("armed", 0.0)
+
+    def output(self):
+        self.emit("out", self.inits)
+
+    def delta_int(self):
+        self.passivate()
+
+    def delta_ext(self, e):
+        pass
+
+
 _register("emit_once", EmitOnce)
 _register("collector", Collector)
 _register("busy_ext", BusyExt)
@@ -202,6 +258,9 @@ _register("affinity", Affinity)
 _register("swap_large", SwapLarge)
 _register("exit_ext", ExitExt)
 _register("exit_output", ExitOutput)
+_register("exit_loud", ExitLoud)
+_register("print_ext", PrintExt)
+_register("count_inits", CountInits)
 Rendezvous = _register("rendezvous", Rendezvous)
 
 

@@ -334,12 +334,13 @@ def test_distributed_local_reports_a_process_that_exits_before_it_is_ready(monke
     if default_workers() < 2:
         pytest.skip("a single CPU runs every block in the launcher")
 
-    def failing_serve(groups):
+    def failing_serve(groups, announce):
         raise SimulationError("injected start-up failure")
 
     monkeypatch.setattr(cli, "serve", failing_serve)  # only forked processes call it
     plan = _two_block_plan(generate(DevstoneConfig("HO", 3, 3)))
     second = list(plan.groups().values())[1]
+    fds = _open_fds()
     started = time.monotonic()
     with pytest.raises(SimulationError) as err:
         run_distributed_local(plan, startup_timeout=30.0)
@@ -348,29 +349,59 @@ def test_distributed_local_reports_a_process_that_exits_before_it_is_ready(monke
     assert "injected start-up failure" in message and second[0] in message, message
     assert time.monotonic() - started < 5.0, message
     _assert_no_child_process()
+    assert _open_fds() == fds
 
 
-def _socket_fds() -> set[str]:
-    """The sockets this process holds open, as ``socket:[inode]``."""
-    held = set()
+def test_distributed_local_finishes_a_block_that_prints_more_than_a_pipe_holds():
+    """An atomic of a forked block that prints 2000 lines of 100 characters
+    mid-run never waits on its output: the run ends well inside the read
+    timeout with the sequential counters and trace."""
+    import time
+
+    from pdevsim import ModelGraph, Timeouts, atomic_spec
+    from pdevsim.parallel import default_workers
+    if default_workers() < 2:
+        pytest.skip("a single CPU runs every block in the launcher")
+
+    def build():
+        graph = ModelGraph("toy")
+        graph.add_component(atomic_spec("s0", "emit_once"))
+        graph.add_component(atomic_spec("p1", "print_ext"))
+        graph.connect("s0", "out", "p1", "in")
+        return graph
+
+    plan = _two_block_plan(build())
+    assert plan.endpoints["s0"] != plan.endpoints["p1"]
+    started = time.monotonic()
+    report = run_distributed_local(plan, trace=True, timeouts=Timeouts(read=5.0))
+    elapsed = time.monotonic() - started
+    sequential = run_sequential(build(), trace=True)
+    assert report.counter_triple() == sequential.counter_triple()
+    assert report.trace_text() == sequential.trace_text()
+    assert elapsed < 2.0, elapsed
+    _assert_no_child_process()
+
+
+def _open_fds() -> dict[int, str]:
+    """Every descriptor this process holds open, and what it refers to
+    (``socket:[inode]``, ``anon_inode:[pidfd]``, ``/memfd:...`` and so on)."""
+    held = {}
     for fd in os.listdir("/proc/self/fd"):
         try:
-            target = os.readlink(f"/proc/self/fd/{fd}")
+            held[int(fd)] = os.readlink(f"/proc/self/fd/{fd}")
         except OSError:  # the directory listing's own fd
             continue
-        if target.startswith("socket:"):
-            held.add(target)
     return held
 
 
-@pytest.mark.parametrize("dies_in", ["delta_ext", "output"])
+@pytest.mark.parametrize("dies_in", ["delta_ext", "output", "loud"])
 def test_distributed_local_reports_a_process_that_dies_mid_run(dies_in):
     """A forked process that dies in a transition, while the coordinator
     waits for its reply or block 0 waits for its batch, is reported with
     the atomics it hosts, its endpoint, its exit code and the last line it
-    printed, well inside the read timeout; no process, service thread or
-    socket is left behind."""
-    import threading
+    printed, also after far more output than the report keeps ("loud"),
+    well inside the read timeout; no process, service thread or descriptor
+    is left behind."""
     import time
 
     from pdevsim import ModelGraph, Timeouts, atomic_spec
@@ -378,28 +409,103 @@ def test_distributed_local_reports_a_process_that_dies_mid_run(dies_in):
     if default_workers() < 2:
         pytest.skip("a single CPU runs every block in the launcher")
     graph = ModelGraph("toy")
-    if dies_in == "delta_ext":  # block 0 pushes to it, then waits for its reply
+    if dies_in != "output":  # block 0 pushes to it, then waits for its reply
         graph.add_component(atomic_spec("s0", "emit_once"))
-        graph.add_component(atomic_spec("x0", "exit_ext"))
+        graph.add_component(atomic_spec("x0", "exit_loud" if dies_in == "loud" else "exit_ext"))
         graph.connect("s0", "out", "x0", "in")
     else:  # block 0 waits for its batch
         graph.add_component(atomic_spec("r0", "collector"))
         graph.add_component(atomic_spec("x0", "exit_output"))
         graph.connect("x0", "out", "r0", "in")
     plan = _two_block_plan(graph)
-    sockets = _socket_fds()
+    fds = _open_fds()
     started = time.monotonic()
     with pytest.raises(SimulationError) as err:
         run_distributed_local(plan, timeouts=Timeouts(connect=5.0, read=20.0))
     elapsed = time.monotonic() - started
     message = str(err.value)
+    printed = ("p" * 100 + " | ") * 4 if dies_in == "loud" else ""  # the last lines
     assert message.endswith(f"; the simulator process for x0 at {plan.endpoints['x0']} "
-                            "exited with code 3: x0 ends its process"), message
+                            f"exited with code 3: {printed}x0 ends its process"), message
     assert "\n" not in message
     assert elapsed < 5.0, (elapsed, message)
     _assert_no_child_process()
-    assert [t.name for t in threading.enumerate() if t.name.startswith("svc-")] == []
-    assert _socket_fds() == sockets
+    assert _service_threads() == []
+    assert _open_fds() == fds
+
+
+@pytest.mark.parametrize("backend", ["sequential", "pool", "distributed-local"])
+def test_a_raising_transition_ends_the_run_under_each_backend(backend):
+    """A transition that raises, in the forked block under
+    distributed-local, ends the run with a one-line error that names its
+    atomic, and under distributed-local its endpoint, well inside the read
+    timeout; no process, service thread or descriptor is left behind."""
+    import time
+
+    from pdevsim import ModelGraph, Timeouts, atomic_spec
+    from pdevsim.parallel import PoolPlan, default_workers
+    if backend == "distributed-local" and default_workers() < 2:
+        pytest.skip("a single CPU runs every block in the launcher")
+    graph = ModelGraph("toy")
+    graph.add_component(atomic_spec("s0", "emit_once"))
+    graph.add_component(atomic_spec("r0", "collector"))
+    graph.add_component(atomic_spec("r1", "raise_ext"))
+    for receiver in ("r0", "r1"):
+        graph.connect("s0", "out", receiver, "in")
+    plan = grouped_plan(graph, [["s0", "r0"], ["r1"]])
+    fds = _open_fds()
+    started = time.monotonic()
+    with pytest.raises(SimulationError) as err:
+        if backend == "sequential":
+            run_sequential(graph)
+        elif backend == "pool":
+            run_parallel(graph, PoolPlan.single_pool(list(graph.atomics), 2))
+        else:
+            run_distributed_local(plan, timeouts=Timeouts(connect=5.0, read=20.0))
+    elapsed = time.monotonic() - started
+    message = str(err.value)
+    assert "'r1'" in message and "injected delta_ext failure" in message, message
+    assert "\n" not in message
+    if backend == "distributed-local":
+        assert str(plan.endpoints["r1"]) in message, message
+    assert elapsed < 5.0, (elapsed, message)
+    _assert_no_child_process()
+    assert _service_threads() == []
+    assert _open_fds() == fds
+
+
+@pytest.mark.parametrize("backend",
+                         ["sequential", "pool", "serve+coordinate", "distributed-local"])
+def test_each_atomic_is_initialized_once_per_run(backend):
+    """Every backend runs each atomic's ``initialize`` once per run: a
+    service group initializes its atomics when it is built, and INIT only
+    reports their tN. Under distributed-local, atomic ``a`` runs in block
+    0, in the launcher, and ``b`` in block 1, in a forked process."""
+    from pdevsim import ModelGraph, atomic_spec, run_coordinator
+    from pdevsim.parallel import PoolPlan
+
+    from conftest import thread_services
+    graph = ModelGraph("toy")
+    for name in ("a", "b"):
+        graph.add_component(atomic_spec(name, "count_inits"))
+    plan = _two_block_plan(graph)
+    if backend == "sequential":
+        report = run_sequential(graph, trace=True)
+    elif backend == "pool":
+        report = run_parallel(graph, PoolPlan.single_pool(["a", "b"], 2), trace=True)
+    elif backend == "serve+coordinate":
+        with thread_services(plan):
+            report = run_coordinator(plan, trace=True)
+    else:
+        report = run_distributed_local(plan, trace=True)
+    inits = {name: [values for _, values in report.traces[name][0].outputs]
+             for name in ("a", "b")}
+    assert inits == {"a": [(1,)], "b": [(1,)]}
+
+
+def _service_threads() -> list[str]:
+    import threading
+    return [t.name for t in threading.enumerate() if t.name.startswith("svc-")]
 
 
 def _assert_no_child_process():
@@ -411,8 +517,10 @@ def _assert_no_child_process():
 
 def test_distributed_local_leaves_no_child_process():
     graph = generate(DevstoneConfig("HO", 3, 3))
+    fds = _open_fds()
     assert run_distributed_local(graph).counter_triple() == (7, 7, 7)
     _assert_no_child_process()
+    assert _open_fds() == fds
     plan = _two_block_plan(graph)
     _fail_to_bind(plan, list(plan.endpoints)[-1])
     _assert_no_child_process()
@@ -424,14 +532,9 @@ def test_distributed_local_serves_block_0_in_the_launcher(monkeypatch):
     0's first group, which the coordinator runs, and one for each other
     group of block 0; none is left after a run that succeeds or one that
     fails."""
-    import threading
-
     from pdevsim import ServiceGroup
     from pdevsim.parallel import default_workers
     from pdevsim.planfile import contiguous_blocks
-
-    def service_threads():
-        return [t.name for t in threading.enumerate() if t.name.startswith("svc-")]
 
     threaded = []
     run = ServiceGroup._run
@@ -446,17 +549,17 @@ def test_distributed_local_serves_block_0_in_the_launcher(monkeypatch):
     assert run_distributed_local(graph).counter_triple() == (7, 7, 7)
     assert len(spawned) == min(default_workers(), len(list(graph.walk_atomics()))) - 1
     assert threaded == []  # block 0 is one group
-    assert service_threads() == []
+    assert _service_threads() == []
     spread = grouped_plan(graph, [[name] for name in flatten(graph).atomics])
     assert run_distributed_local(spread).counter_triple() == (7, 7, 7)
     groups = [names[0] for names in spread.groups().values()]
     block0 = contiguous_blocks(groups, min(default_workers(), len(groups)))[0]
     assert threaded == block0[1:]
-    assert service_threads() == []
+    assert _service_threads() == []
     plan = _two_block_plan(graph)
     for victim in (list(plan.endpoints)[0], list(plan.endpoints)[-1]):
         _fail_to_bind(plan, victim)
-        assert service_threads() == []
+        assert _service_threads() == []
     _assert_no_child_process()
 
 
@@ -499,7 +602,8 @@ def test_distributed_local_services_use_the_launchers_timeouts(monkeypatch):
 
 def test_distributed_local_does_not_repeat_unflushed_stdout():
     """Text the launcher left in its stdout buffer is written once, by the
-    launcher, and never reaches a service's ready pipe."""
+    launcher: a forked process writes its own output to a memfd, through
+    fresh stream objects, and prints no ready line."""
     import subprocess
     import sys
     code = ("import sys\n"

@@ -308,7 +308,30 @@ def test_command_during_a_deltfcn_wait_is_refused(gpt_graph):
     assert timed_out.values[0] == "__error__" and "no batch within 1 s" in timed_out.values[1]
 
 
-def test_a_deltfcn_leaves_no_stale_event_behind(gpt_graph):
+def test_a_second_init_is_refused(gpt_graph):
+    """A group's atomics are initialized once, when it is built: a second
+    INIT on its link is refused with one line that names the group, and
+    the group still serves the run."""
+    plan = spread_plan(gpt_graph)
+    with thread_services(plan, names=["processor"]):
+        sock = _dial(plan.endpoints["processor"])
+        try:
+            write_frame(sock, WireFrame(INIT, values=(0,)))
+            first = read_frame(sock)
+            write_frame(sock, WireFrame(INIT, values=(0,)))
+            second = read_frame(sock)
+            write_frame(sock, WireFrame(EXIT))
+            exited = read_frame(sock)
+        finally:
+            sock.close()
+    assert first.values == (["processor", "inf"],), first.values
+    assert second.values[0] == "__error__", second.values
+    assert second.values[1] == (f"the process of 'processor' at {plan.endpoints['processor']} "
+                                "got a second INIT")
+    assert exited.command == ACK and exited.values[0] != "__error__"
+
+
+def test_a_deltfcn_leaves_no_stale_event_behind(gpt_graph, monkeypatch):
     """A select that reports both a DELTFCN and the peer batch it waits for:
     the DELTFCN files the batch itself, and the group then selects again
     rather than read the peer link on the stale event, which would hold it
@@ -316,8 +339,15 @@ def test_a_deltfcn_leaves_no_stale_event_behind(gpt_graph):
     plan = spread_plan(gpt_graph)
     endpoint = plan.endpoints["processor"]
     (group,) = serve_simulators(plan, ["processor"], timeouts=Timeouts(read=3.0))
-    initialize = group.engine.initialize
-    group.engine.initialize = lambda: (time.sleep(0.3), initialize())
+    stalls = [0.3]
+    encode_time = distributed.encode_time
+
+    def stalling_encode_time(t):  # INIT encodes the processor's tN first
+        if stalls:
+            time.sleep(stalls.pop())
+        return encode_time(t)
+
+    monkeypatch.setattr(distributed, "encode_time", stalling_encode_time)
     try:
         peer = _peer_link(endpoint)
         write_frame(peer, WireFrame(PROPAGATE))  # the group now watches the link
@@ -329,7 +359,7 @@ def test_a_deltfcn_leaves_no_stale_event_behind(gpt_graph):
                                         values=([], ["processor"], ["generator"])))
             write_frame(peer, WireFrame(PROPAGATE, values=(
                 ["generator", "out", "processor", "in", ["job"]],)))
-            assert read_frame(sock).command == ACK
+            assert read_frame(sock).command == ACK and stalls == []
             reply = read_frame(sock)  # the job arrived: the processor is busy
             assert reply.values == (["processor", 1.0],), reply.values
             started = time.monotonic()
