@@ -11,7 +11,6 @@ attribute carries.
 from __future__ import annotations
 
 import math
-import threading
 
 from .model import AtomicSpec, ModelError, ModelGraph, check_event_value
 
@@ -19,33 +18,30 @@ INFINITY = math.inf
 
 
 class Counters:
-    """Benchmark counter triple, exact under every backend.
+    """Benchmark counter triple of one atomic, exact under every backend.
 
-    Every coordinator shares one instance between all its behaviors
-    (increments are lock-protected so none are lost); a distributed
-    service process runs one coordinator over the atomics it hosts, and
-    the root coordinator sums the processes' counters on exit.
+    Each behavior has its own instance, which only the thread that runs
+    that atomic's transitions touches, so increments need no lock. A
+    coordinator's ``counters`` sums its atomics' triples; a distributed
+    service process reports its group's sum on exit, and the root
+    coordinator adds those up.
     """
 
-    __slots__ = ("num_delt_ints", "num_delt_exts", "num_of_events", "_lock")
+    __slots__ = ("num_delt_ints", "num_delt_exts", "num_of_events")
 
     def __init__(self, ints: int = 0, exts: int = 0, events: int = 0) -> None:
         self.num_delt_ints = ints
         self.num_delt_exts = exts
         self.num_of_events = events
-        self._lock = threading.Lock()
 
     def internal(self) -> None:
-        with self._lock:
-            self.num_delt_ints += 1
+        self.num_delt_ints += 1
 
     def external(self) -> None:
-        with self._lock:
-            self.num_delt_exts += 1
+        self.num_delt_exts += 1
 
     def events(self, count: int) -> None:
-        with self._lock:
-            self.num_of_events += count
+        self.num_of_events += count
 
     def triple(self) -> tuple[int, int, int]:
         return self.num_delt_ints, self.num_delt_exts, self.num_of_events

@@ -23,7 +23,7 @@ from pathlib import Path
 from . import cli
 from .devstone import GENERATOR_NAME
 from .distributed import (DistributedCoordinator, DistributedPlan, Endpoint, ServiceGroup,
-                          Timeouts, _dial_links, _index, _listen, _start_groups)
+                          Timeouts, _index, _listen, _start_groups)
 from .kernel import RunReport, SequentialCoordinator, SimulationError
 from .model import ModelGraph, flatten
 from .parallel import ParallelCoordinator, PoolPlan, PoolSpec, default_workers
@@ -228,18 +228,17 @@ class _Child:
 
 
 def _fork_service(plan: DistributedPlan, index: dict, block: list[Endpoint],
-                  listeners: dict[Endpoint, socket.socket], conns: dict[Endpoint, socket.socket],
-                  links: dict[Endpoint, dict[Endpoint, socket.socket]],
-                  timeouts: Timeouts | None, share: list[int]) -> _Child:
+                  listeners: dict[Endpoint, socket.socket], timeouts: Timeouts | None,
+                  share: list[int]) -> _Child:
     """Fork one process that serves the groups at the endpoints of ``block``
-    on the CPUs in ``share``: it keeps their ``listeners`` and their peer
-    ``links``, which it inherits, closes the coordinator's ``conns`` and
-    every other group's sockets, and goes on like ``pdevsim serve`` once
-    that has bound its listeners, but bumps an eventfd where that prints
-    its ready line. Its stdout and stderr go to one memfd, which a write
-    never waits on, as fresh stream objects, so nothing the launcher left
-    unflushed, and no lock a launcher thread held at the fork, is in them;
-    ``os._exit`` runs none of the launcher's exit handlers."""
+    on the CPUs in ``share``: it keeps their ``listeners``, which it
+    inherits, closes every other group's, dials each group's peers, and
+    goes on like ``pdevsim serve`` once that has bound its listeners, but
+    bumps an eventfd where that prints its ready line. Its stdout and
+    stderr go to one memfd, which a write never waits on, as fresh stream
+    objects, so nothing the launcher left unflushed, and no lock a launcher
+    thread held at the fork, is in them; ``os._exit`` runs none of the
+    launcher's exit handlers."""
     output, ready = os.memfd_create("pdevsim-service"), os.eventfd(0)
     pid = 0
     try:
@@ -247,11 +246,8 @@ def _fork_service(plan: DistributedPlan, index: dict, block: list[Endpoint],
         if pid == 0:
             code = 1
             try:
-                for sock in [*conns.values(),
-                             *(listeners[endpoint] for endpoint in listeners.keys() - block),
-                             *(link for endpoint in links.keys() - block
-                               for link in links[endpoint].values())]:
-                    sock.close()
+                for endpoint in listeners.keys() - block:
+                    listeners[endpoint].close()
                 os.sched_setaffinity(0, share)
                 os.dup2(output, 1)
                 os.dup2(output, 2)
@@ -259,8 +255,7 @@ def _fork_service(plan: DistributedPlan, index: dict, block: list[Endpoint],
                                                errors="backslashreplace")
                 code = cli.guarded(lambda: cli.serve(_start_groups(
                     plan, index, {endpoint: listeners[endpoint] for endpoint in block},
-                    timeouts, {endpoint: links[endpoint] for endpoint in block
-                               if endpoint in links}), lambda: os.eventfd_write(ready, 1)))
+                    timeouts, dial=True), lambda: os.eventfd_write(ready, 1)))
                 sys.stdout.flush()
             finally:
                 os._exit(code)
@@ -309,30 +304,32 @@ def run_distributed_local(plan_or_graph, *, iterations: int | None = None,
     """Serve a plan on loopback in one process per CPU, run the coordinator
     against it, and tear everything down.
 
-    The launcher binds every listener, and dials every link of the run,
-    before its first fork, so no port is chosen first and bound later, one
-    that cannot be bound is reported before any fork, and no connection is
-    made while the coordinator runs. A graph gets one contiguous block of
-    plan order per CPU at a port the kernel assigns (:func:`_loopback_plan`).
-    A plan keeps its endpoints, and its groups are dealt in plan order into
-    contiguous blocks, one per process, never more processes than CPUs or
-    groups, so only a shared endpoint co-hosts (``generate --workers`` makes
-    such plans; with one endpoint per atomic, every coupling crosses
-    loopback TCP). Process ``i`` of ``count`` runs on slice ``i`` of the
-    launcher's allowed CPUs, ``allowed[len * i // count:len * (i + 1) //
-    count]``, which its groups divide between them.
+    The launcher binds every listener before its first fork, so no port is
+    chosen first and bound later, and one that cannot be bound is reported
+    before any fork. Each process dials its own links, none while the
+    coordinator runs: each group dials its peers before it serves, in a
+    forked process before that is ready, and the coordinator dials the
+    groups once every process is ready (:meth:`DistributedCoordinator.connect`).
+    A graph gets one contiguous block of plan order per CPU at a port the
+    kernel assigns (:func:`_loopback_plan`). A plan keeps its endpoints,
+    and its groups are dealt in plan order into contiguous blocks, one per
+    process, never more processes than CPUs or groups, so only a shared
+    endpoint co-hosts (``generate --workers`` makes such plans; with one
+    endpoint per atomic, every coupling crosses loopback TCP). Process
+    ``i`` of ``count`` runs on slice ``i`` of the launcher's allowed CPUs,
+    ``allowed[len * i // count:len * (i + 1) // count]``, which its groups
+    divide between them.
 
     Each block but block 0 gets a process forked from this one, which
-    inherits its block's listeners and peer links (:func:`_dial_links`) and
-    closes every other socket; this process closes its copies right after
-    the fork. The child serves the plan it inherited in memory with this
-    call's ``timeouts`` (no interpreter start-up, argument parsing or plan
-    XML). The coordinator runs once every child has bumped its ready
-    eventfd, within ``startup_timeout`` seconds. A child's stdout and
-    stderr go to a memfd, which is read only once the child is reaped: a
-    process that exits before it is ready, or dies mid-run, is reported
-    with its atomics, exit code and last output, and in the second case
-    its endpoints.
+    inherits its block's listeners and closes every other group's; this
+    process closes its copies right after the fork. The child serves the
+    plan it inherited in memory with this call's ``timeouts`` (no
+    interpreter start-up, argument parsing or plan XML). The coordinator
+    runs once every child has bumped its ready eventfd, within
+    ``startup_timeout`` seconds. A child's stdout and stderr go to a memfd,
+    which is read only once the child is reaped: a process that exits
+    before it is ready, or dies mid-run, is reported with its atomics, exit
+    code and last output, and in the second case its endpoints.
 
     This process serves block 0, pinned to share 0 from before its groups
     start until the coordinator ends: the coordinator runs block 0's first
@@ -341,8 +338,6 @@ def run_distributed_local(plan_or_graph, *, iterations: int | None = None,
     on a thread of its own. Linux only (``os.pidfd_open``).
     """
     listeners: dict[Endpoint, socket.socket] = {}  # bound, not yet handed over
-    conns: dict[Endpoint, socket.socket] = {}  # the coordinator's links
-    links: dict[Endpoint, dict[Endpoint, socket.socket]] = {}  # peer links, not yet handed over
     children: list[_Child] = []
     served: list[ServiceGroup] = []
     grace = 0.0  # how long the processes may take to exit: a failed run kills them
@@ -354,31 +349,31 @@ def run_distributed_local(plan_or_graph, *, iterations: int | None = None,
         listeners.update(_listen(index, [endpoint for endpoint in index
                                          if endpoint not in listeners]))
         blocks = contiguous_blocks(list(index), min(default_workers(), len(index)))
-        conns, links = _dial_links(plan, index, blocks[0][0], timeouts)
         allowed = sorted(os.sched_getaffinity(0))
         shares = contiguous_blocks(allowed, len(blocks))
         for block, share in zip(blocks[1:], shares[1:]):
-            children.append(_fork_service(plan, index, block, listeners, conns, links,
-                                          timeouts, share))
+            children.append(_fork_service(plan, index, block, listeners, timeouts, share))
             for endpoint in block:  # close(), never shutdown(): the child serves them
                 listeners.pop(endpoint).close()
-                for link in links.pop(endpoint, {}).values():
-                    link.close()
         # Linux pins only the calling thread: the group threads it starts
         # keep share 0, default_workers() sizes the groups' engines by it,
         # and it runs block 0's first group with the coordinator.
         os.sched_setaffinity(0, shares[0])
         try:
-            served = _start_groups(
-                plan, index, {endpoint: listeners.pop(endpoint) for endpoint in blocks[0]},
-                timeouts, {endpoint: links.pop(endpoint) for endpoint in blocks[0]
-                           if endpoint in links}, first_local=True)
-            coordinator = DistributedCoordinator(plan, trace=trace, timeouts=timeouts,
-                                                 local=served[0], conns=conns)
             deadline = time.monotonic() + startup_timeout
-            for child in children:
-                _wait_ready(child, deadline)
+            # Block 0's groups dial while the children start. A child that
+            # refused a dial by exiting is reported as exiting before it was ready.
             try:
+                served = _start_groups(
+                    plan, index, {endpoint: listeners.pop(endpoint) for endpoint in blocks[0]},
+                    timeouts, first_local=True, dial=True)
+                coordinator = DistributedCoordinator(plan, trace=trace, timeouts=timeouts,
+                                                     local=served[0])
+            finally:
+                for child in children:
+                    _wait_ready(child, deadline)
+            try:
+                coordinator.connect()
                 report = coordinator.run(iterations)
             except SimulationError as exc:
                 if (lost := _lost_process(exc, children)) is None:
@@ -390,9 +385,8 @@ def run_distributed_local(plan_or_graph, *, iterations: int | None = None,
         report.backend = "distributed-local"
         return report
     finally:
-        for sock in [*listeners.values(), *conns.values(),
-                     *(link for peers in links.values() for link in peers.values())]:
-            sock.close()
+        for listener in listeners.values():
+            listener.close()
         for group in served:
             group.stop()
             group.join()

@@ -37,14 +37,14 @@ nothing is read back from it. A peer link that ends is reported by the
 receiving group's next DELTFCN, since the group that dialled it has stopped.
 
 A group serves a listener that is already bound: :func:`serve_simulators`
-binds them for ``pdevsim serve``, and there a group dials a peer on its
-first push to it. The ``distributed-local`` launcher binds every listener
-and dials every link before it forks (:func:`_dial_links`), so each forked
-process inherits its own listeners and links, and the coordinator its
-links. The launcher runs its first group without a thread or a link: the
-coordinator hands it each command in-process (see
-:class:`DistributedCoordinator`). The coordinator has no endpoint of its
-own.
+binds them for ``pdevsim serve``, and the ``distributed-local`` launcher
+binds every listener before it forks. A group dials each peer in
+:meth:`ServiceGroup._link`: on its first push to it under ``pdevsim serve``,
+before it serves under ``distributed-local``. The coordinator dials the
+groups in :meth:`DistributedCoordinator.connect`. The launcher runs its
+first group without a thread or a link: the coordinator hands it each
+command in-process (see :class:`DistributedCoordinator`). The coordinator
+has no endpoint of its own.
 """
 
 from __future__ import annotations
@@ -246,17 +246,13 @@ class ServiceGroup:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def start(self, listener: socket.socket, links: dict[Endpoint, socket.socket] | None = None,
-              *, thread: bool = True) -> None:
+    def start(self, listener: socket.socket, *, thread: bool = True) -> None:
         """Serve ``listener``, bound at the group's endpoint, and every
-        connection it accepts, and push over ``links``, dialled already, by
-        peer endpoint; another peer is dialled on the first push to it. The
-        group runs on a thread of its own or, without ``thread``, only
-        within the commands that an in-process coordinator hands it."""
+        connection it accepts. The group runs on a thread of its own or,
+        without ``thread``, only within the commands that an in-process
+        coordinator hands it."""
         self._sockets[listener] = None
         self._selector.register(listener, selectors.EVENT_READ, "listener")
-        for endpoint, link in (links or {}).items():
-            self._keep_link(endpoint, link)
         if thread:
             self._thread = threading.Thread(target=self._run, daemon=True,
                                             name=f"svc-{self.names[0]}")
@@ -354,15 +350,10 @@ class ServiceGroup:
     def _command(self, conn: socket.socket, frame: WireFrame) -> None:
         """Answer one command with an ACK carrying its result, or the error
         it raised. The group ends once an EXIT succeeds or a reply fails."""
-        self._depth += 1
         try:
-            if self._depth > 1:
-                raise SimulationError(f"{frame.command} to {self.label} while another runs")
-            values, ended = self._dispatch(frame), frame.command == EXIT
+            values, ended = self.execute(frame), frame.command == EXIT
         except SimulationError as exc:
             values, ended = (_ERROR_MARK, str(exc)), False
-        finally:
-            self._depth -= 1
         if not self._reply(conn, values) or ended:
             self.stop()
 
@@ -375,6 +366,18 @@ class ServiceGroup:
         return True
 
     # -- coordinator commands -----------------------------------------------------
+
+    def execute(self, frame: WireFrame) -> tuple:
+        """Run one coordinator command over the block; the values of its
+        ACK. A command that arrives while another runs (a DELTFCN pumps the
+        selector) is refused."""
+        self._depth += 1
+        try:
+            if self._depth > 1:
+                raise SimulationError(f"{frame.command} to {self.label} while another runs")
+            return self._dispatch(frame)
+        finally:
+            self._depth -= 1
 
     def _dispatch(self, frame: WireFrame) -> tuple:
         """Run one coordinator command over the block: INIT and EXIT cover
@@ -441,26 +444,34 @@ class ServiceGroup:
                 batches.setdefault(endpoint, []).append([*head, list(bag)])
         for endpoint, items in batches.items():
             try:
-                self._send(self._link(endpoint),
+                self._send(self._link(endpoint, items[0][2]),
                            encode_frame(WireFrame(PROPAGATE, values=tuple(items))))
             except (OSError, ProtocolError) as exc:
                 raise SimulationError(f"propagation to the process of {items[0][2]!r} at "
                                       f"{endpoint} failed: {exc}") from exc
         self.peer_frames += len(batches)
 
-    def _link(self, endpoint: Endpoint) -> socket.socket:
-        """The link to the peer group at ``endpoint``, dialled on the first
-        push to it unless it was handed in."""
+    def dial_peers(self) -> None:
+        """Dial every peer group that a coupling from the block enters."""
+        for leaving in self._outbound.values():
+            for _, endpoint, head in leaving:
+                self._link(endpoint, head[2])
+
+    def _link(self, endpoint: Endpoint, target: str) -> socket.socket:
+        """The link to the peer group at ``endpoint``, which hosts
+        ``target``: dialled on the first call, and opened by an empty
+        PROPAGATE, so that the peer knows the link at once and reports its
+        end."""
         link = self._links.get(endpoint)
         if link is None:
-            link = self._keep_link(endpoint, socket.create_connection(
-                endpoint.main_addr(), timeout=self.timeouts.connect))
-        return link
-
-    def _keep_link(self, endpoint: Endpoint, link: socket.socket) -> socket.socket:
-        self._sockets[link] = None
-        _configure(link, 0.0)  # non-blocking: see _send
-        self._links[endpoint] = link
+            where = f"the process of {target!r} at {endpoint}"
+            link = self._links[endpoint] = _dial(endpoint, where, self.timeouts)
+            self._sockets[link] = None  # closed with the group
+            try:
+                write_frame(link, WireFrame(PROPAGATE))
+            except (OSError, ProtocolError) as exc:
+                raise SimulationError(f"{where} unreachable: {exc}") from exc
+            link.settimeout(0.0)  # non-blocking: see _send
         return link
 
     def _send(self, link: socket.socket, data: bytes) -> None:
@@ -546,7 +557,7 @@ def _listen(index: dict, endpoints) -> dict[Endpoint, socket.socket]:
     listeners: dict[Endpoint, socket.socket] = {}
     with contextlib.ExitStack() as bound:
         for endpoint in endpoints:
-            try:  # the launcher dials every link before any is accepted
+            try:  # a link may be dialled before its group serves
                 listener = socket.create_server(endpoint.main_addr(), backlog=socket.SOMAXCONN)
             except OSError as exc:
                 raise SimulationError(f"cannot bind {', '.join(map(repr, index[endpoint][0]))} "
@@ -557,19 +568,18 @@ def _listen(index: dict, endpoints) -> dict[Endpoint, socket.socket]:
 
 
 def _start_groups(plan: DistributedPlan, index: dict, listeners: dict[Endpoint, socket.socket],
-                  timeouts: Timeouts | None,
-                  links: dict[Endpoint, dict[Endpoint, socket.socket]] | None = None, *,
-                  first_local: bool = False) -> list[ServiceGroup]:
+                  timeouts: Timeouts | None, *, first_local: bool = False,
+                  dial: bool = False) -> list[ServiceGroup]:
     """Start, and return, one service group on each of ``listeners``, keyed
-    by endpoint, with its peer ``links`` if dialled already (see
-    :func:`_dial_links`), once the plan is checked and indexed: all of them
-    or, on any error, none, and every listener and link closed. With
-    ``first_local`` the first group gets no thread: an in-process
-    coordinator drives it. The groups divide the CPUs the process may run
-    on, at least one each, as ``run_distributed_local`` divides the host's,
-    so k groups on N CPUs do not start k pools of N."""
+    by endpoint, once the plan is checked and indexed: all of them or, on
+    any error, none, and every listener and link closed. With ``dial``
+    each group dials its peers (:meth:`ServiceGroup.dial_peers`) before it
+    starts; without, on its first push to each. With ``first_local`` the
+    first group gets no thread: an in-process coordinator drives it. The
+    groups divide the CPUs the process may run on, at least one each, as
+    ``run_distributed_local`` divides the host's, so k groups on N CPUs do
+    not start k pools of N."""
     cpus, count = default_workers(), len(listeners)
-    links = links or {}
     groups: list[ServiceGroup] = []
     try:
         for i, endpoint in enumerate(listeners):
@@ -577,47 +587,17 @@ def _start_groups(plan: DistributedPlan, index: dict, listeners: dict[Endpoint, 
             groups.append(ServiceGroup(plan, endpoint, index, workers=max(share, 1),
                                        timeouts=timeouts))
         for i, group in enumerate(groups):
-            group.start(listeners[group.endpoint], links.get(group.endpoint),
-                        thread=i > 0 or not first_local)
+            if dial:
+                group.dial_peers()
+            group.start(listeners[group.endpoint], thread=i > 0 or not first_local)
     except BaseException:
         for group in groups:
             group.stop()
             group.join()
-        for sock in [*listeners.values(), *(link for peers in links.values()
-                                            for link in peers.values())]:
-            sock.close()
+        for listener in listeners.values():
+            listener.close()
         raise
     return groups
-
-
-def _dial_links(plan: DistributedPlan, index: dict, local: Endpoint | None,
-                timeouts: Timeouts | None) -> tuple[dict, dict]:
-    """Dial, through listeners already bound, the coordinator's link to
-    each group but the one at ``local``, which it drives in-process, and
-    one link per ordered pair of groups that a coupling connects, opened by
-    an empty PROPAGATE so that the receiving group reports its end. Each
-    waits in its listener's queue until the group accepts it. The
-    coordinator's links by endpoint, and the peer links by the dialling
-    group's endpoint and the peer's: all of them or, on an error, none."""
-    timeouts = timeouts or Timeouts()
-    conns: dict[Endpoint, socket.socket] = {}
-    links: dict[Endpoint, dict[Endpoint, socket.socket]] = {}
-    with contextlib.ExitStack() as dialled:
-        def dial(endpoint: Endpoint) -> socket.socket:
-            return dialled.enter_context(
-                _dial(endpoint, _describe(index[endpoint][0], endpoint), timeouts))
-
-        for endpoint in index:
-            if endpoint != local:
-                conns[endpoint] = dial(endpoint)
-        for coupling in plan.graph.couplings:
-            src = plan.endpoints[coupling.src.component]
-            dst = plan.endpoints[coupling.dst.component]
-            if src != dst and dst not in links.setdefault(src, {}):
-                links[src][dst] = link = dial(dst)
-                write_frame(link, WireFrame(PROPAGATE))
-        dialled.pop_all()  # every one is made: keep them open
-    return conns, links
 
 
 def serve_simulators(plan: DistributedPlan, names, *,
@@ -643,8 +623,8 @@ def serve_simulators(plan: DistributedPlan, names, *,
 
 class DistributedCoordinator:
     """Drives the abstract-protocol command cycle over service groups, one
-    connection per plan endpoint: ``conns`` if dialled already, the others
-    dialled at INIT, all closed when the run ends.
+    connection per plan endpoint, dialled by :meth:`connect`, all closed
+    when the run ends.
 
     A ``local`` group of the plan, hosted by this process, gets no link:
     each of its commands runs on the coordinator's thread once every other
@@ -655,8 +635,7 @@ class DistributedCoordinator:
     backend_name = "distributed"
 
     def __init__(self, plan: DistributedPlan, *, trace: bool = False,
-                 timeouts: Timeouts | None = None, local: ServiceGroup | None = None,
-                 conns: dict[Endpoint, socket.socket] | None = None) -> None:
+                 timeouts: Timeouts | None = None, local: ServiceGroup | None = None) -> None:
         plan.check()
         self.plan = plan
         self.trace_enabled = trace
@@ -675,7 +654,7 @@ class DistributedCoordinator:
             for name, targets in self._targets.items()}
         self.frames_sent: Counter[str] = Counter()
         self.frames_received: Counter[str] = Counter()
-        self._conns: dict[Endpoint, socket.socket] = dict(conns or {})
+        self._conns: dict[Endpoint, socket.socket] = {}
         self._local = local
         self._local_at = local.endpoint if local is not None else None
 
@@ -684,13 +663,21 @@ class DistributedCoordinator:
     def _where(self, endpoint: Endpoint) -> str:
         return _describe(self._groups[endpoint], endpoint)
 
-    def _connect_all(self, init: WireFrame) -> dict[str, float]:
-        """Connect to every endpoint without a link, but the local group's,
-        in plan order, then write every INIT and read the replies; the tN of
-        every atomic."""
-        for endpoint in self._groups:
-            if endpoint != self._local_at and endpoint not in self._conns:
-                self._conns[endpoint] = _dial(endpoint, self._where(endpoint), self.timeouts)
+    def connect(self) -> None:
+        """Dial every endpoint without a link, but the local group's, in
+        plan order: all of them or, when one cannot be reached, none. The
+        run calls this first."""
+        dialled: dict[Endpoint, socket.socket] = {}
+        with contextlib.ExitStack() as opened:
+            for endpoint in self._groups:
+                if endpoint != self._local_at and endpoint not in self._conns:
+                    dialled[endpoint] = opened.enter_context(
+                        _dial(endpoint, self._where(endpoint), self.timeouts))
+            opened.pop_all()  # every one is made: keep them open
+        self._conns.update(dialled)
+
+    def _init(self, init: WireFrame) -> dict[str, float]:
+        """Write every INIT, then read the replies; the tN of every atomic."""
         tn: dict[str, float] = {}
         for endpoint, reply in self._send(dict.fromkeys(self._groups, init)).items():
             hosted = self._tn_pairs(endpoint, reply)
@@ -718,16 +705,12 @@ class DistributedCoordinator:
         it raises is reported as one that a group sends back."""
         where = self._where(endpoint)
         if endpoint == self._local_at:
-            group = self._local
-            group._depth += 1  # a command on a link it accepts is refused meanwhile
             try:
-                values = group._dispatch(sent)
+                values = self._local.execute(sent)
             except SimulationError as exc:
                 raise SimulationError(f"{where} reported: {exc}") from exc
-            finally:
-                group._depth -= 1
             self.frames_received[ACK] += 1
-            return WireFrame(ACK, sender=group.names[0], values=values)
+            return WireFrame(ACK, sender=self._local.names[0], values=values)
         try:
             reply = read_frame(self._conns[endpoint])
         except socket.timeout as exc:
@@ -798,8 +781,8 @@ class DistributedCoordinator:
     def run(self, max_iterations: int | None = None) -> RunReport:
         started = time.perf_counter()
         try:
-            tn = self._connect_all(
-                WireFrame(INIT, values=(1 if self.trace_enabled else 0,)))
+            self.connect()
+            tn = self._init(WireFrame(INIT, values=(1 if self.trace_enabled else 0,)))
             cycles = 0
             while max_iterations is None or cycles < max_iterations:
                 t = min(tn.values(), default=math.inf)

@@ -226,7 +226,6 @@ class SequentialCoordinator:
             raise SimulationError(f"invalid graph {graph.name!r}: {errors[0].message}")
         self.graph = graph
         self.exec_graph = flatten(graph) if flatten_graph else graph
-        self.counters = Counters()
         self.clock = SimulationClock()
         self.trace_enabled = trace
         self.simulators: dict[str, Simulator] = {}
@@ -234,7 +233,7 @@ class SequentialCoordinator:
         leaves = _leaves(self.exec_graph)
         self._rename = {path: spec.name for path, spec in leaves}
         for _, spec in leaves:
-            sim = Simulator(create_behavior(spec, self.counters),
+            sim = Simulator(create_behavior(spec, Counters()),
                             trace=trace, profile=profile)
             self.simulators[spec.name] = sim
             self._sim_list.append(sim)
@@ -242,6 +241,12 @@ class SequentialCoordinator:
         self.dropped_events = 0
         self._build_routes()
         self.initialize()
+
+    @property
+    def counters(self) -> Counters:
+        """The sum of every atomic's counters."""
+        return Counters(*map(sum, zip(*(sim.model.counters.triple()
+                                         for sim in self._sim_list))))
 
     # -- protocol operations ---------------------------------------------------
 

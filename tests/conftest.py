@@ -302,6 +302,18 @@ def free_ports(count):
         return [sock.getsockname()[1] for sock in sockets]
 
 
+def open_fds() -> dict[int, str]:
+    """Every descriptor this process holds open, and what it refers to
+    (``socket:[inode]``, ``anon_inode:[pidfd]``, ``/memfd:...`` and so on)."""
+    held = {}
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            held[int(fd)] = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:  # the directory listing's own fd
+            continue
+    return held
+
+
 def grouped_plan(graph, blocks):
     """Loopback plan that co-hosts the atomics of each of ``blocks`` at one
     endpoint, in the plan order of ``graph``."""

@@ -17,7 +17,7 @@ from pdevsim.devstone import DelayDistribution, DevstoneConfig, generate
 from pdevsim.planfile import (emit_distributed_plan_xml, emit_plan_xml,
                               parse_plan_xml)
 
-from conftest import blocks_of, grouped_plan
+from conftest import blocks_of, free_ports, grouped_plan, open_fds
 
 
 def _recorded_forks(monkeypatch) -> list[int]:
@@ -238,40 +238,72 @@ def test_distributed_local_reports_a_service_that_cannot_bind(monkeypatch, posit
     _assert_no_child_process()  # nothing left unreaped
 
 
-def _recorded_sockets(monkeypatch) -> list[tuple]:
-    """From now on, in order: ("bind", address) for each socket bound,
-    ("listen", address) for each that listens, ("dial", address) for each
-    connection made with ``socket.create_connection`` and ("fork", pid) for
-    each process forked, as this process sees them."""
+def _recorded_sockets(monkeypatch, log):
+    """From now on, in each process that this one forks too, append to
+    the file ``log`` one line per event: (pid, "bind", address) for each
+    socket bound, (pid, "listen", address) for each that listens, (pid,
+    "dial", address) for each connection made with
+    ``socket.create_connection``, (pid, "fork", child pid) for each process
+    forked, (pid, "ready", "") for each ready eventfd bumped and (pid,
+    "run", "") for each ``DistributedCoordinator.run`` begun. Returns a
+    function that reads the events back, in the order they were
+    written."""
     import socket
-    events = []
-    bind, listen, dial = socket.socket.bind, socket.socket.listen, socket.create_connection
 
-    def recording_bind(self, address):
-        bind(self, address)
-        events.append(("bind", self.getsockname()))
+    from pdevsim import DistributedCoordinator
+
+    def record(kind, detail=""):
+        with open(log, "a", encoding="utf-8") as out:
+            out.write(f"{os.getpid()} {kind} {detail}\n")
+
+    def address(text):
+        host, _, port = text.rpartition(":")
+        return host, int(port)
+
+    def read() -> list[tuple]:
+        events = []
+        for line in log.read_text(encoding="utf-8").splitlines():
+            pid, kind, detail = line.split(" ")
+            events.append((int(pid), kind, address(detail) if ":" in detail
+                           else int(detail) if detail else detail))
+        return events
+
+    bind, listen, dial = socket.socket.bind, socket.socket.listen, socket.create_connection
+    fork, bump, run = os.fork, os.eventfd_write, DistributedCoordinator.run
+
+    def recording_bind(self, where):
+        bind(self, where)
+        record("bind", "%s:%d" % self.getsockname())
 
     def recording_listen(self, *args):
         listen(self, *args)
-        events.append(("listen", self.getsockname()))
+        record("listen", "%s:%d" % self.getsockname())
 
-    def recording_dial(address, *args, **kwargs):
-        events.append(("dial", tuple(address)))
-        return dial(address, *args, **kwargs)
-
-    monkeypatch.setattr(socket.socket, "bind", recording_bind)
-    monkeypatch.setattr(socket.socket, "listen", recording_listen)
-    monkeypatch.setattr(socket, "create_connection", recording_dial)
-    fork = os.fork
+    def recording_dial(where, *args, **kwargs):
+        record("dial", "%s:%d" % tuple(where))
+        return dial(where, *args, **kwargs)
 
     def recording_fork():
         pid = fork()
         if pid:
-            events.append(("fork", pid))
+            record("fork", pid)
         return pid
 
+    def recording_bump(fd, value):
+        record("ready")
+        bump(fd, value)
+
+    def recording_run(self, *args, **kwargs):
+        record("run")
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(socket.socket, "bind", recording_bind)
+    monkeypatch.setattr(socket.socket, "listen", recording_listen)
+    monkeypatch.setattr(socket, "create_connection", recording_dial)
     monkeypatch.setattr(os, "fork", recording_fork)
-    return events
+    monkeypatch.setattr(os, "eventfd_write", recording_bump)
+    monkeypatch.setattr(DistributedCoordinator, "run", recording_run)
+    return read
 
 
 def _fed_back():
@@ -287,41 +319,70 @@ def _fed_back():
 
 @pytest.mark.parametrize("model, given", [("ho", "graph"), ("ho", "plan"), ("fed-back", "plan")],
                          ids=["graph", "plan", "fed-back"])
-def test_distributed_local_binds_every_listener_before_it_forks(monkeypatch, model, given):
+def test_distributed_local_binds_every_listener_before_it_forks(monkeypatch, tmp_path,
+                                                                model, given):
     """The launcher binds each listener once, all before its first fork,
     and every socket it binds listens: none is bound only to learn a free
-    port and be closed. It dials every link before its first fork too:
-    each forked process's listener, and block 0's exactly when a coupling
-    from another group enters it, since the coordinator runs block 0's
-    first group in-process."""
+    port and be closed. No process dials inside the coordinator's run: the
+    launcher dials nothing once the coordinator runs, and each forked
+    process dials only before it is ready. Across the processes, the
+    coordinator dials every group but block 0's first, which it runs
+    in-process, and the group that hosts the source of a coupling into
+    another group dials that group, once for each such ordered pair."""
     from pdevsim.parallel import default_workers
+    from pdevsim.planfile import contiguous_blocks
 
     def build():
         return generate(DevstoneConfig("HO", 3, 3)) if model == "ho" else _fed_back()
 
     target = build() if given == "graph" else _two_block_plan(build())
-    events = _recorded_sockets(monkeypatch)
+    read = _recorded_sockets(monkeypatch, tmp_path / "events.log")
     report = run_distributed_local(target)
     assert report.counter_triple() == run_sequential(build()).counter_triple()
-    bound = [address for kind, address in events if kind == "bind"]
+    events = read()
+    launcher = os.getpid()
+    bound = [address for pid, kind, address in events if kind == "bind"]
     assert len(bound) == len(set(bound)) > 0
-    assert [address for kind, address in events if kind == "listen"] == bound
+    assert [address for _, kind, address in events if kind == "listen"] == bound
+    assert {pid for pid, kind, _ in events if kind in ("bind", "listen")} == {launcher}
     if given == "plan":
         assert set(bound) == {endpoint.main_addr() for endpoint in target.groups()}
-    forks = [i for i, (kind, _) in enumerate(events) if kind == "fork"]
+    forks = [i for i, (_, kind, _) in enumerate(events) if kind == "fork"]
     assert len(forks) == min(default_workers(), len(bound)) - 1
-    made = [i for i, (kind, _) in enumerate(events) if kind in ("bind", "dial")]
-    assert all(i < fork for i in made for fork in forks)
-    local = bound[0]  # bound in plan order: block 0's first group
+    binds = [i for i, (_, kind, _) in enumerate(events) if kind == "bind"]
+    assert all(i < fork for i in binds for fork in forks)
+    children = [child for _, kind, child in events if kind == "fork"]
+    # (a) The launcher dials nothing once the coordinator runs, which it
+    # begins once.
+    mine = [kind for pid, kind, _ in events if pid == launcher and kind in ("dial", "run")]
+    assert mine.count("run") == 1 and "dial" not in mine[mine.index("run"):], mine
+    # (b) Each forked process dials only before it bumps its ready eventfd.
+    for child in children:
+        theirs = [kind for pid, kind, _ in events if pid == child]
+        assert theirs.count("ready") == 1 and "dial" not in theirs[theirs.index("ready"):], \
+            theirs
+    # (c) Who dials whom: groups in plan order at the bound addresses, dealt
+    # into contiguous blocks, block 0 in the launcher and block i in the
+    # i-th process forked.
+    flat = flatten(build())
+    names = list(flat.atomics)
     if given == "graph":
-        enters = False  # HO feeds forward only
+        groups = contiguous_blocks(names, min(default_workers(), len(names)))
+        at = {name: bound[i] for i, group in enumerate(groups) for name in group}
     else:
-        at = {name: endpoint.main_addr() for name, endpoint in target.endpoints.items()}
-        enters = any(at[c.dst.component] == local != at[c.src.component]
-                     for c in target.graph.couplings)
-    assert enters == (model == "fed-back")
-    dialled = {address for kind, address in events if kind == "dial"}
-    assert dialled == set(bound) - (set() if enters else {local})
+        at = {name: target.endpoints[name].main_addr() for name in names}
+    addresses = list(dict.fromkeys(at[name] for name in names))
+    assert addresses == bound
+    blocks = contiguous_blocks(addresses, min(default_workers(), len(addresses)))
+    block_of = {address: i for i, block in enumerate(blocks) for address in block}
+    process = {pid: i for i, pid in enumerate([launcher, *children])}
+    pairs = {(at[c.src.component], at[c.dst.component]) for c in flat.couplings}
+    expected = [(0, address) for address in addresses[1:]]
+    expected += [(block_of[src], dst) for src, dst in pairs if src != dst]
+    dialled = [(process[pid], address) for pid, kind, address in events if kind == "dial"]
+    assert sorted(dialled) == sorted(expected)
+    # Only fed-back has another group push into block 0's first group.
+    assert any(dst == bound[0] != src for src, dst in pairs) == (model == "fed-back")
 
 
 def test_distributed_local_reports_a_process_that_exits_before_it_is_ready(monkeypatch):
@@ -340,7 +401,7 @@ def test_distributed_local_reports_a_process_that_exits_before_it_is_ready(monke
     monkeypatch.setattr(cli, "serve", failing_serve)  # only forked processes call it
     plan = _two_block_plan(generate(DevstoneConfig("HO", 3, 3)))
     second = list(plan.groups().values())[1]
-    fds = _open_fds()
+    fds = open_fds()
     started = time.monotonic()
     with pytest.raises(SimulationError) as err:
         run_distributed_local(plan, startup_timeout=30.0)
@@ -349,7 +410,39 @@ def test_distributed_local_reports_a_process_that_exits_before_it_is_ready(monke
     assert "injected start-up failure" in message and second[0] in message, message
     assert time.monotonic() - started < 5.0, message
     _assert_no_child_process()
-    assert _open_fds() == fds
+    assert open_fds() == fds
+
+
+def test_distributed_local_reports_a_process_whose_peer_dial_fails(monkeypatch):
+    """A forked process whose group cannot dial a peer exits before it is
+    ready, and is reported with the one line that names the peer's atomic
+    and endpoint, well inside the start-up deadline."""
+    import time
+
+    from pdevsim import Endpoint, distributed
+    from pdevsim.parallel import default_workers
+    if default_workers() < 2:
+        pytest.skip("a single CPU runs every block in the launcher")
+    launcher, dial = os.getpid(), distributed._dial
+    refusing = Endpoint("127.0.0.1", free_ports(1)[0])
+
+    def refused_in_children(endpoint, where, timeouts):
+        return dial(endpoint if os.getpid() == launcher else refusing, where, timeouts)
+
+    monkeypatch.setattr(distributed, "_dial", refused_in_children)
+    plan = _two_block_plan(_fed_back())  # block 1's s0 pushes into block 0's r0
+    fds = open_fds()
+    started = time.monotonic()
+    with pytest.raises(SimulationError) as err:
+        run_distributed_local(plan, startup_timeout=30.0)
+    message = str(err.value)
+    assert message.startswith("simulator process for s0 exited with code 1 before it was "
+                              "ready: error: the process of 'r0' at "
+                              f"{plan.endpoints['r0']} unreachable: "), message
+    assert "\n" not in message
+    assert time.monotonic() - started < 5.0, message
+    _assert_no_child_process()
+    assert open_fds() == fds
 
 
 def test_distributed_local_finishes_a_block_that_prints_more_than_a_pipe_holds():
@@ -382,18 +475,6 @@ def test_distributed_local_finishes_a_block_that_prints_more_than_a_pipe_holds()
     _assert_no_child_process()
 
 
-def _open_fds() -> dict[int, str]:
-    """Every descriptor this process holds open, and what it refers to
-    (``socket:[inode]``, ``anon_inode:[pidfd]``, ``/memfd:...`` and so on)."""
-    held = {}
-    for fd in os.listdir("/proc/self/fd"):
-        try:
-            held[int(fd)] = os.readlink(f"/proc/self/fd/{fd}")
-        except OSError:  # the directory listing's own fd
-            continue
-    return held
-
-
 @pytest.mark.parametrize("dies_in", ["delta_ext", "output", "loud"])
 def test_distributed_local_reports_a_process_that_dies_mid_run(dies_in):
     """A forked process that dies in a transition, while the coordinator
@@ -418,7 +499,7 @@ def test_distributed_local_reports_a_process_that_dies_mid_run(dies_in):
         graph.add_component(atomic_spec("x0", "exit_output"))
         graph.connect("x0", "out", "r0", "in")
     plan = _two_block_plan(graph)
-    fds = _open_fds()
+    fds = open_fds()
     started = time.monotonic()
     with pytest.raises(SimulationError) as err:
         run_distributed_local(plan, timeouts=Timeouts(connect=5.0, read=20.0))
@@ -431,7 +512,7 @@ def test_distributed_local_reports_a_process_that_dies_mid_run(dies_in):
     assert elapsed < 5.0, (elapsed, message)
     _assert_no_child_process()
     assert _service_threads() == []
-    assert _open_fds() == fds
+    assert open_fds() == fds
 
 
 @pytest.mark.parametrize("backend", ["sequential", "pool", "distributed-local"])
@@ -453,7 +534,7 @@ def test_a_raising_transition_ends_the_run_under_each_backend(backend):
     for receiver in ("r0", "r1"):
         graph.connect("s0", "out", receiver, "in")
     plan = grouped_plan(graph, [["s0", "r0"], ["r1"]])
-    fds = _open_fds()
+    fds = open_fds()
     started = time.monotonic()
     with pytest.raises(SimulationError) as err:
         if backend == "sequential":
@@ -471,7 +552,7 @@ def test_a_raising_transition_ends_the_run_under_each_backend(backend):
     assert elapsed < 5.0, (elapsed, message)
     _assert_no_child_process()
     assert _service_threads() == []
-    assert _open_fds() == fds
+    assert open_fds() == fds
 
 
 @pytest.mark.parametrize("backend",
@@ -517,10 +598,10 @@ def _assert_no_child_process():
 
 def test_distributed_local_leaves_no_child_process():
     graph = generate(DevstoneConfig("HO", 3, 3))
-    fds = _open_fds()
+    fds = open_fds()
     assert run_distributed_local(graph).counter_triple() == (7, 7, 7)
     _assert_no_child_process()
-    assert _open_fds() == fds
+    assert open_fds() == fds
     plan = _two_block_plan(graph)
     _fail_to_bind(plan, list(plan.endpoints)[-1])
     _assert_no_child_process()

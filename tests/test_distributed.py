@@ -22,7 +22,7 @@ from pdevsim.wire import (ACK, DELTFCN, EXIT, INIT, PROPAGATE, WireFrame,
                           decode_time, read_frame, write_frame)
 
 from conftest import (Rendezvous, SwapLarge, blocks_of, fan_out_model,
-                      grouped_plan, spread_plan, thread_services)
+                      grouped_plan, open_fds, spread_plan, thread_services)
 
 
 def _dial(endpoint):
@@ -371,6 +371,81 @@ def test_a_deltfcn_leaves_no_stale_event_behind(gpt_graph, monkeypatch):
             peer.close()
     finally:
         group.stop()
+
+
+def _sender_and_collector():
+    """s0 emits once at time 0 into r0, at an endpoint of its own."""
+    graph = ModelGraph("toy")
+    graph.add_component(atomic_spec("s0", "emit_once"))
+    graph.add_component(atomic_spec("r0", "collector"))
+    graph.connect("s0", "out", "r0", "in")
+    return spread_plan(graph)
+
+
+def test_a_peer_link_dialled_on_the_first_push_opens_with_an_empty_propagate():
+    """Under serve, a group dials a peer on its first push to it, not at
+    INIT, and the first frame on the link is an empty PROPAGATE, then the
+    batch."""
+    plan = _sender_and_collector()
+    peer = socket.create_server(plan.endpoints["r0"].main_addr())
+    try:
+        with thread_services(plan, names=["s0"]):
+            sock = _dial(plan.endpoints["s0"])
+            try:
+                write_frame(sock, WireFrame(INIT, values=(0,)))
+                assert read_frame(sock).command == ACK
+                assert not select.select([peer], [], [], 0.1)[0]  # not dialled at INIT
+                write_frame(sock, WireFrame(DELTFCN, time=0.0, values=(["s0"], ["s0"], [])))
+                reply = read_frame(sock)
+                peer.settimeout(5.0)
+                link, _ = peer.accept()
+                with link:
+                    link.settimeout(5.0)
+                    frames = [read_frame(link), read_frame(link)]
+                write_frame(sock, WireFrame(EXIT))
+                assert read_frame(sock).command == ACK
+            finally:
+                sock.close()
+    finally:
+        peer.close()
+    assert reply.values == (["s0", "inf"],), reply.values
+    assert [(frame.command, frame.values) for frame in frames] == [
+        (PROPAGATE, ()), (PROPAGATE, (["s0", "out", "r0", "in", ["s0"]],))]
+
+
+def test_an_unreachable_peer_is_reported_by_the_deltfcn_that_pushes_to_it():
+    """Under serve, a group whose peer's endpoint refuses connections
+    answers the DELTFCN that pushes to it, within the connect timeout, with
+    one line naming the peer's atomic and endpoint, and still serves; it
+    leaves no thread or socket behind once it ends."""
+    plan = _sender_and_collector()
+    before, fds = set(threading.enumerate()), open_fds()
+    (group,) = serve_simulators(plan, ["s0"], timeouts=Timeouts(connect=2.0, read=5.0))
+    try:
+        sock = _dial(plan.endpoints["s0"])
+        try:
+            write_frame(sock, WireFrame(INIT, values=(0,)))
+            assert read_frame(sock).command == ACK
+            started = time.monotonic()
+            write_frame(sock, WireFrame(DELTFCN, time=0.0, values=(["s0"], ["s0"], [])))
+            reply = read_frame(sock)
+            elapsed = time.monotonic() - started
+            write_frame(sock, WireFrame(EXIT))
+            exited = read_frame(sock)
+        finally:
+            sock.close()
+        group.join(timeout=5.0)
+    finally:
+        group.stop()
+    assert reply.values[0] == "__error__", reply.values
+    assert reply.values[1].startswith(
+        f"the process of 'r0' at {plan.endpoints['r0']} unreachable: "), reply.values[1]
+    assert "\n" not in reply.values[1]
+    assert elapsed < 2.0, elapsed
+    assert exited.command == ACK and exited.values[0] != "__error__"
+    assert [t.name for t in threading.enumerate()
+            if t not in before and t.name.startswith("svc-")] == []
+    assert open_fds().items() <= fds.items()  # an earlier test's group may still be closing
 
 
 def test_bad_first_frame_is_rejected_with_one_line(gpt_graph):

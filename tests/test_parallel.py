@@ -60,6 +60,25 @@ def test_equivalence_under_cpu_delays():
     assert parallel.counter_triple() == sequential.counter_triple()
 
 
+def test_each_atomic_counts_its_own_transitions():
+    """Every atomic has counters of its own: on HO(4,3) their triples sum
+    to the report's, and each atomic's triple is the same under the
+    sequential backend and a 2-worker pool."""
+    graph = generate(DevstoneConfig("HO", 4, 3))
+
+    def per_atomic(coordinator):
+        report = coordinator.simulate()
+        counters = {name: sim.model.counters for name, sim in coordinator.simulators.items()}
+        assert len({id(c) for c in counters.values()}) == len(counters)  # one each
+        triples = {name: c.triple() for name, c in counters.items()}
+        assert tuple(map(sum, zip(*triples.values()))) == report.counter_triple() != (0, 0, 0)
+        return triples
+
+    sequential = per_atomic(SequentialCoordinator(graph))
+    with ParallelCoordinator(graph, PoolPlan.single_pool(_names(graph), 2)) as pool:
+        assert per_atomic(pool) == sequential
+
+
 def test_single_pool_single_worker_degenerates_to_sequential():
     graph = fan_out_model(senders=2, receivers=2)
     sequential = SequentialCoordinator(fan_out_model(2, 2), trace=True).simulate()
