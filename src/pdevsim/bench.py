@@ -389,7 +389,6 @@ def run_distributed_local(plan_or_graph, *, iterations: int | None = None,
             listener.close()
         for group in served:
             group.stop()
-            group.join()
         for child in children:
             child.close(grace)
 

@@ -15,20 +15,24 @@ The root coordinator connects to every endpoint in plan order and writes
 every INIT before it reads any reply. Each ACK lists exactly the atomics
 that the plan puts at that endpoint, each with its next-event time (tN).
 The coordinator keeps every atomic's tN and takes the minimum itself. Each
-cycle then sends one DELTFCN, carrying the cycle time and ``[imminent,
-atomics, senders]``, to each group that hosts an imminent atomic or a
-coupling target of one. The group:
+cycle then sends one DELTFCN to each group that hosts an imminent atomic
+or is fed by one, carrying the cycle time and, as its values, the senders:
+the imminent atomics of other groups coupled into that group, in plan
+order. The group steps its engine through the kernel's cycle step:
 
-- runs the output functions of its ``imminent`` atomics and sends each
-  peer group one PROPAGATE frame, which is not acknowledged, holding every
-  coupling from them into that group;
-- pumps its selector until every coupling from ``senders``, the imminent
-  atomics of other groups coupled into the block, has filed its batch;
-- fills its input bags along every coupling that enters the block, in plan
-  coupling order, from the hosted output bags or the peers' batches, which
-  keeps bags byte-identical to the sequential backend;
-- runs the transitions of ``atomics`` and answers with ``[atomic, tN]``
-  for each, or with the first error that a peer's batch raised.
+- ``run_lambda`` runs the output functions of its imminent atomics, and
+  the group sends each peer group one PROPAGATE frame, not acknowledged,
+  holding every coupling from them into that group, or the error of an
+  output function that raised, which a peer waiting for the batch reports;
+- the group pumps its selector until every coupling from the senders has
+  filed its batch;
+- ``run_deltfcn`` fills the input bags along every coupling that enters
+  the block, in plan coupling order, from the hosted output bags or the
+  peers' batches, which keeps bags byte-identical to the sequential
+  backend, and runs one transition per imminent atomic or influencee. The
+  group answers with ``[atomic, tN]`` for each, or with the first error;
+  the coordinator refuses an ACK that lists an atomic hosted elsewhere or
+  omits a hosted imminent one.
 
 The coordinator writes a phase's frame to every group before it reads any
 reply, and never relays event values. There is one link per ordered pair
@@ -138,13 +142,6 @@ def _configure(sock: socket.socket, read_timeout: float | None) -> None:
     sock.settimeout(read_timeout)
 
 
-def _describe(hosted: list[str], endpoint: Endpoint) -> str:
-    """How the coordinator's errors name the group of ``hosted`` atomics at
-    ``endpoint``."""
-    more = f" (+{len(hosted) - 1} co-hosted)" if len(hosted) > 1 else ""
-    return f"simulator {hosted[0]!r}{more} at {endpoint}"
-
-
 def _dial(endpoint: Endpoint, where: str, timeouts: Timeouts) -> socket.socket:
     """A link to the group at ``endpoint``, which ``where`` names, that
     waits ``timeouts.read`` seconds for a reply."""
@@ -229,6 +226,10 @@ class ServiceGroup:
                            self.engine._ranks[dst.component]))
         self.engine._bind_routes(routes, self._inbound.values(), shipped=[
             bag for leaving in self._outbound.values() for bag, _, _ in leaving])
+        # Each peer group that a coupling from the block enters, and an
+        # atomic it hosts there.
+        self._peers = {endpoint: head[2] for leaving in self._outbound.values()
+                       for _, endpoint, head in leaving}
         # Inbound couplings that filed a batch since the last DELTFCN, and
         # the intake errors the next DELTFCN reports.
         self._received: set[tuple[str, str, str, str]] = set()
@@ -264,13 +265,16 @@ class ServiceGroup:
 
     def stop(self) -> None:
         """End the group from any thread: shutting its sockets down wakes its
-        thread wherever it waits, which then closes them and ends."""
+        thread wherever it waits, which then closes them and ends. From
+        another thread, return once the group's thread has ended."""
         self._stop.set()
         for sock in list(self._sockets):
             with contextlib.suppress(OSError):
                 sock.shutdown(socket.SHUT_RDWR)
         if self._thread is None:
             self._close()
+        elif self._thread is not threading.current_thread():
+            self._thread.join()
 
     def _run(self) -> None:
         try:
@@ -381,7 +385,8 @@ class ServiceGroup:
 
     def _dispatch(self, frame: WireFrame) -> tuple:
         """Run one coordinator command over the block: INIT and EXIT cover
-        every hosted atomic, DELTFCN the atomics the frame names."""
+        every hosted atomic, DELTFCN one cycle of the engine at the frame's
+        time, whose values name the senders whose batches it waits for."""
         command = frame.command
         engine = self.engine
         sims = engine.simulators
@@ -405,32 +410,15 @@ class ServiceGroup:
                                   f"link to {self.label}")
         if frame.time is None:
             raise SimulationError(f"{command} frame without time")
-        if not (len(frame.values) == 3
-                and all(isinstance(part, list) for part in frame.values)):
-            raise SimulationError(f"{command} values must be [imminent, atomics, senders], "
-                                  f"got {list(frame.values)!r:.80}")
-        imminent, atomics, senders = frame.values
-        imminent, addressed = self._hosted(imminent), self._hosted(atomics)
-        t = frame.time
-        engine._run_phase(Simulator.run_lambda, imminent, t)
-        self._ship([sim for sim in imminent if sim.tN == t])
-        self._take_inputs(senders)
-        engine._run_phase(Simulator.run_delta, addressed, t)
-        return tuple([sim.name, encode_time(sim.tN)] for sim in addressed)
-
-    def _hosted(self, names: list) -> list[Simulator]:
-        """The simulators of the atomics that a DELTFCN names, each once."""
-        sims = self.engine.simulators
-        found = []
-        for name in names:
-            sim = sims.get(name) if isinstance(name, str) else None
-            if sim is None:
-                raise SimulationError(
-                    f"{DELTFCN} addresses {name!r}, which {self.label} does not host")
-            found.append(sim)
-        if len(set(found)) != len(found):
-            raise SimulationError(f"{DELTFCN} addresses an atomic twice: {names}")
-        return found
+        engine.clock.t = frame.time
+        try:
+            imminent = engine.run_lambda()
+        except SimulationError as exc:
+            self._fail_peers(exc)
+            raise
+        self._ship(imminent)
+        self._take_inputs(frame.values)
+        return tuple([sim.name, encode_time(sim.tN)] for sim in engine.run_deltfcn())
 
     # -- peer links ---------------------------------------------------------------
 
@@ -451,11 +439,21 @@ class ServiceGroup:
                                       f"{endpoint} failed: {exc}") from exc
         self.peer_frames += len(batches)
 
+    def _fail_peers(self, error: SimulationError) -> None:
+        """Send every peer group that the block pushes to one PROPAGATE item
+        carrying ``error``, a failed output phase, so that a peer waiting
+        for the block's batch reports the failure instead of the missing
+        batch. A peer that cannot be reached is skipped."""
+        item = [_ERROR_MARK, f"{error}, in {self.label}"]
+        for endpoint, target in self._peers.items():
+            with contextlib.suppress(OSError, ProtocolError, SimulationError):
+                self._send(self._link(endpoint, target),
+                           encode_frame(WireFrame(PROPAGATE, values=(item,))))
+
     def dial_peers(self) -> None:
         """Dial every peer group that a coupling from the block enters."""
-        for leaving in self._outbound.values():
-            for _, endpoint, head in leaving:
-                self._link(endpoint, head[2])
+        for endpoint, target in self._peers.items():
+            self._link(endpoint, target)
 
     def _link(self, endpoint: Endpoint, target: str) -> socket.socket:
         """The link to the peer group at ``endpoint``, which hosts
@@ -492,13 +490,16 @@ class ServiceGroup:
     def _take_batch(self, frame: WireFrame) -> None:
         """Put a peer's PROPAGATE batch in the inbound buckets, which the
         next DELTFCN empties. Each coupling that enters the block may send
-        one batch per cycle; an error is kept for the next DELTFCN to
-        report."""
+        one batch per cycle; an error, or one that the peer sent about its
+        failed output phase, is kept for the next DELTFCN to report."""
         try:
             if frame.command != PROPAGATE:
                 raise SimulationError(
                     f"unexpected {frame.command} on a peer link to {self.label}")
             for item in frame.values:
+                if (isinstance(item, list) and len(item) == 2
+                        and item[0] == _ERROR_MARK and isinstance(item[1], str)):
+                    raise SimulationError(item[1])
                 if not (isinstance(item, list) and len(item) == 5
                         and isinstance(item[4], list)
                         and all(isinstance(field, str) for field in item[:4])):
@@ -515,11 +516,12 @@ class ServiceGroup:
         except SimulationError as exc:
             self._intake_errors.append(str(exc))
 
-    def _take_inputs(self, senders: list) -> None:
-        """Pump the selector until every coupling from ``senders`` into the
-        block has filed its batch, then fill the input bags along every
-        route. Raises the first intake error, or names a coupling whose
-        batch did not arrive within the read timeout."""
+    def _take_inputs(self, senders) -> None:
+        """Pump the selector until every coupling from ``senders``, the
+        imminent atomics of other groups coupled into the block, has filed
+        its batch in the inbound buckets, which the engine's run_deltfcn
+        then propagates from. Raises the first intake error, or names a
+        coupling whose batch did not arrive within the read timeout."""
         expected = []
         for sender in senders:
             keys = self._feeds.get(sender) if isinstance(sender, str) else None
@@ -547,7 +549,6 @@ class ServiceGroup:
             problem = "a batch that this DELTFCN does not name"
         if key is not None:
             raise SimulationError(f"{_push(key)}: {problem}")
-        self.engine._propagate()
         self._received.clear()
 
 
@@ -593,7 +594,6 @@ def _start_groups(plan: DistributedPlan, index: dict, listeners: dict[Endpoint, 
     except BaseException:
         for group in groups:
             group.stop()
-            group.join()
         for listener in listeners.values():
             listener.close()
         raise
@@ -641,17 +641,15 @@ class DistributedCoordinator:
         self.trace_enabled = trace
         self.timeouts = timeouts or Timeouts()
         self.names = list(plan.graph.atomics)
-        self._ranks = {name: rank for rank, name in enumerate(self.names)}
-        # Coupling targets of each atomic: the services that may receive its
-        # output and so need a DELTFCN when it is imminent.
-        self._targets: dict[str, set[str]] = {name: set() for name in self.names}
-        for coupling in plan.graph.couplings:
-            self._targets[coupling.src.component].add(coupling.dst.component)
         self._groups = plan.groups()
-        # The other endpoints that each atomic's output enters.
-        self._feeds: dict[str, set[Endpoint]] = {
-            name: {plan.endpoints[dst] for dst in targets} - {plan.endpoints[name]}
-            for name, targets in self._targets.items()}
+        # The other endpoints that each atomic's output enters, in coupling
+        # order: the groups that wait for its batch, and so need a DELTFCN,
+        # when it is imminent.
+        self._feeds: dict[str, list[Endpoint]] = {name: [] for name in self.names}
+        for coupling in plan.graph.couplings:
+            src, dst = (plan.endpoints[ref.component] for ref in (coupling.src, coupling.dst))
+            if dst not in (src, *self._feeds[coupling.src.component]):
+                self._feeds[coupling.src.component].append(dst)
         self.frames_sent: Counter[str] = Counter()
         self.frames_received: Counter[str] = Counter()
         self._conns: dict[Endpoint, socket.socket] = {}
@@ -661,7 +659,10 @@ class DistributedCoordinator:
     # -- plumbing ---------------------------------------------------------------
 
     def _where(self, endpoint: Endpoint) -> str:
-        return _describe(self._groups[endpoint], endpoint)
+        """How the coordinator's errors name the group at ``endpoint``."""
+        hosted = self._groups[endpoint]
+        more = f" (+{len(hosted) - 1} co-hosted)" if len(hosted) > 1 else ""
+        return f"simulator {hosted[0]!r}{more} at {endpoint}"
 
     def connect(self) -> None:
         """Dial every endpoint without a link, but the local group's, in
@@ -715,9 +716,9 @@ class DistributedCoordinator:
             reply = read_frame(self._conns[endpoint])
         except socket.timeout as exc:
             waiting = f" at t={sent.time!r}" if sent.time is not None else ""
-            if sent.command == DELTFCN and sent.values[2]:
+            if sent.command == DELTFCN and sent.values:
                 waiting += (" waiting for the batches of "
-                            f"{', '.join(map(repr, sent.values[2]))}")
+                            f"{', '.join(map(repr, sent.values))}")
             raise SimulationError(f"{where} timed out after {self.timeouts.read:g} s "
                                   f"on {sent.command}{waiting}") from exc
         except (OSError, ProtocolError) as exc:
@@ -741,26 +742,26 @@ class DistributedCoordinator:
         return {endpoint: self._read(endpoint, frames[endpoint])
                 for endpoint in sorted(frames, key=lambda endpoint: endpoint != self._local_at)}
 
-    def _deltfcn(self, t: float, imminent: list[str],
-                 active: list[str]) -> dict[str, float]:
-        """Send a DELTFCN at ``t`` to each group hosting ``active`` atomics,
-        naming its ``imminent`` and ``active`` atomics and the senders whose
-        PROPAGATE batches it waits for; the new tN of each active atomic."""
-        batches: dict[Endpoint, tuple[list[str], list[str]]] = {}
-        for name in active:
-            batches.setdefault(self.plan.endpoints[name], ([], []))[1].append(name)
+    def _deltfcn(self, t: float, imminent: list[str]) -> dict[str, float]:
+        """Send a DELTFCN at ``t`` to each group that hosts an ``imminent``
+        atomic or is fed by one, naming the senders whose PROPAGATE batches
+        it waits for; the new tN of each atomic that the groups moved."""
+        senders: dict[Endpoint, list[str]] = {}
         for name in imminent:
-            batches[self.plan.endpoints[name]][0].append(name)
-        replies = self._send({endpoint: WireFrame(DELTFCN, time=t, values=(
-            mine, atomics, [sender for sender in imminent if endpoint in self._feeds[sender]]))
-            for endpoint, (mine, atomics) in batches.items()})
+            senders.setdefault(self.plan.endpoints[name], [])
+            for endpoint in self._feeds[name]:
+                senders.setdefault(endpoint, []).append(name)
+        replies = self._send({endpoint: WireFrame(DELTFCN, time=t, values=tuple(names))
+                              for endpoint, names in senders.items()})
         tn: dict[str, float] = {}
         for endpoint, reply in replies.items():
             pairs = self._tn_pairs(endpoint, reply)
-            if list(pairs) != batches[endpoint][1]:
+            if not (all(self.plan.endpoints.get(name) == endpoint for name in pairs)
+                    and all(name in pairs for name in imminent
+                            if self.plan.endpoints[name] == endpoint)):
                 raise SimulationError(
-                    f"{self._where(endpoint)} acknowledged {DELTFCN} for "
-                    f"{list(pairs)}, expected {batches[endpoint][1]}")
+                    f"{self._where(endpoint)} acknowledged {DELTFCN} at t={t!r} for "
+                    f"{list(pairs)}, not its own atomics including every imminent one")
             tn.update(pairs)
         return tn
 
@@ -788,12 +789,7 @@ class DistributedCoordinator:
                 t = min(tn.values(), default=math.inf)
                 if math.isinf(t):
                     break
-                imminent = [name for name in self.names if tn[name] == t]
-                active = set(imminent)
-                for name in imminent:
-                    active.update(self._targets[name])
-                tn.update(self._deltfcn(
-                    t, imminent, sorted(active, key=self._ranks.__getitem__)))
+                tn.update(self._deltfcn(t, [name for name in self.names if tn[name] == t]))
                 cycles += 1
             exits = self._send({endpoint: WireFrame(EXIT) for endpoint in self._groups})
         finally:

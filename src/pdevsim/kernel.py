@@ -3,9 +3,10 @@
 The sequential coordinator is the reference backend: parallel and
 distributed execution must reproduce its event traces and counter totals
 exactly. The cycle is the classic one: advance the clock to the minimum
-next-event time, run the output functions of the imminent simulators,
-propagate values along the couplings, then run exactly one transition per
-affected simulator.
+next-event time, run the output functions of the imminent simulators
+(``run_lambda``), then propagate values along the couplings and run one
+transition per affected simulator (``run_deltfcn``). Every backend's
+engine, a distributed service group's too, steps through that pair.
 """
 
 from __future__ import annotations
@@ -106,9 +107,7 @@ class Simulator:
         self.tN = self.tL + self.model.time_advance()
 
     def run_lambda(self, t: float) -> None:
-        """Run the output function iff this simulator is imminent at ``t``."""
-        if math.isinf(t) or self.tN != t:
-            return
+        """Run the output function of this simulator, imminent at ``t``."""
         try:
             self.model.output()
         except Exception as exc:
@@ -212,8 +211,8 @@ class SequentialCoordinator:
     ports, which exists to demonstrate closure under coupling.
 
     A cycle touches only its active set: the output functions of the
-    imminent simulators, then one transition for each imminent simulator
-    or influencee, in rank (graph walk) order. Both phases go through
+    imminents, then propagation and one transition per imminent or
+    influencee, in rank (graph walk) order. Both phases go through
     ``_run_phase``, the one seam the pool backend overrides.
     """
 
@@ -226,7 +225,6 @@ class SequentialCoordinator:
             raise SimulationError(f"invalid graph {graph.name!r}: {errors[0].message}")
         self.graph = graph
         self.exec_graph = flatten(graph) if flatten_graph else graph
-        self.clock = SimulationClock()
         self.trace_enabled = trace
         self.simulators: dict[str, Simulator] = {}
         self._sim_list: list[Simulator] = []
@@ -256,8 +254,8 @@ class SequentialCoordinator:
             sim.initialize()
         self.clock = SimulationClock(t=self.time_advance(), iteration=0)
         self.dropped_events = 0
-        # (t, simulators) that run_lambda left for run_deltfcn.
-        self._active: tuple[float, list[Simulator]] | None = None
+        # (t, ranks) of the imminents that run_lambda left for run_deltfcn.
+        self._active: tuple[float, list[int]] | None = None
 
     def time_advance(self) -> float:
         """Minimum next-event time over the child simulators (read-only)."""
@@ -267,25 +265,28 @@ class SequentialCoordinator:
                 tn = sim.tN
         return tn
 
-    def run_lambda(self) -> None:
-        """Output functions of the imminent simulators, then value
-        propagation; leaves imminents and influencees for run_deltfcn."""
+    def run_lambda(self) -> list[Simulator]:
+        """Output functions of the simulators imminent at the clock time;
+        returns them, and leaves them for run_deltfcn."""
         t = self.clock.t
         imminent = self._imminent(t)
-        self._run_phase(Simulator.run_lambda,
-                        [self._sim_list[rank] for rank in imminent], t)
-        active = self._propagate()
-        active.update(imminent)
-        self._active = (t, [self._sim_list[rank] for rank in sorted(active)])
+        sims = [self._sim_list[rank] for rank in imminent]
+        self._run_phase(Simulator.run_lambda, sims, t)
+        self._active = (t, imminent)
+        return sims
 
-    def run_deltfcn(self) -> None:
-        """One transition per imminent or influencee."""
+    def run_deltfcn(self) -> list[Simulator]:
+        """Value propagation, then one transition per imminent or
+        influencee, in rank order; returns those simulators."""
         t = self.clock.t
         if self._active is None or self._active[0] != t:
             raise SimulationError(f"run_deltfcn at t={t} without run_lambda at that time")
-        sims = self._active[1]
+        active = self._propagate()
+        active.update(self._active[1])
         self._active = None
+        sims = [self._sim_list[rank] for rank in sorted(active)]
         self._run_phase(Simulator.run_delta, sims, t)
+        return sims
 
     def simulate(self, max_iterations: int | None = None) -> RunReport:
         """Drive cycles until passivity or the iteration cap."""

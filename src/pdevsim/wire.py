@@ -38,10 +38,11 @@ class ProtocolError(Exception):
 class WireFrame:
     """One protocol message.
 
-    ``values`` carries the payload: ``[imminent, atomics, senders]`` for a
-    DELTFCN, ``[sender, port, target, target port, values]`` items for a
-    PROPAGATE, and the replies, such as the ``[atomic, tN]`` pairs of an
-    INIT or DELTFCN ACK. ``time`` is the virtual time of DELTFCN frames.
+    ``values`` carries the payload: the sender names for a DELTFCN,
+    ``[sender, port, target, target port, values]`` items for a PROPAGATE
+    (or one ``["__error__", message]`` item from a group whose output
+    phase failed), and the replies, such as the ``[atomic, tN]`` pairs of
+    an INIT or DELTFCN ACK. ``time`` is the virtual time of DELTFCN frames.
     ``sender`` names the first atomic of the service group an ACK comes
     from; ``port`` is part of the frame format, but no command uses it.
     """

@@ -102,6 +102,13 @@ class RaiseExt(AtomicModel):
         raise RuntimeError("injected delta_ext failure")
 
 
+class RaiseOutput(EmitOnce):
+    """Fails its output function, at virtual time delay_int."""
+
+    def output(self):
+        raise RuntimeError("injected output failure")
+
+
 class Rendezvous(AtomicModel):
     """Emits its name at time 0; its output function first waits on the
     class's ``barrier``, so rendezvous atomics finish their outputs only
@@ -254,6 +261,7 @@ _register("emit_once", EmitOnce)
 _register("collector", Collector)
 _register("busy_ext", BusyExt)
 _register("raise_ext", RaiseExt)
+_register("raise_output", RaiseOutput)
 _register("affinity", Affinity)
 _register("swap_large", SwapLarge)
 _register("exit_ext", ExitExt)

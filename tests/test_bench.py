@@ -515,12 +515,19 @@ def test_distributed_local_reports_a_process_that_dies_mid_run(dies_in):
     assert open_fds() == fds
 
 
-@pytest.mark.parametrize("backend", ["sequential", "pool", "distributed-local"])
-def test_a_raising_transition_ends_the_run_under_each_backend(backend):
+@pytest.mark.parametrize("backend, failure", [
+    ("sequential", "raise_ext"), ("pool", "raise_ext"), ("distributed-local", "raise_ext"),
+    ("sequential", "raise_output"), ("pool", "raise_output"),
+    ("distributed-local", "raise_output"),
+], ids=["sequential", "pool", "distributed-local", "sequential-raise_output",
+        "pool-raise_output", "distributed-local-raise_output"])
+def test_a_raising_transition_ends_the_run_under_each_backend(backend, failure):
     """A transition that raises, in the forked block under
     distributed-local, ends the run with a one-line error that names its
     atomic, and under distributed-local its endpoint, well inside the read
-    timeout; no process, service thread or descriptor is left behind."""
+    timeout; no process, service thread or descriptor is left behind. So
+    does an output function that raises in the forked block, x0, whose
+    output block 0 waits for."""
     import time
 
     from pdevsim import ModelGraph, Timeouts, atomic_spec
@@ -528,12 +535,18 @@ def test_a_raising_transition_ends_the_run_under_each_backend(backend):
     if backend == "distributed-local" and default_workers() < 2:
         pytest.skip("a single CPU runs every block in the launcher")
     graph = ModelGraph("toy")
-    graph.add_component(atomic_spec("s0", "emit_once"))
-    graph.add_component(atomic_spec("r0", "collector"))
-    graph.add_component(atomic_spec("r1", "raise_ext"))
-    for receiver in ("r0", "r1"):
-        graph.connect("s0", "out", receiver, "in")
-    plan = grouped_plan(graph, [["s0", "r0"], ["r1"]])
+    if failure == "raise_ext":
+        graph.add_component(atomic_spec("s0", "emit_once"))
+        graph.add_component(atomic_spec("r0", "collector"))
+        graph.add_component(atomic_spec("r1", "raise_ext"))
+        for receiver in ("r0", "r1"):
+            graph.connect("s0", "out", receiver, "in")
+        plan, culprit, error = grouped_plan(graph, [["s0", "r0"], ["r1"]]), "r1", "delta_ext"
+    else:
+        graph.add_component(atomic_spec("r0", "collector"))
+        graph.add_component(atomic_spec("x0", "raise_output"))
+        graph.connect("x0", "out", "r0", "in")
+        plan, culprit, error = grouped_plan(graph, [["r0"], ["x0"]]), "x0", "output"
     fds = open_fds()
     started = time.monotonic()
     with pytest.raises(SimulationError) as err:
@@ -545,10 +558,10 @@ def test_a_raising_transition_ends_the_run_under_each_backend(backend):
             run_distributed_local(plan, timeouts=Timeouts(connect=5.0, read=20.0))
     elapsed = time.monotonic() - started
     message = str(err.value)
-    assert "'r1'" in message and "injected delta_ext failure" in message, message
+    assert f"'{culprit}'" in message and f"injected {error} failure" in message, message
     assert "\n" not in message
     if backend == "distributed-local":
-        assert str(plan.endpoints["r1"]) in message, message
+        assert str(plan.endpoints[culprit]) in message, message
     assert elapsed < 5.0, (elapsed, message)
     _assert_no_child_process()
     assert _service_threads() == []

@@ -55,10 +55,9 @@ def _peer_link(endpoint):
     return link
 
 
-def _deltfcn(sock, atomics, senders):
-    """Send a DELTFCN at time 0 with no imminent atomic and return its reply."""
-    write_frame(sock, WireFrame(DELTFCN, time=0.0,
-                                values=([], list(atomics), list(senders))))
+def _deltfcn(sock, senders):
+    """Send a DELTFCN at time 0 naming ``senders`` and return its reply."""
+    write_frame(sock, WireFrame(DELTFCN, time=0.0, values=tuple(senders)))
     return read_frame(sock)
 
 
@@ -78,7 +77,7 @@ def test_leftover_propagate_batch_is_an_error(gpt_graph):
             while not group._intake_errors:
                 assert time.monotonic() < deadline
                 time.sleep(0.01)
-            reply = _deltfcn(sock, ["processor"], ["generator"])
+            reply = _deltfcn(sock, ["generator"])
             assert not select.select([peer], [], [], 0)[0]  # the peer link stays silent
             assert reply.command == ACK and reply.values[0] == "__error__"
             assert "'processor'" in reply.values[1]
@@ -104,7 +103,7 @@ def test_propagate_for_unknown_coupling_is_rejected(gpt_graph, item):
             assert read_frame(sock).command == ACK
             write_frame(peer, WireFrame(PROPAGATE, values=(item,)))
             # The generator's own batch never comes: only the error ends the wait.
-            reply = _deltfcn(sock, ["processor"], ["generator"])
+            reply = _deltfcn(sock, ["generator"])
         finally:
             peer.close()
             sock.close()
@@ -136,7 +135,7 @@ def test_bad_peer_input_is_reported_at_deltfcn(gpt_graph, payload, message):
                 peer.sendall(payload)
             else:
                 write_frame(peer, payload)
-            reply = _deltfcn(sock, ["processor"], ["generator"])
+            reply = _deltfcn(sock, ["generator"])
         finally:
             peer.close()
             sock.close()
@@ -160,32 +159,9 @@ def test_commands_without_time_are_rejected(gpt_graph):
             sock.close()
 
 
-@pytest.mark.parametrize("names, message", [
-    (("processor", "processor"), "addresses an atomic twice"),
-    (("generator",), "does not host"),
-], ids=["twice", "not-hosted"])
-def test_badly_addressed_commands_are_rejected(gpt_graph, names, message):
-    plan = spread_plan(gpt_graph)
-    with thread_services(plan, names=["processor"]):
-        sock = _dial(plan.endpoints["processor"])
-        try:
-            write_frame(sock, WireFrame(INIT, values=(0,)))
-            assert read_frame(sock).command == ACK
-            for values in ((list(names), [], []), ([], list(names), [])):
-                write_frame(sock, WireFrame(DELTFCN, time=0.0, values=values))
-                reply = read_frame(sock)
-                assert reply.values[0] == "__error__"
-                assert message in reply.values[1]
-        finally:
-            sock.close()
-
-
-@pytest.mark.parametrize("values, message", [
-    (("processor",), "must be [imminent, atomics, senders]"),
-    (([], ["processor"], ["transducer"]), "no coupling into the process"),
-    (([], ["processor"], ["processor"]), "no coupling into the process"),
-], ids=["flat", "uncoupled-sender", "hosted-sender"])
-def test_deltfcn_must_name_senders_coupled_into_the_process(gpt_graph, values, message):
+@pytest.mark.parametrize("values", [(7,), ("transducer",), ("processor",)],
+                         ids=["flat", "uncoupled-sender", "hosted-sender"])
+def test_deltfcn_must_name_senders_coupled_into_the_process(gpt_graph, values):
     plan = spread_plan(gpt_graph)
     with thread_services(plan, names=["processor"]):
         sock = _dial(plan.endpoints["processor"])
@@ -196,7 +172,25 @@ def test_deltfcn_must_name_senders_coupled_into_the_process(gpt_graph, values, m
             reply = read_frame(sock)
         finally:
             sock.close()
-    assert reply.values[0] == "__error__" and message in reply.values[1]
+    assert reply.values[0] == "__error__"
+    assert "no coupling into the process of 'processor'" in reply.values[1]
+
+
+def test_deltfcn_past_a_hosted_tn_is_refused(gpt_graph):
+    """A DELTFCN at a time past a hosted atomic's tN would skip its event:
+    the group's engine refuses it, naming the atomic."""
+    plan = spread_plan(gpt_graph)
+    with thread_services(plan, names=["generator"]):
+        sock = _dial(plan.endpoints["generator"])
+        try:
+            write_frame(sock, WireFrame(INIT, values=(0,)))
+            [(_, tn)] = read_frame(sock).values
+            write_frame(sock, WireFrame(DELTFCN, time=decode_time(tn) + 1.0))
+            reply = read_frame(sock)
+        finally:
+            sock.close()
+    assert reply.values[0] == "__error__", reply.values
+    assert "clock overran atomic 'generator'" in reply.values[1]
 
 
 def test_serve_unknown_atomic_fails_at_startup(gpt_graph):
@@ -293,8 +287,7 @@ def test_command_during_a_deltfcn_wait_is_refused(gpt_graph):
         try:
             write_frame(sock, WireFrame(INIT, values=(0,)))
             assert read_frame(sock).command == ACK
-            write_frame(sock, WireFrame(DELTFCN, time=0.0,
-                                        values=([], ["processor"], ["generator"])))
+            write_frame(sock, WireFrame(DELTFCN, time=0.0, values=("generator",)))
             time.sleep(0.2)  # the group now waits for the generator's batch
             write_frame(sock, WireFrame(INIT, values=(0,)))
             refused, timed_out = read_frame(sock), read_frame(sock)
@@ -355,8 +348,7 @@ def test_a_deltfcn_leaves_no_stale_event_behind(gpt_graph, monkeypatch):
         try:
             write_frame(sock, WireFrame(INIT, values=(0,)))
             time.sleep(0.1)  # the group is in INIT while both frames arrive
-            write_frame(sock, WireFrame(DELTFCN, time=0.0,
-                                        values=([], ["processor"], ["generator"])))
+            write_frame(sock, WireFrame(DELTFCN, time=0.0, values=("generator",)))
             write_frame(peer, WireFrame(PROPAGATE, values=(
                 ["generator", "out", "processor", "in", ["job"]],)))
             assert read_frame(sock).command == ACK and stalls == []
@@ -395,7 +387,7 @@ def test_a_peer_link_dialled_on_the_first_push_opens_with_an_empty_propagate():
                 write_frame(sock, WireFrame(INIT, values=(0,)))
                 assert read_frame(sock).command == ACK
                 assert not select.select([peer], [], [], 0.1)[0]  # not dialled at INIT
-                write_frame(sock, WireFrame(DELTFCN, time=0.0, values=(["s0"], ["s0"], [])))
+                write_frame(sock, WireFrame(DELTFCN, time=0.0))
                 reply = read_frame(sock)
                 peer.settimeout(5.0)
                 link, _ = peer.accept()
@@ -427,7 +419,7 @@ def test_an_unreachable_peer_is_reported_by_the_deltfcn_that_pushes_to_it():
             write_frame(sock, WireFrame(INIT, values=(0,)))
             assert read_frame(sock).command == ACK
             started = time.monotonic()
-            write_frame(sock, WireFrame(DELTFCN, time=0.0, values=(["s0"], ["s0"], [])))
+            write_frame(sock, WireFrame(DELTFCN, time=0.0))
             reply = read_frame(sock)
             elapsed = time.monotonic() - started
             write_frame(sock, WireFrame(EXIT))
@@ -445,7 +437,7 @@ def test_an_unreachable_peer_is_reported_by_the_deltfcn_that_pushes_to_it():
     assert exited.command == ACK and exited.values[0] != "__error__"
     assert [t.name for t in threading.enumerate()
             if t not in before and t.name.startswith("svc-")] == []
-    assert open_fds().items() <= fds.items()  # an earlier test's group may still be closing
+    assert open_fds() == fds
 
 
 def test_bad_first_frame_is_rejected_with_one_line(gpt_graph):
@@ -599,8 +591,7 @@ def _run_blocks(config, groups, monkeypatch):
     def recording_write(sock, frame):
         # Only the coordinator writes DELTFCN frames.
         if frame.command == DELTFCN:
-            _, atomics, senders = frame.values
-            named[(frame.time, group_of[atomics[0]], tuple(senders))] += 1
+            named[(frame.time, group_of[owner[sock.getpeername()]], frame.values)] += 1
         write(sock, frame)
 
     monkeypatch.setattr(distributed, "write_frame", recording_write)
@@ -636,6 +627,41 @@ def test_cohosted_groups_push_in_memory(groups, monkeypatch):
     # One frame per group and phase: INIT and EXIT reach every group once.
     assert report.diagnostics["frames_sent"] == {
         "INIT": groups, "DELTFCN": deltfcns, "EXIT": groups}
+
+
+def test_each_deltfcn_steps_the_group_engine_once(monkeypatch):
+    """A service group steps its engine through the kernel's public cycle
+    step: each DELTFCN runs run_lambda, then run_deltfcn, once each."""
+    calls = []
+    for method in ("run_lambda", "run_deltfcn"):
+        original = getattr(SequentialCoordinator, method)
+
+        def recording(self, original=original, method=method):
+            calls.append((self, method))
+            return original(self)
+
+        monkeypatch.setattr(SequentialCoordinator, method, recording)
+    dispatch = distributed.ServiceGroup._dispatch
+
+    def recording_dispatch(self, frame):
+        calls.append((self.engine, frame.command))
+        return dispatch(self, frame)
+
+    monkeypatch.setattr(distributed.ServiceGroup, "_dispatch", recording_dispatch)
+    graph = generate(DevstoneConfig("HO", 4, 3))
+    plan = grouped_plan(graph, blocks_of(graph, 3))
+    with thread_services(plan) as groups:
+        report = run_coordinator(plan, trace=True)
+    sequential = SequentialCoordinator(generate(DevstoneConfig("HO", 4, 3)),
+                                       trace=True).simulate()
+    assert report.trace_text() == sequential.trace_text()
+    steps = 0
+    for group in groups:
+        mine = [call for engine, call in calls if engine is group.engine]
+        deltfcns = mine.count(DELTFCN)
+        assert mine == [INIT, *[DELTFCN, "run_lambda", "run_deltfcn"] * deltfcns, EXIT]
+        steps += deltfcns
+    assert steps == report.diagnostics["frames_sent"]["DELTFCN"] > 0
 
 
 def test_two_blocks_of_ho55_send_four_peer_frames(monkeypatch):
@@ -948,6 +974,45 @@ def test_bad_init_membership_is_rejected(gpt_graph, hosted):
         server.join(timeout=10.0)
         listener.close()
     assert not server.is_alive()
+
+
+@pytest.mark.parametrize("moved", [
+    [],
+    [["transducer", 1.0], ["processor", "inf"]],
+], ids=["omits-imminent", "other-endpoint"])
+def test_bad_deltfcn_ack_is_rejected(gpt_graph, moved):
+    """A group's DELTFCN ACK must list only atomics it hosts, and every one
+    of them that is imminent: a fake transducer group, imminent at 0 by its
+    INIT ACK, that breaks either rule gets its ACK refused in one line
+    naming it."""
+    plan = spread_plan(gpt_graph)
+    endpoint = plan.endpoints["transducer"]
+    listener = socket.create_server(endpoint.main_addr())
+    listener.settimeout(10.0)
+
+    def fake_service():
+        conn, _ = listener.accept()
+        with conn:
+            read_frame(conn)
+            write_frame(conn, WireFrame(ACK, values=(["transducer", 0.0],)))
+            read_frame(conn)  # the DELTFCN at 0
+            write_frame(conn, WireFrame(ACK, values=tuple(moved)))
+            read_frame(conn)  # returns once the coordinator hangs up
+
+    server = threading.Thread(target=fake_service)
+    server.start()
+    try:
+        with thread_services(plan, names=["generator", "processor"]):
+            with pytest.raises(SimulationError) as err:
+                run_coordinator(plan, timeouts=Timeouts(connect=2.0, read=5.0))
+    finally:
+        server.join(timeout=10.0)
+        listener.close()
+    assert not server.is_alive()
+    message = str(err.value)
+    assert message.startswith(f"simulator 'transducer' at {endpoint} acknowledged "
+                              "DELTFCN at t=0.0 for "), message
+    assert "\n" not in message
 
 
 def test_coordinator_writes_every_init_before_reading_any_ack(gpt_graph, monkeypatch):

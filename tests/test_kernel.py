@@ -48,25 +48,35 @@ def test_time_advance_is_min_and_pure():
     assert math.isinf(coord.time_advance())
 
 
-def test_lambda_fan_out_duplicates_values():
-    coord = _coordinator(fan_out_model(senders=1, receivers=2))
-    coord.clock.t = coord.time_advance()
+def _step(coord, t):
+    """One cycle at ``t`` through the public step; run_deltfcn propagates."""
+    coord.clock.t = t
     coord.run_lambda()
-    assert coord.simulators["r0"].model.bag("in") == ["s0"]
-    assert coord.simulators["r1"].model.bag("in") == ["s0"]
+    coord.run_deltfcn()
+
+
+def _inputs(coord, name):
+    """What ``name``'s last transition found in its input bags."""
+    return dict(coord.simulators[name].trace[-1].inputs)
+
+
+def test_lambda_fan_out_duplicates_values():
+    coord = _coordinator(fan_out_model(senders=1, receivers=2), trace=True)
+    _step(coord, coord.time_advance())
+    assert _inputs(coord, "r0") == {"in": ("s0",)}
+    assert _inputs(coord, "r1") == {"in": ("s0",)}
 
 
 def test_lambda_fan_in_concatenates_in_coupling_order():
-    coord = _coordinator(fan_out_model(senders=2, receivers=1))
-    coord.clock.t = coord.time_advance()
-    coord.run_lambda()
-    assert coord.simulators["r0"].model.bag("in") == ["s0", "s1"]
+    coord = _coordinator(fan_out_model(senders=2, receivers=1), trace=True)
+    _step(coord, coord.time_advance())
+    assert _inputs(coord, "r0") == {"in": ("s0", "s1")}
 
 
 def test_lambda_without_imminent_models_leaves_bags_empty():
-    coord = _coordinator(fan_out_model(senders=1, receivers=1, emit_at=4.0))
-    coord.clock.t = 1.0  # before the sender's schedule
-    coord.run_lambda()
+    coord = _coordinator(fan_out_model(senders=1, receivers=1, emit_at=4.0), trace=True)
+    _step(coord, 1.0)  # before the sender's schedule
+    assert coord.simulators["r0"].trace == [] and coord.simulators["s0"].trace == []
     assert coord.simulators["r0"].model.input_empty()
     assert coord.simulators["s0"].model.output_bags["out"] == []
 

@@ -3,6 +3,7 @@ and plan handling."""
 
 import math
 import os
+import statistics
 import sys
 import threading
 import time
@@ -279,29 +280,35 @@ def _busy_fan(receivers: int, delay: float) -> ModelGraph:
     return graph
 
 
-def _delta_phase_wall(monkeypatch, graph, plan):
-    with ParallelCoordinator(graph, plan) as coordinator:
-        log = _record_dispatches(monkeypatch, coordinator)
-        coordinator.simulate()
-    entries = [e for e in log if e.phase == "delta" and e.cycle == 0]
-    return max(e.end for e in entries) - min(e.start for e in entries)
+def _delta_phase_wall(graph, plan):
+    """The median of three runs' first delta-phase wall times: other load
+    on the host stretches a single run."""
+    walls = []
+    for _ in range(3):
+        with pytest.MonkeyPatch.context() as patch, \
+                ParallelCoordinator(graph, plan) as coordinator:
+            log = _record_dispatches(patch, coordinator)
+            coordinator.simulate()
+        entries = [e for e in log if e.phase == "delta" and e.cycle == 0]
+        walls.append(max(e.end for e in entries) - min(e.start for e in entries))
+    return statistics.median(walls)
 
 
-def test_pool_phase_wall_time_reflects_worker_count(monkeypatch):
+def test_pool_phase_wall_time_reflects_worker_count():
     # Four receivers burning 100 ms each behind a two-worker pool: the
     # delta phase needs about two serialized rounds. A serialized pool
     # would need about four.
     graph = _busy_fan(4, 0.1)
     plan = PoolPlan.single_pool([f"r{i}" for i in range(4)] + ["s0"], workers=2)
-    wall = _delta_phase_wall(monkeypatch, graph, plan)
+    wall = _delta_phase_wall(graph, plan)
     assert 0.18 <= wall <= 0.38, f"delta phase wall {wall:.3f}s"
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 4, reason="needs >= 4 CPUs")
-def test_pool_phase_wall_time_four_workers(monkeypatch):
+def test_pool_phase_wall_time_four_workers():
     graph = _busy_fan(8, 0.1)
     plan = PoolPlan.single_pool([f"r{i}" for i in range(8)] + ["s0"], workers=4)
-    wall = _delta_phase_wall(monkeypatch, graph, plan)
+    wall = _delta_phase_wall(graph, plan)
     assert 0.18 <= wall <= 0.45, f"delta phase wall {wall:.3f}s"
 
 
