@@ -28,30 +28,46 @@ except (AttributeError, OSError) as exc:  # pragma: no cover
         "per-thread CPU clock unavailable on this platform; "
         "the benchmark delay engine cannot run") from exc
 
-_BUSY_BLOCK = b"\xa5" * 65536
-_BUSY_BATCH = 8  # checksum calls between clock checks, well under 1 ms
+_BUSY_BLOCK = memoryview(b"\xa5" * 65536)
+_BUSY_TAIL_MIN = 512  # bytes; the smallest checksum of the tail
 
 
 def busy_cpu(delta: float) -> None:
     """Consume at least ``delta`` CPU-seconds on the calling thread.
 
-    Integer checksum work over a fixed block runs until the thread's CPU
-    clock (not the wall clock) crosses the threshold. The checksum runs
-    outside the interpreter lock, so concurrent callers burn their budgets
-    truly in parallel; one check batch costs well under a millisecond,
-    which bounds the overshoot on hosts with a fine-grained CPU clock
-    (kernels that account CPU time in scheduler ticks bound it at one
-    tick instead). The deadline is computed in integer nanoseconds so that
-    tick-quantized clocks compare exactly.
+    Checksum work over a fixed block runs until the thread's CPU clock
+    (not the wall clock) crosses the threshold; the clock is read after
+    every checksum. While more than a block's worth of budget remains,
+    each checksum covers the whole 64 KiB block, which ``zlib.crc32``
+    computes outside the interpreter lock, so concurrent callers burn
+    their budgets truly in parallel. In the tail, each checksum is sized
+    to half the bytes that the nanoseconds left buy at the rate this call
+    has measured (at least 512 B), which bounds the overshoot at a few
+    microseconds on a fine-grained CPU clock. Until the clock first moves
+    the rate is unknown and whole blocks run, so on kernels that account
+    CPU time in scheduler ticks the overshoot stays at most one tick. The
+    deadline is computed in integer nanoseconds so that tick-quantized
+    clocks compare exactly.
     """
     if delta <= 0.0:
         return
     crc = zlib.crc32
     clock = time.thread_time_ns
-    deadline = clock() + int(delta * 1e9)
-    while clock() < deadline:
-        for _ in range(_BUSY_BATCH):
-            crc(_BUSY_BLOCK)
+    block = _BUSY_BLOCK
+    full = len(block)
+    start = now = clock()
+    deadline = start + int(delta * 1e9)
+    done = 0  # bytes checksummed so far
+    while now < deadline:
+        elapsed = now - start
+        fits = done * (deadline - now) // elapsed if elapsed else full
+        # Half of what fits: a checksum that runs up to twice as slow as
+        # this call's average still ends by the deadline, and the next
+        # clock read sizes the rest.
+        size = full if fits >= full else max(fits // 2, _BUSY_TAIL_MIN)
+        crc(block[:size])
+        done += size
+        now = clock()
 
 
 # -- delay distributions -------------------------------------------------------

@@ -212,6 +212,24 @@ def test_busy_consumes_cpu_not_less():
     assert consumed <= 0.05 + 0.011
 
 
+@pytest.mark.skipif(time.get_clock_info("thread_time").resolution > 1e-6,
+                    reason="thread CPU clock coarser than 1 us")
+def test_busy_overshoots_by_microseconds():
+    # The clock is read after every checksum and the tail is sized to the
+    # budget left, so a call stops a few microseconds past its budget, not
+    # a batch of checksums (over 100 us) past it.
+    budget_ns = 2_000_000
+    overshoot_ns = []
+    for _ in range(50):
+        started = time.thread_time_ns()
+        busy_cpu(budget_ns / 1e9)
+        overshoot_ns.append(time.thread_time_ns() - started - budget_ns)
+    assert min(overshoot_ns) >= 0
+    overshoot_ns.sort()
+    median_us = (overshoot_ns[24] + overshoot_ns[25]) / 2e3
+    assert median_us <= 30, f"median overshoot {median_us:.1f} us"
+
+
 def test_busy_runs_concurrently_across_threads():
     # Two threads burning half a second each must overlap; a serialized
     # (lock-bound) loop would need ~1 s of wall time. The generous bound

@@ -1,7 +1,7 @@
-"""Backend equivalence on random flat DAGs: sequential, pool 1x2,
-in-process thread services split at random into 1-3 groups, and
-distributed-local service processes must agree on the trace, the counter
-triple and the dropped-event count."""
+"""Backend equivalence on random flat DAGs and on random graphs with
+cycles: sequential, pool 1x2, in-process thread services split at random
+into 1-3 groups, and distributed-local service processes must agree on the
+trace, the counter triple and the dropped-event count."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +16,19 @@ from conftest import grouped_plan
 # Emission times of the EmitOnce sources: ties and distinct times.
 _EMIT_TIMES = (0.0, 0.0, 0.5, 1.0)
 _KINDS = ("emit_once", "devstone", "collector")
+# Processor service times: zero twice as often, so cycles through
+# zero-delay processors make zero-time chains of any length.
+_SERVICE_TIMES = (0.0, 0.0, 0.25, 1.0)
+# Cycles with zero-time loops never end on their own.
+_CYCLIC_ITERATIONS = 30
+
+
+def _deal_groups(draw, size):
+    """The process group of each of ``size`` atomics: 1-3 groups, none of
+    them empty."""
+    groups = draw(st.sampled_from((2, 3, 1)))
+    dealt = draw(st.permutations(range(size)))
+    return [dealt.index(index) % groups for index in range(size)]
 
 
 @st.composite
@@ -42,10 +55,44 @@ def dags(draw):
                 graph.connect(sender, "out", name, "in")
         if kind != "collector":
             senders.append(name)
-    groups = draw(st.sampled_from((2, 3, 1)))
-    dealt = draw(st.permutations(range(size)))  # no group is left empty
-    group_of = [dealt.index(index) % groups for index in range(size)]
-    return graph, group_of
+    return graph, _deal_groups(draw, size)
+
+
+@st.composite
+def cyclic_graphs(draw):
+    """EmitOnce sources feeding a chain of processors, plus back edges from
+    later processors to earlier ones (at least one, so there is a cycle)
+    and devstone sinks that count what some processors emit. A processor
+    holds one job and drops arrivals while busy, so bags stay bounded
+    however long the cycles run."""
+    sources = draw(st.integers(1, 2))
+    processors = draw(st.integers(2, 5))
+    graph = ModelGraph("cyclic")
+    senders = []
+    for index in range(sources):
+        graph.add_component(atomic_spec(f"s{index}", "emit_once",
+                                        delay_int=draw(st.sampled_from(_EMIT_TIMES))))
+        senders.append(f"s{index}")
+    for index in range(processors):
+        name = f"p{index}"
+        graph.add_component(atomic_spec(name, "processor",
+                                        delay_int=draw(st.sampled_from(_SERVICE_TIMES))))
+        fan_in = draw(st.lists(st.sampled_from(senders), min_size=1, max_size=2,
+                               unique=True))
+        for sender in fan_in:
+            graph.connect(sender, "out", name, "in")
+        senders.append(name)
+    back = draw(st.lists(st.tuples(st.integers(1, processors - 1),
+                                   st.integers(0, processors - 1))
+                         .filter(lambda edge: edge[1] < edge[0]),
+                         min_size=1, max_size=3, unique=True))
+    for src, dst in back:
+        graph.connect(f"p{src}", "out", f"p{dst}", "in")
+    for index in range(draw(st.integers(0, 2))):
+        graph.add_component(atomic_spec(f"d{index}", "devstone"))
+        graph.connect(f"p{draw(st.integers(0, processors - 1))}", "out",
+                      f"d{index}", "in")
+    return graph, _deal_groups(draw, len(graph.atomics))
 
 
 def _blocks(graph, group_of):
@@ -55,25 +102,25 @@ def _blocks(graph, group_of):
     return list(blocks.values())
 
 
-def _distributed(graph, group_of):
+def _distributed(graph, group_of, iterations=None):
     blocks = _blocks(graph, group_of)
     plan = grouped_plan(graph, blocks)
     started = []
     try:
         for block in blocks:
             started.extend(serve_simulators(plan, block))
-        return run_coordinator(plan, trace=True)
+        return run_coordinator(plan, iterations, trace=True)
     finally:
         for group in started:
             group.stop()
 
 
-def _distributed_local(graph, group_of):
+def _distributed_local(graph, group_of, iterations=None):
     """distributed-local over a plan that co-hosts the atomics of each
-    drawn group, so that the groups' links cut edges of the DAG in both
+    drawn group, so that the groups' links cut edges of the graph in both
     directions."""
     return run_distributed_local(grouped_plan(graph, _blocks(graph, group_of)),
-                                 trace=True)
+                                 iterations=iterations, trace=True)
 
 
 def _observed(report):
@@ -101,3 +148,19 @@ def test_distributed_local_agrees_on_random_dags(case):
     graph, group_of = case
     oracle = _observed(SequentialCoordinator(graph, trace=True).simulate())
     assert _observed(_distributed_local(graph, group_of)) == oracle
+
+
+@given(cyclic_graphs())
+@settings(max_examples=10)
+def test_backends_agree_on_random_graphs_with_cycles(case):
+    """Every backend runs the same fixed number of cycles; zero-delay
+    cycles keep virtual time still for most of them."""
+    graph, group_of = case
+    cycles = _CYCLIC_ITERATIONS
+    oracle = _observed(SequentialCoordinator(graph, trace=True).simulate(cycles))
+    names = list(graph.atomics)
+    with ParallelCoordinator(graph, PoolPlan.single_pool(names, 2),
+                             trace=True) as pool:
+        assert _observed(pool.simulate(cycles)) == oracle
+    assert _observed(_distributed(graph, group_of, cycles)) == oracle
+    assert _observed(_distributed_local(graph, group_of, cycles)) == oracle
