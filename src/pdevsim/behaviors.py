@@ -141,7 +141,6 @@ def register_behavior(model: str):
     def decorate(cls: type[AtomicModel]) -> type[AtomicModel]:
         if model in _REGISTRY and _REGISTRY[model] is not cls:
             raise ModelError(f"behavior {model!r} already registered")
-        cls.MODEL_NAME = model
         _REGISTRY[model] = cls
         return cls
 

@@ -23,7 +23,7 @@ from pathlib import Path
 from . import cli
 from .devstone import GENERATOR_NAME
 from .distributed import (DistributedCoordinator, DistributedPlan, Endpoint, ServiceGroup,
-                          Timeouts, _index, _listen, _start_groups)
+                          Timeouts, _listen, _start_groups)
 from .kernel import RunReport, SequentialCoordinator, SimulationError
 from .model import ModelGraph, flatten
 from .parallel import ParallelCoordinator, PoolPlan, PoolSpec, default_workers
@@ -83,12 +83,25 @@ def profiles_to_csv(profiles: list[AtomicProfile]) -> str:
     return out.getvalue()
 
 
+def _csv_rows(lines, header: tuple[str, ...], what: str) -> list[list[str]]:
+    """The non-blank rows of the CSV ``lines`` under ``header``. A wrong header,
+    or a row of another length, is refused in one line naming ``what`` and it."""
+    reader = csv.reader(lines)
+    found = next(reader, None)
+    if found is None or tuple(found) != header:
+        raise BenchError(f"bad {what} header: {found}")
+    rows = []
+    for row in filter(None, reader):
+        if len(row) != len(header):
+            raise BenchError(f"{what} line {reader.line_num} has {len(row)} fields, "
+                             f"not {len(header)}: {row!r:.80}")
+        rows.append(row)
+    return rows
+
+
 def profiles_from_csv(text: str) -> list[AtomicProfile]:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None or tuple(header) != PROFILE_HEADER:
-        raise BenchError(f"bad profile CSV header: {header}")
-    return [AtomicProfile(row[0], float(row[1]), float(row[2])) for row in reader if row]
+    return [AtomicProfile(row[0], float(row[1]), float(row[2]))
+            for row in _csv_rows(io.StringIO(text), PROFILE_HEADER, "profile CSV")]
 
 
 # -- allocation ------------------------------------------------------------------
@@ -227,7 +240,7 @@ class _Child:
         return " | ".join(line for line in lines[-5:] if line.strip()) or "no output"
 
 
-def _fork_service(plan: DistributedPlan, index: dict, block: list[Endpoint],
+def _fork_service(plan: DistributedPlan, block: list[Endpoint],
                   listeners: dict[Endpoint, socket.socket], timeouts: Timeouts | None,
                   share: list[int]) -> _Child:
     """Fork one process that serves the groups at the endpoints of ``block``
@@ -254,13 +267,14 @@ def _fork_service(plan: DistributedPlan, index: dict, block: list[Endpoint],
                 sys.stdout = sys.stderr = open(1, "w", buffering=1, encoding="utf-8",
                                                errors="backslashreplace")
                 code = cli.guarded(lambda: cli.serve(_start_groups(
-                    plan, index, {endpoint: listeners[endpoint] for endpoint in block},
+                    plan, {endpoint: listeners[endpoint] for endpoint in block},
                     timeouts, dial=True), lambda: os.eventfd_write(ready, 1)))
                 sys.stdout.flush()
             finally:
                 os._exit(code)
+        groups = plan.groups()
         return _Child(pid, os.pidfd_open(pid), ready, output,
-                      [name for endpoint in block for name in index[endpoint][0]], block)
+                      [name for endpoint in block for name in groups[endpoint]], block)
     except BaseException:
         if pid:
             os.kill(pid, signal.SIGKILL)
@@ -311,11 +325,12 @@ def run_distributed_local(plan_or_graph, *, iterations: int | None = None,
     forked process before that is ready, and the coordinator dials the
     groups once every process is ready (:meth:`DistributedCoordinator.connect`).
     A graph gets one contiguous block of plan order per CPU at a port the
-    kernel assigns (:func:`_loopback_plan`). A plan keeps its endpoints,
-    and its groups are dealt in plan order into contiguous blocks, one per
-    process, never more processes than CPUs or groups, so only a shared
-    endpoint co-hosts (``generate --workers`` makes such plans; with one
-    endpoint per atomic, every coupling crosses loopback TCP). Process
+    kernel assigns (:func:`_loopback_plan`). A plan, checked and indexed
+    when it was made, keeps its endpoints, and its groups are dealt in plan
+    order into contiguous blocks, one per process, never more processes
+    than CPUs or groups, so only a shared endpoint co-hosts (``generate
+    --workers`` makes such plans; with one endpoint per atomic, every
+    coupling crosses loopback TCP). Process
     ``i`` of ``count`` runs on slice ``i`` of the launcher's allowed CPUs,
     ``allowed[len * i // count:len * (i + 1) // count]``, which its groups
     divide between them.
@@ -344,15 +359,14 @@ def run_distributed_local(plan_or_graph, *, iterations: int | None = None,
     try:
         plan = (plan_or_graph if isinstance(plan_or_graph, DistributedPlan)
                 else _loopback_plan(plan_or_graph, listeners))
-        plan.check()
-        index = _index(plan)
-        listeners.update(_listen(index, [endpoint for endpoint in index
-                                         if endpoint not in listeners]))
-        blocks = contiguous_blocks(list(index), min(default_workers(), len(index)))
+        endpoints = list(plan.groups())
+        listeners.update(_listen(plan, [endpoint for endpoint in endpoints
+                                        if endpoint not in listeners]))
+        blocks = contiguous_blocks(endpoints, min(default_workers(), len(endpoints)))
         allowed = sorted(os.sched_getaffinity(0))
         shares = contiguous_blocks(allowed, len(blocks))
         for block, share in zip(blocks[1:], shares[1:]):
-            children.append(_fork_service(plan, index, block, listeners, timeouts, share))
+            children.append(_fork_service(plan, block, listeners, timeouts, share))
             for endpoint in block:  # close(), never shutdown(): the child serves them
                 listeners.pop(endpoint).close()
         # Linux pins only the calling thread: the group threads it starts
@@ -365,7 +379,7 @@ def run_distributed_local(plan_or_graph, *, iterations: int | None = None,
             # refused a dial by exiting is reported as exiting before it was ready.
             try:
                 served = _start_groups(
-                    plan, index, {endpoint: listeners.pop(endpoint) for endpoint in blocks[0]},
+                    plan, {endpoint: listeners.pop(endpoint) for endpoint in blocks[0]},
                     timeouts, first_local=True, dial=True)
                 coordinator = DistributedCoordinator(plan, trace=trace, timeouts=timeouts,
                                                      local=served[0])
@@ -432,11 +446,10 @@ def append_report_row(path: str | Path, report: RunReport) -> None:
 
 
 def read_report_rows(path: str | Path) -> list[dict[str, str]]:
-    with Path(path).open(encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames != RunReport.CSV_HEADER.split(","):
-            raise BenchError(f"bad results header in {path}: {reader.fieldnames}")
-        return [dict(row) for row in reader]
+    header = tuple(RunReport.CSV_HEADER.split(","))
+    with Path(path).open(encoding="utf-8", newline="") as handle:
+        return [dict(zip(header, row))
+                for row in _csv_rows(handle, header, f"results file {path}")]
 
 
 @dataclass(frozen=True)

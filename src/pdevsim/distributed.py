@@ -35,10 +35,10 @@ order. The group steps its engine through the kernel's cycle step:
   omits a hosted imminent one.
 
 The coordinator writes a phase's frame to every group before it reads any
-reply, and never relays event values. There is one link per ordered pair
-of groups that a coupling connects; it carries PROPAGATE frames only, and
-nothing is read back from it. A peer link that ends is reported by the
-receiving group's next DELTFCN, since the group that dialled it has stopped.
+reply, checks each reply as it reads it, and never relays event values.
+There is one link per ordered pair of groups that a coupling connects; it
+carries PROPAGATE frames only, and nothing is read back from it. A peer
+link that ends is reported by the receiving group's next DELTFCN.
 
 A group serves a listener that is already bound: :func:`serve_simulators`
 binds them for ``pdevsim serve``, and the ``distributed-local`` launcher
@@ -61,10 +61,13 @@ import threading
 import time
 from collections import Counter
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 from .kernel import (RunReport, SequentialCoordinator, SimulationError,
                      Simulator, TraceEntry)
-from .model import IC, ModelError, ModelGraph, check_event_value, freeze_valid
+from .model import (IC, Coupling, ModelError, ModelGraph, check_event_value,
+                    freeze_valid)
 from .parallel import ParallelCoordinator, PoolPlan, default_workers
 from .wire import (ACK, DELTFCN, EXIT, INIT, PROPAGATE, ProtocolError,
                    WireFrame, decode_time, encode_frame, encode_time,
@@ -100,41 +103,47 @@ class Timeouts:
     read: float = 60.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class DistributedPlan:
     """A flattened closed model plus one endpoint per atomic; atomics that
-    share an endpoint are co-hosted."""
+    share an endpoint are co-hosted. A plan is checked when it is made, and
+    refused with a :class:`SimulationError` that names the culprit; its
+    graph is then frozen and its endpoints are read-only."""
 
     graph: ModelGraph
-    endpoints: dict[str, Endpoint]
+    endpoints: Mapping[str, Endpoint]
 
-    def check(self) -> None:
-        """Refuse a plan the backend cannot run. A valid graph is frozen
-        here, so each later check reuses its validation."""
+    def __post_init__(self) -> None:
         errors = freeze_valid(self.graph)
         if errors:
             raise SimulationError(f"invalid plan graph: {errors[0].message}")
         if not self.graph.is_flat():
             raise SimulationError("distributed plan graph must be flattened")
-        for coupling in self.graph.couplings:
-            if coupling.kind != IC:
-                raise SimulationError(
-                    "distributed plan must be a closed model "
-                    f"(found {coupling.kind} coupling)")
-        atoms = set(self.graph.atomics)
-        missing = sorted(atoms - set(self.endpoints))
+        endpoints = MappingProxyType(dict(self.endpoints))
+        missing = sorted(self.graph.atomics.keys() - endpoints.keys())
         if missing:
             raise SimulationError(f"no endpoint for atomic {missing[0]!r}")
-        unknown = sorted(set(self.endpoints) - atoms)
+        unknown = sorted(endpoints.keys() - self.graph.atomics.keys())
         if unknown:
             raise SimulationError(f"endpoint for unknown atomic {unknown[0]!r}")
+        object.__setattr__(self, "endpoints", endpoints)
+        # Each endpoint's atomics, and the couplings that enter or leave
+        # them, both in plan order.
+        blocks: dict[Endpoint, tuple[list[str], list[Coupling]]] = {}
+        for name, endpoint in endpoints.items():
+            blocks.setdefault(endpoint, ([], []))[0].append(name)
+        for coupling in self.graph.couplings:
+            if coupling.kind != IC:
+                raise SimulationError("distributed plan must be a closed model "
+                                      f"(found {coupling.kind} coupling)")
+            for endpoint in {endpoints[coupling.src.component],
+                             endpoints[coupling.dst.component]}:
+                blocks[endpoint][1].append(coupling)
+        object.__setattr__(self, "_blocks", blocks)
 
     def groups(self) -> dict[Endpoint, list[str]]:
         """The atomics at each endpoint, both in plan order."""
-        groups: dict[Endpoint, list[str]] = {}
-        for name, endpoint in self.endpoints.items():
-            groups.setdefault(endpoint, []).append(name)
-        return groups
+        return {endpoint: list(names) for endpoint, (names, _) in self._blocks.items()}
 
 
 def _configure(sock: socket.socket, read_timeout: float | None) -> None:
@@ -159,17 +168,6 @@ def _push(key: tuple[str, str, str, str]) -> str:
     return f"PROPAGATE from {sender!r} port {port!r} to {target!r} port {target_port!r}"
 
 
-def _index(plan: DistributedPlan) -> dict[Endpoint, tuple[list[str], list]]:
-    """Each endpoint's atomics, and the couplings that enter or leave them,
-    both in plan order."""
-    index = {endpoint: (names, []) for endpoint, names in plan.groups().items()}
-    for coupling in plan.graph.couplings:
-        for endpoint in {plan.endpoints[coupling.src.component],
-                         plan.endpoints[coupling.dst.component]}:
-            index[endpoint][1].append(coupling)
-    return index
-
-
 class ServiceGroup:
     """The atomics at one plan endpoint, and the kernel engine over them.
 
@@ -179,16 +177,16 @@ class ServiceGroup:
     from one selector: the coordinator's link drives the whole group, and
     a peer group's link carries that peer's pushes to every hosted atomic.
 
-    :func:`_start_groups` builds the groups of a process once the plan is
-    checked and indexed (``index``, see :func:`_index`), dividing the
-    process's CPUs between them (``workers``), and starts each on the
-    listener bound at its endpoint.
+    :func:`_start_groups` builds the groups of a process from the plan's
+    index of each endpoint's atomics and couplings, dividing the process's
+    CPUs between them (``workers``), and starts each on the listener bound
+    at its endpoint.
     """
 
-    def __init__(self, plan: DistributedPlan, endpoint: Endpoint, index: dict, *,
+    def __init__(self, plan: DistributedPlan, endpoint: Endpoint, *,
                  workers: int, timeouts: Timeouts | None = None) -> None:
         self.endpoint = endpoint
-        self.names, couplings = index[endpoint]
+        self.names, couplings = plan._blocks[endpoint]
         self.label = f"the process of {self.names[0]!r} at {self.endpoint}"
         block = ModelGraph(plan.graph.name)
         for name in self.names:
@@ -217,11 +215,9 @@ class ServiceGroup:
                     self._outbound[src.component].append(
                         (bag, plan.endpoints[dst.component], list(key)))
                     continue
-            elif dst.component in sims:
+            else:  # the index lists only couplings that touch the block
                 bag = self._inbound[key] = []
                 self._feeds.setdefault(src.component, []).append(key)
-            else:
-                continue
             routes.append((bag, sims[dst.component].model.input_bags[dst.port],
                            self.engine._ranks[dst.component]))
         self.engine._bind_routes(routes, self._inbound.values(), shipped=[
@@ -552,7 +548,7 @@ class ServiceGroup:
         self._received.clear()
 
 
-def _listen(index: dict, endpoints) -> dict[Endpoint, socket.socket]:
+def _listen(plan: DistributedPlan, endpoints) -> dict[Endpoint, socket.socket]:
     """A listening socket at each of ``endpoints``: all of them or, when one
     cannot be bound, none, and an error that names its atomics."""
     listeners: dict[Endpoint, socket.socket] = {}
@@ -561,31 +557,30 @@ def _listen(index: dict, endpoints) -> dict[Endpoint, socket.socket]:
             try:  # a link may be dialled before its group serves
                 listener = socket.create_server(endpoint.main_addr(), backlog=socket.SOMAXCONN)
             except OSError as exc:
-                raise SimulationError(f"cannot bind {', '.join(map(repr, index[endpoint][0]))} "
-                                      f"at {endpoint}: {exc}") from exc
+                names = ", ".join(map(repr, plan._blocks[endpoint][0]))
+                raise SimulationError(f"cannot bind {names} at {endpoint}: {exc}") from exc
             listeners[endpoint] = bound.enter_context(listener)
         bound.pop_all()  # every one is bound: keep them open
     return listeners
 
 
-def _start_groups(plan: DistributedPlan, index: dict, listeners: dict[Endpoint, socket.socket],
+def _start_groups(plan: DistributedPlan, listeners: dict[Endpoint, socket.socket],
                   timeouts: Timeouts | None, *, first_local: bool = False,
                   dial: bool = False) -> list[ServiceGroup]:
     """Start, and return, one service group on each of ``listeners``, keyed
-    by endpoint, once the plan is checked and indexed: all of them or, on
-    any error, none, and every listener and link closed. With ``dial``
-    each group dials its peers (:meth:`ServiceGroup.dial_peers`) before it
-    starts; without, on its first push to each. With ``first_local`` the
-    first group gets no thread: an in-process coordinator drives it. The
-    groups divide the CPUs the process may run on, at least one each, as
-    ``run_distributed_local`` divides the host's, so k groups on N CPUs do
-    not start k pools of N."""
+    by endpoint, from the plan's index: all of them or, on any error, none,
+    and every listener and link closed. With ``dial`` each group dials its
+    peers (:meth:`ServiceGroup.dial_peers`) before it starts; without, on
+    its first push to each. With ``first_local`` the first group gets no
+    thread: an in-process coordinator drives it. The groups divide the CPUs
+    the process may run on, at least one each, as ``run_distributed_local``
+    divides the host's, so k groups on N CPUs do not start k pools of N."""
     cpus, count = default_workers(), len(listeners)
     groups: list[ServiceGroup] = []
     try:
         for i, endpoint in enumerate(listeners):
             share = cpus * (i + 1) // count - cpus * i // count
-            groups.append(ServiceGroup(plan, endpoint, index, workers=max(share, 1),
+            groups.append(ServiceGroup(plan, endpoint, workers=max(share, 1),
                                        timeouts=timeouts))
         for i, group in enumerate(groups):
             if dial:
@@ -604,21 +599,20 @@ def serve_simulators(plan: DistributedPlan, names, *,
                      timeouts: Timeouts | None = None) -> list[ServiceGroup]:
     """Bind a listener at each distinct endpoint among ``names`` and start,
     and return, one service group on each (see :func:`_start_groups`).
-    Every atomic at such an endpoint must be among ``names``: the plan is
-    checked and indexed once, and an unknown atomic or a split endpoint
-    refused, before anything is bound."""
-    plan.check()
+    Every atomic at such an endpoint must be among ``names``: an unknown
+    atomic or a split endpoint is refused before anything is bound. The
+    plan was checked and indexed when it was made."""
     for name in names:
         if name not in plan.endpoints:
             raise SimulationError(f"unknown atomic {name!r} in plan {plan.graph.name!r}")
-    index, named = _index(plan), set(names)
+    named = set(names)
     endpoints = list(dict.fromkeys(plan.endpoints[name] for name in names))
     for endpoint in endpoints:
-        for name in index[endpoint][0]:
+        for name in plan._blocks[endpoint][0]:
             if name not in named:
                 raise SimulationError(f"atomic {name!r} at {endpoint} is not hosted: "
                                       "a process must host every atomic at its endpoint")
-    return _start_groups(plan, index, _listen(index, endpoints), timeouts)
+    return _start_groups(plan, _listen(plan, endpoints), timeouts)
 
 
 class DistributedCoordinator:
@@ -636,7 +630,6 @@ class DistributedCoordinator:
 
     def __init__(self, plan: DistributedPlan, *, trace: bool = False,
                  timeouts: Timeouts | None = None, local: ServiceGroup | None = None) -> None:
-        plan.check()
         self.plan = plan
         self.trace_enabled = trace
         self.timeouts = timeouts or Timeouts()
@@ -680,7 +673,7 @@ class DistributedCoordinator:
     def _init(self, init: WireFrame) -> dict[str, float]:
         """Write every INIT, then read the replies; the tN of every atomic."""
         tn: dict[str, float] = {}
-        for endpoint, reply in self._send(dict.fromkeys(self._groups, init)).items():
+        for endpoint, reply in self._send(dict.fromkeys(self._groups, init)):
             hosted = self._tn_pairs(endpoint, reply)
             if sorted(hosted) != sorted(self._groups[endpoint]):
                 raise SimulationError(
@@ -733,14 +726,16 @@ class DistributedCoordinator:
             raise SimulationError(f"{where} replied {reply.command}, expected {ACK}")
         return reply
 
-    def _send(self, frames: dict[Endpoint, WireFrame]) -> dict[Endpoint, WireFrame]:
+    def _send(self, frames: dict[Endpoint, WireFrame]) -> Iterator[tuple[Endpoint, WireFrame]]:
         """Write every frame to its connection, then read every ACK: the
-        groups work on their commands at once. The local group's command
-        runs first among the reads, once the others are at work."""
+        groups work on their commands at once. Each ACK is yielded as soon
+        as it is read, so the caller's check of the first bad one ends the
+        run. The local group's command runs first among the reads, once the
+        others are at work."""
         for endpoint, frame in frames.items():
             self._write(endpoint, frame)
-        return {endpoint: self._read(endpoint, frames[endpoint])
-                for endpoint in sorted(frames, key=lambda endpoint: endpoint != self._local_at)}
+        for endpoint in sorted(frames, key=lambda endpoint: endpoint != self._local_at):
+            yield endpoint, self._read(endpoint, frames[endpoint])
 
     def _deltfcn(self, t: float, imminent: list[str]) -> dict[str, float]:
         """Send a DELTFCN at ``t`` to each group that hosts an ``imminent``
@@ -751,10 +746,10 @@ class DistributedCoordinator:
             senders.setdefault(self.plan.endpoints[name], [])
             for endpoint in self._feeds[name]:
                 senders.setdefault(endpoint, []).append(name)
-        replies = self._send({endpoint: WireFrame(DELTFCN, time=t, values=tuple(names))
-                              for endpoint, names in senders.items()})
         tn: dict[str, float] = {}
-        for endpoint, reply in replies.items():
+        frames = {endpoint: WireFrame(DELTFCN, time=t, values=tuple(names))
+                  for endpoint, names in senders.items()}
+        for endpoint, reply in self._send(frames):
             pairs = self._tn_pairs(endpoint, reply)
             if not (all(self.plan.endpoints.get(name) == endpoint for name in pairs)
                     and all(name in pairs for name in imminent
@@ -781,6 +776,10 @@ class DistributedCoordinator:
 
     def run(self, max_iterations: int | None = None) -> RunReport:
         started = time.perf_counter()
+        # Each group's EXIT ACK: its ints, exts, events, dropped events and
+        # PROPAGATE frames, then [atomic, trace] for every atomic it hosts.
+        totals = [0] * 5
+        traces: dict[str, list] = {}
         try:
             self.connect()
             tn = self._init(WireFrame(INIT, values=(1 if self.trace_enabled else 0,)))
@@ -791,30 +790,26 @@ class DistributedCoordinator:
                     break
                 tn.update(self._deltfcn(t, [name for name in self.names if tn[name] == t]))
                 cycles += 1
-            exits = self._send({endpoint: WireFrame(EXIT) for endpoint in self._groups})
+            for endpoint, reply in self._send({endpoint: WireFrame(EXIT)
+                                               for endpoint in self._groups}):
+                *numbers, pairs = reply.values or (None,)
+                try:
+                    check_event_value(pairs)  # the traces carry event values
+                except ModelError:
+                    pairs = None
+                if not (len(numbers) == 5 and all(type(n) is int for n in numbers)
+                        and isinstance(pairs, list) and all(
+                            isinstance(pair, list) and len(pair) == 2
+                            and isinstance(pair[0], str) for pair in pairs)
+                        and sorted(atomic for atomic, _ in pairs)
+                        == sorted(self._groups[endpoint])):
+                    raise SimulationError(f"bad exit payload from {self._where(endpoint)}: "
+                                          f"{reply.values!r:.80}")
+                totals = [total + n for total, n in zip(totals, numbers)]
+                traces.update(pairs)
         finally:
             for sock in self._conns.values():
                 sock.close()
-        # Each group's EXIT ACK: its ints, exts, events, dropped events and
-        # PROPAGATE frames, then [atomic, trace] for every atomic it hosts.
-        totals = [0] * 5
-        traces: dict[str, list] = {}
-        for endpoint, reply in exits.items():
-            *numbers, pairs = reply.values or (None,)
-            try:
-                check_event_value(pairs)  # the traces carry event values
-            except ModelError:
-                pairs = None
-            if not (len(numbers) == 5 and all(type(n) is int for n in numbers)
-                    and isinstance(pairs, list) and all(
-                        isinstance(pair, list) and len(pair) == 2
-                        and isinstance(pair[0], str) for pair in pairs)
-                    and sorted(atomic for atomic, _ in pairs)
-                    == sorted(self._groups[endpoint])):
-                raise SimulationError(f"bad exit payload from {self._where(endpoint)}: "
-                                      f"{reply.values!r:.80}")
-            totals = [total + n for total, n in zip(totals, numbers)]
-            traces.update(pairs)
         ints, exts, events, dropped, peer_frames = totals
         wall = time.perf_counter() - started
         return RunReport(

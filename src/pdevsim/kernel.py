@@ -11,6 +11,8 @@ engine, a distributed service group's too, steps through that pair.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import time
@@ -181,9 +183,12 @@ class RunReport:
                   "num_delt_ints,num_delt_exts,num_events")
 
     def csv_row(self) -> str:
-        return (f"{self.model},{self.backend},{self.workers_pools},{self.cycles},"
-                f"{self.wall_seconds!r},{self.num_delt_ints},{self.num_delt_exts},"
-                f"{self.num_of_events}")
+        """The report as one CSV line, a field quoted where it must be."""
+        line = io.StringIO()
+        csv.writer(line, lineterminator="").writerow((
+            self.model, self.backend, self.workers_pools, self.cycles, repr(self.wall_seconds),
+            self.num_delt_ints, self.num_delt_exts, self.num_of_events))
+        return line.getvalue()
 
     def counter_triple(self) -> tuple[int, int, int]:
         return self.num_delt_ints, self.num_delt_exts, self.num_of_events
@@ -236,7 +241,6 @@ class SequentialCoordinator:
             self.simulators[spec.name] = sim
             self._sim_list.append(sim)
         self._ranks = {sim.name: rank for rank, sim in enumerate(self._sim_list)}
-        self.dropped_events = 0
         self._build_routes()
         self.initialize()
 

@@ -52,7 +52,6 @@ def emit_orchestration_manifest(plan: DistributedPlan, grouping: dict[str, str],
     holds every atomic of each endpoint it serves, and two endpoints in one
     group must not collide on a port.
     """
-    plan.check()
     missing = sorted(set(plan.endpoints) - set(grouping))
     if missing:
         raise ManifestError(f"atomic {missing[0]!r} has no container group")

@@ -52,14 +52,26 @@ class PoolPlan:
 
     def __post_init__(self) -> None:
         names = [p.name for p in self.pools]
-        if len(set(names)) != len(names):
-            raise SimulationError("duplicate pool names in plan")
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise SimulationError(f"duplicate pool name {name!r}")
 
     @classmethod
     def single_pool(cls, atomics, workers: int | None = None,
                     name: str = "main") -> "PoolPlan":
         workers = default_workers() if workers is None else workers
         return cls((PoolSpec(name, workers),), {a: name for a in atomics})
+
+    def check(self, atomics) -> None:
+        """Refuse a plan that misses one of ``atomics``, those of the model
+        it runs, or assigns an atomic that is not among them."""
+        missing = [name for name in atomics if name not in self.assignment]
+        if missing:
+            raise SimulationError(f"pool plan misses atomic {missing[0]!r}"
+                                  + (f" (+{len(missing) - 1} more)" if len(missing) > 1 else ""))
+        unknown = sorted(set(self.assignment) - set(atomics))
+        if unknown:
+            raise SimulationError(f"pool plan assigns unknown atomic {unknown[0]!r}")
 
     def pool_members(self) -> dict[str, list[str]]:
         members: dict[str, list[str]] = {p.name: [] for p in self.pools}
@@ -91,14 +103,7 @@ class ParallelCoordinator(SequentialCoordinator):
         super().__init__(graph, flatten_graph=True, trace=trace, profile=profile)
         self.plan = plan
         members = plan.pool_members()
-        assigned = set(plan.assignment)
-        missing = [name for name in self.simulators if name not in assigned]
-        if missing:
-            raise SimulationError(f"pool plan misses atomic {missing[0]!r}"
-                                  + (f" (+{len(missing) - 1} more)" if len(missing) > 1 else ""))
-        unknown = sorted(assigned - set(self.simulators))
-        if unknown:
-            raise SimulationError(f"pool plan assigns unknown atomic {unknown[0]!r}")
+        plan.check(self.simulators)
         # Seat of every simulator: (pool index, position within the pool).
         self._seats = {self.simulators[name]: (index, position)
                        for index, pool in enumerate(plan.pools)

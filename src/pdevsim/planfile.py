@@ -70,12 +70,10 @@ def parse_plan_xml(source: str | Path) -> DistributedPlan | ParallelPlan:
     graph = _build_graph(name, root, atomics)
     if has_pool:
         return ParallelPlan(graph, _pool_plan(root, atomics))
-    plan = DistributedPlan(graph, _endpoints(atomics))
     try:
-        plan.check()
-    except Exception as exc:
+        return DistributedPlan(graph, _endpoints(atomics))
+    except SimulationError as exc:
         raise PlanError(str(exc)) from exc
-    return plan
 
 
 def load_pool_plan(source: str | Path) -> PoolPlan:
@@ -168,30 +166,24 @@ def _build_graph(name: str, root: ET.Element, atomics: list[ET.Element]) -> Mode
 
 
 def _pool_plan(root: ET.Element, atomics: list[ET.Element]) -> PoolPlan:
-    pools: list[PoolSpec] = []
-    seen: set[str] = set()
-    for element in root.findall("pool"):
-        pool_name = element.get("name")
-        if not pool_name:
-            raise PlanError("<pool> requires a name attribute")
-        if pool_name in seen:
-            raise PlanError(f"duplicate pool name {pool_name!r}")
-        seen.add(pool_name)
-        workers = (_int_attr(element, "workers") if element.get("workers") is not None
-                   else default_workers())
-        if workers < 1:
-            raise PlanError(f"pool {pool_name!r} needs at least one worker")
-        pools.append(PoolSpec(pool_name, workers))
-    assignment: dict[str, str] = {}
-    for element in atomics:
-        pool_name = element.get("pool")
-        if pool_name is None:
-            raise PlanError(f"atomic {element.get('name')!r} has no pool attribute")
-        if pool_name not in seen:
-            raise PlanError(f"atomic {element.get('name')!r} assigned to "
-                            f"undeclared pool {pool_name!r}")
-        assignment[element.get("name")] = pool_name
-    return PoolPlan(tuple(pools), assignment)
+    try:  # PoolSpec and PoolPlan refuse a pool without workers, a duplicate or an undeclared one
+        pools: list[PoolSpec] = []
+        for element in root.findall("pool"):
+            if not element.get("name"):
+                raise PlanError("<pool> requires a name attribute")
+            workers = (_int_attr(element, "workers") if element.get("workers") is not None
+                       else default_workers())
+            pools.append(PoolSpec(element.get("name"), workers))
+        assignment: dict[str, str] = {}
+        for element in atomics:
+            if element.get("pool") is None:
+                raise PlanError(f"atomic {element.get('name')!r} has no pool attribute")
+            assignment[element.get("name")] = element.get("pool")
+        plan = PoolPlan(tuple(pools), assignment)
+        plan.pool_members()
+    except SimulationError as exc:
+        raise PlanError(str(exc)) from exc
+    return plan
 
 
 def _endpoints(atomics: list[ET.Element]) -> dict[str, Endpoint]:
@@ -246,13 +238,10 @@ def _flat(graph: ModelGraph) -> ModelGraph:
 def emit_pool_plan_xml(graph: ModelGraph, pool_plan: PoolPlan) -> str:
     """Serialize a flattened model with pool addressing."""
     flat = _flat(graph)
-    names = {spec.name for _, spec in flat.walk_atomics()}
-    for atomic in names:
-        if atomic not in pool_plan.assignment:
-            raise PlanError(f"pool plan misses atomic {atomic!r}")
-    for atomic in pool_plan.assignment:
-        if atomic not in names:
-            raise PlanError(f"pool plan assigns unknown atomic {atomic!r}")
+    try:
+        pool_plan.check(flat.atomics)
+    except SimulationError as exc:
+        raise PlanError(str(exc)) from exc
     return _write_document(
         flat, pools=pool_plan.pools,
         atomic_attrs=lambda name: {"pool": pool_plan.assignment[name]})
@@ -260,10 +249,6 @@ def emit_pool_plan_xml(graph: ModelGraph, pool_plan: PoolPlan) -> str:
 
 def emit_distributed_plan_xml(plan: DistributedPlan) -> str:
     """Serialize a distributed plan (model plus endpoints)."""
-    try:
-        plan.check()
-    except Exception as exc:
-        raise PlanError(str(exc)) from exc
 
     def attrs(name: str) -> dict[str, str]:
         endpoint = plan.endpoints[name]

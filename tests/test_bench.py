@@ -2,6 +2,7 @@
 
 import math
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -153,10 +154,10 @@ def test_distributed_local_harness_roundtrip():
 
 @pytest.mark.parametrize("given", ["graph", "plan"])
 def test_distributed_local_validates_the_plan_once(monkeypatch, given):
-    """The launcher's plan check and the coordinator's share one
-    validation walk of the plan graph: the flat form that a sequential
-    run of the graph already made, or the graph of a plan, which the
-    first check freezes. No graph is walked twice."""
+    """Making the plan validates its graph once, and neither the launcher
+    nor the coordinator walks it again: the flat form that a sequential
+    run of the graph already made, or the graph of a plan, which making
+    the plan froze. No graph is walked twice."""
     walks = []
     walk = model._validate_levels
 
@@ -168,14 +169,15 @@ def test_distributed_local_validates_the_plan_once(monkeypatch, given):
     graph = generate(DevstoneConfig("HO", 3, 3))
     if given == "graph":
         sequential = run_sequential(graph)
+        walks.clear()
         target = graph
         plan_graph = flatten(graph)
     else:
         sequential = run_sequential(generate(DevstoneConfig("HO", 3, 3)))
-        target = grouped_plan(graph, blocks_of(graph, 2))
+        blocks = blocks_of(graph, 2)
+        walks.clear()  # from before the plan is made, which checks it
+        target = grouped_plan(graph, blocks)
         plan_graph = target.graph
-        assert not plan_graph.frozen
-    walks.clear()
     report = run_distributed_local(target, startup_timeout=30.0)
     assert report.counter_triple() == sequential.counter_triple()
     assert walks.count(plan_graph) == 1
@@ -763,6 +765,31 @@ def test_report_rows_roundtrip(tmp_path):
     assert len(rows) == 2
     assert rows[0]["model"] == "ho_w3_d3"
     assert int(rows[0]["num_delt_ints"]) == 7
+
+
+def test_report_and_profile_csvs_quote_fields_and_refuse_malformed_rows(tmp_path):
+    """A model name with a comma is quoted, so its rows read back whole and
+    fold into speedups; a row with more or fewer fields than the header is
+    refused in one line that names it."""
+    path = tmp_path / "rows.csv"
+    report = run_sequential(generate(DevstoneConfig("HO", 3, 3)))
+    append_report_row(path, replace(report, model="a,b"))
+    append_report_row(path, replace(report, model="a,b", backend="parallel",
+                                    workers_pools="2"))
+    rows = read_report_rows(path)
+    assert [(row["model"], row["backend"]) for row in rows] == [
+        ("a,b", "sequential"), ("a,b", "parallel")]
+    assert [row.model for row in speedup_rows(rows)] == ["a,b", "a,b"]
+    header = path.read_text(encoding="utf-8").splitlines()[0]
+    for bad in ("m,parallel,2,3,0.25,7,7,7,x", "m,parallel,2,3,0.25,7,7"):
+        path.write_text(f"{header}\nm,sequential,1,3,0.5,7,7,7\n{bad}\n", encoding="utf-8")
+        with pytest.raises(BenchError) as err:
+            read_report_rows(path)
+        assert str(err.value).startswith(f"results file {path} line 3 has "), err.value
+    text = profiles_to_csv(_synthetic_profiles(2))
+    line = text.count("\n") + 1
+    with pytest.raises(BenchError, match=f"^profile CSV line {line} has 3 fields, not 4: "):
+        profiles_from_csv(text + "x,1.0,2.0\n")
 
 
 def _row(model, backend, label, wall):

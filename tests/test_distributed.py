@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -16,7 +17,7 @@ from pdevsim import (DistributedPlan, ModelGraph, ParallelCoordinator,
                      SequentialCoordinator, SimulationError,
                      Timeouts, atomic_spec, build_gpt, flatten,
                      run_coordinator, serve_simulators)
-from pdevsim import distributed
+from pdevsim import distributed, model
 from pdevsim.devstone import DevstoneConfig, generate
 from pdevsim.wire import (ACK, DELTFCN, EXIT, INIT, PROPAGATE, WireFrame,
                           decode_time, read_frame, write_frame)
@@ -719,26 +720,27 @@ def test_cohosted_fan_in_under_frequent_switches():
 
 
 def test_group_checks_the_plan_once(monkeypatch):
-    """A process that serves many endpoints checks the plan once and walks
-    its couplings once, not once per group."""
+    """A process that serves many endpoints checks the plan and walks its
+    couplings once, when the plan is made, and validates its graph once,
+    not once per group."""
+    made, walks = [], []
+    post_init, walk = DistributedPlan.__post_init__, model._validate_levels
+
+    def counting_post_init(self):
+        made.append(self)
+        return post_init(self)
+
+    def counting_walk(graph):
+        walks.append(graph)
+        return walk(graph)
+
+    monkeypatch.setattr(DistributedPlan, "__post_init__", counting_post_init)
+    monkeypatch.setattr(model, "_validate_levels", counting_walk)
     plan = spread_plan(generate(DevstoneConfig("HO", 4, 3)))
-    checks, indexes = [], []
-    check, index = DistributedPlan.check, distributed._index
-
-    def counting_check(self):
-        checks.append(self)
-        return check(self)
-
-    def counting_index(plan):
-        indexes.append(plan)
-        return index(plan)
-
-    monkeypatch.setattr(DistributedPlan, "check", counting_check)
-    monkeypatch.setattr(distributed, "_index", counting_index)
     groups = serve_simulators(plan, plan.endpoints)
     try:
         assert len(groups) == len(plan.endpoints) > 1
-        assert (len(checks), len(indexes)) == (1, 1)
+        assert (len(made), walks.count(plan.graph)) == (1, 1)
         assert [group.names for group in groups] == [[name] for name in plan.endpoints]
     finally:
         for group in groups:
@@ -1015,6 +1017,44 @@ def test_bad_deltfcn_ack_is_rejected(gpt_graph, moved):
     assert "\n" not in message
 
 
+def test_bad_deltfcn_ack_of_a_feeding_group_ends_the_run_at_once(gpt_graph):
+    """A fake generator group ACKs its DELTFCN at 0 without its imminent
+    generator and never pushes the batch that the processor waits for.
+    The coordinator checks each ACK as it reads it, so the run ends at
+    once with the generator's bad ACK, not after the read timeout with
+    the processor's wait for that batch."""
+    plan = spread_plan(gpt_graph)
+    endpoint = plan.endpoints["generator"]
+    listener = socket.create_server(endpoint.main_addr())
+    listener.settimeout(10.0)
+
+    def fake_service():
+        conn, _ = listener.accept()
+        with conn:
+            read_frame(conn)
+            write_frame(conn, WireFrame(ACK, values=(["generator", 0.0],)))
+            read_frame(conn)  # the DELTFCN at 0
+            write_frame(conn, WireFrame(ACK, values=()))
+            read_frame(conn)  # returns once the coordinator hangs up
+
+    server = threading.Thread(target=fake_service)
+    server.start()
+    try:
+        with thread_services(plan, names=["processor", "transducer"]):
+            started = time.monotonic()
+            with pytest.raises(SimulationError) as err:
+                run_coordinator(plan, timeouts=Timeouts(connect=2.0, read=3.0))
+            elapsed = time.monotonic() - started
+    finally:
+        server.join(timeout=10.0)
+        listener.close()
+    assert not server.is_alive()
+    message = str(err.value)
+    assert message.startswith(f"simulator 'generator' at {endpoint} acknowledged "
+                              "DELTFCN at t=0.0 for []"), message
+    assert elapsed < 1.5, elapsed
+
+
 def test_coordinator_writes_every_init_before_reading_any_ack(gpt_graph, monkeypatch):
     plan = spread_plan(gpt_graph)
     coordinator = threading.current_thread()
@@ -1096,15 +1136,15 @@ def test_max_iterations_caps_distributed_run(gpt_graph):
 
 def test_plan_check_rejects_inconsistencies(gpt_graph):
     plan = spread_plan(gpt_graph)
-    broken = DistributedPlan(plan.graph, dict(plan.endpoints))
-    del broken.endpoints["processor"]
+    endpoints = dict(plan.endpoints)
+    del endpoints["processor"]
     with pytest.raises(SimulationError, match="processor"):
-        broken.check()
+        DistributedPlan(plan.graph, endpoints)
 
 
 def test_plan_check_accepts_shared_endpoints(gpt_graph):
     plan = grouped_plan(gpt_graph, [["generator", "transducer", "processor"]])
-    plan.check()
+    assert replace(plan) == plan  # made again, so checked again
     assert list(plan.groups().values()) == [["generator", "transducer", "processor"]]
 
 
@@ -1113,6 +1153,23 @@ def test_plan_requires_closed_flat_model():
     open_graph.input_ports = ("in",)
     open_graph.connect(open_graph.name, "in", "r0", "in")
     plan = spread_plan(fan_out_model(1, 1))
-    bad = DistributedPlan(open_graph, plan.endpoints)
     with pytest.raises(SimulationError, match="closed"):
-        bad.check()
+        DistributedPlan(open_graph, plan.endpoints)
+
+
+def test_plan_is_checked_when_made_and_read_only(gpt_graph):
+    """Making a plan refuses an unknown atomic or an unflattened graph with
+    one line that names it; a plan once made cannot be changed."""
+    plan = spread_plan(gpt_graph)
+    with pytest.raises(SimulationError, match="^endpoint for unknown atomic 'ghost'$"):
+        DistributedPlan(plan.graph, {**plan.endpoints, "ghost": plan.endpoints["generator"]})
+    nested = ModelGraph("outer")
+    nested.add_component(build_gpt())
+    with pytest.raises(SimulationError, match="^distributed plan graph must be flattened$"):
+        DistributedPlan(nested, plan.endpoints)
+    with pytest.raises(TypeError):
+        plan.endpoints["processor"] = plan.endpoints["generator"]
+    with pytest.raises(FrozenInstanceError):
+        plan.endpoints = {}
+    assert replace(plan) == plan
+    assert plan.graph.frozen

@@ -211,7 +211,7 @@ def test_plan_unknown_pool_rejected():
 def test_pool_spec_requires_workers():
     with pytest.raises(SimulationError):
         PoolSpec("p", 0)
-    with pytest.raises(SimulationError):
+    with pytest.raises(SimulationError, match="^duplicate pool name 'a'$"):
         PoolPlan((PoolSpec("a", 1), PoolSpec("a", 2)), {})
 
 

@@ -1,11 +1,15 @@
 """Plan XML: mode detection, schema errors, round-trip identity."""
 
+from dataclasses import replace
+
 import pytest
 
 from pdevsim import (DistributedPlan, build_efp, build_gpt, default_endpoints,
                      emit_distributed_plan_xml, emit_plan_xml,
                      emit_pool_plan_xml, load_pool_plan, parse_plan_xml)
+from pdevsim.bench import run_parallel, run_sequential
 from pdevsim.devstone import DevstoneConfig, generate
+from pdevsim.kernel import SimulationError
 from pdevsim.parallel import PoolPlan, PoolSpec
 from pdevsim.planfile import ParallelPlan, PlanError, contiguous_blocks
 
@@ -97,6 +101,23 @@ def test_undeclared_pool_rejected():
         parse_plan_xml(text)
 
 
+def test_pool_plan_errors_name_the_culprit():
+    """The parser and the emitter refuse a bad pool plan with the one-line
+    errors of PoolSpec and PoolPlan, as PlanError."""
+    text = emit_plan_xml(build_gpt(), workers=2)
+    with pytest.raises(PlanError, match="^pool 'main' needs at least one worker$"):
+        parse_plan_xml(text.replace(' workers="2"', ' workers="0"'))
+    with pytest.raises(PlanError, match="^duplicate pool name 'main'$"):
+        parse_plan_xml(text.replace('<pool name="main" workers="2" />',
+                                    '<pool name="main" workers="2" /><pool name="main" />'))
+    graph = build_gpt()
+    with pytest.raises(PlanError, match="^pool plan misses atomic 'transducer'$"):
+        emit_pool_plan_xml(graph, PoolPlan.single_pool(["generator", "processor"], 2))
+    with pytest.raises(PlanError, match="^pool plan assigns unknown atomic 'ghost'$"):
+        emit_pool_plan_xml(graph, PoolPlan.single_pool(
+            ["generator", "processor", "transducer", "ghost"], 2))
+
+
 def test_pool_without_workers_defaults_to_cpu_count(monkeypatch):
     import pdevsim.planfile
     monkeypatch.setattr(pdevsim.planfile, "default_workers", lambda: 7)
@@ -129,13 +150,32 @@ def test_delays_roundtrip_exactly():
         assert spec.delay_int == original[spec.name]
 
 
+def test_open_pool_plan_roundtrips_its_boundary_ports():
+    """A plan of an open coupled model, the EF of EFP, derives the root's
+    boundary ports from the connections that touch it, runs like the graph
+    under sequential and under one pool of two workers, and cannot be a
+    distributed plan."""
+    ef = build_efp().coupleds["ef"]
+    parsed = parse_plan_xml(emit_plan_xml(ef, workers=2))
+    assert (parsed.graph.input_ports, parsed.graph.output_ports) == (("in",), ("out",))
+    assert parsed.pool_plan == PoolPlan((PoolSpec("main", 2),), {"generator": "main",
+                                                                "transducer": "main"})
+    reference = run_sequential(ef, trace=True)
+    for report in (run_sequential(parsed.graph, trace=True),
+                   run_parallel(parsed.graph, parsed.pool_plan, trace=True)):
+        assert report.trace_text() == reference.trace_text()
+        assert report.counter_triple() == reference.counter_triple()
+    with pytest.raises(SimulationError, match="closed model"):
+        default_endpoints(parsed.graph)
+
+
 def test_default_endpoints_are_unique():
     """One port per atomic from the base port on: every atomic is a group
     of its own."""
     plan = default_endpoints(generate(DevstoneConfig("HO", 4, 4)), base_port=9000)
     ports = [e.main_port for e in plan.endpoints.values()]
     assert ports == list(range(9000, 9000 + len(plan.endpoints)))
-    plan.check()
+    assert replace(plan) == plan  # made again, so checked again
 
 
 def test_default_endpoints_cohost_contiguous_blocks():
@@ -147,7 +187,7 @@ def test_default_endpoints_cohost_contiguous_blocks():
     assert [endpoint.main_port for endpoint, _ in blocks] == [9000, 9001, 9002]
     assert [members for _, members in blocks] == contiguous_blocks(list(plan.endpoints), 3)
     assert [len(members) for _, members in blocks] == [3, 4, 4]
-    plan.check()
+    assert replace(plan) == plan  # made again, so checked again
     assert len(default_endpoints(build_gpt(), blocks=10).groups()) == 3
     with pytest.raises(PlanError, match="at least one endpoint block"):
         default_endpoints(build_gpt(), blocks=0)
@@ -156,7 +196,7 @@ def test_default_endpoints_cohost_contiguous_blocks():
 def test_shared_endpoints_roundtrip_as_cohosted_groups():
     from pdevsim import Endpoint
     plan = default_endpoints(build_gpt(), base_port=9000)
-    plan.endpoints["processor"] = plan.endpoints["generator"]
+    plan = replace(plan, endpoints={**plan.endpoints, "processor": plan.endpoints["generator"]})
     text = emit_distributed_plan_xml(plan)
     parsed = parse_plan_xml(text)
     assert parsed.groups() == {Endpoint("127.0.0.1", 9000): ["generator", "processor"],
