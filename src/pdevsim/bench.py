@@ -83,25 +83,38 @@ def profiles_to_csv(profiles: list[AtomicProfile]) -> str:
     return out.getvalue()
 
 
-def _csv_rows(lines, header: tuple[str, ...], what: str) -> list[list[str]]:
+def _csv_rows(lines, header: tuple[str, ...], what: str,
+              numbers: tuple[str, ...] = ()) -> list[list[str]]:
     """The non-blank rows of the CSV ``lines`` under ``header``. A wrong header,
-    or a row of another length, is refused in one line naming ``what`` and it."""
+    a row of another length, a ``numbers`` column that is not a number, or
+    text that is not CSV is refused in one line naming ``what`` and it."""
     reader = csv.reader(lines)
-    found = next(reader, None)
-    if found is None or tuple(found) != header:
-        raise BenchError(f"bad {what} header: {found}")
-    rows = []
-    for row in filter(None, reader):
-        if len(row) != len(header):
-            raise BenchError(f"{what} line {reader.line_num} has {len(row)} fields, "
-                             f"not {len(header)}: {row!r:.80}")
-        rows.append(row)
+    columns = [(header.index(name), name) for name in numbers]
+    try:
+        found = next(reader, None)
+        if found is None or tuple(found) != header:
+            raise BenchError(f"bad {what} header: {found!r:.80}")
+        rows = []
+        for row in filter(None, reader):
+            if len(row) != len(header):
+                raise BenchError(f"{what} line {reader.line_num} has {len(row)} fields, "
+                                 f"not {len(header)}: {row!r:.80}")
+            for index, name in columns:
+                try:
+                    float(row[index])
+                except ValueError:
+                    raise BenchError(f"{what} line {reader.line_num} column {name} is "
+                                     f"not a number: {row[index]!r:.40}") from None
+            rows.append(row)
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise BenchError(f"{what} line {reader.line_num}: {exc}") from None
     return rows
 
 
 def profiles_from_csv(text: str) -> list[AtomicProfile]:
     return [AtomicProfile(row[0], float(row[1]), float(row[2]))
-            for row in _csv_rows(io.StringIO(text), PROFILE_HEADER, "profile CSV")]
+            for row in _csv_rows(io.StringIO(text), PROFILE_HEADER, "profile CSV",
+                                 PROFILE_HEADER[1:3])]
 
 
 # -- allocation ------------------------------------------------------------------
@@ -449,7 +462,8 @@ def read_report_rows(path: str | Path) -> list[dict[str, str]]:
     header = tuple(RunReport.CSV_HEADER.split(","))
     with Path(path).open(encoding="utf-8", newline="") as handle:
         return [dict(zip(header, row))
-                for row in _csv_rows(handle, header, f"results file {path}")]
+                for row in _csv_rows(handle, header, f"results file {path}",
+                                     ("wall_seconds",))]
 
 
 @dataclass(frozen=True)
@@ -475,15 +489,13 @@ def speedup_rows(rows: list[dict[str, str]]) -> list[SpeedupRow]:
         if row["backend"] == "sequential":
             if row["model"] in baselines:
                 raise BenchError(f"multiple sequential baselines for {row['model']!r}")
-            baselines[row["model"]] = float(row["wall_seconds"])
+            baselines[row["model"]] = _wall_seconds(row)
     result = []
     for row in rows:
         model = row["model"]
         if model not in baselines:
             raise BenchError(f"no sequential baseline for model {model!r}")
-        wall = float(row["wall_seconds"])
-        if wall <= 0 or math.isnan(wall):
-            raise BenchError(f"bad wall time {row['wall_seconds']!r}")
+        wall = _wall_seconds(row)
         backend = row["backend"]
         if backend == "parallel":
             pools = row["workers/pools"].count("x") + 1
@@ -493,6 +505,16 @@ def speedup_rows(rows: list[dict[str, str]]) -> list[SpeedupRow]:
         result.append(SpeedupRow(model, group, row["workers/pools"], wall,
                                  baselines[model] / wall))
     return result
+
+
+def _wall_seconds(row: dict[str, str]) -> float:
+    try:
+        wall = float(row["wall_seconds"])
+    except ValueError:
+        wall = math.nan
+    if wall <= 0 or math.isnan(wall):
+        raise BenchError(f"bad wall time {row['wall_seconds']!r:.40}")
+    return wall
 
 
 def speedups_to_csv(rows: list[SpeedupRow]) -> str:

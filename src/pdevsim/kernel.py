@@ -231,16 +231,17 @@ class SequentialCoordinator:
         self.graph = graph
         self.exec_graph = flatten(graph) if flatten_graph else graph
         self.trace_enabled = trace
-        self.simulators: dict[str, Simulator] = {}
-        self._sim_list: list[Simulator] = []
-        leaves = _leaves(self.exec_graph)
-        self._rename = {path: spec.name for path, spec in leaves}
-        for _, spec in leaves:
-            sim = Simulator(create_behavior(spec, Counters()),
-                            trace=trace, profile=profile)
-            self.simulators[spec.name] = sim
-            self._sim_list.append(sim)
-        self._ranks = {sim.name: rank for rank, sim in enumerate(self._sim_list)}
+        if self.exec_graph.is_flat():
+            specs = list(self.exec_graph.atomics.values())
+        else:
+            leaves = _leaves(self.exec_graph)
+            self._rename = {path: spec.name for path, spec in leaves}
+            specs = [spec for _, spec in leaves]
+        self._sim_list = [Simulator(create_behavior(spec, Counters()), trace=trace,
+                                    profile=profile) for spec in specs]
+        names = [spec.name for spec in specs]
+        self.simulators = dict(zip(names, self._sim_list))
+        self._ranks = dict(zip(names, range(len(names))))
         self._build_routes()
         self.initialize()
 
@@ -363,8 +364,14 @@ class SequentialCoordinator:
         self._boundary: dict[_BoundaryKey, list] = {}
         graph = self.exec_graph
         if graph.is_flat():
-            self._routes = [self._hop((), graph, coupling)
-                            for coupling in graph.couplings if coupling.kind == IC]
+            sims, ranks = self.simulators, self._ranks
+            for coupling in graph.couplings:
+                if coupling.kind == IC:
+                    src, dst = coupling.src, coupling.dst
+                    rank = ranks[dst.component]
+                    self._routes.append((
+                        sims[src.component].model.output_bags[src.port],
+                        self._sim_list[rank].model.input_bags[dst.port], rank))
         else:
             for port in graph.input_ports:
                 self._boundary[((), port, "in")] = []
@@ -380,8 +387,8 @@ class SequentialCoordinator:
         that is not in ``shipped`` (read by a caller) holds dropped values."""
         self._routes = routes
         self._transit = list(boundary)
-        read = {id(bag) for bag in shipped}
-        read.update(id(src) for src, _, _ in routes)
+        read = {id(src) for src, _, _ in routes}
+        read.update(map(id, shipped))
         bags = [bag for sim in self._sim_list for bag in sim.model.output_bags.values()]
         self._dangling = [bag for bag in bags + self._transit if id(bag) not in read]
 

@@ -18,8 +18,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass, replace
+from itertools import count
 from typing import Iterable, Iterator, Union
 
 EventValue = Union[int, float, str, list]
@@ -30,6 +31,10 @@ OUTPUT = "output"
 EIC = "EIC"
 IC = "IC"
 EOC = "EOC"
+
+# Builds a record without its checked constructor, where the fields are
+# known good.
+_new_tuple = tuple.__new__
 
 
 class ModelError(Exception):
@@ -58,29 +63,42 @@ def check_event_value(value: EventValue) -> None:
     raise ModelError(f"unsupported event payload type: {type(value).__name__}")
 
 
-@dataclass(frozen=True)
-class PortRef:
-    """Reference to one named port on a component or on a graph boundary."""
+def _same_record(self, other) -> bool:
+    return type(other) is type(self) and tuple.__eq__(self, other)
 
-    component: str
-    port: str
-    direction: str  # INPUT or OUTPUT
 
-    def __post_init__(self) -> None:
-        if self.direction not in (INPUT, OUTPUT):
-            raise ModelError(f"bad port direction {self.direction!r}")
+def _other_record(self, other) -> bool:
+    return not _same_record(self, other)
+
+
+class PortRef(namedtuple("PortRef", "component port direction")):
+    """Reference to one named port on a component or on a graph boundary.
+
+    An immutable named tuple that, like a frozen dataclass, equals only a
+    PortRef with equal fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, component: str, port: str, direction: str) -> "PortRef":
+        if direction not in (INPUT, OUTPUT):
+            raise ModelError(f"bad port direction {direction!r}")
+        return _new_tuple(cls, (component, port, direction))
+
+    __eq__, __ne__, __hash__ = _same_record, _other_record, tuple.__hash__
 
     def __str__(self) -> str:  # pragma: no cover - debug aid
         return f"{self.component}.{self.port}/{self.direction[:3]}"
 
 
-@dataclass(frozen=True)
-class Coupling:
-    """One stored coupling with its auto-classified kind."""
+class Coupling(namedtuple("Coupling", "src dst kind")):
+    """One stored coupling with its auto-classified kind (EIC, IC or EOC).
 
-    src: PortRef
-    dst: PortRef
-    kind: str  # EIC, IC or EOC
+    An immutable named tuple that equals only a Coupling with equal fields.
+    """
+
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = _same_record, _other_record, tuple.__hash__
 
 
 @dataclass(frozen=True)
@@ -138,6 +156,11 @@ class ModelGraph:
         self.coupleds: dict[str, "ModelGraph"] = {}
         self.couplings: list[Coupling] | tuple[Coupling, ...] = []
         self._order: list[str] = []  # child names in document order
+        # The one PortRef of each port of this graph and of its children, by
+        # (component, port, direction), filled as components are added. A
+        # port that is not here is looked up on the component, and kept.
+        self._refs: dict[tuple[str, str, str], PortRef] = {}
+        self._add_refs(self)
         self._frozen = False
         # Kept once frozen: the errors of validate() and the flat form.
         self._errors: tuple[Violation, ...] | None = None
@@ -148,6 +171,13 @@ class ModelGraph:
     def _check_mutable(self) -> None:
         if self._frozen:
             raise ModelError(f"model {self.name!r} is frozen")
+
+    def _add_refs(self, component: Union[AtomicSpec, "ModelGraph"]) -> None:
+        refs, name = self._refs, component.name
+        for port in component.input_ports:
+            refs[name, port, INPUT] = _new_tuple(PortRef, (name, port, INPUT))
+        for port in component.output_ports:
+            refs[name, port, OUTPUT] = _new_tuple(PortRef, (name, port, OUTPUT))
 
     def add_component(self, child: Union[AtomicSpec, "ModelGraph"]) -> "ModelGraph":
         """Register a child atomic spec or coupled model at this level."""
@@ -161,6 +191,7 @@ class ModelGraph:
         else:
             raise ModelError(f"cannot add {type(child).__name__} as a component")
         self._order.append(child.name)
+        self._add_refs(child)
         return self
 
     def components(self) -> Iterator[Union[AtomicSpec, "ModelGraph"]]:
@@ -172,16 +203,27 @@ class ModelGraph:
         """Store a coupling after classifying it as EIC, IC or EOC."""
         self._check_mutable()
         kind = self.classify(src, dst)
-        self.couplings.append(Coupling(src, dst, kind))
+        self.couplings.append(_new_tuple(Coupling, (src, dst, kind)))
         return self
 
     def connect(self, src_component: str, src_port: str,
                 dst_component: str, dst_port: str) -> "ModelGraph":
-        """Name-based convenience wrapper around :meth:`couple`."""
-        src_dir = INPUT if src_component == self.name else OUTPUT
-        dst_dir = OUTPUT if dst_component == self.name else INPUT
-        return self.couple(PortRef(src_component, src_port, src_dir),
-                           PortRef(dst_component, dst_port, dst_dir))
+        """Name-based form of :meth:`couple`; each end is the one
+        :class:`PortRef` this graph keeps for that port."""
+        self._check_mutable()
+        name, refs = self.name, self._refs
+        src_key = (src_component, src_port, INPUT if src_component == name else OUTPUT)
+        dst_key = (dst_component, dst_port, OUTPUT if dst_component == name else INPUT)
+        src = refs.get(src_key) or self._port(*src_key)
+        dst = refs.get(dst_key) or self._port(*dst_key)
+        if src_component != name:
+            kind = EOC if dst_component == name else IC
+        elif dst_component != name:
+            kind = EIC
+        else:
+            kind = self.classify(src, dst)  # refuses boundary to boundary
+        self.couplings.append(_new_tuple(Coupling, (src, dst, kind)))
+        return self
 
     def freeze(self) -> "ModelGraph":
         """Make this graph and its children immutable, ``couplings`` a
@@ -210,12 +252,15 @@ class ModelGraph:
             return child.input_ports, child.output_ports
         raise ModelError(f"no component {component!r} in {self.name!r}")
 
-    def _check_port(self, ref: PortRef) -> None:
-        inputs, outputs = self.component_ports(ref.component)
-        ports = inputs if ref.direction == INPUT else outputs
-        if ref.port not in ports:
-            raise ModelError(
-                f"no {ref.direction} port {ref.port!r} on {ref.component!r} in {self.name!r}")
+    def _port(self, component: str, port: str, direction: str) -> PortRef:
+        """The PortRef of a port that is not in this graph's table, once the
+        component is found to have it: a port assigned after the component
+        was added."""
+        inputs, outputs = self.component_ports(component)
+        if port not in (inputs if direction == INPUT else outputs):
+            raise ModelError(f"no {direction} port {port!r} on {component!r} in {self.name!r}")
+        ref = self._refs[component, port, direction] = PortRef(component, port, direction)
+        return ref
 
     def classify(self, src: PortRef, dst: PortRef) -> str:
         """Derive the coupling kind from endpoint ownership and direction.
@@ -225,8 +270,11 @@ class ModelGraph:
         including a direct shortcut from the graph's own input to its own
         output.
         """
-        self._check_port(src)
-        self._check_port(dst)
+        refs = self._refs
+        if tuple(src) not in refs:
+            self._port(*src)
+        if tuple(dst) not in refs:
+            self._port(*dst)
         src_is_self = src.component == self.name
         dst_is_self = dst.component == self.name
         if src_is_self and dst_is_self:
@@ -407,12 +455,6 @@ def _coupling_cycles(graph: ModelGraph) -> list[list[str]]:
 
 # -- flattening ---------------------------------------------------------------
 
-# A node in the route walk: (component path, port name, side). Side "in" is
-# an input-facing port (atomic input or coupled boundary input), "out" an
-# output-facing one. The empty path is the root boundary.
-_Node = tuple[tuple[str, ...], str, str]
-
-
 def flatten(graph: ModelGraph) -> ModelGraph:
     """Rewrite a hierarchy into a single-level graph of atomics only.
 
@@ -457,51 +499,65 @@ def _leaves(graph: ModelGraph) -> list[tuple[tuple[str, ...], AtomicSpec]]:
 
 def _routes(graph: ModelGraph, flat: ModelGraph, leaves) -> list[Coupling]:
     """The couplings of ``flat``, the flat form of the valid ``graph`` with
-    ``leaves``: one per event path, in flatten's route order. A route's
-    kind follows from its ends; the one illegal route, root input to root
-    output, goes to ``flat.couple``, which rejects it."""
-    # Edges between route nodes; a node's edges all lie in one level, so
-    # the level order does not matter. Stored kinds are checked already.
-    edges: dict[_Node, list[_Node]] = {}
-    levels = [((), graph)]
-    while levels:
-        path, level = levels.pop()
+    ``leaves``: one per event path, in flatten's route order, each end the
+    PortRef that ``flat`` keeps. A route's kind follows from its ends; one
+    from a root input ends at an atomic, as a valid level couples no
+    boundary to boundary."""
+    refs = flat._refs
+    flat_names = iter([spec.name for _, spec in leaves])
+    # Each coupled model in the walk has a number, the root 0. A route
+    # node is an atomic output, by its PortRef in ``flat``, or a port of a
+    # coupled model: (number, port, direction). Its edges are the nodes it
+    # leads to in one hop, or the PortRef in ``flat`` of an atomic input or
+    # root output where it ends.
+    edges: dict = {}
+    numbers = count(1)
+
+    def link(level: ModelGraph, number: int) -> None:
+        """Add the edges of ``level``, numbered ``number``, and below it;
+        children are visited in the order of ``leaves``."""
+        here: dict[str, str | int] = {level.name: number}
+        for name in level._order:
+            if name in level.atomics:
+                here[name] = next(flat_names)
+            else:
+                here[name] = child = next(numbers)
+                link(level.coupleds[name], child)
         for coupling in level.couplings:
             src, dst = coupling.src, coupling.dst
-            src_node = ((path, src.port, "in") if coupling.kind == EIC
-                        else (path + (src.component,), src.port, "out"))
-            dst_node = ((path, dst.port, "out") if coupling.kind == EOC
-                        else (path + (dst.component,), dst.port, "in"))
-            edges.setdefault(src_node, []).append(dst_node)
-        levels.extend((path + (child.name,), child) for child in level.coupleds.values())
+            at = here[src.component]
+            node = refs[at, src.port, OUTPUT] if type(at) is str else (at, src.port, src.direction)
+            at = here[dst.component]
+            if type(at) is str:
+                end = refs[at, dst.port, INPUT]
+            elif at:
+                end = (at, dst.port, dst.direction)
+            else:
+                end = refs[graph.name, dst.port, OUTPUT]
+            edges.setdefault(node, []).append(end)
 
-    atomics = dict(leaves)
-    sinks: dict[_Node, list[PortRef]] = {}
+    link(graph, 0)
+    sinks: dict = {}
 
-    def reach(node: _Node) -> list[PortRef]:
+    def reach(node) -> list[PortRef]:
         """The atomic inputs and root outputs that ``node`` leads to."""
         found = sinks.get(node)
         if found is None:
-            path, port, side = node
-            if side == "in" and path in atomics:
-                found = [PortRef(atomics[path].name, port, INPUT)]
-            elif side == "out" and not path:
-                found = [PortRef(graph.name, port, OUTPUT)]
-            else:
-                found = [sink for nxt in edges.get(node, ()) for sink in reach(nxt)]
-            sinks[node] = found
+            found = sinks[node] = []
+            for nxt in edges.get(node, ()):
+                if type(nxt) is PortRef:
+                    found.append(nxt)
+                elif nxt in edges:
+                    found += reach(nxt)
         return found
 
     routes: list[Coupling] = []
     for port in graph.input_ports:
-        src = PortRef(graph.name, port, INPUT)
-        for dst in reach(((), port, "in")):
-            if dst.direction == OUTPUT:
-                flat.couple(src, dst)
-            routes.append(Coupling(src, dst, EIC))
-    for path, spec in leaves:
+        src = refs[graph.name, port, INPUT]
+        routes += [_new_tuple(Coupling, (src, dst, EIC)) for dst in reach((0, port, INPUT))]
+    for _, spec in leaves:
         for port in spec.output_ports:
-            src = PortRef(spec.name, port, OUTPUT)
-            for dst in reach((path, port, "out")):
-                routes.append(Coupling(src, dst, EOC if dst.direction == OUTPUT else IC))
+            src = refs[spec.name, port, OUTPUT]
+            routes += [_new_tuple(Coupling, (src, dst, EOC if dst.direction == OUTPUT else IC))
+                       for dst in reach(src)]
     return routes

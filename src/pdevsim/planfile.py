@@ -85,10 +85,13 @@ def load_pool_plan(source: str | Path) -> PoolPlan:
 
 
 def _read(source: str | Path) -> str:
+    """The document: a Path's text, or a string's, which names a file
+    unless it holds a '<'. So XML text with stray bytes before its first
+    tag fails to parse, rather than as a missing file named by the text."""
     if isinstance(source, Path):
         return source.read_text(encoding="utf-8")
     text = str(source)
-    if text.lstrip().startswith("<"):
+    if "<" in text:
         return text
     return Path(text).read_text(encoding="utf-8")
 

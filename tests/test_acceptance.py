@@ -191,6 +191,8 @@ def test_pool_order_barrier_cost(ho88_walls):
 
 
 def test_two_level_monotonicity():
+    # Each figure is the median of three runs, so that a moment of load
+    # on a shared host does not decide the comparison.
     with criterion("two-level allocation: L1 workers 1->2->4 non-increasing (10% noise)"):
         config = DevstoneConfig("HO", 8, 8, DelayDistribution.constant(0.02), seed=1)
         profiles = profile_model(generate(config))
@@ -200,7 +202,8 @@ def test_two_level_monotonicity():
             alloc = allocate_two_level(profiles, generate(config),
                                        fraction=0.25, n=l1_workers, m=1)
             plan = two_level_pool_plan(alloc)
-            walls.append(run_parallel(generate(config), plan).wall_seconds)
+            walls.append(statistics.median(
+                run_parallel(generate(config), plan).wall_seconds for _ in range(3)))
         for slower, faster in zip(walls, walls[1:]):
             assert faster <= slower * 1.10, f"walls {walls}"
 

@@ -5,8 +5,10 @@ import os
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pdevsim import SequentialCoordinator, SimulationError, flatten, model
+from pdevsim import RunReport, SequentialCoordinator, SimulationError, flatten, model
 from pdevsim.bench import (Allocation2Level, AtomicProfile, BenchError,
                            allocate_two_level, append_report_row,
                            plot_data_csv, profile_model, profiles_from_csv,
@@ -790,6 +792,45 @@ def test_report_and_profile_csvs_quote_fields_and_refuse_malformed_rows(tmp_path
     line = text.count("\n") + 1
     with pytest.raises(BenchError, match=f"^profile CSV line {line} has 3 fields, not 4: "):
         profiles_from_csv(text + "x,1.0,2.0\n")
+
+
+# Edits to a valid CSV: (position, characters deleted there, text inserted).
+_CSV_TEXT = st.sampled_from(["", "abc", "nan", "-1", "1e999", "0x1", ",", '"', "\n", "\r",
+                             "\x00", "\u00e9"]) | st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",)), max_size=3)
+_CSV_EDITS = st.lists(st.tuples(st.integers(0, 400), st.integers(0, 3), _CSV_TEXT),
+                      min_size=1, max_size=4)
+
+
+def _mutated(text: str, edits) -> str:
+    for position, deleted, inserted in edits:
+        position %= len(text) + 1
+        text = text[:position] + inserted + text[position + deleted:]
+    return text
+
+
+def _parses_or_refuses_in_one_line(parse) -> None:
+    try:
+        parse()
+    except BenchError as exc:
+        message = str(exc)
+        assert message and "\n" not in message and "\r" not in message, message
+
+
+@given(_CSV_EDITS)
+@settings(max_examples=300)
+def test_a_mutated_profile_csv_parses_or_is_refused_in_one_line(edits):
+    text = _mutated(profiles_to_csv(_synthetic_profiles(3)), edits)
+    _parses_or_refuses_in_one_line(lambda: profiles_from_csv(text))
+
+
+@given(edits=_CSV_EDITS)
+@settings(max_examples=300)
+def test_a_mutated_results_file_parses_or_is_refused_in_one_line(tmp_path_factory, edits):
+    path = tmp_path_factory.getbasetemp() / "mutated-rows.csv"
+    path.write_text(_mutated(f"{RunReport.CSV_HEADER}\nm,sequential,1,3,0.5,7,7,7\n"
+                             "m,parallel,2x2,3,0.25,7,7,7\n", edits), encoding="utf-8")
+    _parses_or_refuses_in_one_line(lambda: speedup_rows(read_report_rows(path)))
 
 
 def _row(model, backend, label, wall):

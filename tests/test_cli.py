@@ -97,6 +97,28 @@ def test_pipeline_generate_profile_allocate_run_report(tmp_path, capsys):
     assert plot.read_text().count("\n") >= 2
 
 
+def test_non_numeric_csv_fields_end_in_one_line(tmp_path, capsys):
+    """A profile given to ``allocate``, or a results file given to ``report``,
+    whose number field reads ``abc`` ends the command in one error line that
+    names the CSV, the line and the column."""
+    from pdevsim.kernel import RunReport
+    plan = tmp_path / "plan.xml"
+    profile = tmp_path / "profile.csv"
+    rows = tmp_path / "rows.csv"
+    assert main(["generate", "-w", "3", "-d", "2", "--out", str(plan)]) == 0
+    profile.write_text("atomic,cpu_seconds_ext,cpu_seconds_int,cpu_seconds_total\n"
+                       "generator,0.0,abc,0.0\n", encoding="utf-8")
+    code, _, err = run_cli(["allocate", "--plan", str(plan), "--profile", str(profile),
+                            "--mode", "balanced", "-m", "2"], capsys)
+    assert (code, err) == (
+        1, "error: profile CSV line 2 column cpu_seconds_int is not a number: 'abc'\n")
+    rows.write_text(f"{RunReport.CSV_HEADER}\nm,sequential,1,3,0.5,7,7,7\n"
+                    "m,parallel,2,3,abc,7,7,7\n", encoding="utf-8")
+    code, _, err = run_cli(["report", "--rows", str(rows)], capsys)
+    assert (code, err) == (
+        1, f"error: results file {rows} line 3 column wall_seconds is not a number: 'abc'\n")
+
+
 def test_balanced_allocation_mode(tmp_path, capsys):
     plan = tmp_path / "plan.xml"
     profile = tmp_path / "profile.csv"

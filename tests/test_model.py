@@ -43,6 +43,32 @@ def test_coupling_classification():
     assert kinds[("processor", "out", "ef", "in")] == IC
 
 
+def test_connect_and_couple_make_equal_records():
+    """connect ends each coupling at the graph's one PortRef for that port;
+    its couplings equal, and hash as, those that couple makes from fresh
+    PortRefs. Both records stay immutable and equal only their own type,
+    and a PortRef refuses a bad direction."""
+    by_name, by_ref = build_gpt(), ModelGraph("efp")
+    for child in by_name.components():
+        by_ref.add_component(child)
+    for coupling in by_name.couplings:
+        src, dst = coupling.src, coupling.dst
+        by_ref.couple(PortRef(src.component, src.port, src.direction),
+                      PortRef(dst.component, dst.port, dst.direction))
+    assert by_ref.couplings == by_name.couplings
+    assert [hash(c) for c in by_ref.couplings] == [hash(c) for c in by_name.couplings]
+    assert by_ref.structural_hash() == by_name.structural_hash()
+    first, second = by_name.couplings[:2]
+    assert first.src is second.src and first.src is not by_ref.couplings[0].src
+    assert first.src != tuple(first.src) and tuple(first.src) != first.src
+    assert first != tuple(first) and first != first.src
+    for record, field in ((first, "kind"), (first.src, "port"), (first, "extra")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, "x")
+    with pytest.raises(ModelError, match="^bad port direction 'sideways'$"):
+        PortRef("processor", "in", "sideways")
+
+
 def test_couple_errors():
     graph = ModelGraph("m", input_ports=("in",))
     graph.add_component(atomic_spec("a", "devstone"))

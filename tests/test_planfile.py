@@ -131,6 +131,20 @@ def test_malformed_xml_rejected():
         parse_plan_xml("<coupled name='x'><atomic></coupled>")
 
 
+def test_xml_text_with_stray_leading_bytes_is_refused_in_one_line(tmp_path):
+    """A string that holds XML is parsed as XML, so stray bytes before its
+    first tag end in a one-line PlanError, not in a missing file named by
+    the whole document; paths, as strings or Paths, still read the file."""
+    text = emit_plan_xml(build_gpt(), workers=2)
+    path = tmp_path / "plan.xml"
+    path.write_text(text, encoding="utf-8")
+    for source in (text, str(path), path):
+        assert isinstance(parse_plan_xml(source), ParallelPlan)
+    for stray in ("x", "#", "\x00", "plan.xml\n"):
+        with pytest.raises(PlanError, match="^not well-formed XML: [^\n]*$"):
+            parse_plan_xml(stray + text)
+
+
 def test_load_pool_plan_rejects_distributed_files(tmp_path):
     path = tmp_path / "dist.xml"
     path.write_text(emit_plan_xml(build_gpt(), host="127.0.0.1"), encoding="utf-8")
