@@ -1,5 +1,6 @@
 """Benchmark harness: profiling, two-level allocation, backend runners and
-speedup reporting.
+speedup reporting. The distributed-local launcher that ``run_plan`` calls
+lives with the service groups it starts, in :mod:`pdevsim.distributed`.
 
 This is the operator-facing machinery behind the CLI. Everything emits or
 consumes plain CSV so results can be piped into any plotting tool; the
@@ -11,23 +12,15 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
-import select
-import signal
-import socket
-import sys
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import cli
 from .devstone import GENERATOR_NAME
-from .distributed import (DistributedCoordinator, DistributedPlan, Endpoint, ServiceGroup,
-                          Timeouts, _listen, _start_groups)
-from .kernel import RunReport, SequentialCoordinator, SimulationError
-from .model import ModelGraph, flatten
-from .parallel import ParallelCoordinator, PoolPlan, PoolSpec, default_workers
-from .planfile import ParallelPlan, contiguous_blocks
+from .distributed import DistributedPlan, run_distributed_local
+from .kernel import RunReport, SequentialCoordinator
+from .model import ModelGraph
+from .parallel import ParallelCoordinator, PoolPlan, PoolSpec
+from .planfile import ParallelPlan
 
 
 class BenchError(Exception):
@@ -189,235 +182,6 @@ def run_parallel(graph: ModelGraph, pool_plan: PoolPlan, *,
                  iterations: int | None = None, trace: bool = False) -> RunReport:
     with ParallelCoordinator(graph, pool_plan, trace=trace) as coordinator:
         return coordinator.simulate(iterations)
-
-
-def _loopback_plan(graph: ModelGraph,
-                   listeners: dict[Endpoint, socket.socket]) -> DistributedPlan:
-    """Plan for ``graph`` over loopback: one contiguous block of plan order
-    per CPU this process may run on (never more blocks than atomics), each
-    co-hosted, so coupled neighbours push in memory, at a listener bound on
-    a port that the kernel assigns and added to ``listeners``."""
-    flat = flatten(graph)
-    names = list(flat.atomics)
-    endpoints = {}
-    for block in contiguous_blocks(names, min(default_workers(), len(names))):
-        listener = socket.create_server(("127.0.0.1", 0))
-        endpoint = Endpoint(*listener.getsockname())
-        listeners[endpoint] = listener
-        endpoints.update(dict.fromkeys(block, endpoint))
-    return DistributedPlan(flat, endpoints)
-
-
-# How long a service process may take to end once the coordinator's links
-# are closed, before a failed run stops waiting for it.
-_EXIT_GRACE_S = 1.0
-
-
-@dataclass
-class _Child:
-    """A forked service process that serves the groups at ``endpoints``,
-    which host ``members``: a pidfd that is readable once it exits, an
-    eventfd that it bumps once it serves, and the memfd that holds its
-    stdout and stderr, of which the last 4 KiB are kept once it is reaped."""
-
-    pid: int
-    pidfd: int
-    ready: int
-    output: int
-    members: list[str]
-    endpoints: list[Endpoint]
-    printed: bytes = b""
-    code: int | None = None  # its exit code, once reaped
-
-    def exited(self, timeout: float = 0.0) -> bool:
-        """Whether the process has exited, or exits within ``timeout`` seconds."""
-        return self.code is not None or bool(select.select([self.pidfd], [], [], timeout)[0])
-
-    def close(self, timeout: float = 0.0) -> int:
-        """Wait up to ``timeout`` seconds for the process to exit, kill it
-        if it has not, reap it, keep the end of what it printed and close
-        its fds, once; its exit code."""
-        if self.code is None:
-            if not self.exited(timeout):
-                os.kill(self.pid, signal.SIGKILL)
-            self.code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-            end = os.fstat(self.output).st_size
-            self.printed = os.pread(self.output, 4096, max(end - 4096, 0))
-            for fd in (self.pidfd, self.ready, self.output):
-                os.close(fd)
-        return self.code
-
-    def tail(self) -> str:
-        """The last lines the process printed, once it is reaped."""
-        lines = self.printed.decode(errors="replace").splitlines()
-        return " | ".join(line for line in lines[-5:] if line.strip()) or "no output"
-
-
-def _fork_service(plan: DistributedPlan, block: list[Endpoint],
-                  listeners: dict[Endpoint, socket.socket], timeouts: Timeouts | None,
-                  share: list[int]) -> _Child:
-    """Fork one process that serves the groups at the endpoints of ``block``
-    on the CPUs in ``share``: it keeps their ``listeners``, which it
-    inherits, closes every other group's, dials each group's peers, and
-    goes on like ``pdevsim serve`` once that has bound its listeners, but
-    bumps an eventfd where that prints its ready line. Its stdout and
-    stderr go to one memfd, which a write never waits on, as fresh stream
-    objects, so nothing the launcher left unflushed, and no lock a launcher
-    thread held at the fork, is in them; ``os._exit`` runs none of the
-    launcher's exit handlers."""
-    output, ready = os.memfd_create("pdevsim-service"), os.eventfd(0)
-    pid = 0
-    try:
-        pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                for endpoint in listeners.keys() - block:
-                    listeners[endpoint].close()
-                os.sched_setaffinity(0, share)
-                os.dup2(output, 1)
-                os.dup2(output, 2)
-                sys.stdout = sys.stderr = open(1, "w", buffering=1, encoding="utf-8",
-                                               errors="backslashreplace")
-                code = cli.guarded(lambda: cli.serve(_start_groups(
-                    plan, {endpoint: listeners[endpoint] for endpoint in block},
-                    timeouts, dial=True), lambda: os.eventfd_write(ready, 1)))
-                sys.stdout.flush()
-            finally:
-                os._exit(code)
-        groups = plan.groups()
-        return _Child(pid, os.pidfd_open(pid), ready, output,
-                      [name for endpoint in block for name in groups[endpoint]], block)
-    except BaseException:
-        if pid:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        os.close(output)
-        os.close(ready)
-        raise
-
-
-def _wait_ready(child: _Child, deadline: float) -> None:
-    """Wait until a service process bumps its ready eventfd; if it exits
-    first, report its exit code and the last lines it printed."""
-    members = ", ".join(child.members)
-    woken = select.select([child.ready, child.pidfd], [], [],
-                          max(deadline - time.monotonic(), 0.0))[0]
-    if child.ready in woken:
-        return
-    if not woken:
-        raise SimulationError(f"simulator process for {members} never came up")
-    raise SimulationError(f"simulator process for {members} exited with code "
-                          f"{child.close()} before it was ready: {child.tail()}")
-
-
-def _lost_process(error: SimulationError, children: list[_Child]) -> SimulationError | None:
-    """When a service process died during the coordinator run that
-    ``error`` ended, ``error`` naming that process's atomics and endpoints,
-    its exit code and the last lines it printed. The coordinator has closed
-    its links, so every process still serving ends at once with code 0."""
-    for child in children:
-        if child.exited(_EXIT_GRACE_S) and child.close() != 0:
-            return SimulationError(
-                f"{error}; the simulator process for {', '.join(child.members)} at "
-                f"{', '.join(map(str, child.endpoints))} exited with code {child.code}: "
-                f"{child.tail()}")
-    return None
-
-
-def run_distributed_local(plan_or_graph, *, iterations: int | None = None,
-                          trace: bool = False, startup_timeout: float = 60.0,
-                          timeouts: Timeouts | None = None) -> RunReport:
-    """Serve a plan on loopback in one process per CPU, run the coordinator
-    against it, and tear everything down.
-
-    The launcher binds every listener before its first fork, so no port is
-    chosen first and bound later, and one that cannot be bound is reported
-    before any fork. Each process dials its own links, none while the
-    coordinator runs: each group dials its peers before it serves, in a
-    forked process before that is ready, and the coordinator dials the
-    groups once every process is ready (:meth:`DistributedCoordinator.connect`).
-    A graph gets one contiguous block of plan order per CPU at a port the
-    kernel assigns (:func:`_loopback_plan`). A plan, checked and indexed
-    when it was made, keeps its endpoints, and its groups are dealt in plan
-    order into contiguous blocks, one per process, never more processes
-    than CPUs or groups, so only a shared endpoint co-hosts (``generate
-    --workers`` makes such plans; with one endpoint per atomic, every
-    coupling crosses loopback TCP). Process
-    ``i`` of ``count`` runs on slice ``i`` of the launcher's allowed CPUs,
-    ``allowed[len * i // count:len * (i + 1) // count]``, which its groups
-    divide between them.
-
-    Each block but block 0 gets a process forked from this one, which
-    inherits its block's listeners and closes every other group's; this
-    process closes its copies right after the fork. The child serves the
-    plan it inherited in memory with this call's ``timeouts`` (no
-    interpreter start-up, argument parsing or plan XML). The coordinator
-    runs once every child has bumped its ready eventfd, within
-    ``startup_timeout`` seconds. A child's stdout and stderr go to a memfd,
-    which is read only once the child is reaped: a process that exits
-    before it is ready, or dies mid-run, is reported with its atomics, exit
-    code and last output, and in the second case its endpoints.
-
-    This process serves block 0, pinned to share 0 from before its groups
-    start until the coordinator ends: the coordinator runs block 0's first
-    group on its own thread, without a socket (``local`` of
-    :class:`DistributedCoordinator`), and any other group of block 0 runs
-    on a thread of its own. Linux only (``os.pidfd_open``).
-    """
-    listeners: dict[Endpoint, socket.socket] = {}  # bound, not yet handed over
-    children: list[_Child] = []
-    served: list[ServiceGroup] = []
-    grace = 0.0  # how long the processes may take to exit: a failed run kills them
-    try:
-        plan = (plan_or_graph if isinstance(plan_or_graph, DistributedPlan)
-                else _loopback_plan(plan_or_graph, listeners))
-        endpoints = list(plan.groups())
-        listeners.update(_listen(plan, [endpoint for endpoint in endpoints
-                                        if endpoint not in listeners]))
-        blocks = contiguous_blocks(endpoints, min(default_workers(), len(endpoints)))
-        allowed = sorted(os.sched_getaffinity(0))
-        shares = contiguous_blocks(allowed, len(blocks))
-        for block, share in zip(blocks[1:], shares[1:]):
-            children.append(_fork_service(plan, block, listeners, timeouts, share))
-            for endpoint in block:  # close(), never shutdown(): the child serves them
-                listeners.pop(endpoint).close()
-        # Linux pins only the calling thread: the group threads it starts
-        # keep share 0, default_workers() sizes the groups' engines by it,
-        # and it runs block 0's first group with the coordinator.
-        os.sched_setaffinity(0, shares[0])
-        try:
-            deadline = time.monotonic() + startup_timeout
-            # Block 0's groups dial while the children start. A child that
-            # refused a dial by exiting is reported as exiting before it was ready.
-            try:
-                served = _start_groups(
-                    plan, {endpoint: listeners.pop(endpoint) for endpoint in blocks[0]},
-                    timeouts, first_local=True, dial=True)
-                coordinator = DistributedCoordinator(plan, trace=trace, timeouts=timeouts,
-                                                     local=served[0])
-            finally:
-                for child in children:
-                    _wait_ready(child, deadline)
-            try:
-                coordinator.connect()
-                report = coordinator.run(iterations)
-            except SimulationError as exc:
-                if (lost := _lost_process(exc, children)) is None:
-                    raise
-                raise lost from exc
-        finally:
-            os.sched_setaffinity(0, allowed)
-        grace = 10.0  # they have answered EXIT: killed if still running then
-        report.backend = "distributed-local"
-        return report
-    finally:
-        for listener in listeners.values():
-            listener.close()
-        for group in served:
-            group.stop()
-        for child in children:
-            child.close(grace)
 
 
 BACKENDS = ("sequential", "parallel", "distributed-local")

@@ -25,6 +25,14 @@ def _parse_plan(path: str):
     return parse_plan_xml(Path(path))
 
 
+def _distributed_plan(path: str, verb: str):
+    from .distributed import DistributedPlan
+    parsed = _parse_plan(path)
+    if not isinstance(parsed, DistributedPlan):
+        raise ValueError(f"{verb} needs an endpoint-addressed plan")
+    return parsed
+
+
 def cmd_generate(args) -> int:
     from .devstone import DelayDistribution, DevstoneConfig, generate
     from .planfile import emit_plan_xml
@@ -105,11 +113,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_emit_manifest(args) -> int:
-    from .distributed import DistributedPlan
     from .manifest import emit_orchestration_manifest, group_by_atomic, group_by_host
-    parsed = _parse_plan(args.plan)
-    if not isinstance(parsed, DistributedPlan):
-        raise ValueError("emit-manifest needs an endpoint-addressed plan")
+    parsed = _distributed_plan(args.plan, "emit-manifest")
     if args.groups == "host":
         grouping = group_by_host(parsed)
     elif args.groups == "atomic":
@@ -123,31 +128,15 @@ def cmd_emit_manifest(args) -> int:
     return 0
 
 
-def serve(groups, announce) -> int:
-    """Call ``announce`` once ``groups`` are serving, and return once every
-    group has ended with its coordinator's link. This is ``pdevsim serve``
-    once it has started its groups, which announces by printing ``ready``
-    on stdout, and the body of each process that distributed-local forks
-    for blocks 1 and up, which bumps an eventfd that the launcher waits on."""
-    announce()
-    for group in groups:
-        group.join()
-    return 0
-
-
 def cmd_serve(args) -> int:
-    from .distributed import DistributedPlan, serve_simulators
-    parsed = _parse_plan(args.plan)
-    if not isinstance(parsed, DistributedPlan):
-        raise ValueError("serve needs an endpoint-addressed plan")
+    from .distributed import serve, serve_simulators
+    parsed = _distributed_plan(args.plan, "serve")
     return serve(serve_simulators(parsed, args.atomic), lambda: print("ready", flush=True))
 
 
 def cmd_coordinate(args) -> int:
-    from .distributed import DistributedPlan, run_coordinator
-    parsed = _parse_plan(args.plan)
-    if not isinstance(parsed, DistributedPlan):
-        raise ValueError("coordinate needs an endpoint-addressed plan")
+    from .distributed import run_coordinator
+    parsed = _distributed_plan(args.plan, "coordinate")
     report = run_coordinator(parsed, args.iterations, trace=bool(args.trace_out))
     return _finish_run(args, report)
 

@@ -42,7 +42,8 @@ link that ends is reported by the receiving group's next DELTFCN.
 
 A group serves a listener that is already bound: :func:`serve_simulators`
 binds them for ``pdevsim serve``, and the ``distributed-local`` launcher
-binds every listener before it forks. A group dials each peer in
+(:func:`run_distributed_local`, at the end of this module) binds every
+listener before it forks. A group dials each peer in
 :meth:`ServiceGroup._link`: on its first push to it under ``pdevsim serve``,
 before it serves under ``distributed-local``. The coordinator dials the
 groups in :meth:`DistributedCoordinator.connect`. The launcher runs its
@@ -55,8 +56,12 @@ from __future__ import annotations
 
 import contextlib
 import math
+import os
+import select
 import selectors
+import signal
 import socket
+import sys
 import threading
 import time
 from collections import Counter
@@ -67,8 +72,8 @@ from typing import Iterator, Mapping
 from .kernel import (RunReport, SequentialCoordinator, SimulationError,
                      Simulator, TraceEntry)
 from .model import (IC, Coupling, ModelError, ModelGraph, check_event_value,
-                    freeze_valid)
-from .parallel import ParallelCoordinator, PoolPlan, default_workers
+                    flatten, freeze_valid)
+from .parallel import ParallelCoordinator, PoolPlan, contiguous_blocks, default_workers
 from .wire import (ACK, DELTFCN, EXIT, INIT, PROPAGATE, ProtocolError,
                    WireFrame, decode_time, encode_frame, encode_time,
                    read_frame, take_frame, write_frame)
@@ -176,11 +181,7 @@ class ServiceGroup:
     thread serves the group's listener and every connection it accepts
     from one selector: the coordinator's link drives the whole group, and
     a peer group's link carries that peer's pushes to every hosted atomic.
-
-    :func:`_start_groups` builds the groups of a process from the plan's
-    index of each endpoint's atomics and couplings, dividing the process's
-    CPUs between them (``workers``), and starts each on the listener bound
-    at its endpoint.
+    :func:`_start_groups` builds and starts the groups of a process.
     """
 
     def __init__(self, plan: DistributedPlan, endpoint: Endpoint, *,
@@ -360,7 +361,7 @@ class ServiceGroup:
     def _reply(self, conn: socket.socket, values: tuple) -> bool:
         """Write one ACK; False if the link failed."""
         try:
-            write_frame(conn, WireFrame(ACK, sender=self.names[0], values=values))
+            write_frame(conn, WireFrame(ACK, values=values))
         except (OSError, ProtocolError):
             return False
         return True
@@ -548,18 +549,24 @@ class ServiceGroup:
         self._received.clear()
 
 
+def _bind(host: str, port: int, names) -> socket.socket:
+    """A socket listening at ``host:port`` for the group of ``names``, which
+    the error names when it cannot be bound. Every listener is bound here."""
+    try:  # a link may be dialled before its group serves
+        return socket.create_server((host, port), backlog=socket.SOMAXCONN)
+    except OSError as exc:
+        raise SimulationError(f"cannot bind {', '.join(map(repr, names))} at "
+                              f"{host}:{port}: {exc}") from exc
+
+
 def _listen(plan: DistributedPlan, endpoints) -> dict[Endpoint, socket.socket]:
     """A listening socket at each of ``endpoints``: all of them or, when one
     cannot be bound, none, and an error that names its atomics."""
     listeners: dict[Endpoint, socket.socket] = {}
     with contextlib.ExitStack() as bound:
         for endpoint in endpoints:
-            try:  # a link may be dialled before its group serves
-                listener = socket.create_server(endpoint.main_addr(), backlog=socket.SOMAXCONN)
-            except OSError as exc:
-                names = ", ".join(map(repr, plan._blocks[endpoint][0]))
-                raise SimulationError(f"cannot bind {names} at {endpoint}: {exc}") from exc
-            listeners[endpoint] = bound.enter_context(listener)
+            listeners[endpoint] = bound.enter_context(
+                _bind(*endpoint.main_addr(), plan._blocks[endpoint][0]))
         bound.pop_all()  # every one is bound: keep them open
     return listeners
 
@@ -572,15 +579,14 @@ def _start_groups(plan: DistributedPlan, listeners: dict[Endpoint, socket.socket
     and every listener and link closed. With ``dial`` each group dials its
     peers (:meth:`ServiceGroup.dial_peers`) before it starts; without, on
     its first push to each. With ``first_local`` the first group gets no
-    thread: an in-process coordinator drives it. The groups divide the CPUs
-    the process may run on, at least one each, as ``run_distributed_local``
-    divides the host's, so k groups on N CPUs do not start k pools of N."""
-    cpus, count = default_workers(), len(listeners)
+    thread: an in-process coordinator drives it. The groups divide the
+    process's CPUs in contiguous blocks, at least one each, so k groups on
+    N CPUs do not start k pools of N."""
+    shares = contiguous_blocks(range(default_workers()), len(listeners))
     groups: list[ServiceGroup] = []
     try:
-        for i, endpoint in enumerate(listeners):
-            share = cpus * (i + 1) // count - cpus * i // count
-            groups.append(ServiceGroup(plan, endpoint, workers=max(share, 1),
+        for endpoint, share in zip(listeners, shares):
+            groups.append(ServiceGroup(plan, endpoint, workers=max(len(share), 1),
                                        timeouts=timeouts))
         for i, group in enumerate(groups):
             if dial:
@@ -613,6 +619,17 @@ def serve_simulators(plan: DistributedPlan, names, *,
                 raise SimulationError(f"atomic {name!r} at {endpoint} is not hosted: "
                                       "a process must host every atomic at its endpoint")
     return _start_groups(plan, _listen(plan, endpoints), timeouts)
+
+
+def serve(groups: list[ServiceGroup], announce) -> int:
+    """Call ``announce`` once ``groups`` are serving, and return once every
+    group has ended with its coordinator's link: the rest of ``pdevsim
+    serve``, which prints ``ready``, and of each process that
+    :func:`run_distributed_local` forks, which bumps an eventfd."""
+    announce()
+    for group in groups:
+        group.join()
+    return 0
 
 
 class DistributedCoordinator:
@@ -704,7 +721,7 @@ class DistributedCoordinator:
             except SimulationError as exc:
                 raise SimulationError(f"{where} reported: {exc}") from exc
             self.frames_received[ACK] += 1
-            return WireFrame(ACK, sender=self._local.names[0], values=values)
+            return WireFrame(ACK, values=values)
         try:
             reply = read_frame(self._conns[endpoint])
         except socket.timeout as exc:
@@ -830,3 +847,228 @@ def run_coordinator(plan: DistributedPlan, max_iterations: int | None = None, *,
                     timeouts: Timeouts | None = None) -> RunReport:
     """Run the distributed protocol over already-listening services."""
     return DistributedCoordinator(plan, trace=trace, timeouts=timeouts).run(max_iterations)
+
+
+# -- distributed-local: the plan's groups in one process per CPU ----------------
+
+
+def _loopback_plan(graph: ModelGraph,
+                   listeners: dict[Endpoint, socket.socket]) -> DistributedPlan:
+    """Plan for ``graph`` over loopback: one contiguous block of plan order
+    per CPU this process may run on (never more blocks than atomics), each
+    co-hosted, so coupled neighbours push in memory, at a listener bound on
+    a port that the kernel assigns and added to ``listeners``."""
+    flat = flatten(graph)
+    names = list(flat.atomics)
+    endpoints = {}
+    for block in contiguous_blocks(names, min(default_workers(), len(names))):
+        listener = _bind("127.0.0.1", 0, block)
+        endpoint = Endpoint(*listener.getsockname())
+        listeners[endpoint] = listener
+        endpoints.update(dict.fromkeys(block, endpoint))
+    return DistributedPlan(flat, endpoints)
+
+
+# How long a service process may take to end once the coordinator's links
+# are closed, before a failed run stops waiting for it.
+_EXIT_GRACE_S = 1.0
+
+
+@dataclass
+class _Child:
+    """A forked service process that serves the groups at ``endpoints``,
+    which host ``members``: a pidfd that is readable once it exits, an
+    eventfd that it bumps once it serves, and the memfd that holds its
+    stdout and stderr, of which the last 4 KiB are kept once it is reaped."""
+
+    pid: int
+    pidfd: int
+    ready: int
+    output: int
+    members: list[str]
+    endpoints: list[Endpoint]
+    printed: bytes = b""
+    code: int | None = None  # its exit code, once reaped
+
+    def exited(self, timeout: float = 0.0) -> bool:
+        """Whether the process has exited, or exits within ``timeout`` seconds."""
+        return self.code is not None or bool(select.select([self.pidfd], [], [], timeout)[0])
+
+    def close(self, timeout: float = 0.0) -> int:
+        """Wait up to ``timeout`` seconds for the process to exit, kill it
+        if it has not, reap it, keep the end of what it printed and close
+        its fds, once; its exit code."""
+        if self.code is None:
+            if not self.exited(timeout):
+                os.kill(self.pid, signal.SIGKILL)
+            self.code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+            end = os.fstat(self.output).st_size
+            self.printed = os.pread(self.output, 4096, max(end - 4096, 0))
+            for fd in (self.pidfd, self.ready, self.output):
+                os.close(fd)
+        return self.code
+
+    def tail(self) -> str:
+        """The last lines the process printed, once it is reaped."""
+        lines = self.printed.decode(errors="replace").splitlines()
+        return " | ".join(line for line in lines[-5:] if line.strip()) or "no output"
+
+
+def _fork_service(plan: DistributedPlan, block: list[Endpoint],
+                  listeners: dict[Endpoint, socket.socket], timeouts: Timeouts | None,
+                  share: list[int]) -> _Child:
+    """Fork one process that serves the groups at the endpoints of ``block``
+    on the CPUs in ``share``: it keeps their ``listeners``, which it
+    inherits, closes every other group's, dials each group's peers, and
+    goes on like ``pdevsim serve`` (:func:`serve`), but bumps an eventfd
+    where that prints its ready line. Its stdout and stderr go to one memfd,
+    which a write never waits on, as fresh stream objects, so nothing the
+    launcher left unflushed, and no lock a launcher thread held at the fork,
+    is in them; ``os._exit`` runs none of the launcher's exit handlers."""
+    from .cli import guarded  # imported before the fork, not in each child
+    output, ready = os.memfd_create("pdevsim-service"), os.eventfd(0)
+    pid = 0
+    try:
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                for endpoint in listeners.keys() - block:
+                    listeners[endpoint].close()
+                os.sched_setaffinity(0, share)
+                os.dup2(output, 1)
+                os.dup2(output, 2)
+                sys.stdout = sys.stderr = open(1, "w", buffering=1, encoding="utf-8",
+                                               errors="backslashreplace")
+                code = guarded(lambda: serve(_start_groups(
+                    plan, {endpoint: listeners[endpoint] for endpoint in block},
+                    timeouts, dial=True), lambda: os.eventfd_write(ready, 1)))
+                sys.stdout.flush()
+            finally:
+                os._exit(code)
+        groups = plan.groups()
+        return _Child(pid, os.pidfd_open(pid), ready, output,
+                      [name for endpoint in block for name in groups[endpoint]], block)
+    except BaseException:
+        if pid:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        os.close(output)
+        os.close(ready)
+        raise
+
+
+def _wait_ready(child: _Child, deadline: float) -> None:
+    """Wait until a service process bumps its ready eventfd; if it exits
+    first, report its exit code and the last lines it printed."""
+    members = ", ".join(child.members)
+    woken = select.select([child.ready, child.pidfd], [], [],
+                          max(deadline - time.monotonic(), 0.0))[0]
+    if child.ready in woken:
+        return
+    if not woken:
+        raise SimulationError(f"simulator process for {members} never came up")
+    raise SimulationError(f"simulator process for {members} exited with code "
+                          f"{child.close()} before it was ready: {child.tail()}")
+
+
+def _lost_process(error: SimulationError, children: list[_Child]) -> SimulationError | None:
+    """When a service process died during the coordinator run that
+    ``error`` ended, ``error`` naming that process's atomics and endpoints,
+    its exit code and the last lines it printed. The coordinator has closed
+    its links, so every process still serving ends at once with code 0."""
+    for child in children:
+        if child.exited(_EXIT_GRACE_S) and child.close() != 0:
+            return SimulationError(
+                f"{error}; the simulator process for {', '.join(child.members)} at "
+                f"{', '.join(map(str, child.endpoints))} exited with code {child.code}: "
+                f"{child.tail()}")
+    return None
+
+
+def run_distributed_local(plan_or_graph, *, iterations: int | None = None,
+                          trace: bool = False, startup_timeout: float = 60.0,
+                          timeouts: Timeouts | None = None) -> RunReport:
+    """Serve a plan on loopback in one process per CPU, run the coordinator
+    against it, and tear everything down. Linux only (``os.pidfd_open``).
+
+    A graph gets one contiguous block of plan order per CPU at a port the
+    kernel assigns (:func:`_loopback_plan`). A plan keeps its endpoints, and
+    its groups are dealt in plan order into contiguous blocks, one per
+    process, never more processes than CPUs or groups, so only a shared
+    endpoint co-hosts (``generate --workers`` makes such plans; with one
+    endpoint per atomic, every coupling crosses loopback TCP). Process ``i``
+    runs on contiguous block ``i`` of the launcher's allowed CPUs, which its
+    groups divide between them (:func:`contiguous_blocks` makes each split).
+
+    Every listener is bound before the first fork, so no port is chosen
+    first and bound later, and one that cannot be bound is reported before
+    any fork. Each block but block 0 gets a process forked from this one
+    (:func:`_fork_service`), which serves the plan it inherited in memory
+    with this call's ``timeouts``; this process closes its copies of the
+    block's listeners right after the fork. Each group dials its peers
+    before it serves, and the coordinator dials the groups once every child
+    is ready (:meth:`DistributedCoordinator.connect`), within
+    ``startup_timeout`` seconds, so no process dials while the coordinator
+    runs. A child that exits before it is ready, or dies mid-run, is
+    reported with its atomics, exit code and last output.
+
+    This process serves block 0, pinned to share 0 from before its groups
+    start until the coordinator ends: the coordinator runs block 0's first
+    group on its own thread, without a socket (``local`` of
+    :class:`DistributedCoordinator`), and any other group of block 0 runs
+    on a thread of its own.
+    """
+    listeners: dict[Endpoint, socket.socket] = {}  # bound, not yet handed over
+    children: list[_Child] = []
+    served: list[ServiceGroup] = []
+    grace = 0.0  # how long the processes may take to exit: a failed run kills them
+    try:
+        plan = (plan_or_graph if isinstance(plan_or_graph, DistributedPlan)
+                else _loopback_plan(plan_or_graph, listeners))
+        endpoints = list(plan.groups())
+        listeners.update(_listen(plan, [endpoint for endpoint in endpoints
+                                        if endpoint not in listeners]))
+        blocks = contiguous_blocks(endpoints, min(default_workers(), len(endpoints)))
+        allowed = sorted(os.sched_getaffinity(0))
+        shares = contiguous_blocks(allowed, len(blocks))
+        for block, share in zip(blocks[1:], shares[1:]):
+            children.append(_fork_service(plan, block, listeners, timeouts, share))
+            for endpoint in block:  # close(), never shutdown(): the child serves them
+                listeners.pop(endpoint).close()
+        # Linux pins only the calling thread: the group threads it starts
+        # keep share 0, default_workers() sizes the groups' engines by it,
+        # and it runs block 0's first group with the coordinator.
+        os.sched_setaffinity(0, shares[0])
+        try:
+            deadline = time.monotonic() + startup_timeout
+            # Block 0's groups dial while the children start. A child that
+            # refused a dial by exiting is reported as exiting before it was ready.
+            try:
+                served = _start_groups(
+                    plan, {endpoint: listeners.pop(endpoint) for endpoint in blocks[0]},
+                    timeouts, first_local=True, dial=True)
+                coordinator = DistributedCoordinator(plan, trace=trace, timeouts=timeouts,
+                                                     local=served[0])
+            finally:
+                for child in children:
+                    _wait_ready(child, deadline)
+            try:
+                coordinator.connect()
+                report = coordinator.run(iterations)
+            except SimulationError as exc:
+                if (lost := _lost_process(exc, children)) is None:
+                    raise
+                raise lost from exc
+        finally:
+            os.sched_setaffinity(0, allowed)
+        grace = 10.0  # they have answered EXIT: killed if still running then
+        report.backend = "distributed-local"
+        return report
+    finally:
+        for listener in listeners.values():
+            listener.close()
+        for group in served:
+            group.stop()
+        for child in children:
+            child.close(grace)

@@ -2,7 +2,9 @@
 
 Each container group becomes one single-container pod whose command is one
 ``pdevsim serve`` process hosting every atomic of the group, and which
-exposes one port per distinct plan endpoint among them. Atomics that share
+exposes one port per distinct plan endpoint among them. The pod and its
+container are named after the group as an RFC 1123 label, which Kubernetes
+requires; the ``--atomic`` arguments keep the plan's names. Atomics that share
 an endpoint are co-hosted by one service group, so pushes among them stay
 in memory, and a container group must not split them. One extra pod runs
 the root coordinator.
@@ -12,6 +14,7 @@ apply``) can consume it; nothing here talks to a cluster.
 
 from __future__ import annotations
 
+import re
 import shlex
 
 import yaml
@@ -25,6 +28,14 @@ class ManifestError(Exception):
 
 DEFAULT_IMAGE = "pdevsim:latest"
 DEFAULT_PLAN_PATH = "/etc/pdevsim/plan.xml"
+_NOT_IN_LABEL = re.compile(r"[^a-z0-9-]+")
+
+
+def _pod_name(group: str) -> str:
+    """The pod and container name of ``group``: ``sim-`` and the group name
+    as an RFC 1123 label, in lower case, with each run of other characters
+    a ``-``, cut to 63 characters, and ending in a letter or digit."""
+    return f"sim-{_NOT_IN_LABEL.sub('-', group.lower())}"[:63].rstrip("-")
 
 
 def group_by_host(plan: DistributedPlan) -> dict[str, str]:
@@ -70,7 +81,12 @@ def emit_orchestration_manifest(plan: DistributedPlan, grouping: dict[str, str],
                 f"{group_at[endpoint]!r}: it holds {name!r}")
 
     documents = []
+    named: dict[str, str] = {}
     for group, members in groups.items():
+        name = _pod_name(group)
+        if named.setdefault(name, group) != group:
+            raise ManifestError(f"groups {named[name]!r} and {group!r} both map to "
+                                f"pod name {name!r}")
         ports: list[int] = []
         for endpoint in dict.fromkeys(plan.endpoints[member] for member in members):
             if endpoint.main_port in ports:
@@ -79,7 +95,7 @@ def emit_orchestration_manifest(plan: DistributedPlan, grouping: dict[str, str],
             ports.append(endpoint.main_port)
         command = f"pdevsim serve --plan {shlex.quote(plan_path)}" + "".join(
             f" --atomic {shlex.quote(m)}" for m in members)
-        documents.append(_pod(f"sim-{group}", image, command, ports))
+        documents.append(_pod(name, image, command, ports))
     documents.append(_pod(
         "coordinator", image,
         f"pdevsim coordinate --plan {shlex.quote(plan_path)}", []))

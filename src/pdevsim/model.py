@@ -466,13 +466,15 @@ def flatten(graph: ModelGraph) -> ModelGraph:
     the same input port in the same cycle may therefore observe a different
     within-bag merge order than non-flattened execution; each execution
     mode is individually deterministic. A frozen graph is flattened once:
-    its flat form is frozen and kept.
+    its flat form is frozen and kept, and a frozen flat graph is its own.
     """
     if graph._flat is not None:
         return graph._flat
     errors = _errors(graph)
     if errors:
         raise ModelError("cannot flatten invalid graph: " + errors[0].message)
+    if graph.frozen and graph.is_flat():
+        return graph  # not kept in _flat, which would make the graph cyclic garbage
     flat = ModelGraph(graph.name, graph.input_ports, graph.output_ports)
     if graph.is_flat():
         for child in graph.components():

@@ -10,6 +10,7 @@ barrier that makes results identical to sequential execution.
 from __future__ import annotations
 
 import os
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from itertools import groupby
@@ -36,6 +37,13 @@ def default_workers() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0)) or 1
     return os.cpu_count() or 1
+
+
+def contiguous_blocks(items: Sequence, count: int) -> list[Sequence]:
+    """``items`` in ``count`` contiguous blocks whose sizes differ by at
+    most one."""
+    return [items[len(items) * i // count:len(items) * (i + 1) // count]
+            for i in range(count)]
 
 
 @dataclass

@@ -21,7 +21,7 @@ from .behaviors import behavior_ports
 from .distributed import DistributedPlan, Endpoint
 from .kernel import SimulationError
 from .model import AtomicSpec, ModelError, ModelGraph, flatten, freeze_valid
-from .parallel import PoolPlan, PoolSpec, default_workers
+from .parallel import PoolPlan, PoolSpec, contiguous_blocks, default_workers
 
 
 class PlanError(Exception):
@@ -258,13 +258,6 @@ def emit_distributed_plan_xml(plan: DistributedPlan) -> str:
         return {"host": endpoint.host, "mainPort": str(endpoint.main_port)}
 
     return _write_document(plan.graph, atomic_attrs=attrs)
-
-
-def contiguous_blocks(items: list, count: int) -> list[list]:
-    """``items`` in ``count`` contiguous blocks whose sizes differ by at
-    most one."""
-    return [items[len(items) * i // count:len(items) * (i + 1) // count]
-            for i in range(count)]
 
 
 def default_endpoints(graph: ModelGraph, host: str = "127.0.0.1",

@@ -43,8 +43,8 @@ class WireFrame:
     (or one ``["__error__", message]`` item from a group whose output
     phase failed), and the replies, such as the ``[atomic, tN]`` pairs of
     an INIT or DELTFCN ACK. ``time`` is the virtual time of DELTFCN frames.
-    ``sender`` names the first atomic of the service group an ACK comes
-    from; ``port`` is part of the frame format, but no command uses it.
+    ``sender`` and ``port`` are part of the frame format, but no command
+    sets them.
     """
 
     command: str
@@ -71,10 +71,13 @@ def decode_time(raw) -> float:
         return math.inf
     if raw == "-inf":
         return -math.inf
-    if (isinstance(raw, bool) or not isinstance(raw, (int, float))
-            or not math.isfinite(raw)):
-        raise ProtocolError(f"bad time field: {raw!r}")
-    return float(raw)
+    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+        try:
+            if math.isfinite(raw):
+                return float(raw)
+        except OverflowError:  # an int beyond any float
+            pass
+    raise ProtocolError(f"bad time field: {raw!r:.80}")
 
 
 def encode_frame(frame: WireFrame) -> bytes:
@@ -99,7 +102,7 @@ def encode_frame(frame: WireFrame) -> bytes:
 def decode_frame(payload: bytes) -> WireFrame:
     try:
         body = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # not UTF-8, not JSON, or an int of too many digits
         raise ProtocolError(f"malformed frame body {payload[:80]!r}: {exc}") from exc
     if not isinstance(body, dict) or "command" not in body:
         raise ProtocolError(f"frame body is not a command object: {payload[:80]!r}")

@@ -13,7 +13,7 @@ from hypothesis import settings
 from pdevsim import (AtomicModel, DistributedPlan, Endpoint, ModelGraph,
                      atomic_spec, flatten, register_behavior, serve_simulators)
 from pdevsim.behaviors import _REGISTRY
-from pdevsim.planfile import contiguous_blocks
+from pdevsim.parallel import contiguous_blocks
 
 def pytest_configure(config):
     """Let the interpreters that tests start (``python -m pdevsim``) import

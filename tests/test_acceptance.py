@@ -194,7 +194,7 @@ def test_two_level_monotonicity():
     # Each figure is the median of three runs, so that a moment of load
     # on a shared host does not decide the comparison.
     with criterion("two-level allocation: L1 workers 1->2->4 non-increasing (10% noise)"):
-        config = DevstoneConfig("HO", 8, 8, DelayDistribution.constant(0.02), seed=1)
+        config = DevstoneConfig("HO", 8, 8, DelayDistribution.constant(0.005), seed=1)
         profiles = profile_model(generate(config))
         from pdevsim.bench import allocate_two_level, two_level_pool_plan
         walls = []

@@ -333,8 +333,7 @@ def test_distributed_local_binds_every_listener_before_it_forks(monkeypatch, tmp
     coordinator dials every group but block 0's first, which it runs
     in-process, and the group that hosts the source of a coupling into
     another group dials that group, once for each such ordered pair."""
-    from pdevsim.parallel import default_workers
-    from pdevsim.planfile import contiguous_blocks
+    from pdevsim.parallel import contiguous_blocks, default_workers
 
     def build():
         return generate(DevstoneConfig("HO", 3, 3)) if model == "ho" else _fed_back()
@@ -394,7 +393,7 @@ def test_distributed_local_reports_a_process_that_exits_before_it_is_ready(monke
     the atomics it hosts, its exit code and its last output, and reaped."""
     import time
 
-    from pdevsim import cli
+    from pdevsim import distributed
     from pdevsim.parallel import default_workers
     if default_workers() < 2:
         pytest.skip("a single CPU runs every block in the launcher")
@@ -402,7 +401,7 @@ def test_distributed_local_reports_a_process_that_exits_before_it_is_ready(monke
     def failing_serve(groups, announce):
         raise SimulationError("injected start-up failure")
 
-    monkeypatch.setattr(cli, "serve", failing_serve)  # only forked processes call it
+    monkeypatch.setattr(distributed, "serve", failing_serve)  # only forked processes call it
     plan = _two_block_plan(generate(DevstoneConfig("HO", 3, 3)))
     second = list(plan.groups().values())[1]
     fds = open_fds()
@@ -631,8 +630,7 @@ def test_distributed_local_serves_block_0_in_the_launcher(monkeypatch):
     group of block 0; none is left after a run that succeeds or one that
     fails."""
     from pdevsim import ServiceGroup
-    from pdevsim.parallel import default_workers
-    from pdevsim.planfile import contiguous_blocks
+    from pdevsim.parallel import contiguous_blocks, default_workers
 
     threaded = []
     run = ServiceGroup._run

@@ -1,13 +1,18 @@
 """Orchestration manifests from distributed plans."""
 
+import re
+import shlex
+
 import pytest
 import yaml
 
-from pdevsim import build_gpt
+from pdevsim import build_gpt, default_endpoints
+from pdevsim.bench import AtomicProfile, allocate_two_level, two_level_pool_plan
 from pdevsim.devstone import DevstoneConfig, generate
 from pdevsim.distributed import DistributedPlan, Endpoint
 from pdevsim.manifest import (ManifestError, emit_orchestration_manifest,
                               group_by_atomic, group_by_host)
+from pdevsim.planfile import emit_pool_plan_xml, load_pool_plan
 
 from conftest import grouped_plan, spread_plan
 
@@ -91,3 +96,42 @@ def test_larger_model_manifest_is_valid_yaml():
     assert len(documents) == 4
     assert all(d["spec"]["containers"][0]["image"] == "example/image:1"
                for d in documents)
+
+
+RFC1123_LABEL = re.compile(r"[a-z0-9]([-a-z0-9]*[a-z0-9])?")
+
+
+@pytest.mark.parametrize("groups", ["atomic", "host", "pool-plan"])
+def test_every_emitted_name_is_an_rfc1123_label(groups):
+    """Pod and container names are lower-case RFC 1123 labels of at most
+    63 characters, while each ``--atomic`` argument keeps the plan's name."""
+    graph = generate(DevstoneConfig("HO", 3, 3))
+    plan = default_endpoints(graph)
+    if groups == "atomic":
+        grouping = group_by_atomic(plan)
+    elif groups == "host":
+        grouping = group_by_host(plan)
+    else:
+        profiles = [AtomicProfile(name, float(i), 0.0) for i, name in enumerate(plan.endpoints)]
+        pools = two_level_pool_plan(allocate_two_level(profiles, plan.graph, n=2, m=2))
+        grouping = dict(load_pool_plan(emit_pool_plan_xml(plan.graph, pools)).assignment)
+    documents = list(yaml.safe_load_all(emit_orchestration_manifest(plan, grouping)))
+    assert len(documents) == len(set(grouping.values())) + 1
+    names = [d["metadata"]["name"] for d in documents]
+    names += [c["name"] for d in documents for c in d["spec"]["containers"]]
+    assert all(RFC1123_LABEL.fullmatch(name) and len(name) <= 63 for name in names), names
+    hosted = [argument for d in documents[:-1]
+              for argument in shlex.split(d["spec"]["containers"][0]["command"][2])[5::2]]
+    assert sorted(hosted) == sorted(plan.endpoints)
+
+
+def test_groups_whose_names_collide_as_labels_are_rejected():
+    plan = spread_plan(build_gpt())
+    grouping = {"generator": "Tier_1", "processor": "tier-1", "transducer": "x" * 80}
+    with pytest.raises(ManifestError) as err:
+        emit_orchestration_manifest(plan, grouping)
+    message = str(err.value)
+    assert "'Tier_1'" in message and "'tier-1'" in message and "\n" not in message
+    grouping["processor"] = "x" * 81  # the same label once cut to 63 characters
+    with pytest.raises(ManifestError, match="'x+' and 'x+' both map to pod name 'sim-x+'"):
+        emit_orchestration_manifest(plan, grouping)

@@ -289,3 +289,12 @@ def test_graph_compiles_once(monkeypatch):
         with pytest.raises(AttributeError):
             frozen.couplings.append(frozen.couplings[0])
 
+
+def test_a_frozen_flat_graph_is_its_own_flat_form():
+    """Flattening a frozen flat graph returns that graph, which keeps no
+    reference to itself; an unfrozen flat graph is still copied."""
+    flat = flatten(generate(DevstoneConfig("HO", 3, 3)))
+    assert not flat.frozen and flatten(flat) is not flat
+    assert flatten(flat.freeze()) is flat and flat._flat is None
+    assert SequentialCoordinator(flat).exec_graph is flat
+

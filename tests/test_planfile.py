@@ -3,6 +3,8 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdevsim import (DistributedPlan, build_efp, build_gpt, default_endpoints,
                      emit_distributed_plan_xml, emit_plan_xml,
@@ -10,8 +12,8 @@ from pdevsim import (DistributedPlan, build_efp, build_gpt, default_endpoints,
 from pdevsim.bench import run_parallel, run_sequential
 from pdevsim.devstone import DevstoneConfig, generate
 from pdevsim.kernel import SimulationError
-from pdevsim.parallel import PoolPlan, PoolSpec
-from pdevsim.planfile import ParallelPlan, PlanError, contiguous_blocks
+from pdevsim.parallel import PoolPlan, PoolSpec, contiguous_blocks
+from pdevsim.planfile import ParallelPlan, PlanError
 
 
 def test_distributed_plan_roundtrip():
@@ -267,3 +269,31 @@ def test_emitting_a_plan_validates_each_graph_once(monkeypatch):
     assert len(walks) == len(set(walks)), walks
     assert text == emit_plan_xml(generate(DevstoneConfig("HO", 3, 3)), host="127.0.0.1",
                                  workers=2)
+
+
+# Edits to a valid plan document: (position, characters deleted there, text inserted).
+_XML_TEXT = st.sampled_from(["", "<", ">", "/>", '"', "'", "&", "&#10;", "&#0;", "&amp;", "=",
+                             ' x="1"', "-1", "0", "nan", "inf", "1e999", "9" * 400,
+                             "<atomic/>", "<pool/>", "<connection/>", "<!--", "]]>",
+                             "pool", "host", "mainPort", "workers", "\x00", "é"]) | st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",)), max_size=3)
+_XML_EDITS = st.lists(st.tuples(st.integers(0, 4000), st.integers(0, 8), _XML_TEXT),
+                      min_size=1, max_size=4)
+_PLANS = {"pool": emit_plan_xml(generate(DevstoneConfig("HO", 3, 3)), workers=2),
+          "distributed": emit_plan_xml(generate(DevstoneConfig("HO", 3, 3)),
+                                       host="127.0.0.1", workers=2)}
+
+
+@pytest.mark.parametrize("mode", sorted(_PLANS))
+@given(edits=_XML_EDITS)
+@settings(max_examples=300)
+def test_a_mutated_plan_parses_or_is_refused_in_one_line(mode, edits):
+    text = _PLANS[mode]
+    for position, deleted, inserted in edits:
+        position %= len(text) + 1
+        text = text[:position] + inserted + text[position + deleted:]
+    try:
+        parse_plan_xml(text)
+    except PlanError as exc:
+        message = str(exc)
+        assert message and "\n" not in message and "\r" not in message, message

@@ -144,3 +144,41 @@ def test_only_propagate_values_are_checked(monkeypatch):
     assert calls == []
     decode_frame(encode_frame(WireFrame("PROPAGATE", values=(["a", "out", "b", "in", [1]],)))[4:])
     assert len(calls) == 1
+
+
+# Edits to a valid frame body: (position, bytes deleted there, bytes inserted).
+_BODY_BYTES = st.sampled_from([b"", b"{", b"}", b"[", b"]", b'"', b",", b":", b"\\", b"null",
+                               b"true", b"-", b"1e999", b"NaN", b"Infinity", b"9" * 400,
+                               b"9" * 5000, b'"inf"', b'"command":', b'"time":', b'"sender":',
+                               b'"port":', b'"values":', b"\\u0000", b"\\ud800", b"\xff",
+                               b"\xc3"]) | st.binary(max_size=3)
+_BODY_EDITS = st.lists(st.tuples(st.integers(0, 200), st.integers(0, 8), _BODY_BYTES),
+                       min_size=1, max_size=4)
+_BODIES = {frame.command: encode_frame(frame)[4:] for frame in (
+    WireFrame("PROPAGATE", values=(["A1_1", "out", "A1_2", "in", [1, 2.5, "x"]],)),
+    WireFrame("DELTFCN", time=1.5, values=("A1_1", "generator")),
+    WireFrame("ACK", values=(["A1_1", 1.5], ["A1_2", "inf"])))}
+
+
+@pytest.mark.parametrize("command", sorted(_BODIES))
+@given(edits=_BODY_EDITS)
+@settings(max_examples=300)
+def test_a_mutated_frame_body_decodes_or_is_refused_in_one_line(command, edits):
+    body = _BODIES[command]
+    for position, deleted, inserted in edits:
+        position %= len(body) + 1
+        body = body[:position] + inserted + body[position + deleted:]
+    try:
+        decode_frame(body)
+    except ProtocolError as exc:
+        message = str(exc)
+        assert message and "\n" not in message and "\r" not in message, message
+
+
+def test_numbers_beyond_a_float_are_refused_in_one_line():
+    """A time too large for a float, or a number of more digits than the
+    JSON reader converts, is a one-line ProtocolError."""
+    for body in (b'{"command":"DELTFCN","time":' + b"9" * 400 + b"}",
+                 b'{"command":"ACK","values":[' + b"9" * 5000 + b"]}"):
+        with pytest.raises(ProtocolError, match="^(bad time field|malformed frame body)[^\n]*$"):
+            decode_frame(body)
