@@ -11,14 +11,14 @@ every peer link from one selector on one thread. The first frame on an
 accepted connection says what the connection is: PROPAGATE opens a link
 from a peer group, anything else is the coordinator's link.
 
-The root coordinator connects to every endpoint in plan order and writes
-every INIT before it reads any reply. Each ACK lists exactly the atomics
-that the plan puts at that endpoint, each with its next-event time (tN).
-The coordinator keeps every atomic's tN and takes the minimum itself. Each
-cycle then sends one DELTFCN to each group that hosts an imminent atomic
-or is fed by one, carrying the cycle time and, as its values, the senders:
-the imminent atomics of other groups coupled into that group, in plan
-order. The group steps its engine through the kernel's cycle step:
+The root coordinator sees each group only through its next-event time
+(tN), as a Parallel DEVS coordinator sees a coupled child. It writes every
+INIT, in plan order, before it reads any reply. Each ACK lists the atomics
+at that endpoint, then gives the group's tN and senders: the atomics
+imminent then whose output enters another group. Each cycle sends one
+DELTFCN, at the minimum tN, to each group at that tN and to each group
+that their senders feed, naming those senders in plan order. The group
+steps its engine through the kernel's cycle step:
 
 - ``run_lambda`` runs the output functions of its imminent atomics, and
   the group sends each peer group one PROPAGATE frame, not acknowledged,
@@ -30,9 +30,7 @@ order. The group steps its engine through the kernel's cycle step:
   the block, in plan coupling order, from the hosted output bags or the
   peers' batches, which keeps bags byte-identical to the sequential
   backend, and runs one transition per imminent atomic or influencee. The
-  group answers with ``[atomic, tN]`` for each, or with the first error;
-  the coordinator refuses an ACK that lists an atomic hosted elsewhere or
-  omits a hosted imminent one.
+  group answers with its new tN and senders, or with the first error.
 
 The coordinator writes a phase's frame to every group before it reads any
 reply, checks each reply as it reads it, and never relays event values.
@@ -132,19 +130,23 @@ class DistributedPlan:
         if unknown:
             raise SimulationError(f"endpoint for unknown atomic {unknown[0]!r}")
         object.__setattr__(self, "endpoints", endpoints)
-        # Each endpoint's atomics, and the couplings that enter or leave
-        # them, both in plan order.
+        # Each endpoint's atomics and the couplings that touch them, in plan
+        # order; the other endpoints that an atomic's output enters.
         blocks: dict[Endpoint, tuple[list[str], list[Coupling]]] = {}
+        feeds: dict[str, list[Endpoint]] = {}
         for name, endpoint in endpoints.items():
             blocks.setdefault(endpoint, ([], []))[0].append(name)
         for coupling in self.graph.couplings:
             if coupling.kind != IC:
                 raise SimulationError("distributed plan must be a closed model "
                                       f"(found {coupling.kind} coupling)")
-            for endpoint in {endpoints[coupling.src.component],
-                             endpoints[coupling.dst.component]}:
+            src, dst = endpoints[coupling.src.component], endpoints[coupling.dst.component]
+            for endpoint in {src, dst}:
                 blocks[endpoint][1].append(coupling)
+            if dst != src and dst not in feeds.get(coupling.src.component, ()):
+                feeds.setdefault(coupling.src.component, []).append(dst)
         object.__setattr__(self, "_blocks", blocks)
+        object.__setattr__(self, "_feeds", feeds)
 
     def groups(self) -> dict[Endpoint, list[str]]:
         """The atomics at each endpoint, both in plan order."""
@@ -177,7 +179,7 @@ class ServiceGroup:
     """The atomics at one plan endpoint, and the kernel engine over them.
 
     The engine is built, and so its atomics initialized, with the group:
-    INIT, once per group, only sets the trace mode and reports their tN. One
+    INIT, once per group, only sets the trace mode and reports the tN. One
     thread serves the group's listener and every connection it accepts
     from one selector: the coordinator's link drives the whole group, and
     a peer group's link carries that peer's pushes to every hosted atomic.
@@ -227,6 +229,8 @@ class ServiceGroup:
         # atomic it hosts there.
         self._peers = {endpoint: head[2] for leaving in self._outbound.values()
                        for _, endpoint, head in leaving}
+        # The hosted atomics whose output enters another group, in plan order.
+        self._boundary = [sims[name] for name in self.names if name in plan._feeds]
         # Inbound couplings that filed a batch since the last DELTFCN, and
         # the intake errors the next DELTFCN reports.
         self._received: set[tuple[str, str, str, str]] = set()
@@ -383,7 +387,8 @@ class ServiceGroup:
     def _dispatch(self, frame: WireFrame) -> tuple:
         """Run one coordinator command over the block: INIT and EXIT cover
         every hosted atomic, DELTFCN one cycle of the engine at the frame's
-        time, whose values name the senders whose batches it waits for."""
+        time, whose values name the senders whose batches it waits for.
+        INIT and DELTFCN answer with :meth:`_next`, INIT after the names."""
         command = frame.command
         engine = self.engine
         sims = engine.simulators
@@ -394,10 +399,12 @@ class ServiceGroup:
             for sim in sims.values():
                 sim.trace = [] if engine.trace_enabled else None
             self._initialized = True
-            return tuple([atomic, encode_time(sim.tN)] for atomic, sim in sims.items())
+            return (list(sims), *self._next())
         if not self._initialized:
             raise SimulationError(f"{self.label} got {command} before INIT")
         if command == EXIT:
+            if self._received:  # left only when a group omitted a sender from its ACK
+                raise SimulationError(f"{_push(min(self._received))}: a batch no DELTFCN named")
             traces = [[atomic, [entry.to_payload() for entry in sim.trace or ()]]
                       for atomic, sim in sims.items()]
             return (*engine.counters.triple(), engine.dropped_events,
@@ -415,7 +422,15 @@ class ServiceGroup:
             raise
         self._ship(imminent)
         self._take_inputs(frame.values)
-        return tuple([sim.name, encode_time(sim.tN)] for sim in engine.run_deltfcn())
+        engine.run_deltfcn()
+        return self._next()
+
+    def _next(self) -> tuple:
+        """All that the coordinator sees of the group: its tN and, unless it
+        is passive, its senders, the atomics imminent then (plan order)."""
+        tn = self.engine.time_advance()
+        senders = [sim.name for sim in self._boundary if sim.tN == tn] if tn < math.inf else []
+        return (encode_time(tn), *senders)
 
     # -- peer links ---------------------------------------------------------------
 
@@ -650,16 +665,11 @@ class DistributedCoordinator:
         self.plan = plan
         self.trace_enabled = trace
         self.timeouts = timeouts or Timeouts()
-        self.names = list(plan.graph.atomics)
         self._groups = plan.groups()
-        # The other endpoints that each atomic's output enters, in coupling
-        # order: the groups that wait for its batch, and so need a DELTFCN,
-        # when it is imminent.
-        self._feeds: dict[str, list[Endpoint]] = {name: [] for name in self.names}
-        for coupling in plan.graph.couplings:
-            src, dst = (plan.endpoints[ref.component] for ref in (coupling.src, coupling.dst))
-            if dst not in (src, *self._feeds[coupling.src.component]):
-                self._feeds[coupling.src.component].append(dst)
+        self._rank = {name: rank for rank, name in enumerate(plan.graph.atomics)}
+        # The atomics that each group may list as senders, in plan order.
+        self._boundary = {endpoint: [name for name in names if name in plan._feeds]
+                          for endpoint, names in self._groups.items()}
         self.frames_sent: Counter[str] = Counter()
         self.frames_received: Counter[str] = Counter()
         self._conns: dict[Endpoint, socket.socket] = {}
@@ -686,18 +696,6 @@ class DistributedCoordinator:
                         _dial(endpoint, self._where(endpoint), self.timeouts))
             opened.pop_all()  # every one is made: keep them open
         self._conns.update(dialled)
-
-    def _init(self, init: WireFrame) -> dict[str, float]:
-        """Write every INIT, then read the replies; the tN of every atomic."""
-        tn: dict[str, float] = {}
-        for endpoint, reply in self._send(dict.fromkeys(self._groups, init)):
-            hosted = self._tn_pairs(endpoint, reply)
-            if sorted(hosted) != sorted(self._groups[endpoint]):
-                raise SimulationError(
-                    f"{self._where(endpoint)} hosts {list(hosted)}, but the plan puts "
-                    f"{self._groups[endpoint]} there")
-            tn.update(hosted)
-        return tn
 
     def _write(self, endpoint: Endpoint, frame: WireFrame) -> None:
         """Write ``frame`` to the group at ``endpoint``; the local group
@@ -754,40 +752,42 @@ class DistributedCoordinator:
         for endpoint in sorted(frames, key=lambda endpoint: endpoint != self._local_at):
             yield endpoint, self._read(endpoint, frames[endpoint])
 
-    def _deltfcn(self, t: float, imminent: list[str]) -> dict[str, float]:
-        """Send a DELTFCN at ``t`` to each group that hosts an ``imminent``
-        atomic or is fed by one, naming the senders whose PROPAGATE batches
-        it waits for; the new tN of each atomic that the groups moved."""
-        senders: dict[Endpoint, list[str]] = {}
-        for name in imminent:
-            senders.setdefault(self.plan.endpoints[name], [])
-            for endpoint in self._feeds[name]:
-                senders.setdefault(endpoint, []).append(name)
-        tn: dict[str, float] = {}
-        frames = {endpoint: WireFrame(DELTFCN, time=t, values=tuple(names))
-                  for endpoint, names in senders.items()}
-        for endpoint, reply in self._send(frames):
-            pairs = self._tn_pairs(endpoint, reply)
-            if not (all(self.plan.endpoints.get(name) == endpoint for name in pairs)
-                    and all(name in pairs for name in imminent
-                            if self.plan.endpoints[name] == endpoint)):
-                raise SimulationError(
-                    f"{self._where(endpoint)} acknowledged {DELTFCN} at t={t!r} for "
-                    f"{list(pairs)}, not its own atomics including every imminent one")
-            tn.update(pairs)
-        return tn
+    def _deltfcn(self, t: float, state: dict[Endpoint, tuple[float, tuple]]
+                 ) -> dict[Endpoint, tuple[float, tuple]]:
+        """Send a DELTFCN at ``t`` to each group at ``t`` and to each group
+        that their senders feed, naming those it waits for in plan order;
+        the new tN and senders of each group it reached."""
+        named: dict[Endpoint, list[str]] = {}
+        for endpoint, (tn, senders) in state.items():
+            if tn == t:
+                named.setdefault(endpoint, [])
+                for name in senders:  # a group that a sender feeds waits for its batch
+                    for fed in self.plan._feeds[name]:
+                        named.setdefault(fed, []).append(name)
+        frames = {endpoint: WireFrame(DELTFCN, time=t, values=tuple(
+                      sorted(names, key=self._rank.__getitem__)))
+                  for endpoint, names in named.items()}
+        return {group: self._ack(group, ack.values, t) for group, ack in self._send(frames)}
 
-    def _tn_pairs(self, endpoint: Endpoint, reply: WireFrame) -> dict[str, float]:
-        """The ``[atomic, tN]`` pairs of an INIT or DELTFCN ACK, each atomic
-        once. Callers check the atomics against the plan."""
+    def _ack(self, endpoint: Endpoint, values, t: float) -> tuple[float, tuple]:
+        """The tN, not earlier than ``t``, and senders that a group's ACK to
+        a DELTFCN at ``t`` (to INIT, at -inf) carries in ``values``, refused
+        in one line when they break the contract."""
+        at = f"{self._where(endpoint)} acknowledged " + (
+            INIT if t == -math.inf else f"{DELTFCN} at t={t!r}")
+        raw, *senders = values or (None,)
         try:
-            pairs = {atomic: decode_time(tn) for atomic, tn in reply.values}
-            if len(pairs) != len(reply.values) or not all(isinstance(a, str) for a in pairs):
-                raise ValueError("an atomic is listed twice or is not a name")
-            return pairs
-        except (TypeError, ValueError, ProtocolError) as exc:
-            raise SimulationError(
-                f"{self._where(endpoint)} sent bad [atomic, tN] pairs: {exc}") from exc
+            tn = decode_time(raw)
+        except ProtocolError as exc:
+            raise SimulationError(f"{at} with a bad tN: {exc}") from exc
+        if tn < t:
+            raise SimulationError(f"{at} with tN={tn!r}, earlier than the cycle")
+        boundary = iter(self._boundary[endpoint])
+        if not all(name in boundary for name in senders):  # a subsequence of it
+            raise SimulationError(f"{at} listing senders {senders!r:.80}: not atomics of "
+                                  "that group whose output enters another, once each, "
+                                  "in plan order")
+        return tn, tuple(senders)
 
     # -- the protocol ------------------------------------------------------------------
 
@@ -799,13 +799,20 @@ class DistributedCoordinator:
         traces: dict[str, list] = {}
         try:
             self.connect()
-            tn = self._init(WireFrame(INIT, values=(1 if self.trace_enabled else 0,)))
+            init = WireFrame(INIT, values=(1 if self.trace_enabled else 0,))
+            state = {}  # each group's tN and senders
+            for endpoint, reply in self._send(dict.fromkeys(self._groups, init)):
+                hosted, *values = reply.values or (None,)  # then as a DELTFCN ACK
+                if hosted != self._groups[endpoint]:
+                    raise SimulationError(f"{self._where(endpoint)} hosts {hosted!r:.80}, but "
+                                          f"the plan puts {self._groups[endpoint]} there")
+                state[endpoint] = self._ack(endpoint, values, -math.inf)
             cycles = 0
             while max_iterations is None or cycles < max_iterations:
-                t = min(tn.values(), default=math.inf)
+                t = min((tn for tn, _ in state.values()), default=math.inf)
                 if math.isinf(t):
                     break
-                tn.update(self._deltfcn(t, [name for name in self.names if tn[name] == t]))
+                state.update(self._deltfcn(t, state))
                 cycles += 1
             for endpoint, reply in self._send({endpoint: WireFrame(EXIT)
                                                for endpoint in self._groups}):
@@ -815,11 +822,9 @@ class DistributedCoordinator:
                 except ModelError:
                     pairs = None
                 if not (len(numbers) == 5 and all(type(n) is int for n in numbers)
-                        and isinstance(pairs, list) and all(
-                            isinstance(pair, list) and len(pair) == 2
-                            and isinstance(pair[0], str) for pair in pairs)
-                        and sorted(atomic for atomic, _ in pairs)
-                        == sorted(self._groups[endpoint])):
+                        and isinstance(pairs, list)
+                        and all(isinstance(pair, list) and len(pair) == 2 for pair in pairs)
+                        and [atomic for atomic, _ in pairs] == self._groups[endpoint]):
                     raise SimulationError(f"bad exit payload from {self._where(endpoint)}: "
                                           f"{reply.values!r:.80}")
                 totals = [total + n for total, n in zip(totals, numbers)]
@@ -831,11 +836,11 @@ class DistributedCoordinator:
         wall = time.perf_counter() - started
         return RunReport(
             model=self.plan.graph.name, backend=self.backend_name,
-            workers_pools=str(len(self.names)), cycles=cycles,
+            workers_pools=str(len(self._groups)), cycles=cycles,
             wall_seconds=wall, num_delt_ints=ints, num_delt_exts=exts,
             num_of_events=events,
             traces={name: [TraceEntry.from_payload(raw) for raw in traces[name]]
-                    for name in self.names} if self.trace_enabled else None,
+                    for name in self.plan.graph.atomics} if self.trace_enabled else None,
             diagnostics={"dropped_events": dropped,
                          "frames_sent": dict(self.frames_sent),
                          "frames_received": dict(self.frames_received),

@@ -280,9 +280,9 @@ class SequentialCoordinator:
         self._active = (t, imminent)
         return sims
 
-    def run_deltfcn(self) -> list[Simulator]:
+    def run_deltfcn(self) -> None:
         """Value propagation, then one transition per imminent or
-        influencee, in rank order; returns those simulators."""
+        influencee, in rank order."""
         t = self.clock.t
         if self._active is None or self._active[0] != t:
             raise SimulationError(f"run_deltfcn at t={t} without run_lambda at that time")
@@ -291,7 +291,6 @@ class SequentialCoordinator:
         self._active = None
         sims = [self._sim_list[rank] for rank in sorted(active)]
         self._run_phase(Simulator.run_delta, sims, t)
-        return sims
 
     def simulate(self, max_iterations: int | None = None) -> RunReport:
         """Drive cycles until passivity or the iteration cap."""

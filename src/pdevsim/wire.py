@@ -41,8 +41,8 @@ class WireFrame:
     ``values`` carries the payload: the sender names for a DELTFCN,
     ``[sender, port, target, target port, values]`` items for a PROPAGATE
     (or one ``["__error__", message]`` item from a group whose output
-    phase failed), and the replies, such as the ``[atomic, tN]`` pairs of
-    an INIT or DELTFCN ACK. ``time`` is the virtual time of DELTFCN frames.
+    phase failed), and the replies, such as a group's tN and senders (after
+    its atomics, for INIT). ``time`` is the virtual time of DELTFCN frames.
     ``sender`` and ``port`` are part of the frame format, but no command
     sets them.
     """
@@ -59,18 +59,14 @@ class WireFrame:
 
 
 def encode_time(value: float) -> float | str:
-    """A virtual time as strict JSON: infinity becomes ``"inf"``."""
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return value
+    """A virtual time as strict JSON: ``"inf"`` for infinity; frames refuse -inf."""
+    return "inf" if value == math.inf else value
 
 
 def decode_time(raw) -> float:
     """Inverse of :func:`encode_time`; anything else is a ProtocolError."""
     if raw == "inf":
         return math.inf
-    if raw == "-inf":
-        return -math.inf
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
         try:
             if math.isfinite(raw):

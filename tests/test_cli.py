@@ -184,7 +184,9 @@ def test_serve_hosts_every_repeated_atomic(tmp_path, capsys):
             write_frame(sock, WireFrame(INIT, values=(0,)))
             reply = read_frame(sock)
             assert reply.command == ACK
-            assert [name for name, _ in reply.values] == ["generator", "processor"]
+            # The hosted atomics, then the group's tN and its senders: the
+            # generator, imminent at 0, feeds the transducer's group.
+            assert reply.values == (["generator", "processor"], 0.0, "generator")
             write_frame(sock, WireFrame(EXIT))
             reply = read_frame(sock)
             assert reply.command == ACK

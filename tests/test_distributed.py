@@ -20,7 +20,7 @@ from pdevsim import (DistributedPlan, ModelGraph, ParallelCoordinator,
 from pdevsim import distributed, model
 from pdevsim.devstone import DevstoneConfig, generate
 from pdevsim.wire import (ACK, DELTFCN, EXIT, INIT, PROPAGATE, WireFrame,
-                          decode_time, read_frame, write_frame)
+                          decode_time, encode_time, read_frame, write_frame)
 
 from conftest import (Rendezvous, SwapLarge, blocks_of, fan_out_model,
                       grouped_plan, open_fds, spread_plan, thread_services)
@@ -41,9 +41,11 @@ def test_service_reports_tn_infinite_before_any_event(gpt_graph):
             write_frame(sock, WireFrame(INIT, values=(0,)))
             reply = read_frame(sock)
             assert reply.command == ACK
-            [(name, tn)] = reply.values  # [atomic, tN] per hosted atomic
-            assert name == "processor"
+            # The hosted atomics, then the group's tN and senders.
+            hosted, tn, *senders = reply.values
+            assert hosted == ["processor"]
             assert math.isinf(decode_time(tn))  # the processor starts passive
+            assert senders == []  # so it lists none
         finally:
             sock.close()
 
@@ -185,7 +187,7 @@ def test_deltfcn_past_a_hosted_tn_is_refused(gpt_graph):
         sock = _dial(plan.endpoints["generator"])
         try:
             write_frame(sock, WireFrame(INIT, values=(0,)))
-            [(_, tn)] = read_frame(sock).values
+            _, tn, *_ = read_frame(sock).values
             write_frame(sock, WireFrame(DELTFCN, time=decode_time(tn) + 1.0))
             reply = read_frame(sock)
         finally:
@@ -318,7 +320,7 @@ def test_a_second_init_is_refused(gpt_graph):
             exited = read_frame(sock)
         finally:
             sock.close()
-    assert first.values == (["processor", "inf"],), first.values
+    assert first.values == (["processor"], "inf"), first.values
     assert second.values[0] == "__error__", second.values
     assert second.values[1] == (f"the process of 'processor' at {plan.endpoints['processor']} "
                                 "got a second INIT")
@@ -353,8 +355,10 @@ def test_a_deltfcn_leaves_no_stale_event_behind(gpt_graph, monkeypatch):
             write_frame(peer, WireFrame(PROPAGATE, values=(
                 ["generator", "out", "processor", "in", ["job"]],)))
             assert read_frame(sock).command == ACK and stalls == []
-            reply = read_frame(sock)  # the job arrived: the processor is busy
-            assert reply.values == (["processor", 1.0],), reply.values
+            # The job arrived: the processor is busy until 1.0, and then its
+            # output enters the transducer's group.
+            reply = read_frame(sock)
+            assert reply.values == (1.0, "processor"), reply.values
             started = time.monotonic()
             write_frame(sock, WireFrame(EXIT))
             assert read_frame(sock).command == ACK
@@ -401,7 +405,7 @@ def test_a_peer_link_dialled_on_the_first_push_opens_with_an_empty_propagate():
                 sock.close()
     finally:
         peer.close()
-    assert reply.values == (["s0", "inf"],), reply.values
+    assert reply.values == ("inf",), reply.values  # s0 is passive, so no sender
     assert [(frame.command, frame.values) for frame in frames] == [
         (PROPAGATE, ()), (PROPAGATE, (["s0", "out", "r0", "in", ["s0"]],))]
 
@@ -490,46 +494,158 @@ def test_gpt_distributed_equals_sequential(gpt_graph):
     assert report.trace_text() == sequential.trace_text()
 
 
-def _addressed_command_counts(graph, group_of=None) -> tuple[int, int, Counter, Counter]:
-    """(imminent processes, DELTFCN frames) for ``graph``, from a
-    sequential oracle: per cycle, the service processes hosting an
-    imminent simulator, and those hosting an imminent simulator or one of
-    its coupling targets, to which the coordinator sends a DELTFCN.
-    ``group_of`` maps an atomic to its process; by default every atomic has
-    a process of its own, and the first count must then equal the oracle's
-    int and con transitions. The third item counts the
-    PROPAGATE frames that services send each other: per (sender process,
-    receiver process) pair, the cycles with an imminent sender coupled
-    across that pair. The fourth counts the DELTFCN frames by (time,
-    receiving process, senders named): the imminent simulators of other
-    processes coupled into the receiving one, in plan order."""
-    oracle = SequentialCoordinator(graph, trace=True).simulate()
-    kinds = [entry.kind for trace in oracle.traces.values() for entry in trace]
-    targets = {}
-    for coupling in flatten(graph).couplings:
-        targets.setdefault(coupling.src.component, set()).add(coupling.dst.component)
-    group_of = group_of or {name: name for name in oracle.traces}
-    stepper = SequentialCoordinator(graph)
-    lambdas = deltfcns = 0
-    pushes, named = Counter(), Counter()
-    while not math.isinf(t := stepper.time_advance()):
+def _transcript(plan, iterations=None, trace=True) -> list[tuple]:
+    """What the coordinator must read when ``plan`` runs, derived from the
+    sequential oracle stepped over the plan's grouping: one entry per
+    INIT (cycle 0) or cycle and addressed group, in group order, holding
+    (cycle, group, command, time, the command's values, its ACK's values).
+    A group is its index in plan order. A DELTFCN reaches each group
+    hosting an imminent atomic or fed by one in another group, and names
+    those senders in plan order. Each ACK carries the group's next tN and
+    the hosted atomics imminent then whose output enters another group,
+    none when the group is passive; INIT's first gives the hosted atomics."""
+    blocks = list(plan.groups().values())
+    group_of = {name: group for group, block in enumerate(blocks) for name in block}
+    feeds = {}  # each atomic's output: the other groups it enters
+    for coupling in plan.graph.couplings:
+        src, dst = group_of[coupling.src.component], group_of[coupling.dst.component]
+        if src != dst:
+            feeds.setdefault(coupling.src.component, set()).add(dst)
+    stepper = SequentialCoordinator(plan.graph)
+    sims = stepper.simulators
+
+    def ack(group):
+        tn = min(sims[name].tN for name in blocks[group])
+        return (encode_time(tn), *[name for name in blocks[group] if name in feeds
+                                   and sims[name].tN == tn and not math.isinf(tn)])
+
+    entries = [(0, group, INIT, None, (1 if trace else 0,), (block, *ack(group)))
+               for group, block in enumerate(blocks)]
+    cycle = 0
+    while (iterations is None or cycle < iterations) and not math.isinf(
+            t := stepper.time_advance()):
+        cycle += 1
+        imminent = [name for name, sim in sims.items() if sim.tN == t]
+        named = {group_of[name]: [] for name in imminent}
+        for name in imminent:
+            for group in sorted(feeds.get(name, ())):
+                named.setdefault(group, []).append(name)
         stepper.clock.t = t
-        imminent = {name for name, sim in stepper.simulators.items() if sim.tN == t}
-        active = imminent.union(*(targets.get(n, ()) for n in imminent))
-        lambdas += len({group_of[name] for name in imminent})
-        deltfcns += len({group_of[name] for name in active})
-        pushes.update({(group_of[src], group_of[dst]) for src in imminent
-                       for dst in targets.get(src, ()) if group_of[src] != group_of[dst]})
-        for group in {group_of[name] for name in active}:
-            named[(t, group, tuple(
-                src for src in stepper.simulators if src in imminent
-                and group_of[src] != group
-                and any(group_of[dst] == group for dst in targets.get(src, ()))))] += 1
         stepper.run_lambda()
         stepper.run_deltfcn()
-    if len(set(group_of.values())) == len(group_of):
-        assert lambdas == kinds.count("int") + kinds.count("con")
-    return lambdas, deltfcns, pushes, named
+        entries += [(cycle, group, DELTFCN, t, tuple(named[group]), ack(group))
+                    for group in sorted(named)]
+    return entries
+
+
+def _recorder(monkeypatch) -> list[tuple]:
+    """Record every reply to an INIT or DELTFCN that a DistributedCoordinator
+    reads from now on, the in-process group's too, as (phase, plan, and the
+    rest of a transcript entry, see _transcript): the list fills as runs
+    go. The coordinator writes a whole phase before it reads a reply, so
+    its frame count when it reads tells the phase."""
+    recorded = []
+    read = distributed.DistributedCoordinator._read
+
+    def recording_read(self, endpoint, sent):
+        reply = read(self, endpoint, sent)
+        if sent.command != EXIT:
+            recorded.append((sum(self.frames_sent.values()), self.plan,
+                             list(self.plan.groups()).index(endpoint), sent.command,
+                             sent.time, sent.values, reply.values))
+        return reply
+
+    monkeypatch.setattr(distributed.DistributedCoordinator, "_read", recording_read)
+    return recorded
+
+
+def _assert_same_transcript(recorded, iterations=None, trace=True):
+    """The transcript of the one run recorded equals the oracle's, entry by
+    entry: the first difference is reported with its cycle, group and
+    frame. Each DELTFCN ACK holds at most the tN and each atomic of the
+    group whose output enters another group."""
+    plan = recorded[0][1]
+    assert all(entry[1] is plan for entry in recorded)
+    phases = sorted({entry[0] for entry in recorded})
+    got = sorted((phases.index(phase), *rest) for phase, _, *rest in recorded)
+    expected = _transcript(plan, iterations, trace)
+    for want, have in zip(expected, got):
+        assert have == want, (f"cycle {want[0]}, group {want[1]}: {want[2]} at "
+                              f"t={want[3]} with values {want[4]}, ACK {want[5]}; "
+                              f"the run had {have}")
+    assert len(got) == len(expected), f"{len(got)} entries, the oracle {len(expected)}"
+    couplings = plan.graph.couplings
+    for _, group, command, _, _, ack in got:
+        hosted = list(plan.groups().values())[group]
+        boundary = {c.src.component for c in couplings if c.src.component in hosted
+                    and c.dst.component not in hosted}
+        assert command == INIT or len(ack) <= 1 + len(boundary)
+
+
+def _counts(plan, iterations=None) -> tuple[int, int, Counter, Counter]:
+    """Frame counts of the oracle's transcript (see _transcript): the
+    (cycle, group) pairs whose group hosts an imminent atomic; DELTFCN
+    frames; the PROPAGATE frames that groups send each other, by (sender
+    group, receiver group), one per cycle in which the receiver waits for
+    a sender of that group; and the DELTFCN frames by (time, group,
+    senders named)."""
+    group_of = {name: group for group, block in enumerate(plan.groups().values())
+                for name in block}
+    imminent, deltfcns, pushes, named = 0, 0, Counter(), Counter()
+    tn = {}  # each group's tN, from its last ACK
+    for _, group, command, t, values, ack in _transcript(plan, iterations):
+        if command == DELTFCN:
+            imminent += tn[group] == t
+            deltfcns += 1
+            pushes.update({(group_of[sender], group) for sender in values})
+            named[(t, group, values)] += 1
+        tn[group] = decode_time(ack[1] if command == INIT else ack[0])
+    return imminent, deltfcns, pushes, named
+
+
+def _zero_delay_cycle():
+    """A source whose job circles between two zero-delay processors, in
+    two groups whose couplings cross both ways, with a devstone sink:
+    virtual time stands still, so a run ends only at its iteration cap."""
+    graph = ModelGraph("loop")
+    graph.add_component(atomic_spec("s0", "emit_once"))
+    for name in ("p0", "p1"):
+        graph.add_component(atomic_spec(name, "processor", delay_int=0.0))
+    graph.add_component(atomic_spec("d0", "devstone"))
+    graph.connect("s0", "out", "p0", "in")
+    graph.connect("p0", "out", "p1", "in")
+    graph.connect("p1", "out", "p0", "in")
+    graph.connect("p1", "out", "d0", "in")
+    return graph
+
+
+@pytest.mark.parametrize("case", ["gpt-spread", "ho43-1", "ho43-2", "ho43-3",
+                                  "ho55-distributed-local", "zero-delay-cycle",
+                                  "interleaved-fan-in"])
+def test_protocol_transcript_matches_the_oracle(case, monkeypatch):
+    """Every DELTFCN (its time and senders) and every ACK (tN and senders)
+    that the coordinator exchanges equals what the sequential oracle,
+    stepped over the same grouping, says it must be. In the interleaved
+    fan-in, r0 waits for s0 and s2 of one group and s1 of another, named
+    in plan order."""
+    recorded = _recorder(monkeypatch)
+    iterations = None
+    if case == "ho55-distributed-local":
+        from pdevsim.bench import run_distributed_local
+        run_distributed_local(generate(DevstoneConfig("HO", 5, 5)), trace=True)
+    else:
+        if case == "gpt-spread":
+            plan = spread_plan(build_gpt())
+        elif case == "zero-delay-cycle":
+            plan, iterations = grouped_plan(_zero_delay_cycle(), [["s0", "p1"], ["p0", "d0"]]), 25
+        elif case == "interleaved-fan-in":
+            plan = grouped_plan(fan_out_model(3, 1), [["s0", "s2"], ["s1"], ["r0"]])
+        else:
+            graph = generate(DevstoneConfig("HO", 4, 3))
+            plan = grouped_plan(graph, blocks_of(graph, int(case[-1])))
+        with thread_services(plan):
+            run_coordinator(plan, iterations, trace=True)
+    _assert_same_transcript(recorded, iterations)
 
 
 def test_coordinator_relays_no_propagate_frames(gpt_graph):
@@ -539,7 +655,7 @@ def test_coordinator_relays_no_propagate_frames(gpt_graph):
     sent = report.diagnostics["frames_sent"]
     assert sent.get("PROPAGATE", 0) == 0
     assert report.diagnostics["frames_received"].get("PROPAGATE", 0) == 0
-    _, deltfcns, _, _ = _addressed_command_counts(build_gpt())
+    _, deltfcns, _, _ = _counts(plan)
     assert sent == {"INIT": 3, "DELTFCN": deltfcns, "EXIT": 3}
 
 
@@ -552,20 +668,36 @@ def test_ho_distributed_counters_and_traces():
     assert report.counter_triple() == sequential.counter_triple()
     assert report.trace_text() == sequential.trace_text()
     assert report.diagnostics["dropped_events"] == sequential.diagnostics["dropped_events"]
-    _, deltfcns, pushes, _ = _addressed_command_counts(
-        generate(DevstoneConfig("HO", 4, 3)))
+    imminent, deltfcns, pushes, _ = _counts(plan)
+    # One atomic per group: each imminent group is one int or con transition.
+    kinds = [entry.kind for trace in sequential.traces.values() for entry in trace]
+    assert imminent == kinds.count("int") + kinds.count("con")
     atomics = len(plan.endpoints)
     assert report.diagnostics["frames_sent"] == {
         "INIT": atomics, "DELTFCN": deltfcns, "EXIT": atomics}
     assert report.diagnostics["peer_frames"] == sum(pushes.values())
 
 
+def test_distributed_rows_name_the_group_count():
+    """A distributed result row names its resources as a pool row names its
+    pool shape: by the groups that the coordinator drives, here 2 for the
+    18 atomics of HO(5,5), or 3 for GPT with an endpoint per atomic."""
+    from pdevsim.bench import run_distributed_local
+    graph = generate(DevstoneConfig("HO", 5, 5))
+    report = run_distributed_local(grouped_plan(graph, blocks_of(graph, 2)))
+    assert report.workers_pools == "2"
+    assert report.csv_row().startswith(f"{report.model},distributed-local,2,")
+    plan = spread_plan(build_gpt())
+    with thread_services(plan):
+        assert run_coordinator(plan).workers_pools == "3"
+
+
 def _run_blocks(config, groups, monkeypatch):
     """Run ``config`` on ``groups`` co-hosted groups of contiguous atomics,
     each at one plan endpoint, check it against the sequential trace, and
-    return the report, each atomic's group, the (pushing group, dialled
-    group) of every peer dial and the DELTFCN frames by (time, receiving
-    group, senders named)."""
+    return the report, the plan, the (pushing group, dialled group) of
+    every peer dial and the DELTFCN frames by (time, receiving group,
+    senders named)."""
     graph = generate(config)
     plan = grouped_plan(graph, blocks_of(graph, groups))
     names = list(plan.endpoints)
@@ -607,7 +739,7 @@ def _run_blocks(config, groups, monkeypatch):
     sequential = SequentialCoordinator(generate(config), trace=True).simulate()
     assert report.trace_text() == sequential.trace_text()
     assert report.counter_triple() == sequential.counter_triple()
-    return report, group_of, dials, named
+    return report, plan, dials, named
 
 
 @pytest.mark.parametrize("groups", [1, 2])
@@ -618,9 +750,8 @@ def test_cohosted_groups_push_in_memory(groups, monkeypatch):
     PROPAGATE frame per cycle. Each DELTFCN names exactly the imminent
     senders of other groups coupled into its group."""
     config = DevstoneConfig("HO", 4, 3)
-    report, group_of, dials, named = _run_blocks(config, groups, monkeypatch)
-    _, deltfcns, pushes, senders = _addressed_command_counts(generate(config),
-                                                             group_of)
+    report, plan, dials, named = _run_blocks(config, groups, monkeypatch)
+    _, deltfcns, pushes, senders = _counts(plan)
     assert named == senders
     assert sorted(dials) == sorted(pushes), dials
     assert bool(dials) == (groups > 1)  # cross-group pushes still use TCP
@@ -670,9 +801,8 @@ def test_two_blocks_of_ho55_send_four_peer_frames(monkeypatch):
     CPUs: 12 cross-block pushes per run, batched into 4 PROPAGATE frames,
     which the 4 DELTFCN frames to block 1 that name senders wait for."""
     config = DevstoneConfig("HO", 5, 5)
-    report, group_of, dials, named = _run_blocks(config, 2, monkeypatch)
-    lambdas, deltfcns, pushes, senders = _addressed_command_counts(generate(config),
-                                                                   group_of)
+    report, plan, dials, named = _run_blocks(config, 2, monkeypatch)
+    lambdas, deltfcns, pushes, senders = _counts(plan)
     assert named == senders
     assert sum(n for (_, _, names), n in named.items() if names) == 4
     assert report.diagnostics["frames_sent"] == {
@@ -914,6 +1044,27 @@ def test_coordinator_timeout_names_the_awaited_senders():
     assert left == []
 
 
+def test_a_group_that_omits_an_imminent_sender_is_reported_at_exit(monkeypatch):
+    """HO(4,3) in two blocks, block 0's group patched to list no senders in
+    its ACKs. The coordinator, which keeps no atomic's tN, cannot see that,
+    and never sends block 1 a DELTFCN; but the batch that block 0 still
+    pushes is left in block 1's group, which refuses EXIT naming it, so the
+    run does not end with partial counters and no error."""
+    graph = generate(DevstoneConfig("HO", 4, 3))
+    plan = grouped_plan(graph, blocks_of(graph, 2))
+    first, second = plan.groups().values()
+    listed = distributed.ServiceGroup._next
+    monkeypatch.setattr(distributed.ServiceGroup, "_next", lambda self: (
+        listed(self)[:1] if self.names == first else listed(self)))
+    with thread_services(plan):
+        with pytest.raises(SimulationError) as err:
+            run_coordinator(plan, timeouts=Timeouts(connect=2.0, read=5.0))
+    assert str(err.value) == (
+        f"simulator {second[0]!r} (+{len(second) - 1} co-hosted) at "
+        f"{plan.endpoints[second[0]]} reported: PROPAGATE from 'A2_2' port 'out' "
+        "to 'A3_2' port 'in': a batch no DELTFCN named")
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_batch_members_run_at_once(workers, monkeypatch):
     """The members that one DELTFCN names imminent run at the same time: two
@@ -944,101 +1095,105 @@ def test_batch_members_run_at_once(workers, monkeypatch):
     assert [t.name for t in threading.enumerate() if t not in before] == []
 
 
-@pytest.mark.parametrize("hosted", [
-    [["processor", "inf"]],
-    [["generator", 0.0], ["ghost", "inf"]],
-    [["generator", "soon"]],
-    [["generator", 0.0], ["generator", "inf"]],
-    [["generator", 0.0], ["processor", "inf"]],
-    ["__error__"],
-], ids=["misses-itself", "unknown-atomic", "bad-tn", "duplicate-atomic",
-        "other-endpoint", "error-without-message"])
-def test_bad_init_membership_is_rejected(gpt_graph, hosted):
+def _fake_group(endpoint, *acks):
+    """A thread that serves ``endpoint`` as a fake group: it answers the
+    coordinator's first frames with ACKs carrying ``acks``, one each, and
+    returns once the coordinator hangs up."""
+    listener = socket.create_server(endpoint.main_addr())
+    listener.settimeout(10.0)
+
+    def fake_service():
+        with listener:
+            conn, _ = listener.accept()
+            with conn:
+                for values in acks:
+                    read_frame(conn)
+                    write_frame(conn, WireFrame(ACK, values=tuple(values)))
+                while read_frame(conn) is not None:  # until the coordinator hangs up
+                    pass
+
+    server = threading.Thread(target=fake_service)
+    server.start()
+    return server
+
+
+@pytest.mark.parametrize("ack, message", [
+    ((["processor"], "inf"), "hosts ['processor'], but the plan puts ['generator'] there"),
+    ((["generator", "ghost"], 0.0), "hosts ['generator', 'ghost'], but"),
+    ((["generator", "generator"], 0.0), "hosts ['generator', 'generator'], but"),
+    ((["generator", "processor"], 0.0), "hosts ['generator', 'processor'], but"),
+    (("generator", 0.0), "hosts 'generator', but"),
+    ((["generator"], "soon"), "acknowledged INIT with a bad tN: bad time field: 'soon'"),
+    ((["generator"], "-inf"), "acknowledged INIT with a bad tN: bad time field: '-inf'"),
+    ((["generator"], 0.0, "processor"), "acknowledged INIT listing senders ['processor']: "
+                                        "not atomics of that group"),
+    (("__error__",), "reported: an error without a message"),
+], ids=["misses-itself", "unknown-atomic", "duplicate-atomic", "other-endpoint",
+        "names-not-a-list", "bad-tn", "minus-inf-tn", "sender-elsewhere",
+        "error-without-message"])
+def test_bad_init_membership_is_rejected(gpt_graph, ack, message):
+    """An INIT ACK gives the hosted atomics, which must be exactly the
+    plan's atomics at that endpoint, then the group's tN and senders: a
+    fake generator group that breaks that is refused in one line naming
+    it and what is wrong."""
     plan = spread_plan(gpt_graph)
     endpoint = plan.endpoints["generator"]
-    listener = socket.create_server(endpoint.main_addr())
-    listener.settimeout(10.0)
-
-    def fake_service():
-        conn, _ = listener.accept()
-        with conn:
-            read_frame(conn)
-            write_frame(conn, WireFrame(ACK, values=tuple(hosted)))
-            read_frame(conn)  # returns once the coordinator hangs up
-
-    server = threading.Thread(target=fake_service)
-    server.start()
+    server = _fake_group(endpoint, ack)
     try:
         with thread_services(plan, names=["transducer", "processor"]):
-            with pytest.raises(SimulationError, match=f"'generator' at {endpoint}"):
-                run_coordinator(plan, timeouts=Timeouts(connect=2.0, read=5.0))
-    finally:
-        server.join(timeout=10.0)
-        listener.close()
-    assert not server.is_alive()
-
-
-@pytest.mark.parametrize("moved", [
-    [],
-    [["transducer", 1.0], ["processor", "inf"]],
-], ids=["omits-imminent", "other-endpoint"])
-def test_bad_deltfcn_ack_is_rejected(gpt_graph, moved):
-    """A group's DELTFCN ACK must list only atomics it hosts, and every one
-    of them that is imminent: a fake transducer group, imminent at 0 by its
-    INIT ACK, that breaks either rule gets its ACK refused in one line
-    naming it."""
-    plan = spread_plan(gpt_graph)
-    endpoint = plan.endpoints["transducer"]
-    listener = socket.create_server(endpoint.main_addr())
-    listener.settimeout(10.0)
-
-    def fake_service():
-        conn, _ = listener.accept()
-        with conn:
-            read_frame(conn)
-            write_frame(conn, WireFrame(ACK, values=(["transducer", 0.0],)))
-            read_frame(conn)  # the DELTFCN at 0
-            write_frame(conn, WireFrame(ACK, values=tuple(moved)))
-            read_frame(conn)  # returns once the coordinator hangs up
-
-    server = threading.Thread(target=fake_service)
-    server.start()
-    try:
-        with thread_services(plan, names=["generator", "processor"]):
             with pytest.raises(SimulationError) as err:
                 run_coordinator(plan, timeouts=Timeouts(connect=2.0, read=5.0))
     finally:
         server.join(timeout=10.0)
-        listener.close()
     assert not server.is_alive()
-    message = str(err.value)
-    assert message.startswith(f"simulator 'transducer' at {endpoint} acknowledged "
-                              "DELTFCN at t=0.0 for "), message
-    assert "\n" not in message
+    assert str(err.value).startswith(f"simulator 'generator' at {endpoint} {message}"), err.value
+    assert "\n" not in str(err.value)
+
+
+@pytest.mark.parametrize("blocks, init, ack", [
+    ([["transducer"]], (0.0,), (1.0, "processor")),
+    ([["transducer"]], (0.0,), (1.0, "transducer")),
+    ([["transducer"]], (0.0,), (1.0, ["transducer"])),
+    ([["generator"]], (0.0, "generator"), (1.0, "generator", "generator")),
+    ([["generator", "processor"]], (0.0, "generator"), (0.0, "processor", "generator")),
+], ids=["other-endpoint", "feeds-no-other-group", "not-a-name", "listed-twice",
+        "out-of-plan-order"])
+def test_bad_deltfcn_ack_is_rejected(gpt_graph, blocks, init, ack):
+    """A group's DELTFCN ACK may list as senders only its own atomics whose
+    output enters another group, each once, in plan order: a fake group,
+    imminent at 0 by its INIT ACK, that breaks that gets its ACK refused in
+    one line naming it and the cycle. (A group that omits an imminent
+    sender is not visible to the coordinator: the group that the sender
+    feeds reports the batch, see
+    test_a_group_that_omits_an_imminent_sender_is_reported_at_exit.)"""
+    blocks = blocks + [[name] for name in gpt_graph.atomics if name not in blocks[0]]
+    plan = grouped_plan(gpt_graph, blocks)
+    fake = blocks[0]
+    endpoint = plan.endpoints[fake[0]]
+    server = _fake_group(endpoint, (fake, *init), ack)
+    try:
+        with thread_services(plan, names=[name for block in blocks[1:] for name in block]):
+            with pytest.raises(SimulationError) as err:
+                run_coordinator(plan, timeouts=Timeouts(connect=2.0, read=5.0))
+    finally:
+        server.join(timeout=10.0)
+    assert not server.is_alive()
+    where = f"simulator {fake[0]!r}" + (" (+1 co-hosted)" if len(fake) > 1 else "")
+    assert str(err.value) == (
+        f"{where} at {endpoint} acknowledged DELTFCN at t=0.0 listing senders "
+        f"{list(ack[1:])!r}: not atomics of that group whose output enters another, "
+        "once each, in plan order")
 
 
 def test_bad_deltfcn_ack_of_a_feeding_group_ends_the_run_at_once(gpt_graph):
-    """A fake generator group ACKs its DELTFCN at 0 without its imminent
-    generator and never pushes the batch that the processor waits for.
-    The coordinator checks each ACK as it reads it, so the run ends at
-    once with the generator's bad ACK, not after the read timeout with
-    the processor's wait for that batch."""
+    """A fake generator group ACKs its DELTFCN at 0 with a tN before that
+    cycle and never pushes the batch that the processor waits for. The
+    coordinator checks each ACK as it reads it, so the run ends at once
+    with the generator's bad ACK, not after the read timeout with the
+    processor's wait for that batch."""
     plan = spread_plan(gpt_graph)
     endpoint = plan.endpoints["generator"]
-    listener = socket.create_server(endpoint.main_addr())
-    listener.settimeout(10.0)
-
-    def fake_service():
-        conn, _ = listener.accept()
-        with conn:
-            read_frame(conn)
-            write_frame(conn, WireFrame(ACK, values=(["generator", 0.0],)))
-            read_frame(conn)  # the DELTFCN at 0
-            write_frame(conn, WireFrame(ACK, values=()))
-            read_frame(conn)  # returns once the coordinator hangs up
-
-    server = threading.Thread(target=fake_service)
-    server.start()
+    server = _fake_group(endpoint, (["generator"], 0.0, "generator"), (-1.0,))
     try:
         with thread_services(plan, names=["processor", "transducer"]):
             started = time.monotonic()
@@ -1047,12 +1202,47 @@ def test_bad_deltfcn_ack_of_a_feeding_group_ends_the_run_at_once(gpt_graph):
             elapsed = time.monotonic() - started
     finally:
         server.join(timeout=10.0)
-        listener.close()
     assert not server.is_alive()
-    message = str(err.value)
-    assert message.startswith(f"simulator 'generator' at {endpoint} acknowledged "
-                              "DELTFCN at t=0.0 for []"), message
+    assert str(err.value) == (f"simulator 'generator' at {endpoint} acknowledged DELTFCN "
+                              "at t=0.0 with tN=-1.0, earlier than the cycle")
     assert elapsed < 1.5, elapsed
+
+
+@pytest.mark.parametrize("tn, problem", [
+    ("-inf", "with a bad tN: bad time field: '-inf'"),
+    (-1.0, "with tN=-1.0, earlier than the cycle"),
+], ids=["minus-inf", "earlier"])
+def test_an_ack_tn_before_its_cycle_ends_the_run(gpt_graph, monkeypatch, tn, problem):
+    """The generator's real group, patched to encode the tN of its DELTFCN
+    ACK as ``tn``, before the cycle at 0. The run ends within 1.5 s with
+    one line that names the group and the cycle; minus infinity used to
+    pass for passivity and end the run with partial counters and no error."""
+    plan = spread_plan(gpt_graph)
+    lying = set()  # the threads running the generator group's DELTFCN
+    dispatch, encode_time = distributed.ServiceGroup._dispatch, distributed.encode_time
+
+    def patched_dispatch(self, frame):
+        if frame.command == DELTFCN and self.names == ["generator"]:
+            lying.add(threading.get_ident())
+        try:
+            return dispatch(self, frame)
+        finally:
+            lying.discard(threading.get_ident())
+
+    monkeypatch.setattr(distributed.ServiceGroup, "_dispatch", patched_dispatch)
+    monkeypatch.setattr(distributed, "encode_time",
+                        lambda t: tn if threading.get_ident() in lying else encode_time(t))
+    groups = serve_simulators(plan, plan.endpoints, timeouts=Timeouts(read=3.0))
+    started = time.monotonic()
+    try:
+        with pytest.raises(SimulationError) as err:
+            run_coordinator(plan, 20, timeouts=Timeouts(connect=2.0, read=3.0))
+    finally:
+        for group in groups:
+            group.stop()
+    assert time.monotonic() - started < 1.5
+    assert str(err.value) == (f"simulator 'generator' at {plan.endpoints['generator']} "
+                              f"acknowledged DELTFCN at t=0.0 {problem}")
 
 
 def test_coordinator_writes_every_init_before_reading_any_ack(gpt_graph, monkeypatch):
