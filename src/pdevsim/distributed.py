@@ -7,9 +7,12 @@ kernel's cycle engine over them: a :class:`SequentialCoordinator`, or a
 its share (the groups of a process divide the CPUs it may run on). Groups
 that share a process but not an endpoint push to each other over TCP like
 any other peers. A group serves its listener, the coordinator's link and
-every peer link from one selector on one thread. The first frame on an
-accepted connection says what the connection is: PROPAGATE opens a link
-from a peer group, anything else is the coordinator's link.
+every peer link from one selector on one thread: a thread of its own, or,
+for the first group of a process, the process's main thread, so a process
+that hosts one group runs one thread. The first frame on an accepted
+connection says what the connection is: PROPAGATE opens a link from a peer
+group, anything else is the coordinator's link. A thread alone in its
+process polls its sockets briefly before it blocks (:func:`_wait`).
 
 The root coordinator sees each group only through its next-event time
 (tN), as a Parallel DEVS coordinator sees a coupled child. It writes every
@@ -46,8 +49,9 @@ listener before it forks. A group dials each peer in
 before it serves under ``distributed-local``. The coordinator dials the
 groups in :meth:`DistributedCoordinator.connect`. The launcher runs its
 first group without a thread or a link: the coordinator hands it each
-command in-process (see :class:`DistributedCoordinator`). The coordinator
-has no endpoint of its own.
+command in-process (see :class:`DistributedCoordinator`). Every other
+process serves its first group on its main thread (:func:`serve`). The
+coordinator has no endpoint of its own.
 """
 
 from __future__ import annotations
@@ -77,6 +81,13 @@ from .wire import (ACK, DELTFCN, EXIT, INIT, PROPAGATE, ProtocolError,
                    read_frame, take_frame, write_frame)
 
 _ERROR_MARK = "__error__"
+
+# How long a thread alone in its process polls before it blocks. On a
+# 2-vCPU host, a process blocked in recv/epoll answered a loopback frame
+# 38-87 us late, one that polled for 200 us first 15-69 us (medians of 1500
+# ping-pong exchanges at 0, 100 and 300 us of peer work); 50 us gained
+# nothing, and 1000 us no more than 200.
+_POLL_S = 200e-6
 
 
 @dataclass(frozen=True)
@@ -169,6 +180,25 @@ def _dial(endpoint: Endpoint, where: str, timeouts: Timeouts) -> socket.socket:
     return sock
 
 
+def _wait(ready, timeout: float | None):
+    """What ``ready(wait)`` finds: ``ready`` returns what is ready within
+    ``wait`` seconds (None: however long it takes), or something falsy. A
+    thread alone in its process first polls, calling it with 0 for up to
+    ``_POLL_S`` seconds, since waking from a blocking call costs more; one
+    with company never polls, which would take the CPU from the others.
+    Never waits past ``timeout`` seconds."""
+    if timeout != 0 and threading.active_count() == 1:
+        start = now = time.monotonic()
+        window = _POLL_S if timeout is None else min(_POLL_S, timeout)
+        while now - start < window:
+            if found := ready(0):
+                return found
+            now = time.monotonic()
+        if timeout is not None:
+            timeout = max(timeout - (now - start), 0.0)
+    return ready(timeout)
+
+
 def _push(key: tuple[str, str, str, str]) -> str:
     """How errors name the coupling ``key``: (sender, port, target, port)."""
     sender, port, target, target_port = key
@@ -181,9 +211,11 @@ class ServiceGroup:
     The engine is built, and so its atomics initialized, with the group:
     INIT, once per group, only sets the trace mode and reports the tN. One
     thread serves the group's listener and every connection it accepts
-    from one selector: the coordinator's link drives the whole group, and
-    a peer group's link carries that peer's pushes to every hosted atomic.
-    :func:`_start_groups` builds and starts the groups of a process.
+    from one selector (:meth:`_run`): a thread of its own, or the thread
+    that :func:`serve` runs the group on. The coordinator's link drives the
+    whole group, and a peer group's link carries that peer's pushes to
+    every hosted atomic. :func:`_start_groups` builds and starts the groups
+    of a process.
     """
 
     def __init__(self, plan: DistributedPlan, endpoint: Endpoint, *,
@@ -244,6 +276,7 @@ class ServiceGroup:
         self._sockets: dict[socket.socket, bytearray | None] = {}
         self._selector = selectors.DefaultSelector()
         self._thread: threading.Thread | None = None
+        self._running = False  # whether _run serves the group
         self._stop = threading.Event()
 
     # -- lifecycle -----------------------------------------------------------
@@ -251,7 +284,8 @@ class ServiceGroup:
     def start(self, listener: socket.socket, *, thread: bool = True) -> None:
         """Serve ``listener``, bound at the group's endpoint, and every
         connection it accepts. The group runs on a thread of its own or,
-        without ``thread``, only within the commands that an in-process
+        without ``thread``, on the thread that calls :meth:`_run` (see
+        :func:`serve`), or only within the commands that an in-process
         coordinator hands it."""
         self._sockets[listener] = None
         self._selector.register(listener, selectors.EVENT_READ, "listener")
@@ -265,19 +299,24 @@ class ServiceGroup:
             self._thread.join(timeout)
 
     def stop(self) -> None:
-        """End the group from any thread: shutting its sockets down wakes its
-        thread wherever it waits, which then closes them and ends. From
-        another thread, return once the group's thread has ended."""
+        """End the group from any thread: shutting its sockets down wakes
+        :meth:`_run` wherever it waits, which then closes them and ends. A
+        group that _run does not serve is closed here. From another thread,
+        return once the group's own thread, if it has one, has ended."""
         self._stop.set()
         for sock in list(self._sockets):
             with contextlib.suppress(OSError):
                 sock.shutdown(socket.SHUT_RDWR)
-        if self._thread is None:
+        if self._thread is not None:
+            if self._thread is not threading.current_thread():
+                self._thread.join()
+        elif not self._running:
             self._close()
-        elif self._thread is not threading.current_thread():
-            self._thread.join()
 
     def _run(self) -> None:
+        """Serve the group until it stops, then close its sockets, selector
+        and pool, once."""
+        self._running = True
         try:
             while not self._stop.is_set():
                 self._pump(None)
@@ -296,7 +335,7 @@ class ServiceGroup:
     def _pump(self, timeout: float | None) -> None:
         """Serve what one select within ``timeout`` seconds reports, up to the
         coordinator's link: a command may pump the selector, staling the rest."""
-        for key, _ in self._selector.select(timeout):
+        for key, _ in _wait(self._selector.select, timeout):
             if self._stop.is_set() or self._serve(key.fileobj, key.data):
                 return
 
@@ -594,9 +633,10 @@ def _start_groups(plan: DistributedPlan, listeners: dict[Endpoint, socket.socket
     and every listener and link closed. With ``dial`` each group dials its
     peers (:meth:`ServiceGroup.dial_peers`) before it starts; without, on
     its first push to each. With ``first_local`` the first group gets no
-    thread: an in-process coordinator drives it. The groups divide the
-    process's CPUs in contiguous blocks, at least one each, so k groups on
-    N CPUs do not start k pools of N."""
+    thread: an in-process coordinator drives it, or :func:`serve` serves it
+    on the calling thread. The groups divide the process's CPUs in
+    contiguous blocks, at least one each, so k groups on N CPUs do not
+    start k pools of N."""
     shares = contiguous_blocks(range(default_workers()), len(listeners))
     groups: list[ServiceGroup] = []
     try:
@@ -616,13 +656,13 @@ def _start_groups(plan: DistributedPlan, listeners: dict[Endpoint, socket.socket
     return groups
 
 
-def serve_simulators(plan: DistributedPlan, names, *,
-                     timeouts: Timeouts | None = None) -> list[ServiceGroup]:
+def serve_simulators(plan: DistributedPlan, names, *, timeouts: Timeouts | None = None,
+                     first_local: bool = False) -> list[ServiceGroup]:
     """Bind a listener at each distinct endpoint among ``names`` and start,
-    and return, one service group on each (see :func:`_start_groups`).
-    Every atomic at such an endpoint must be among ``names``: an unknown
-    atomic or a split endpoint is refused before anything is bound. The
-    plan was checked and indexed when it was made."""
+    and return, one service group on each (see :func:`_start_groups`, for
+    ``first_local`` too). Every atomic at such an endpoint must be among
+    ``names``: an unknown atomic or a split endpoint is refused before
+    anything is bound. The plan was checked and indexed when it was made."""
     for name in names:
         if name not in plan.endpoints:
             raise SimulationError(f"unknown atomic {name!r} in plan {plan.graph.name!r}")
@@ -633,16 +673,20 @@ def serve_simulators(plan: DistributedPlan, names, *,
             if name not in named:
                 raise SimulationError(f"atomic {name!r} at {endpoint} is not hosted: "
                                       "a process must host every atomic at its endpoint")
-    return _start_groups(plan, _listen(plan, endpoints), timeouts)
+    return _start_groups(plan, _listen(plan, endpoints), timeouts, first_local=first_local)
 
 
 def serve(groups: list[ServiceGroup], announce) -> int:
-    """Call ``announce`` once ``groups`` are serving, and return once every
-    group has ended with its coordinator's link: the rest of ``pdevsim
-    serve``, which prints ``ready``, and of each process that
-    :func:`run_distributed_local` forks, which bumps an eventfd."""
+    """Call ``announce`` once ``groups`` are serving, serve the first one,
+    started without a thread (``first_local``), on the calling thread, and
+    return once every group has ended with its coordinator's link: the rest
+    of ``pdevsim serve``, which prints ``ready``, and of each process that
+    :func:`run_distributed_local` forks, which bumps an eventfd. So a
+    process that serves one group runs one thread."""
     announce()
-    for group in groups:
+    if groups:
+        groups[0]._run()
+    for group in groups[1:]:
         group.join()
     return 0
 
@@ -720,8 +764,14 @@ class DistributedCoordinator:
                 raise SimulationError(f"{where} reported: {exc}") from exc
             self.frames_received[ACK] += 1
             return WireFrame(ACK, values=values)
+        conn = self._conns[endpoint]
+        poller = select.poll()
+        poller.register(conn, select.POLLIN)
         try:
-            reply = read_frame(self._conns[endpoint])
+            if not _wait(lambda wait: poller.poll(None if wait is None else wait * 1e3),
+                         self.timeouts.read):
+                raise socket.timeout("timed out")
+            reply = read_frame(conn)
         except socket.timeout as exc:
             waiting = f" at t={sent.time!r}" if sent.time is not None else ""
             if sent.command == DELTFCN and sent.values:
@@ -946,8 +996,8 @@ def _fork_service(plan: DistributedPlan, block: list[Endpoint],
                 sys.stdout = sys.stderr = open(1, "w", buffering=1, encoding="utf-8",
                                                errors="backslashreplace")
                 code = guarded(lambda: serve(_start_groups(
-                    plan, {endpoint: listeners[endpoint] for endpoint in block},
-                    timeouts, dial=True), lambda: os.eventfd_write(ready, 1)))
+                    plan, {endpoint: listeners[endpoint] for endpoint in block}, timeouts,
+                    first_local=True, dial=True), lambda: os.eventfd_write(ready, 1)))
                 sys.stdout.flush()
             finally:
                 os._exit(code)

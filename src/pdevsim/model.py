@@ -504,62 +504,66 @@ def _routes(graph: ModelGraph, flat: ModelGraph, leaves) -> list[Coupling]:
     ``leaves``: one per event path, in flatten's route order, each end the
     PortRef that ``flat`` keeps. A route's kind follows from its ends; one
     from a root input ends at an atomic, as a valid level couples no
-    boundary to boundary."""
+    boundary to boundary. The helpers are module functions, not closures,
+    which would refer to themselves and leave every flattened graph behind
+    as cyclic garbage."""
     refs = flat._refs
-    flat_names = iter([spec.name for _, spec in leaves])
     # Each coupled model in the walk has a number, the root 0. A route
     # node is an atomic output, by its PortRef in ``flat``, or a port of a
     # coupled model: (number, port, direction). Its edges are the nodes it
     # leads to in one hop, or the PortRef in ``flat`` of an atomic input or
     # root output where it ends.
     edges: dict = {}
-    numbers = count(1)
-
-    def link(level: ModelGraph, number: int) -> None:
-        """Add the edges of ``level``, numbered ``number``, and below it;
-        children are visited in the order of ``leaves``."""
-        here: dict[str, str | int] = {level.name: number}
-        for name in level._order:
-            if name in level.atomics:
-                here[name] = next(flat_names)
-            else:
-                here[name] = child = next(numbers)
-                link(level.coupleds[name], child)
-        for coupling in level.couplings:
-            src, dst = coupling.src, coupling.dst
-            at = here[src.component]
-            node = refs[at, src.port, OUTPUT] if type(at) is str else (at, src.port, src.direction)
-            at = here[dst.component]
-            if type(at) is str:
-                end = refs[at, dst.port, INPUT]
-            elif at:
-                end = (at, dst.port, dst.direction)
-            else:
-                end = refs[graph.name, dst.port, OUTPUT]
-            edges.setdefault(node, []).append(end)
-
-    link(graph, 0)
+    _link(graph, 0, refs, iter([spec.name for _, spec in leaves]), count(1), edges)
     sinks: dict = {}
-
-    def reach(node) -> list[PortRef]:
-        """The atomic inputs and root outputs that ``node`` leads to."""
-        found = sinks.get(node)
-        if found is None:
-            found = sinks[node] = []
-            for nxt in edges.get(node, ()):
-                if type(nxt) is PortRef:
-                    found.append(nxt)
-                elif nxt in edges:
-                    found += reach(nxt)
-        return found
-
     routes: list[Coupling] = []
     for port in graph.input_ports:
         src = refs[graph.name, port, INPUT]
-        routes += [_new_tuple(Coupling, (src, dst, EIC)) for dst in reach((0, port, INPUT))]
+        routes += [_new_tuple(Coupling, (src, dst, EIC))
+                   for dst in _reach((0, port, INPUT), edges, sinks)]
     for _, spec in leaves:
         for port in spec.output_ports:
             src = refs[spec.name, port, OUTPUT]
             routes += [_new_tuple(Coupling, (src, dst, EOC if dst.direction == OUTPUT else IC))
-                       for dst in reach(src)]
+                       for dst in _reach(src, edges, sinks)]
     return routes
+
+
+def _link(level: ModelGraph, number: int, refs, flat_names, numbers, edges: dict) -> None:
+    """Add to ``edges`` the route edges of ``level``, numbered ``number``
+    (the root 0), and below it; children are visited in walk order, taking
+    each atomic's flat name from ``flat_names`` and each coupled model's
+    number from ``numbers``."""
+    here: dict[str, str | int] = {level.name: number}
+    for name in level._order:
+        if name in level.atomics:
+            here[name] = next(flat_names)
+        else:
+            here[name] = child = next(numbers)
+            _link(level.coupleds[name], child, refs, flat_names, numbers, edges)
+    for coupling in level.couplings:
+        src, dst = coupling.src, coupling.dst
+        at = here[src.component]
+        node = refs[at, src.port, OUTPUT] if type(at) is str else (at, src.port, src.direction)
+        at = here[dst.component]
+        if type(at) is str:
+            end = refs[at, dst.port, INPUT]
+        elif at:
+            end = (at, dst.port, dst.direction)
+        else:  # a root output
+            end = refs[level.name, dst.port, OUTPUT]
+        edges.setdefault(node, []).append(end)
+
+
+def _reach(node, edges: dict, sinks: dict) -> list[PortRef]:
+    """The atomic inputs and root outputs that route node ``node`` leads
+    to along ``edges``, kept in ``sinks``."""
+    found = sinks.get(node)
+    if found is None:
+        found = sinks[node] = []
+        for nxt in edges.get(node, ()):
+            if type(nxt) is PortRef:
+                found.append(nxt)
+            elif nxt in edges:
+                found += _reach(nxt, edges, sinks)
+    return found

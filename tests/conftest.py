@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import os
 import socket
+import threading
 from pathlib import Path
 
 import pytest
@@ -257,6 +258,25 @@ class CountInits(AtomicModel):
         pass
 
 
+class ThreadCount(AtomicModel):
+    """Emits, at time 0, how many threads its process runs."""
+
+    INPUT_PORTS = ()
+    OUTPUT_PORTS = ("out",)
+
+    def initialize(self):
+        self.hold_in("armed", 0.0)
+
+    def output(self):
+        self.emit("out", threading.active_count())
+
+    def delta_int(self):
+        self.passivate()
+
+    def delta_ext(self, e):
+        pass
+
+
 _register("emit_once", EmitOnce)
 _register("collector", Collector)
 _register("busy_ext", BusyExt)
@@ -269,6 +289,7 @@ _register("exit_output", ExitOutput)
 _register("exit_loud", ExitLoud)
 _register("print_ext", PrintExt)
 _register("count_inits", CountInits)
+_register("thread_count", ThreadCount)
 Rendezvous = _register("rendezvous", Rendezvous)
 
 

@@ -600,6 +600,20 @@ def test_each_atomic_is_initialized_once_per_run(backend):
     assert inits == {"a": [(1,)], "b": [(1,)]}
 
 
+def test_a_forked_process_that_hosts_one_group_runs_one_thread():
+    """A forked distributed-local process serves its one group on its main
+    thread: atomic ``b``, in block 1, sees one thread in its process."""
+    from pdevsim import ModelGraph, atomic_spec
+    from pdevsim.parallel import default_workers
+    if default_workers() < 2:
+        pytest.skip("a single CPU runs every block in the launcher")
+    graph = ModelGraph("toy")
+    for name in ("a", "b"):
+        graph.add_component(atomic_spec(name, "thread_count"))
+    report = run_distributed_local(_two_block_plan(graph), trace=True)
+    assert [values for _, values in report.traces["b"][0].outputs] == [(1,)]
+
+
 def _service_threads() -> list[str]:
     import threading
     return [t.name for t in threading.enumerate() if t.name.startswith("svc-")]

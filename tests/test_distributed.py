@@ -249,6 +249,102 @@ def test_nine_atomic_group_has_one_listener_and_one_thread():
     assert listener.fileno() == -1
 
 
+def test_serve_runs_a_threadless_group_on_the_calling_thread(monkeypatch):
+    """``serve`` runs a group built without a thread (``first_local``) on
+    the thread that calls it; EXIT ends the group from inside its own loop,
+    which then closes its sockets and selector once, and ``serve`` returns."""
+    closed = []
+    close = distributed.ServiceGroup._close
+    monkeypatch.setattr(distributed.ServiceGroup, "_close",
+                        lambda self: (closed.append(self), close(self)))
+    graph = generate(DevstoneConfig("HO", 3, 3))
+    plan = grouped_plan(graph, [list(flatten(graph).atomics)])
+    before = set(threading.enumerate())
+    (group,) = serve_simulators(plan, plan.endpoints, first_local=True)
+    assert set(threading.enumerate()) == before
+    (listener,) = group._sockets
+    codes = []
+    server = threading.Thread(
+        target=lambda: codes.append(distributed.serve([group], lambda: None)))
+    server.start()
+    try:
+        report = run_coordinator(plan)
+    finally:
+        server.join(timeout=10.0)
+    assert not server.is_alive() and codes == [0]
+    assert report.counter_triple() == (7, 7, 7)
+    assert closed == [group] and listener.fileno() == -1
+    assert set(threading.enumerate()) == before
+
+
+def test_wait_beside_another_thread_makes_one_blocking_call():
+    """With a second thread alive, the wait helper never polls: it makes
+    one call that waits for the whole timeout."""
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        for timeout in (0.01, None):
+            calls = []
+            assert distributed._wait(lambda wait: calls.append(wait), timeout) is None
+            assert calls == [timeout]
+    finally:
+        release.set()
+        other.join()
+
+
+class _Clock:
+    """A monotonic clock that advances 20 us per reading, from 0."""
+
+    def __init__(self):
+        self.now = -20e-6
+
+    def __call__(self):
+        self.now += 20e-6
+        return self.now
+
+
+def test_wait_alone_polls_up_data_written_50_us_later(monkeypatch):
+    """A thread alone in its process finds data that a peer writes 50 us
+    after it starts to wait without a call that blocks."""
+    clock = _Clock()
+    monkeypatch.setattr(distributed.time, "monotonic", clock)
+    monkeypatch.setattr(threading, "active_count", lambda: 1)
+    ours, peer = socket.socketpair()
+    poller = select.poll()
+    poller.register(ours, select.POLLIN)
+    waits, written = [], []
+
+    def ready(wait):
+        waits.append(wait)
+        if clock.now >= 50e-6 and not written:
+            written.append(peer.send(b"x"))
+        return poller.poll(wait * 1e3)
+
+    with ours, peer:
+        assert distributed._wait(ready, 5.0) == [(ours.fileno(), select.POLLIN)]
+    assert clock.now < distributed._POLL_S
+    assert len(waits) > 1 and set(waits) == {0}
+
+
+def test_wait_honours_timeouts_of_0_and_below_the_poll_window(monkeypatch):
+    """A timeout of 0 makes one call that does not wait. A timeout below
+    ``_POLL_S`` ends the polls once it has passed, and no call waits past
+    it."""
+    clock = _Clock()
+    monkeypatch.setattr(distributed.time, "monotonic", clock)
+    monkeypatch.setattr(threading, "active_count", lambda: 1)
+    for timeout in (0, 0.0, 50e-6, 150e-6, distributed._POLL_S - 1e-6):
+        clock.now, calls = -20e-6, []
+        assert distributed._wait(lambda wait: calls.append((clock.now, wait)), timeout) is None
+        if timeout == 0:
+            assert [wait for _, wait in calls] == [0]
+            continue
+        *polls, (at, wait) = calls
+        assert polls and all(t < timeout and w == 0 for t, w in polls)
+        assert at >= timeout and wait == 0
+
+
 def test_bad_later_frame_on_the_coordinators_link_ends_the_group(gpt_graph):
     """A malformed frame after INIT on the coordinator's link is answered
     within 1 s with one line naming the group's first atomic and its

@@ -1,6 +1,7 @@
 """Modeling layer: construction, coupling classification, validation,
 flattening."""
 
+import gc
 import random
 
 import pytest
@@ -298,3 +299,16 @@ def test_a_frozen_flat_graph_is_its_own_flat_form():
     assert flatten(flat.freeze()) is flat and flat._flat is None
     assert SequentialCoordinator(flat).exec_graph is flat
 
+
+@pytest.mark.parametrize("shape", ["LI", "HI", "HO"])
+def test_a_dropped_coordinator_leaves_no_cyclic_garbage(shape):
+    """Compiling a hierarchical graph makes no reference cycle: with the
+    collector off, a coordinator built on a freshly generated graph, once
+    dropped with it, leaves nothing for the collector to find."""
+    gc.collect()
+    gc.disable()
+    try:
+        SequentialCoordinator(generate(DevstoneConfig(shape, 5, 5)))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
