@@ -131,8 +131,7 @@ def cmd_emit_manifest(args) -> int:
 def cmd_serve(args) -> int:
     from .distributed import serve, serve_simulators
     parsed = _distributed_plan(args.plan, "serve")
-    return serve(serve_simulators(parsed, args.atomic, first_local=True),
-                 lambda: print("ready", flush=True))
+    return serve(serve_simulators(parsed, args.atomic), lambda: print("ready", flush=True))
 
 
 def cmd_coordinate(args) -> int:

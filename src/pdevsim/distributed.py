@@ -8,11 +8,12 @@ its share (the groups of a process divide the CPUs it may run on). Groups
 that share a process but not an endpoint push to each other over TCP like
 any other peers. A group serves its listener, the coordinator's link and
 every peer link from one selector on one thread: a thread of its own, or,
-for the first group of a process, the process's main thread, so a process
-that hosts one group runs one thread. The first frame on an accepted
-connection says what the connection is: PROPAGATE opens a link from a peer
-group, anything else is the coordinator's link. A thread alone in its
-process polls its sockets briefly before it blocks (:func:`_wait`).
+for the first group of a process that ``distributed-local`` forks, the
+process's main thread, so such a process that hosts one group runs one
+thread. The first frame on an accepted connection says what the
+connection is: PROPAGATE opens a link from a peer group, anything else is
+the coordinator's link. A thread alone in its process polls its sockets
+briefly before it blocks (:func:`_wait`).
 
 The root coordinator sees each group only through its next-event time
 (tN), as a Parallel DEVS coordinator sees a coupled child. It writes every
@@ -49,9 +50,11 @@ listener before it forks. A group dials each peer in
 before it serves under ``distributed-local``. The coordinator dials the
 groups in :meth:`DistributedCoordinator.connect`. The launcher runs its
 first group without a thread or a link: the coordinator hands it each
-command in-process (see :class:`DistributedCoordinator`). Every other
-process serves its first group on its main thread (:func:`serve`). The
-coordinator has no endpoint of its own.
+command in-process (see :class:`DistributedCoordinator`). Each process it
+forks serves its first group on its main thread (:func:`serve`). Under
+``pdevsim serve`` every group has a thread of its own, so the process
+never polls: nothing tells it how many other processes share its CPUs.
+The coordinator has no endpoint of its own.
 """
 
 from __future__ import annotations
@@ -656,13 +659,13 @@ def _start_groups(plan: DistributedPlan, listeners: dict[Endpoint, socket.socket
     return groups
 
 
-def serve_simulators(plan: DistributedPlan, names, *, timeouts: Timeouts | None = None,
-                     first_local: bool = False) -> list[ServiceGroup]:
+def serve_simulators(plan: DistributedPlan, names, *,
+                     timeouts: Timeouts | None = None) -> list[ServiceGroup]:
     """Bind a listener at each distinct endpoint among ``names`` and start,
-    and return, one service group on each (see :func:`_start_groups`, for
-    ``first_local`` too). Every atomic at such an endpoint must be among
-    ``names``: an unknown atomic or a split endpoint is refused before
-    anything is bound. The plan was checked and indexed when it was made."""
+    and return, one service group on each (see :func:`_start_groups`).
+    Every atomic at such an endpoint must be among ``names``: an unknown
+    atomic or a split endpoint is refused before anything is bound. The
+    plan was checked and indexed when it was made."""
     for name in names:
         if name not in plan.endpoints:
             raise SimulationError(f"unknown atomic {name!r} in plan {plan.graph.name!r}")
@@ -673,20 +676,20 @@ def serve_simulators(plan: DistributedPlan, names, *, timeouts: Timeouts | None 
             if name not in named:
                 raise SimulationError(f"atomic {name!r} at {endpoint} is not hosted: "
                                       "a process must host every atomic at its endpoint")
-    return _start_groups(plan, _listen(plan, endpoints), timeouts, first_local=first_local)
+    return _start_groups(plan, _listen(plan, endpoints), timeouts)
 
 
 def serve(groups: list[ServiceGroup], announce) -> int:
-    """Call ``announce`` once ``groups`` are serving, serve the first one,
-    started without a thread (``first_local``), on the calling thread, and
+    """Call ``announce`` once ``groups`` are serving, serve a first group
+    started without a thread (``first_local``) on the calling thread, and
     return once every group has ended with its coordinator's link: the rest
     of ``pdevsim serve``, which prints ``ready``, and of each process that
-    :func:`run_distributed_local` forks, which bumps an eventfd. So a
+    :func:`run_distributed_local` forks, which bumps an eventfd. So a forked
     process that serves one group runs one thread."""
     announce()
-    if groups:
+    if groups and groups[0]._thread is None:
         groups[0]._run()
-    for group in groups[1:]:
+    for group in groups:
         group.join()
     return 0
 

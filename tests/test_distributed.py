@@ -249,23 +249,32 @@ def test_nine_atomic_group_has_one_listener_and_one_thread():
     assert listener.fileno() == -1
 
 
-def test_serve_runs_a_threadless_group_on_the_calling_thread(monkeypatch):
+@pytest.mark.parametrize("threaded", [False, True], ids=["threadless", "threaded"])
+def test_serve_runs_a_threadless_group_on_the_calling_thread(monkeypatch, threaded):
     """``serve`` runs a group built without a thread (``first_local``) on
-    the thread that calls it; EXIT ends the group from inside its own loop,
-    which then closes its sockets and selector once, and ``serve`` returns."""
-    closed = []
-    close = distributed.ServiceGroup._close
+    the thread that calls it, and only waits for one that has a thread of
+    its own (``serve_simulators``, as under ``pdevsim serve``). EXIT ends
+    the group from inside its loop, which then closes its sockets and
+    selector once, on one thread, and ``serve`` returns."""
+    closed, runs = [], []
+    close, run = distributed.ServiceGroup._close, distributed.ServiceGroup._run
     monkeypatch.setattr(distributed.ServiceGroup, "_close",
                         lambda self: (closed.append(self), close(self)))
+    monkeypatch.setattr(distributed.ServiceGroup, "_run",
+                        lambda self: (runs.append(threading.current_thread().name), run(self)))
     graph = generate(DevstoneConfig("HO", 3, 3))
     plan = grouped_plan(graph, [list(flatten(graph).atomics)])
     before = set(threading.enumerate())
-    (group,) = serve_simulators(plan, plan.endpoints, first_local=True)
-    assert set(threading.enumerate()) == before
+    if threaded:
+        (group,) = serve_simulators(plan, plan.endpoints)
+    else:
+        (group,) = distributed._start_groups(
+            plan, distributed._listen(plan, plan.groups()), None, first_local=True)
+        assert set(threading.enumerate()) == before
     (listener,) = group._sockets
     codes = []
     server = threading.Thread(
-        target=lambda: codes.append(distributed.serve([group], lambda: None)))
+        target=lambda: codes.append(distributed.serve([group], lambda: None)), name="server")
     server.start()
     try:
         report = run_coordinator(plan)
@@ -273,6 +282,7 @@ def test_serve_runs_a_threadless_group_on_the_calling_thread(monkeypatch):
         server.join(timeout=10.0)
     assert not server.is_alive() and codes == [0]
     assert report.counter_triple() == (7, 7, 7)
+    assert runs == ([f"svc-{group.names[0]}"] if threaded else ["server"])
     assert closed == [group] and listener.fileno() == -1
     assert set(threading.enumerate()) == before
 
