@@ -12,12 +12,13 @@ from __future__ import annotations
 import csv
 import io
 import math
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
 from .devstone import GENERATOR_NAME
 from .distributed import DistributedPlan, run_distributed_local
-from .kernel import RunReport, SequentialCoordinator
+from .kernel import RunReport, SequentialCoordinator, Simulator
 from .model import ModelGraph
 from .parallel import ParallelCoordinator, PoolPlan, PoolSpec
 from .planfile import ParallelPlan
@@ -32,7 +33,7 @@ class BenchError(Exception):
 
 @dataclass(frozen=True)
 class AtomicProfile:
-    """CPU seconds one atomic spent inside its transition functions."""
+    """CPU seconds one atomic spent in its transitions."""
 
     name: str
     cpu_seconds_ext: float
@@ -45,23 +46,45 @@ class AtomicProfile:
 
 PROFILE_HEADER = ("atomic", "cpu_seconds_ext", "cpu_seconds_int", "cpu_seconds_total")
 
+# The share of a transition's CPU that goes to each column: (ext, int).
+_COLUMNS = {"ext": (1.0, 0.0), "int": (0.0, 1.0), "con": (0.5, 0.5)}
+
+
+class _Profiler(SequentialCoordinator):
+    """The sequential backend, adding the thread CPU seconds of each
+    transition, all of ``Simulator.run_delta``, to ``cpu`` ([ext, int] per
+    atomic) at the kernel's phase seam."""
+
+    def __init__(self, graph: ModelGraph, cpu: dict[str, list[float]]) -> None:
+        super().__init__(graph)
+        self.cpu = cpu
+        for name in self.simulators:
+            cpu.setdefault(name, [0.0, 0.0])
+
+    def _run_phase(self, step, sims: list[Simulator], t: float) -> None:
+        if step is not Simulator.run_delta:
+            return super()._run_phase(step, sims, t)
+        for sim in sims:  # each active simulator makes one transition
+            started = time.thread_time()
+            ext, internal = _COLUMNS[sim.run_delta(t)]
+            elapsed = time.thread_time() - started
+            cpu = self.cpu[sim.name]
+            cpu[0] += ext * elapsed
+            cpu[1] += internal * elapsed
+
 
 def profile_model(graph: ModelGraph, runs: int = 1,
                   max_iterations: int | None = None) -> list[AtomicProfile]:
     """Sequential per-atomic CPU profile, averaged over ``runs`` and sorted
-    slowest first (ties broken by name)."""
+    slowest first (ties broken by name). A confluent transition counts half
+    to each column."""
     if runs < 1:
         raise BenchError("profiling needs at least one run")
-    sums: dict[str, list[float]] = {}
+    cpu: dict[str, list[float]] = {}
     for _ in range(runs):
-        coordinator = SequentialCoordinator(graph, profile=True)
-        coordinator.simulate(max_iterations)
-        for name, cpu_ext, cpu_int in coordinator.atomic_profiles():
-            entry = sums.setdefault(name, [0.0, 0.0])
-            entry[0] += cpu_ext
-            entry[1] += cpu_int
+        _Profiler(graph, cpu).simulate(max_iterations)
     profiles = [AtomicProfile(name, ext / runs, internal / runs)
-                for name, (ext, internal) in sums.items()]
+                for name, (ext, internal) in cpu.items()]
     profiles.sort(key=lambda p: (-p.total, p.name))
     return profiles
 
@@ -162,12 +185,11 @@ def two_level_pool_plan(alloc: Allocation2Level) -> PoolPlan:
                      PoolSpec("L2", alloc.l2_resources)), assignment)
 
 
-def balanced_pool_plan(profiles: list[AtomicProfile], m: int,
-                       name: str = "main") -> PoolPlan:
-    """One pool of ``m`` workers that pull atomics heaviest first, so the
-    heavy atomics spread over distinct workers."""
+def balanced_pool_plan(profiles: list[AtomicProfile], m: int) -> PoolPlan:
+    """One pool, ``main``, of ``m`` workers that pull atomics heaviest
+    first, so the heavy atomics spread over distinct workers."""
     ranked = sorted(profiles, key=lambda p: (-p.total, p.name))
-    return PoolPlan((PoolSpec(name, m),), {p.name: name for p in ranked})
+    return PoolPlan((PoolSpec("main", m),), {p.name: "main" for p in ranked})
 
 
 # -- backend runners ---------------------------------------------------------------

@@ -134,9 +134,9 @@ class DevstoneAtomic(AtomicModel):
 
     External transition: burn the external delay, append the whole input
     bag to the stored list, go active with sigma 0. Internal transition:
-    burn the internal delay, clear the list, passivate. Confluent runs the
-    internal body first, then the external one with zero elapsed time. The
-    output function re-emits the stored list. Only this behavior touches
+    burn the internal delay, clear the list, passivate. Confluent is
+    :class:`AtomicModel`'s: the internal body first, then the external one
+    with zero elapsed time. The output function re-emits the stored list. Only this behavior touches
     the global counters.
     """
 
@@ -163,10 +163,6 @@ class DevstoneAtomic(AtomicModel):
         self.counters.events(len(values))
         self.event_list.extend(values)
         self.hold_in("active", 0.0)
-
-    def delta_con(self) -> None:
-        self.delta_int()
-        self.delta_ext(0.0)
 
 
 # -- configuration and closed forms -------------------------------------------------

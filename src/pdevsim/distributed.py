@@ -42,7 +42,7 @@ There is one link per ordered pair of groups that a coupling connects; it
 carries PROPAGATE frames only, and nothing is read back from it. A peer
 link that ends is reported by the receiving group's next DELTFCN.
 
-A group serves a listener that is already bound: :func:`serve_simulators`
+A group is built on a listener that is already bound: :func:`serve_simulators`
 binds them for ``pdevsim serve``, and the ``distributed-local`` launcher
 (:func:`run_distributed_local`, at the end of this module) binds every
 listener before it forks. A group dials each peer in
@@ -213,16 +213,15 @@ class ServiceGroup:
 
     The engine is built, and so its atomics initialized, with the group:
     INIT, once per group, only sets the trace mode and reports the tN. One
-    thread serves the group's listener and every connection it accepts
-    from one selector (:meth:`_run`): a thread of its own, or the thread
-    that :func:`serve` runs the group on. The coordinator's link drives the
-    whole group, and a peer group's link carries that peer's pushes to
-    every hosted atomic. :func:`_start_groups` builds and starts the groups
-    of a process.
+    thread serves ``listener``, bound at the endpoint, and every connection
+    it accepts from one selector (:meth:`_run`): a thread of its own, or the
+    thread that :func:`serve` runs the group on. The coordinator's link
+    drives the whole group, and a peer group's link carries that peer's
+    pushes to every hosted atomic. :func:`_start_groups` starts the groups.
     """
 
-    def __init__(self, plan: DistributedPlan, endpoint: Endpoint, *,
-                 workers: int, timeouts: Timeouts | None = None) -> None:
+    def __init__(self, plan: DistributedPlan, endpoint: Endpoint, listener: socket.socket,
+                 *, workers: int, timeouts: Timeouts | None = None) -> None:
         self.endpoint = endpoint
         self.names, couplings = plan._blocks[endpoint]
         self.label = f"the process of {self.names[0]!r} at {self.endpoint}"
@@ -276,26 +275,14 @@ class ServiceGroup:
         self._links: dict[Endpoint, socket.socket] = {}  # to peer groups
         # Every socket the group holds; for an accepted connection, what it
         # has sent that is not yet a whole frame.
-        self._sockets: dict[socket.socket, bytearray | None] = {}
+        self._sockets: dict[socket.socket, bytearray | None] = {listener: None}
         self._selector = selectors.DefaultSelector()
+        self._selector.register(listener, selectors.EVENT_READ, "listener")
         self._thread: threading.Thread | None = None
         self._running = False  # whether _run serves the group
         self._stop = threading.Event()
 
     # -- lifecycle -----------------------------------------------------------
-
-    def start(self, listener: socket.socket, *, thread: bool = True) -> None:
-        """Serve ``listener``, bound at the group's endpoint, and every
-        connection it accepts. The group runs on a thread of its own or,
-        without ``thread``, on the thread that calls :meth:`_run` (see
-        :func:`serve`), or only within the commands that an in-process
-        coordinator hands it."""
-        self._sockets[listener] = None
-        self._selector.register(listener, selectors.EVENT_READ, "listener")
-        if thread:
-            self._thread = threading.Thread(target=self._run, daemon=True,
-                                            name=f"svc-{self.names[0]}")
-            self._thread.start()
 
     def join(self, timeout: float | None = None) -> None:
         if self._thread is not None:
@@ -629,27 +616,29 @@ def _listen(plan: DistributedPlan, endpoints) -> dict[Endpoint, socket.socket]:
 
 
 def _start_groups(plan: DistributedPlan, listeners: dict[Endpoint, socket.socket],
-                  timeouts: Timeouts | None, *, first_local: bool = False,
-                  dial: bool = False) -> list[ServiceGroup]:
+                  timeouts: Timeouts | None, *, local: bool = False) -> list[ServiceGroup]:
     """Start, and return, one service group on each of ``listeners``, keyed
     by endpoint, from the plan's index: all of them or, on any error, none,
-    and every listener and link closed. With ``dial`` each group dials its
-    peers (:meth:`ServiceGroup.dial_peers`) before it starts; without, on
-    its first push to each. With ``first_local`` the first group gets no
-    thread: an in-process coordinator drives it, or :func:`serve` serves it
-    on the calling thread. The groups divide the process's CPUs in
-    contiguous blocks, at least one each, so k groups on N CPUs do not
-    start k pools of N."""
+    and every listener and link closed. In a ``local`` (``distributed-local``)
+    process, each group dials its peers before it serves, and the first gets
+    no thread: an in-process coordinator drives it, or :func:`serve` serves
+    it on the calling thread. Under ``pdevsim serve`` every group has a
+    thread and dials each peer on its first push. The groups divide the
+    process's CPUs in contiguous blocks, at least one each, so k groups on N
+    CPUs do not start k pools of N."""
     shares = contiguous_blocks(range(default_workers()), len(listeners))
     groups: list[ServiceGroup] = []
     try:
-        for endpoint, share in zip(listeners, shares):
-            groups.append(ServiceGroup(plan, endpoint, workers=max(len(share), 1),
+        for (endpoint, listener), share in zip(listeners.items(), shares):
+            groups.append(ServiceGroup(plan, endpoint, listener, workers=max(len(share), 1),
                                        timeouts=timeouts))
-        for i, group in enumerate(groups):
-            if dial:
+        for group in groups:
+            if local:
                 group.dial_peers()
-            group.start(listeners[group.endpoint], thread=i > 0 or not first_local)
+            if not local or group is not groups[0]:
+                group._thread = threading.Thread(target=group._run, daemon=True,
+                                                 name=f"svc-{group.names[0]}")
+                group._thread.start()
     except BaseException:
         for group in groups:
             group.stop()
@@ -681,7 +670,7 @@ def serve_simulators(plan: DistributedPlan, names, *,
 
 def serve(groups: list[ServiceGroup], announce) -> int:
     """Call ``announce`` once ``groups`` are serving, serve a first group
-    started without a thread (``first_local``) on the calling thread, and
+    started without a thread (``local``) on the calling thread, and
     return once every group has ended with its coordinator's link: the rest
     of ``pdevsim serve``, which prints ``ready``, and of each process that
     :func:`run_distributed_local` forks, which bumps an eventfd. So a forked
@@ -1000,7 +989,7 @@ def _fork_service(plan: DistributedPlan, block: list[Endpoint],
                                                errors="backslashreplace")
                 code = guarded(lambda: serve(_start_groups(
                     plan, {endpoint: listeners[endpoint] for endpoint in block}, timeouts,
-                    first_local=True, dial=True), lambda: os.eventfd_write(ready, 1)))
+                    local=True), lambda: os.eventfd_write(ready, 1)))
                 sys.stdout.flush()
             finally:
                 os._exit(code)
@@ -1087,7 +1076,8 @@ def run_distributed_local(plan_or_graph, *, iterations: int | None = None,
         endpoints = list(plan.groups())
         listeners.update(_listen(plan, [endpoint for endpoint in endpoints
                                         if endpoint not in listeners]))
-        blocks = contiguous_blocks(endpoints, min(default_workers(), len(endpoints)))
+        # Block 0 is this process's, empty for a model without atomics.
+        blocks = contiguous_blocks(endpoints, min(default_workers(), len(endpoints)) or 1)
         allowed = sorted(os.sched_getaffinity(0))
         shares = contiguous_blocks(allowed, len(blocks))
         for block, share in zip(blocks[1:], shares[1:]):
@@ -1105,9 +1095,9 @@ def run_distributed_local(plan_or_graph, *, iterations: int | None = None,
             try:
                 served = _start_groups(
                     plan, {endpoint: listeners.pop(endpoint) for endpoint in blocks[0]},
-                    timeouts, first_local=True, dial=True)
+                    timeouts, local=True)
                 coordinator = DistributedCoordinator(plan, trace=trace, timeouts=timeouts,
-                                                     local=served[0])
+                                                     local=served[0] if served else None)
             finally:
                 for child in children:
                     _wait_ready(child, deadline)

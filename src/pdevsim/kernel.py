@@ -84,17 +84,13 @@ def trace_text(traces: dict[str, list[TraceEntry]]) -> str:
 class Simulator:
     """Drives one atomic model: tL/tN bookkeeping around the behavior."""
 
-    __slots__ = ("model", "tL", "tN", "trace", "cpu_int", "cpu_ext", "_profile")
+    __slots__ = ("model", "tL", "tN", "trace")
 
-    def __init__(self, model: AtomicModel, *, trace: bool = False,
-                 profile: bool = False) -> None:
+    def __init__(self, model: AtomicModel, *, trace: bool = False) -> None:
         self.model = model
         self.tL = 0.0
         self.tN = INFINITY
         self.trace: list[TraceEntry] | None = [] if trace else None
-        self.cpu_int = 0.0
-        self.cpu_ext = 0.0
-        self._profile = profile
 
     @property
     def name(self) -> str:
@@ -137,7 +133,6 @@ class Simulator:
         if self.trace is not None:
             entry_inputs = _bags_snapshot(self.model.input_bags, self.model.spec.input_ports)
             entry_outputs = _bags_snapshot(self.model.output_bags, self.model.spec.output_ports)
-        started = time.thread_time() if self._profile else 0.0
         try:
             if kind == "int":
                 self.model.delta_int()
@@ -147,15 +142,6 @@ class Simulator:
                 self.model.delta_con()
         except Exception as exc:
             raise SimulationError(f"transition failed in atomic {self.name!r}: {exc}") from exc
-        if self._profile:
-            elapsed = time.thread_time() - started
-            if kind == "int":
-                self.cpu_int += elapsed
-            elif kind == "ext":
-                self.cpu_ext += elapsed
-            else:  # confluent time split evenly between the two columns
-                self.cpu_int += elapsed / 2.0
-                self.cpu_ext += elapsed / 2.0
         if self.trace is not None:
             self.trace.append(TraceEntry(t, kind, entry_inputs, entry_outputs))
         self.tL = t
@@ -224,7 +210,7 @@ class SequentialCoordinator:
     backend_name = "sequential"
 
     def __init__(self, graph: ModelGraph, *, flatten_graph: bool = True,
-                 trace: bool = False, profile: bool = False) -> None:
+                 trace: bool = False) -> None:
         errors = freeze_valid(graph)
         if errors:
             raise SimulationError(f"invalid graph {graph.name!r}: {errors[0].message}")
@@ -237,8 +223,8 @@ class SequentialCoordinator:
             leaves = _leaves(self.exec_graph)
             self._rename = {path: spec.name for path, spec in leaves}
             specs = [spec for _, spec in leaves]
-        self._sim_list = [Simulator(create_behavior(spec, Counters()), trace=trace,
-                                    profile=profile) for spec in specs]
+        self._sim_list = [Simulator(create_behavior(spec, Counters()), trace=trace)
+                          for spec in specs]
         names = [spec.name for spec in specs]
         self.simulators = dict(zip(names, self._sim_list))
         self._ranks = dict(zip(names, range(len(names))))
@@ -343,10 +329,6 @@ class SequentialCoordinator:
 
     def workers_pools_label(self) -> str:
         return "1"
-
-    def atomic_profiles(self) -> list[tuple[str, float, float]]:
-        """(name, cpu_ext, cpu_int) per atomic; meaningful when profiling."""
-        return [(sim.name, sim.cpu_ext, sim.cpu_int) for sim in self._sim_list]
 
     # Propagation. Every coupling hop is bound at build time to the bags it
     # copies between, in the order the hops apply. In flat mode each hop

@@ -106,9 +106,8 @@ class ParallelCoordinator(SequentialCoordinator):
 
     backend_name = "parallel"
 
-    def __init__(self, graph: ModelGraph, plan: PoolPlan, *,
-                 trace: bool = False, profile: bool = False) -> None:
-        super().__init__(graph, flatten_graph=True, trace=trace, profile=profile)
+    def __init__(self, graph: ModelGraph, plan: PoolPlan, *, trace: bool = False) -> None:
+        super().__init__(graph, flatten_graph=True, trace=trace)
         self.plan = plan
         members = plan.pool_members()
         plan.check(self.simulators)

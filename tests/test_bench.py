@@ -155,6 +155,24 @@ def test_distributed_local_harness_roundtrip():
 
 
 @pytest.mark.parametrize("given", ["graph", "plan"])
+def test_distributed_local_runs_a_model_without_atomics(monkeypatch, given):
+    """A model or plan with no atomics gets the 0-cycle report that the
+    other backends give, and no process is forked."""
+    from pdevsim import ModelGraph
+    from pdevsim.planfile import default_endpoints
+
+    spawned = _recorded_forks(monkeypatch)
+    graph = ModelGraph("empty")
+    report = run_distributed_local(graph if given == "graph" else default_endpoints(graph),
+                                   trace=True)
+    sequential = run_sequential(graph, trace=True)
+    assert (report.backend, report.cycles) == ("distributed-local", 0)
+    assert report.counter_triple() == sequential.counter_triple() == (0, 0, 0)
+    assert report.trace_text() == sequential.trace_text() == ""
+    assert spawned == []
+
+
+@pytest.mark.parametrize("given", ["graph", "plan"])
 def test_distributed_local_validates_the_plan_once(monkeypatch, given):
     """Making the plan validates its graph once, and neither the launcher
     nor the coordinator walks it again: the flat form that a sequential
@@ -892,14 +910,36 @@ def test_profile_totals_track_process_cpu():
     # total for the run and dominate it once delays reach ~10 ms.
     import time
 
-    from pdevsim import SequentialCoordinator
-
     config = DevstoneConfig("HO", 4, 3, DelayDistribution.constant(0.02), seed=0)
     graph = generate(config)
-    coordinator = SequentialCoordinator(graph, profile=True)
     before = time.process_time()
-    coordinator.simulate()
+    profiles = profile_model(graph)
     process_cpu = time.process_time() - before
-    summed = sum(ext + internal for _, ext, internal in coordinator.atomic_profiles())
+    summed = sum(profile.total for profile in profiles)
     assert summed <= process_cpu + 1e-9
     assert summed >= 0.9 * process_cpu, (summed, process_cpu)
+
+
+def test_profile_puts_each_transition_in_its_column():
+    """Internal CPU lands in ``cpu_seconds_int``, external CPU in
+    ``cpu_seconds_ext``, and a confluent transition counts half to each.
+    The generator's seed reaches ``a`` and ``b`` at time 0 (external);
+    then ``a`` goes internal while its output reaches ``b``, which is
+    imminent too (confluent), and ``b`` goes internal last."""
+    from pdevsim import ModelGraph, atomic_spec
+
+    graph = ModelGraph("columns")
+    graph.add_component(atomic_spec("g", "generator"))
+    graph.add_component(atomic_spec("a", "devstone", delay_int=0.03, delay_ext=0.01))
+    graph.add_component(atomic_spec("b", "devstone", delay_int=0.0, delay_ext=0.04))
+    for src, dst in (("g", "a"), ("g", "b"), ("a", "b")):
+        graph.connect(src, "out", dst, "in")
+    traces = run_sequential(graph, trace=True).traces
+    assert [entry.kind for entry in traces["a"]] == ["ext", "int"]
+    assert [entry.kind for entry in traces["b"]] == ["ext", "con", "int"]
+    by_name = {p.name: p for p in profile_model(graph)}
+    columns = {name: (p.cpu_seconds_ext, p.cpu_seconds_int) for name, p in by_name.items()}
+    assert columns["a"] == (pytest.approx(0.01, abs=0.003), pytest.approx(0.03, abs=0.003))
+    # b: 40 ms external, then a 40 ms confluent transition split 20 + 20.
+    assert columns["b"] == (pytest.approx(0.06, abs=0.003), pytest.approx(0.02, abs=0.003))
+    assert by_name["g"].total < 0.003

@@ -251,7 +251,7 @@ def test_nine_atomic_group_has_one_listener_and_one_thread():
 
 @pytest.mark.parametrize("threaded", [False, True], ids=["threadless", "threaded"])
 def test_serve_runs_a_threadless_group_on_the_calling_thread(monkeypatch, threaded):
-    """``serve`` runs a group built without a thread (``first_local``) on
+    """``serve`` runs a group built without a thread (``local``) on
     the thread that calls it, and only waits for one that has a thread of
     its own (``serve_simulators``, as under ``pdevsim serve``). EXIT ends
     the group from inside its loop, which then closes its sockets and
@@ -269,7 +269,7 @@ def test_serve_runs_a_threadless_group_on_the_calling_thread(monkeypatch, thread
         (group,) = serve_simulators(plan, plan.endpoints)
     else:
         (group,) = distributed._start_groups(
-            plan, distributed._listen(plan, plan.groups()), None, first_local=True)
+            plan, distributed._listen(plan, plan.groups()), None, local=True)
         assert set(threading.enumerate()) == before
     (listener,) = group._sockets
     codes = []
