@@ -89,14 +89,19 @@ def profile_model(graph: ModelGraph, runs: int = 1,
     return profiles
 
 
-def profiles_to_csv(profiles: list[AtomicProfile]) -> str:
+def _csv_text(header, rows) -> str:
+    """``header`` and then ``rows`` as CSV text."""
     out = io.StringIO()
     writer = csv.writer(out)
-    writer.writerow(PROFILE_HEADER)
-    for profile in profiles:
-        writer.writerow([profile.name, repr(profile.cpu_seconds_ext),
-                         repr(profile.cpu_seconds_int), repr(profile.total)])
+    writer.writerow(header)
+    writer.writerows(rows)
     return out.getvalue()
+
+
+def profiles_to_csv(profiles: list[AtomicProfile]) -> str:
+    return _csv_text(PROFILE_HEADER, ([p.name, repr(p.cpu_seconds_ext),
+                                       repr(p.cpu_seconds_int), repr(p.total)]
+                                      for p in profiles))
 
 
 def _csv_rows(lines, header: tuple[str, ...], what: str,
@@ -304,23 +309,14 @@ def _wall_seconds(row: dict[str, str]) -> float:
 
 
 def speedups_to_csv(rows: list[SpeedupRow]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(SPEEDUP_HEADER)
-    for row in rows:
-        writer.writerow([row.model, row.group, row.label,
-                         repr(row.wall_seconds), repr(row.speedup)])
-    return out.getvalue()
+    return _csv_text(SPEEDUP_HEADER, ([row.model, row.group, row.label,
+                                       repr(row.wall_seconds), repr(row.speedup)]
+                                      for row in rows))
 
 
 def plot_data_csv(rows: list[SpeedupRow]) -> str:
     """Long-format (group, label, speedup) table per model, ready for any
     bar-chart tool."""
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(("model", "group", "label", "speedup"))
-    for row in rows:
-        if row.group == "sequential":
-            continue
-        writer.writerow([row.model, row.group, row.label, repr(row.speedup)])
-    return out.getvalue()
+    return _csv_text(("model", "group", "label", "speedup"),
+                     ([row.model, row.group, row.label, repr(row.speedup)]
+                      for row in rows if row.group != "sequential"))

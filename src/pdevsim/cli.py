@@ -48,7 +48,7 @@ def cmd_generate(args) -> int:
         text = emit_plan_xml(graph, host=args.host, base_port=args.base_port,
                              workers=args.workers)
     else:
-        text = emit_plan_xml(graph, pool_name=args.pool, workers=args.workers)
+        text = emit_plan_xml(graph, workers=args.workers)
     _emit(text, args.out)
     return 0
 
@@ -157,7 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="seconds; constant value or uniform upper bound")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--addressing", choices=("pool", "distributed"), default="pool")
-    gen.add_argument("--pool", default="main")
     gen.add_argument("--workers", type=int, default=None,
                      help="pool workers (default: one per CPU); with --addressing "
                           "distributed, co-host the atomics in this many contiguous "

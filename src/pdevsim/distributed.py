@@ -76,8 +76,7 @@ from typing import Iterator, Mapping
 
 from .kernel import (RunReport, SequentialCoordinator, SimulationError,
                      Simulator, TraceEntry)
-from .model import (IC, Coupling, ModelError, ModelGraph, check_event_value,
-                    flatten, freeze_valid)
+from .model import IC, Coupling, ModelError, ModelGraph, check_event_value, flatten
 from .parallel import ParallelCoordinator, PoolPlan, contiguous_blocks, default_workers
 from .wire import (ACK, DELTFCN, EXIT, INIT, PROPAGATE, ProtocolError,
                    WireFrame, decode_time, encode_frame, encode_time,
@@ -131,9 +130,10 @@ class DistributedPlan:
     endpoints: Mapping[str, Endpoint]
 
     def __post_init__(self) -> None:
-        errors = freeze_valid(self.graph)
-        if errors:
-            raise SimulationError(f"invalid plan graph: {errors[0].message}")
+        try:
+            self.graph.freeze()
+        except ModelError as exc:
+            raise SimulationError(f"invalid plan graph: {exc}") from None
         if not self.graph.is_flat():
             raise SimulationError("distributed plan graph must be flattened")
         endpoints = MappingProxyType(dict(self.endpoints))
@@ -228,6 +228,7 @@ class ServiceGroup:
         block = ModelGraph(plan.graph.name)
         for name in self.names:
             block.add_component(plan.graph.atomics[name])
+        block._seal()  # atomics of a valid plan only: valid by construction
         self.timeouts = timeouts or Timeouts()
         workers = min(workers, len(self.names))
         self.engine = (ParallelCoordinator(block, PoolPlan.single_pool(self.names, workers))

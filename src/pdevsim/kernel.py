@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 
 from .behaviors import AtomicModel, Counters, create_behavior
-from .model import EIC, IC, INPUT, ModelGraph, _leaves, flatten, freeze_valid
+from .model import EIC, IC, INPUT, ModelError, ModelGraph, _leaves, flatten
 
 INFINITY = math.inf
 
@@ -211,9 +211,10 @@ class SequentialCoordinator:
 
     def __init__(self, graph: ModelGraph, *, flatten_graph: bool = True,
                  trace: bool = False) -> None:
-        errors = freeze_valid(graph)
-        if errors:
-            raise SimulationError(f"invalid graph {graph.name!r}: {errors[0].message}")
+        try:
+            graph.freeze()
+        except ModelError as exc:
+            raise SimulationError(f"invalid graph {graph.name!r}: {exc}") from None
         self.graph = graph
         self.exec_graph = flatten(graph) if flatten_graph else graph
         self.trace_enabled = trace
@@ -338,7 +339,8 @@ class SequentialCoordinator:
     # values hop through coupled boundary bags: outputs climb EOCs
     # child-first, cross one IC, then descend EICs top-down, which
     # reproduces the classic coordinator hierarchy without materializing it.
-    # Values left in a bag that no hop reads are counted as dropped.
+    # In either mode a value is counted as dropped once, when it is emitted
+    # on an atomic output from which no chain of hops reaches an atomic input.
 
     def _build_routes(self) -> None:
         self._routes: list[_Route] = []
@@ -364,14 +366,19 @@ class SequentialCoordinator:
 
     def _bind_routes(self, routes: list[_Route], boundary, shipped=()) -> None:
         """Propagate along ``routes``, in order, and empty the ``boundary``
-        bags after each propagation. An output bag that no route reads and
-        that is not in ``shipped`` (read by a caller) holds dropped values."""
+        bags after each propagation. An output bag from which no chain of
+        routes reaches an atomic input, and that is not in ``shipped`` (read
+        by a caller), holds dropped values. A route runs before every route
+        that reads its destination, so one backward pass finds the bags that
+        lead somewhere."""
         self._routes = routes
         self._transit = list(boundary)
-        read = {id(src) for src, _, _ in routes}
-        read.update(map(id, shipped))
-        bags = [bag for sim in self._sim_list for bag in sim.model.output_bags.values()]
-        self._dangling = [bag for bag in bags + self._transit if id(bag) not in read]
+        live = set(map(id, shipped))
+        for src, dst, rank in reversed(routes):
+            if rank is not None or id(dst) in live:
+                live.add(id(src))
+        self._dangling = [bag for sim in self._sim_list
+                          for bag in sim.model.output_bags.values() if id(bag) not in live]
 
     def _collect_upward(self, level: ModelGraph, path: tuple[str, ...]) -> None:
         """Materialize boundary bags and bind the EOC and IC hops, children

@@ -6,11 +6,13 @@ behavioral state lives in per-run behavior instances created from the
 registry in :mod:`pdevsim.behaviors`.
 
 A graph is compiled once. :meth:`ModelGraph.freeze`, which every
-coordinator applies to a graph that validates, turns ``couplings`` into a
-tuple; from then on the graph is immutable, and the first :func:`validate`
-and :func:`flatten` of it keep their results on it (the flat form is
-frozen too), so every later coordinator, backend or plan built over the
-same graph shares one validation and one flat form.
+coordinator, plan and :func:`flatten` applies, validates the graph, raising
+a :class:`ModelError` on its first violation, and then turns ``couplings``
+into a tuple; from then on the graph is immutable and known valid, and the
+first :func:`flatten` of it keeps the flat form on it (sealed too, and
+never validated: it is valid by construction), so every later coordinator,
+backend or plan built over the same graph shares one validation and one
+flat form.
 """
 
 from __future__ import annotations
@@ -137,9 +139,8 @@ class ModelGraph:
     """A coupled model: children plus EIC/IC/EOC couplings.
 
     Graphs are built with :meth:`add_component` and :meth:`couple` (or the
-    name-based :meth:`connect`) and become immutable once :meth:`freeze` is
-    called, which every coordinator does on construction (see
-    :func:`freeze_valid`).
+    name-based :meth:`connect`) and become immutable once :meth:`freeze`
+    validates them, which every coordinator does on construction.
     """
 
     def __init__(self, name: str, input_ports: Iterable[str] = (),
@@ -162,9 +163,7 @@ class ModelGraph:
         self._refs: dict[tuple[str, str, str], PortRef] = {}
         self._add_refs(self)
         self._frozen = False
-        # Kept once frozen: the errors of validate() and the flat form.
-        self._errors: tuple[Violation, ...] | None = None
-        self._flat: ModelGraph | None = None
+        self._flat: ModelGraph | None = None  # kept once frozen and flattened
 
     # -- construction -----------------------------------------------------
 
@@ -226,12 +225,23 @@ class ModelGraph:
         return self
 
     def freeze(self) -> "ModelGraph":
-        """Make this graph and its children immutable, ``couplings`` a
-        tuple; validation and the flat form are then computed once."""
+        """Validate this graph and make it and its children immutable,
+        ``couplings`` a tuple, so a frozen graph is a valid one. The first
+        violation is raised as a :class:`ModelError`, and the graph is
+        left as it was."""
+        if not self._frozen:
+            errors = _validate_levels(self)
+            if errors:
+                raise ModelError(errors[0].message)
+            self._seal()
+        return self
+
+    def _seal(self) -> "ModelGraph":
+        """Freeze without validating: for a graph valid by construction."""
         self._frozen = True
         self.couplings = tuple(self.couplings)
         for child in self.coupleds.values():
-            child.freeze()
+            child._seal()
         return self
 
     @property
@@ -364,9 +374,10 @@ def validate(graph: ModelGraph, include_warnings: bool = False) -> list[Violatio
     Returns an empty list iff every structural invariant holds. With
     ``include_warnings`` the check also reports coupling cycles among
     atomics (possible zero-delay loops) as warnings; cycles are legal but
-    worth surfacing. A frozen graph is checked once and keeps its errors.
+    worth surfacing; finding them in a hierarchy flattens it, which freezes
+    it. A frozen graph is valid, and is not walked again.
     """
-    violations = list(_errors(graph))
+    violations = [] if graph.frozen else _validate_levels(graph)
     if include_warnings and not violations:
         for cycle in _coupling_cycles(graph):
             violations.append(Violation(
@@ -374,27 +385,6 @@ def validate(graph: ModelGraph, include_warnings: bool = False) -> list[Violatio
                 "coupling cycle among atomics (possible zero-delay loop): "
                 + " -> ".join(cycle)))
     return violations
-
-
-def freeze_valid(graph: ModelGraph) -> tuple[Violation, ...]:
-    """The errors of ``validate(graph)``. A graph without any is frozen and
-    keeps that result, so building over it validates it once; an invalid
-    graph is left unfrozen."""
-    errors = _errors(graph)
-    if not errors and not graph.frozen:
-        graph.freeze()
-        graph._errors = errors
-    return errors
-
-
-def _errors(graph: ModelGraph) -> tuple[Violation, ...]:
-    """The structural errors of ``graph``; a frozen graph computes them once."""
-    errors = graph._errors
-    if errors is None:
-        errors = tuple(_validate_levels(graph))
-        if graph.frozen:
-            graph._errors = errors
-    return errors
 
 
 def _validate_levels(graph: ModelGraph) -> list[Violation]:
@@ -465,29 +455,24 @@ def flatten(graph: ModelGraph) -> ModelGraph:
     outputs in depth-first insertion order. Models in which two senders hit
     the same input port in the same cycle may therefore observe a different
     within-bag merge order than non-flattened execution; each execution
-    mode is individually deterministic. A frozen graph is flattened once:
-    its flat form is frozen and kept, and a frozen flat graph is its own.
+    mode is individually deterministic. The graph is frozen first (see
+    :meth:`ModelGraph.freeze`) and flattened once: its flat form is sealed
+    and kept, and a flat graph is its own.
     """
-    if graph._flat is not None:
-        return graph._flat
-    errors = _errors(graph)
-    if errors:
-        raise ModelError("cannot flatten invalid graph: " + errors[0].message)
-    if graph.frozen and graph.is_flat():
-        return graph  # not kept in _flat, which would make the graph cyclic garbage
-    flat = ModelGraph(graph.name, graph.input_ports, graph.output_ports)
+    try:
+        graph.freeze()
+    except ModelError as exc:
+        raise ModelError(f"cannot flatten invalid graph: {exc}") from None
     if graph.is_flat():
-        for child in graph.components():
-            flat.add_component(child)
-        flat.couplings = list(graph.couplings)
-    else:
+        return graph  # not kept in _flat, which would make the graph cyclic garbage
+    if graph._flat is None:
         leaves = _leaves(graph)
+        flat = ModelGraph(graph.name, graph.input_ports, graph.output_ports)
         for _, spec in leaves:
             flat.add_component(spec)
         flat.couplings = _routes(graph, flat, leaves)
-    if graph.frozen:
-        graph._flat = flat.freeze()
-    return flat
+        graph._flat = flat._seal()
+    return graph._flat
 
 
 def _leaves(graph: ModelGraph) -> list[tuple[tuple[str, ...], AtomicSpec]]:

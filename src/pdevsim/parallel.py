@@ -65,10 +65,9 @@ class PoolPlan:
                 raise SimulationError(f"duplicate pool name {name!r}")
 
     @classmethod
-    def single_pool(cls, atomics, workers: int | None = None,
-                    name: str = "main") -> "PoolPlan":
+    def single_pool(cls, atomics, workers: int | None = None) -> "PoolPlan":
         workers = default_workers() if workers is None else workers
-        return cls((PoolSpec(name, workers),), {a: name for a in atomics})
+        return cls((PoolSpec("main", workers),), {a: "main" for a in atomics})
 
     def check(self, atomics) -> None:
         """Refuse a plan that misses one of ``atomics``, those of the model

@@ -20,7 +20,7 @@ from . import devstone  # noqa: F401  (registers the benchmark behavior)
 from .behaviors import behavior_ports
 from .distributed import DistributedPlan, Endpoint
 from .kernel import SimulationError
-from .model import AtomicSpec, ModelError, ModelGraph, flatten, freeze_valid
+from .model import AtomicSpec, ModelError, ModelGraph, flatten
 from .parallel import PoolPlan, PoolSpec, contiguous_blocks, default_workers
 
 
@@ -162,10 +162,10 @@ def _build_graph(name: str, root: ET.Element, atomics: list[ET.Element]) -> Mode
             graph.connect(*fields)
         except ModelError as exc:
             raise PlanError(f"bad connection: {exc}") from exc
-    errors = freeze_valid(graph)
-    if errors:
-        raise PlanError(errors[0].message)
-    return graph
+    try:
+        return graph.freeze()
+    except ModelError as exc:
+        raise PlanError(str(exc)) from None
 
 
 def _pool_plan(root: ET.Element, atomics: list[ET.Element]) -> PoolPlan:
@@ -232,9 +232,10 @@ def _write_document(graph: ModelGraph, *, pools: tuple[PoolSpec, ...] = (),
 def _flat(graph: ModelGraph) -> ModelGraph:
     """The flat form of ``graph``, which is frozen, so that each graph is
     validated and flattened once however often it is emitted."""
-    errors = freeze_valid(graph)
-    if errors:
-        raise PlanError(f"invalid model: {errors[0].message}")
+    try:
+        graph.freeze()
+    except ModelError as exc:
+        raise PlanError(f"invalid model: {exc}") from None
     return flatten(graph)
 
 
@@ -277,16 +278,15 @@ def default_endpoints(graph: ModelGraph, host: str = "127.0.0.1",
     return DistributedPlan(flat, endpoints)
 
 
-def emit_plan_xml(graph: ModelGraph, *, pool_name: str = "main",
-                  workers: int | None = None, host: str | None = None,
-                  base_port: int = 5000) -> str:
-    """Serialize with automatic defaults: a single thread pool of
-    ``workers``, or, when ``host`` is given, a single host with consecutive
+def emit_plan_xml(graph: ModelGraph, *, workers: int | None = None,
+                  host: str | None = None, base_port: int = 5000) -> str:
+    """Serialize with automatic defaults: a single thread pool, ``main``,
+    of ``workers``, or, when ``host`` is given, a single host with consecutive
     ports, one per atomic or, given ``workers``, one per each of that many
     contiguous blocks of atomics (see :func:`default_endpoints`)."""
     flat = _flat(graph)
     if host is not None:
         return emit_distributed_plan_xml(default_endpoints(flat, host, base_port, workers))
     names = [spec.name for _, spec in flat.walk_atomics()]
-    return emit_pool_plan_xml(flat, PoolPlan.single_pool(names, workers, pool_name))
+    return emit_pool_plan_xml(flat, PoolPlan.single_pool(names, workers))
 

@@ -23,6 +23,21 @@ def pytest_configure(config):
     os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
 
 
+@pytest.fixture(autouse=True)
+def _leaves_no_worker_behind():
+    """Fail a test that leaves a service-group thread or a pool worker
+    running, or a child process running or unreaped."""
+    yield
+    threads = sorted(thread.name for thread in threading.enumerate()
+                     if thread.name.startswith(("svc-", "pool-")))
+    assert not threads, f"threads left running: {threads}"
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"child process left {'running' if pid == 0 else f'unreaped: {pid}'}")
+
+
 # Every run draws the same examples, and no example fails on its wall time.
 settings.register_profile("pdevsim", derandomize=True, deadline=None)
 settings.load_profile("pdevsim")

@@ -174,10 +174,10 @@ def test_distributed_local_runs_a_model_without_atomics(monkeypatch, given):
 
 @pytest.mark.parametrize("given", ["graph", "plan"])
 def test_distributed_local_validates_the_plan_once(monkeypatch, given):
-    """Making the plan validates its graph once, and neither the launcher
-    nor the coordinator walks it again: the flat form that a sequential
-    run of the graph already made, or the graph of a plan, which making
-    the plan froze. No graph is walked twice."""
+    """Neither making the plan, nor the launcher, nor the coordinator
+    validates its graph: the flat form that a sequential run of the graph
+    already made, or that making the plan made, which is valid by
+    construction. No graph is walked twice."""
     walks = []
     walk = model._validate_levels
 
@@ -200,8 +200,31 @@ def test_distributed_local_validates_the_plan_once(monkeypatch, given):
         plan_graph = target.graph
     report = run_distributed_local(target, startup_timeout=30.0)
     assert report.counter_triple() == sequential.counter_triple()
-    assert walks.count(plan_graph) == 1
+    assert walks.count(plan_graph) == 0
     assert all(walks.count(walked) == 1 for walked in walks)
+
+
+def test_every_backend_shares_one_validation_walk(monkeypatch):
+    """Both coordinators, flatten, validate and distributed-local over one
+    fresh graph walk it once, when the first of them freezes it, and never
+    walk its flat form."""
+    from pdevsim import ParallelCoordinator, PoolPlan, validate
+    walks = []
+    walk = model._validate_levels
+
+    def counting_walk(graph):
+        walks.append(graph)
+        return walk(graph)
+
+    monkeypatch.setattr(model, "_validate_levels", counting_walk)
+    graph = generate(DevstoneConfig("HO", 4, 3))
+    sequential = SequentialCoordinator(graph).simulate()
+    with ParallelCoordinator(graph, PoolPlan.single_pool(list(flatten(graph).atomics), 2)):
+        pass
+    assert validate(graph) == validate(flatten(graph)) == []
+    report = run_distributed_local(graph, startup_timeout=30.0)
+    assert report.counter_triple() == sequential.counter_triple()
+    assert walks == [graph]
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs CPU affinity")

@@ -221,6 +221,62 @@ def test_serve_starts_one_group_per_endpoint(tmp_path, capsys):
     assert report.trace_text() == run_sequential(build_gpt(), trace=True).trace_text()
 
 
+def test_coordinate_drives_the_groups_that_serve_starts(tmp_path, capsys):
+    """``coordinate`` drives a two-group plan that two ``serve`` calls host,
+    appends one distributed row and writes the sequential trace."""
+    from pdevsim import build_gpt
+    from pdevsim.bench import read_report_rows, run_sequential
+    plan, path = _gpt_plan_file(tmp_path)
+    codes = []
+    servers = [threading.Thread(target=lambda names=names: codes.append(main(
+        ["serve", "--plan", str(path)] + [f"--atomic={name}" for name in names])), daemon=True)
+        for names in plan.groups().values()]
+    for server in servers:
+        server.start()
+    rows, trace = tmp_path / "rows.csv", tmp_path / "t.txt"
+    try:
+        for endpoint in plan.groups():
+            _wait_listening(endpoint)
+        code = main(["coordinate", "--plan", str(path), "--out", str(rows),
+                     "--trace-out", str(trace)])
+    finally:
+        for server in servers:
+            server.join(timeout=10.0)
+    assert code == 0 and codes == [0, 0]
+    assert not any(server.is_alive() for server in servers)
+    assert capsys.readouterr().out == "ready\nready\n"
+    [row] = read_report_rows(rows)
+    assert (row["backend"], row["workers/pools"]) == ("distributed", "2")
+    assert trace.read_text() == run_sequential(build_gpt(), trace=True).trace_text()
+
+
+def test_emit_manifest_groups_by_host_or_by_pool_plan(tmp_path, capsys):
+    """``--groups host`` puts every atomic of the one host in one pod, and
+    ``--groups`` with a pool-addressed plan makes a pod of each pool."""
+    import shlex
+
+    from pdevsim import PoolPlan, PoolSpec, emit_pool_plan_xml, parse_plan_xml
+    plan = tmp_path / "plan.xml"
+    main(["generate", "-w", "3", "-d", "2", "--addressing", "distributed",
+          "--base-port", "6200", "--out", str(plan)])
+    graph = parse_plan_xml(plan).graph
+    names = list(graph.atomics)
+    pools = tmp_path / "pools.xml"
+    half = len(names) // 2
+    pools.write_text(emit_pool_plan_xml(graph, PoolPlan(
+        (PoolSpec("first", 1), PoolSpec("second", 1)),
+        dict.fromkeys(names[:half], "first") | dict.fromkeys(names[half:], "second"))),
+        encoding="utf-8")
+    for groups, pods in (("host", [names]), (str(pools), [names[:half], names[half:]])):
+        code, out, _ = run_cli(["emit-manifest", "--plan", str(plan), "--groups", groups],
+                               capsys)
+        assert code == 0
+        *served, coordinator = yaml.safe_load_all(out)
+        assert coordinator["metadata"]["name"] == "coordinator"
+        assert [shlex.split(pod["spec"]["containers"][0]["command"][2])[5::2]
+                for pod in served] == pods
+
+
 def test_serve_refuses_to_split_an_endpoint(tmp_path, capsys):
     plan, path = _gpt_plan_file(tmp_path)
     code, out, err = run_cli(["serve", "--plan", str(path), "--atomic", "generator"],

@@ -957,8 +957,9 @@ def test_cohosted_fan_in_under_frequent_switches():
 
 def test_group_checks_the_plan_once(monkeypatch):
     """A process that serves many endpoints checks the plan and walks its
-    couplings once, when the plan is made, and validates its graph once,
-    not once per group."""
+    couplings once, when the plan is made, and never validates its graph:
+    the flat form that making the plan compiled, which is valid by
+    construction."""
     made, walks = [], []
     post_init, walk = DistributedPlan.__post_init__, model._validate_levels
 
@@ -976,7 +977,7 @@ def test_group_checks_the_plan_once(monkeypatch):
     groups = serve_simulators(plan, plan.endpoints)
     try:
         assert len(groups) == len(plan.endpoints) > 1
-        assert (len(made), walks.count(plan.graph)) == (1, 1)
+        assert (len(made), walks.count(plan.graph)) == (1, 0)
         assert [group.names for group in groups] == [[name] for name in plan.endpoints]
     finally:
         for group in groups:

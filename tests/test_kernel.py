@@ -270,6 +270,44 @@ def test_hierarchical_vs_flat_ho_traces():
     assert hier.counter_triple() == flat.counter_triple()
 
 
+def _open_root() -> ModelGraph:
+    """An open root whose atomic feeds both an atomic in a coupled sibling
+    and the root's own output port."""
+    box = ModelGraph("box", input_ports=("in",))
+    box.add_component(atomic_spec("r", "collector"))
+    box.connect("box", "in", "r", "in")
+    root = ModelGraph("open", output_ports=("out",))
+    root.add_component(atomic_spec("s", "emit_once"))
+    root.add_component(box)
+    root.connect("s", "out", "box", "in")
+    root.connect("s", "out", "open", "out")
+    return root
+
+
+@pytest.mark.parametrize("name", [f"{shape}({width},{depth})" for shape in ("LI", "HI", "HO")
+                                  for width, depth in ((3, 3), (4, 3), (5, 5))]
+                         + ["efp", "open"])
+def test_flat_and_hierarchical_runs_drop_alike(name):
+    """Both modes give the same trace and counters, and count a value as
+    dropped once, when it leaves an atomic output from which no coupling
+    path reaches an atomic input; a path that ends at a coupled port or at
+    the root's output drops nothing more."""
+
+    def build():
+        if name == "efp":
+            return build_efp()
+        if name == "open":
+            return _open_root()
+        shape, width, depth = name[:2], int(name[3]), int(name[5])
+        return generate(DevstoneConfig(shape, width, depth))
+
+    flat = _coordinator(build(), trace=True).simulate()
+    hier = _coordinator(build(), flatten_graph=False, trace=True).simulate()
+    assert hier.trace_text() == flat.trace_text()
+    assert hier.counter_triple() == flat.counter_triple()
+    assert hier.diagnostics["dropped_events"] == flat.diagnostics["dropped_events"]
+
+
 def test_unconnected_port_values_dropped_and_counted():
     graph = ModelGraph("dangling")
     graph.add_component(atomic_spec("s", "emit_once"))

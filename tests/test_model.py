@@ -111,6 +111,26 @@ def test_freeze_blocks_mutation():
         graph.connect("generator", "out", "processor", "in")
 
 
+def test_freeze_refuses_an_invalid_graph_and_leaves_it_mutable(monkeypatch):
+    """freeze() raises the first violation and freezes nothing, so the
+    graph can still be mended; once mended it freezes, and a frozen graph
+    validates without being walked."""
+    root = build_efp()
+    inner = root.coupleds["ef"]
+    good = list(inner.couplings)
+    inner.couplings.append(Coupling(PortRef("generator", "missing", "output"),
+                                    PortRef("transducer", "arrived", "input"), IC))
+    message = validate(root)[0].message
+    with pytest.raises(ModelError) as caught:
+        root.freeze()
+    assert str(caught.value) == message
+    assert not root.frozen and not inner.frozen and isinstance(inner.couplings, list)
+    inner.couplings[:] = good
+    assert root.freeze() is root and root.frozen and inner.frozen
+    monkeypatch.setattr(model, "_validate_levels", None)  # a walk would raise
+    assert validate(root) == [] and root.freeze() is root
+
+
 def test_flatten_efp_equals_gpt():
     flat = flatten(build_efp())
     gpt = build_gpt()
@@ -127,8 +147,7 @@ def test_flatten_efp_equals_gpt():
 def test_flatten_already_flat_is_identity():
     gpt = build_gpt()
     again = flatten(gpt)
-    assert again.structurally_equal(gpt)
-    assert again is not gpt
+    assert again is gpt and gpt.frozen
 
 
 def test_flatten_rejects_invalid_graph():
@@ -261,7 +280,8 @@ def test_pass_through_via_coupled_child_rejected():
 
 def test_graph_compiles_once(monkeypatch):
     """Both coordinators and a later flatten share one validation walk and
-    one route walk of the graph; the frozen graph refuses new couplings."""
+    one route walk of the graph, and nothing walks the flat form, which is
+    valid by construction; the frozen graph refuses new couplings."""
     walks, route_walks = [], []
     walk, routes = model._validate_levels, model._routes
 
@@ -284,7 +304,7 @@ def test_graph_compiles_once(monkeypatch):
     assert flat is sequential.exec_graph and flat.frozen
     for checked in (graph, flat, graph, flat):
         assert validate(checked) == []
-    assert walks == [graph, flat]
+    assert walks == [graph]
     assert route_walks == [graph]
     for frozen in (graph, graph.coupleds["C1"], flat):
         with pytest.raises(AttributeError):
@@ -292,11 +312,10 @@ def test_graph_compiles_once(monkeypatch):
 
 
 def test_a_frozen_flat_graph_is_its_own_flat_form():
-    """Flattening a frozen flat graph returns that graph, which keeps no
-    reference to itself; an unfrozen flat graph is still copied."""
+    """Flattening a flat graph freezes it and returns that graph, which
+    keeps no reference to itself."""
     flat = flatten(generate(DevstoneConfig("HO", 3, 3)))
-    assert not flat.frozen and flatten(flat) is not flat
-    assert flatten(flat.freeze()) is flat and flat._flat is None
+    assert flat.frozen and flatten(flat) is flat and flat._flat is None
     assert SequentialCoordinator(flat).exec_graph is flat
 
 
